@@ -23,12 +23,13 @@ from .errors import DomainError, SingularPointError, SupportWarning
 from .hmeasure import SequenceGenerator
 from .multiplier import (
     SymbolOnP,
+    _apply_spatial_multiplier,
     apply_projected_symbol,
     fractional_axis_symbol,
+    fractional_factor,
     smoothing_inverse,
 )
 from .spectral import (
-    FREQUENCY,
     PHYSICAL,
     SpectralField,
     SpectralGrid,
@@ -39,13 +40,6 @@ from .spectral import (
 
 # --- principal symbol ---------------------------------------------------------
 
-def _axis_factor(xi_k, order: float):
-    """(2 pi i xi_k)^order with the branch i^a = e^(i a pi / 2)."""
-    xi_k = np.asarray(xi_k, dtype=float)
-    return (np.abs(2 * np.pi * xi_k) ** order
-            * np.exp(1j * order * (np.pi / 2) * np.sign(xi_k)))
-
-
 def _eval_coeff(coeff, x, p):
     if callable(coeff):
         return np.asarray(coeff(x, p), dtype=complex)
@@ -53,25 +47,21 @@ def _eval_coeff(coeff, x, p):
 
 
 def principal_symbol(x, xi, p, coeffs, profile: AnisotropyProfile):
-    """A(x, xi, p) = sum_k a_k(x, p) (2 pi i xi_k)^(alpha_k).
+    """A(x, xi, p) = sum_k a_k(x, p) (2 pi i xi_k)^(alpha_k), the diagonal
+    case of mixed_symbol.
 
-    coeffs is either a single callable (x, p) -> (..., d) or a sequence of
-    d per-axis entries, each a callable (x, p) -> (...) or a constant;
-    the result is vectorized over the leading axes of p."""
-    xi = np.asarray(xi, dtype=float)
+    coeffs is either a single callable (x, p) -> (..., d), evaluated once,
+    or a sequence of d per-axis entries, each a callable (x, p) -> (...) or
+    a constant; the result is vectorized over the leading axes of p."""
     d = profile.d
     if callable(coeffs):
         a = np.asarray(coeffs(x, p), dtype=complex)
-        terms = [a[..., k] for k in range(d)]
-    else:
-        if len(coeffs) != d:
-            raise DomainError("need one coefficient per spatial axis")
-        terms = [_eval_coeff(c, x, p) for c in coeffs]
-    total = 0.0 + 0.0j
-    for k in range(d):
-        total = total + terms[k] * _axis_factor(xi[..., k] if xi.ndim > 1
-                                                else xi[k], profile.alpha[k])
-    return total
+        coeffs = [a[..., k] for k in range(d)]
+    elif len(coeffs) != d:
+        raise DomainError("need one coefficient per spatial axis")
+    return mixed_symbol(x, xi, p, [
+        (c, (0,) * k + (a,) + (0,) * (d - 1 - k))
+        for k, (c, a) in enumerate(zip(coeffs, profile.alpha))])
 
 
 def mixed_symbol(x, xi, p, terms) -> np.ndarray:
@@ -83,8 +73,7 @@ def mixed_symbol(x, xi, p, terms) -> np.ndarray:
         factor = 1.0 + 0.0j
         for k, o in enumerate(orders):
             if o != 0:
-                factor = factor * _axis_factor(xi[..., k] if xi.ndim > 1
-                                               else xi[k], float(o))
+                factor = factor * fractional_factor(xi[..., k], o)
         total = total + _eval_coeff(coeff, x, p) * factor
     return total
 
@@ -135,12 +124,13 @@ def _scan_measures(symbol_at, x_samples, mesh_points, eps_list,
             b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be positive and increasing")
     X, NP = len(x_samples), len(mesh_points)
-    meas = np.empty((X, NP, len(eps_list)))
+    eps = np.asarray(eps_list)
+    meas = np.empty((X, NP, eps.size))
     for ix, x in enumerate(x_samples):
         for ip, xi in enumerate(mesh_points):
-            absA = np.abs(symbol_at(x, xi))
-            for ie, eps in enumerate(eps_list):
-                meas[ix, ip, ie] = cell_measure * int(np.count_nonzero(absA <= eps))
+            # counts of |A| <= eps for every eps at once (NaN sorts last)
+            absA = np.sort(np.abs(symbol_at(x, xi)), axis=None)
+            meas[ix, ip] = cell_measure * np.searchsorted(absA, eps, side="right")
     sup = meas.max(axis=(0, 1))
     domain = cell_measure * n_cells
     flag = bool(sup[0] > threshold_fraction * domain)
@@ -166,10 +156,12 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     mesh = [pt.as_array() for pt in mesh_P(profile, P_resolution)]
 
     def symbol_at(x, xi):
-        # p-independent coefficients give a scalar symbol; the sub-level
-        # count still ranges over the whole velocity grid
-        vals = np.asarray(principal_symbol(x, xi, p_grid, coeffs, profile))
-        return np.broadcast_to(vals, (p_grid.shape[0],))
+        vals = principal_symbol(x, xi, p_grid, coeffs, profile)
+        if np.shape(vals) != p_grid.shape[:1]:
+            # p-independent coefficients give a scalar symbol; the
+            # sub-level count still ranges over the whole velocity grid
+            vals = np.broadcast_to(vals, p_grid.shape[:1])
+        return vals
 
     return _scan_measures(symbol_at, list(x_samples), mesh, eps_list,
                           p_cell_measure, p_grid.shape[0])
@@ -369,18 +361,14 @@ def weak_form_residual(u: SpectralField, coeffs, G: SpectralField | None,
     gvals = np.asarray(g.values, dtype=complex)
     if gvals.shape != grid.shape:
         raise DomainError("test function samples do not match the grid")
-    Gspec = np.fft.fftn(gvals, axes=grid.spatial_axes) * grid.cell_volume
-    inv_scale = 1.0
-    for k in range(grid.d):
-        inv_scale *= grid.n_per_axis[k] / grid.length_per_axis[k]
+    # a view: the field freezes its own handle, not the caller's g.values
+    Gspec = forward_dft(SpectralField(grid, gvals.view(), PHYSICAL))
     measure = grid.cell_volume * grid.velocity_cell_volume
     lhs = 0.0 + 0.0j
     for k in range(grid.d):
         sym = fractional_axis_symbol(grid, k, profile.alpha[k],
                                      conjugate_direction=True)
-        sym = np.broadcast_to(sym, grid.n_per_axis).reshape(
-            grid.n_per_axis + (1,) * grid.m)
-        dg = np.fft.ifftn(Gspec * sym, axes=grid.spatial_axes) * inv_scale
+        dg = inverse_dft(_apply_spatial_multiplier(Gspec, sym)).values
         lhs = lhs + np.sum(a_vals[k] * np.asarray(u.values) * np.conj(dg)) * measure
     rhs = 0.0 + 0.0j
     if G is not None:

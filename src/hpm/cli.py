@@ -1,4 +1,4 @@
-"""Experiment runner: `hpm <command> --config cfg.json [--jobs N] [--out dir]`.
+"""Experiment runner: `hpm <command> --config cfg.json [--out dir]`.
 
 Every run is deterministic given (config, seed): all randomness flows from
 one counter-based generator keyed by the config seed, and all artifacts
@@ -234,7 +234,9 @@ def _transport_generator(grid, profile, params, rng):
     gen = hmeasure.SequenceGenerator.from_callable(initial)
     problem = averaging.TransportProblem(grid, a_of_p, gen,
                                          t=float(params.get("t", 1.0)))
-    return averaging.SequenceGenerator.from_callable(
+    # exact transport multiplies the xi = 0 mode by exactly 1, so the
+    # evolved snapshots keep the zero mean of the initial data
+    return hmeasure.SequenceGenerator(
         lambda n: averaging.transport_evolve(problem, n))
 
 
@@ -335,10 +337,8 @@ _RUNNERS = {
 }
 
 
-def run(cfg: dict, out_dir: str | None = None, jobs: int = 1) -> int:
+def run(cfg: dict, out_dir: str | None = None) -> int:
     """Execute one experiment config; returns the process exit code."""
-    if jobs < 1:
-        raise ConfigError("--jobs must be a positive integer")
     grid = _build_grid(cfg["grid"])
     profile = _build_profile(cfg["profile"])
     if profile.d != grid.d:
@@ -366,7 +366,6 @@ def main(argv=None) -> int:
         prog="hpm", description="anisotropic microlocal experiment runner")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to JSON config")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
@@ -374,7 +373,7 @@ def main(argv=None) -> int:
         if cfg["command"] != args.command:
             raise ConfigError(
                 f"config command {cfg['command']!r} does not match {args.command!r}")
-        return run(cfg, out_dir=args.out, jobs=args.jobs)
+        return run(cfg, out_dir=args.out)
     except IntegrityError as exc:
         print(f"hpm: integrity failure: {exc}", file=sys.stderr)
         return 3

@@ -38,16 +38,24 @@ from .spectral import (
 
 # --- limit extrapolation ------------------------------------------------------
 
-def estimate_limit(values: Sequence[complex]) -> tuple[complex, float]:
-    """Rate-agnostic tail average: mean of the last ceil(len/2) values with
-    the maximal in-tail deviation as error bar."""
-    vals = np.asarray(list(values), dtype=complex)
-    if vals.size < 3:
+def estimate_limit(values) -> tuple:
+    """Rate-agnostic tail average along axis 0: mean of the last
+    ceil(len/2) entries with the maximal in-tail deviation as error bar.
+    A sequence of scalars gives (complex, float); a stack of arrays gives
+    the elementwise limit and error arrays."""
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape[0] < 3:
         raise DomainError("need at least 3 values to extrapolate a limit")
-    tail = vals[-math.ceil(vals.size / 2):]
-    avg = complex(np.mean(tail))
-    err = float(np.max(np.abs(tail - avg)))
-    return avg, err
+    tail = vals[-math.ceil(vals.shape[0] / 2):]
+    avg = np.mean(tail, axis=0)
+    return avg, np.max(np.abs(tail - avg), axis=0)
+
+
+def _check_n_list(n_list) -> tuple[int, ...]:
+    n_list = tuple(n_list)
+    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise DomainError("n_list must be increasing with at least 3 entries")
+    return n_list
 
 
 # --- bilinear form ------------------------------------------------------------
@@ -156,36 +164,34 @@ def concentration_sequence(profile: AnisotropyProfile, envelope: Callable,
 class SequenceGenerator:
     """A family n -> u_n of zero-spatial-mean fields.
 
-    kind is one of "oscillation", "concentration", "transport", "file";
-    the produce callable hides the kind-specific parameters."""
+    Zero mean is established once, where a snapshot is produced:
+    oscillation_sequence and concentration_sequence subtract it themselves,
+    and from_callable and from_files wrap their producer in
+    subtract_spatial_mean.  field(n) returns the snapshot unchanged, so a
+    producer passed to the constructor directly must already be zero-mean."""
 
-    kind: str
     produce: Callable[[int], SpectralField]
 
     def field(self, n: int) -> SpectralField:
-        u = self.produce(n)
-        return subtract_spatial_mean(u)
+        return self.produce(n)
 
     @classmethod
     def oscillation(cls, profile, c, envelope: SpectralField) -> "SequenceGenerator":
-        return cls("oscillation",
-                   lambda n: oscillation_sequence(profile, c, envelope, n))
+        return cls(lambda n: oscillation_sequence(profile, c, envelope, n))
 
     @classmethod
     def concentration(cls, profile, envelope: Callable,
                       grid: SpectralGrid) -> "SequenceGenerator":
-        return cls("concentration",
-                   lambda n: concentration_sequence(profile, envelope, grid, n))
+        return cls(lambda n: concentration_sequence(profile, envelope, grid, n))
 
     @classmethod
-    def from_callable(cls, fn: Callable[[int], SpectralField],
-                      kind: str = "transport") -> "SequenceGenerator":
-        return cls(kind, fn)
+    def from_callable(cls, fn: Callable[[int], SpectralField]) -> "SequenceGenerator":
+        return cls(lambda n: subtract_spatial_mean(fn(n)))
 
     @classmethod
     def from_files(cls, paths: Sequence[str]) -> "SequenceGenerator":
         paths = list(paths)
-        return cls("file", lambda n: read_field(paths[n]))
+        return cls(lambda n: subtract_spatial_mean(read_field(paths[n])))
 
 
 # --- velocity mollification ---------------------------------------------------
@@ -204,7 +210,6 @@ def standard_mollifier(m: int = 1) -> MollifierKernel:
     """The bump exp(-1/(1-|p|^2)) on |p| < 1, numerically normalized."""
     pts = _mass_quadrature_points(m, 1.0)
     raw = _bump_unnormalized(pts)
-    step = pts[1, -1] - pts[0, -1] if m == 1 else pts[1, -1] - pts[0, -1]
     mass = raw.sum() * _mass_quadrature_volume(m, 1.0)
     z = float(mass)
 
@@ -325,8 +330,7 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         shaped = h.reshape((x_cells,) + tuple(
             grid.n_per_axis[k] if j == k else 1 for j in range(d)))
         if hats is None:
-            hats = shaped[(slice(None),) + (None,) * 0]
-            hats = shaped.reshape((x_cells,) + shaped.shape[1:])
+            hats = shaped
         else:
             hats = hats[:, None] * shaped[None, :]
             hats = hats.reshape((-1,) + hats.shape[2:])
@@ -416,9 +420,7 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
     pairs maps pair-ids to (phi1, phi2) grid arrays and symbols maps
     symbol-ids to SymbolOnP; for every combination the raw V_n and its
     extrapolation are recorded alongside the cell measure."""
-    n_list = tuple(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be increasing with at least 3 entries")
+    n_list = _check_n_list(n_list)
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
     est = HMeasureEstimate(basis=basis, n_list=n_list)
     cell_runs = []
@@ -430,10 +432,8 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
                 for sid, psi in symbols.items():
                     est.values[(pid, sid, n)] = bilinear_form(
                         u, p1, p2, psi, profile, check_support=False)
-    stack = np.stack(cell_runs)  # (n, C, B)
-    tail = stack[-math.ceil(stack.shape[0] / 2):]
-    est.cells = np.mean(tail, axis=0).real
-    est.cell_errors = np.max(np.abs(tail - np.mean(tail, axis=0)), axis=0)
+    cells, est.cell_errors = estimate_limit(np.stack(cell_runs))  # (n, C, B)
+    est.cells = cells.real
     if pairs and symbols:
         for pid in pairs:
             for sid in symbols:
@@ -476,9 +476,7 @@ def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
                     profile: AnisotropyProfile) -> MatrixMeasure:
     """Assemble the matrix measure of a velocity-dependent sequence against
     the first N functions of an orthonormal velocity basis."""
-    n_list = tuple(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be increasing with at least 3 entries")
+    n_list = _check_n_list(n_list)
     basis = np.asarray(basis, dtype=complex)
     N = basis.shape[0]
     probe = gen.field(n_list[0])
@@ -503,10 +501,7 @@ def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
         # velocity projections w_i(x) = int e_i(p)* u(x, p) dp
         xu = SpectralField(grid.spatial_only(), comps[0], PHYSICAL)
         runs.append(_cell_forms(xu, cb, components=comps))
-    stack = np.stack(runs)  # (n, N, N, C, B)
-    tail = stack[-math.ceil(stack.shape[0] / 2):]
-    entries = np.mean(tail, axis=0)
-    errors = np.max(np.abs(tail - entries), axis=0)
+    entries, errors = estimate_limit(np.stack(runs))  # (n, N, N, C, B)
     weights = 0.5 ** (np.arange(N) + 1)
     trace = np.einsum("i,iicb->cb", weights, entries).real
     marginal = trace.sum(axis=-1)

@@ -270,6 +270,35 @@ class KineticTestFunction:
     hessian: np.ndarray | None = None
 
 
+def _tensor_product_test_function(grid: SpectralGrid, g, g1,
+                                  g2=None) -> KineticTestFunction:
+    """Assemble prod_k g_k(x_k) with its gradient and, when the second
+    derivatives g2 are given, its hessian, from per-axis 1-d samples."""
+    d = grid.d
+
+    def product(factor):
+        out = np.ones(grid.n_per_axis)
+        for k in range(d):
+            arr = factor(k)
+            shp = [1] * d
+            shp[k] = arr.size
+            out = out * arr.reshape(shp)
+        return out
+
+    vals = product(lambda k: g[k])
+    grad = np.empty(grid.n_per_axis + (d,))
+    for j in range(d):
+        grad[..., j] = product(lambda k: g1[k] if k == j else g[k])
+    hess = None
+    if g2 is not None:
+        hess = np.empty(grid.n_per_axis + (d, d))
+        for j in range(d):
+            for i in range(d):
+                gij = g2 if i == j else g1
+                hess[..., i, j] = product(lambda k: gij[k] if k in (i, j) else g[k])
+    return KineticTestFunction(vals, grad, hess)
+
+
 def bump_test_function(grid: SpectralGrid, center, width) -> KineticTestFunction:
     """Tensor-product C^2 bump prod_k cos^4(pi s_k / 2), s_k = (x_k -
     center_k)/width_k, supported in |s_k| < 1, with exact derivatives."""
@@ -287,29 +316,7 @@ def bump_test_function(grid: SpectralGrid, center, width) -> KineticTestFunction
         g.append(c ** 4)
         g1.append(-2 * np.pi * si * c ** 3 * inside / width[k])
         g2.append(-np.pi ** 2 * (c ** 4 - 3 * si ** 2 * c ** 2) * inside / width[k] ** 2)
-    def shaped(arr, k):
-        shp = [1] * d
-        shp[k] = arr.size
-        return arr.reshape(shp)
-    vals = np.ones(grid.n_per_axis)
-    for k in range(d):
-        vals = vals * shaped(g[k], k)
-    grad = np.empty(grid.n_per_axis + (d,))
-    hess = np.empty(grid.n_per_axis + (d, d))
-    for j in range(d):
-        gj = np.ones(grid.n_per_axis)
-        for k in range(d):
-            gj = gj * shaped(g1[k] if k == j else g[k], k)
-        grad[..., j] = gj
-        for i in range(d):
-            h = np.ones(grid.n_per_axis)
-            for k in range(d):
-                if i == j:
-                    h = h * shaped(g2[k] if k == j else g[k], k)
-                else:
-                    h = h * shaped(g1[k] if k in (i, j) else g[k], k)
-            hess[..., i, j] = h
-    return KineticTestFunction(vals, grad, hess)
+    return _tensor_product_test_function(grid, g, g1, g2)
 
 
 def _bspline2(t: np.ndarray) -> np.ndarray:
@@ -351,20 +358,7 @@ def spline_test_function(grid: SpectralGrid, left, knot_width) -> KineticTestFun
         t = (grid.coord_axis(k) - left[k]) / width[k]
         g.append(_bspline2(t))
         g1.append(_bspline2_prime(t) / width[k])
-    def shaped(arr, k):
-        shp = [1] * d
-        shp[k] = arr.size
-        return arr.reshape(shp)
-    vals = np.ones(grid.n_per_axis)
-    for k in range(d):
-        vals = vals * shaped(g[k], k)
-    grad = np.empty(grid.n_per_axis + (d,))
-    for j in range(d):
-        gj = np.ones(grid.n_per_axis)
-        for k in range(d):
-            gj = gj * shaped(g1[k] if k == j else g[k], k)
-        grad[..., j] = gj
-    return KineticTestFunction(vals, grad, hessian=None)
+    return _tensor_product_test_function(grid, g, g1)
 
 
 def entropy_residual(u: SpectralField, lam: float, flux: FluxPair,

@@ -6,7 +6,7 @@ for the Marcinkiewicz derivative bounds.
 Branch convention for fractional powers: i^a = exp(i a pi / 2), so the
 symbol of the order-a derivative along axis k is
 |2 pi xi_k|^a * exp(i a (pi/2) sgn(xi_k)), with the xi_k = 0 modes
-annihilated.
+annihilated.  fractional_factor is the one place that evaluates it.
 """
 
 from __future__ import annotations
@@ -34,16 +34,12 @@ class SymbolOnP:
     """A scalar symbol defined on the manifold P.
 
     eval is vectorized: it accepts an array of shape (..., d) of points on P
-    and returns a complex array of shape (...).  real_even declares the
-    symmetry eval(-xi) == conj(eval(xi)), which makes the associated
-    multiplier preserve real fields.  With projected=False the symbol is a
-    raw function of the frequency itself and is never composed with the
-    projection (useful for certifying non-projected symbols)."""
+    and returns a complex array of shape (...).  With projected=False the
+    symbol is a raw function of the frequency itself and is never composed
+    with the projection (useful for certifying non-projected symbols)."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     name: str = "symbol"
-    smoothness_order: int = 0
-    real_even: bool = False
     projected: bool = True
 
 
@@ -89,14 +85,13 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
     "bump:center=[...],width=w", "sector:axis=k,sign=+|-"."""
     if name == "one":
         return SymbolOnP(lambda xi: np.ones(xi.shape[:-1], dtype=complex),
-                         name="one", smoothness_order=profile.d, real_even=True)
+                         name="one")
     kind, _, rest = name.partition(":")
     if kind == "coordinate":
         k = int(rest)
         if not 0 <= k < profile.d:
             raise DomainError(f"coordinate axis {k} out of range")
-        return SymbolOnP(lambda xi: xi[..., k].astype(complex),
-                         name=name, smoothness_order=profile.d)
+        return SymbolOnP(lambda xi: xi[..., k].astype(complex), name=name)
     if kind == "bump":
         kv = _parse_kv(rest)
         center = np.asarray(json.loads(kv["center"]), dtype=float)
@@ -109,7 +104,7 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
             return out.astype(complex)
 
-        return SymbolOnP(_bump, name=name, smoothness_order=profile.d)
+        return SymbolOnP(_bump, name=name)
     if kind == "sector":
         kv = _parse_kv(rest)
         k = int(kv["axis"])
@@ -118,7 +113,7 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
         def _sector(xi, k=k, sign=sign):
             return smooth_ramp(sign * xi[..., k] / 0.2).astype(complex)
 
-        return SymbolOnP(_sector, name=name, smoothness_order=profile.d)
+        return SymbolOnP(_sector, name=name)
     if name == "sin-inverse-quasinorm":
         # raw (non-projected) symbol sin(1/quasi_norm(xi)): the canonical
         # example failing the derivative bounds near the origin
@@ -143,6 +138,14 @@ def _apply_spatial_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralF
     return inverse_dft(out) if was_physical else out
 
 
+def fractional_factor(xi, order: float):
+    """(2 pi i xi)^order with the branch i^a = exp(i a pi / 2):
+    |2 pi xi|^a exp(i a (pi/2) sgn(xi)), elementwise."""
+    xi = np.asarray(xi, dtype=float)
+    return (np.abs(2 * np.pi * xi) ** order
+            * np.exp(1j * order * (np.pi / 2) * np.sign(xi)))
+
+
 def fractional_axis_symbol(grid, axis: int, order: float,
                            conjugate_direction: bool = False) -> np.ndarray:
     """Lattice symbol of the order-a one-axis fractional derivative.  With
@@ -153,11 +156,7 @@ def fractional_axis_symbol(grid, axis: int, order: float,
     shp = [1] * grid.d
     shp[axis] = xi.size
     xi = xi.reshape(shp)
-    sgn = np.sign(xi)
-    if conjugate_direction:
-        sgn = -sgn
-    mag = np.abs(2 * np.pi * xi) ** order
-    return mag * np.exp(1j * order * (np.pi / 2) * sgn)
+    return fractional_factor(-xi if conjugate_direction else xi, order)
 
 
 def fractional_derivative(f: SpectralField, axis: int, order: float) -> SpectralField:

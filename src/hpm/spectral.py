@@ -171,8 +171,10 @@ class SpectralGrid:
 class SpectralField:
     """Complex samples on a grid, tagged physical or frequency.
 
-    Values are immutable after construction; every operation returns a new
-    field, so fields can be shared freely between threads."""
+    The field takes ownership of its values: a complex128 array is frozen
+    in place (made read-only), not copied, so pass a copy if you keep
+    writing to yours.  Every operation returns a new field, so fields can
+    be shared freely between threads."""
 
     grid: SpectralGrid
     values: np.ndarray = field(repr=False)
@@ -185,7 +187,6 @@ class SpectralField:
         if vals.shape != self.grid.shape:
             raise DomainError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -230,13 +231,6 @@ def inverse_dft(F: SpectralField) -> SpectralField:
         scale *= n / L
     out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes) * scale
     return SpectralField(g, out, PHYSICAL)
-
-
-def mean_value(f: SpectralField) -> complex:
-    """Spatial mean per velocity point averaged over velocity; for x-only
-    fields this is the plain spatial mean."""
-    f.require(PHYSICAL)
-    return complex(np.mean(f.values))
 
 
 def subtract_spatial_mean(f: SpectralField) -> SpectralField:

@@ -387,3 +387,76 @@ class TestGnTestFunction:
         ratio = out.values[..., live] / rho1[live]
         spread = np.max(np.abs(ratio - ratio[..., :1]))
         assert spread <= 1e-10 * max(1e-30, np.max(np.abs(ratio)))
+
+
+class TestPrincipalIsDiagonalMixed:
+    def test_callable_evaluated_once_and_matches_mixed(self):
+        p = midpoints(16)
+        calls = []
+
+        def coeffs(x, q):
+            calls.append(1)
+            return np.stack([np.ones_like(q), q], axis=-1)
+
+        xi = np.array([2.0, -3.0])
+        v = principal_symbol(0.0, xi, p, coeffs, MIX2)
+        assert len(calls) == 1
+        a = coeffs(0.0, p)
+        w = mixed_symbol(0.0, xi, p, [(a[..., 0], (1.0, 0)), (a[..., 1], (0, 2.0))])
+        assert np.array_equal(v, w)
+
+
+class TestWeakFormReference:
+    def test_matches_raw_fft_reference(self):
+        # the pairing written out with numpy's FFT and the continuum
+        # scaling by hand, independent of the spectral module
+        g = SpectralGrid((16, 8), (1.0, 2.0), n_velocity=(4,), velocity_length=(2.0,))
+        u = band_limited_field(g, rng(3))
+        (p,) = g.velocity_coordinates()
+        x1, x2 = g.coordinates()
+        gv = (np.sin(2 * np.pi * x1) * np.cos(np.pi * x2) * (1.0 + p)) * np.ones(g.shape)
+        coeffs = [1.0, lambda a1, a2, q: q]
+        r = weak_form_residual(u, coeffs, None, WeakTestFunction(gv), (0,), MIX2)
+
+        vol = (1.0 / 16) * (2.0 / 8)
+        spec = np.fft.fftn(gv, axes=(0, 1)) * vol
+        a_vals = [np.ones(g.shape), p * np.ones(g.shape)]
+        ref = 0.0
+        for k in range(2):
+            n, L = g.n_per_axis[k], g.length_per_axis[k]
+            xi = np.fft.fftfreq(n) * n
+            xi[n // 2] = n // 2
+            xi = xi / L
+            order = MIX2.alpha[k]
+            sym = np.abs(2 * np.pi * xi) ** order * np.exp(-1j * order * np.pi / 2 * np.sign(xi))
+            shp = [1, 1, 1]
+            shp[k] = n
+            dg = np.fft.ifftn(spec * sym.reshape(shp), axes=(0, 1)) / vol
+            ref = ref + np.sum(a_vals[k] * u.values * np.conj(dg)) * vol * (2.0 / 4)
+        assert abs(r - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_leaves_the_test_function_writeable(self):
+        g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(2,), velocity_length=(1.0,))
+        gv = np.ones(g.shape, dtype=complex)
+        weak_form_residual(band_limited_field(g, rng(4)), [1.0, 1.0], None,
+                           WeakTestFunction(gv), (0,), ISO2)
+        assert gv.flags.writeable
+
+
+class TestScanCounts:
+    def test_matches_per_eps_loop_with_ties_and_nan(self):
+        from hpm.averaging import _scan_measures
+        eps_list = (0.25, 0.5, 1.0, 2.0)
+        r = rng(9)
+        symbols = {}
+        for ip in range(6):
+            vals = r.standard_normal(40) + 1j * r.standard_normal(40)
+            vals[:4] = eps_list  # |A| exactly on each threshold
+            vals[4] = np.nan
+            symbols[ip] = vals
+        rep = _scan_measures(lambda x, xi: symbols[xi], [0.0], list(range(6)),
+                             eps_list, 0.5, 40)
+        for ip, vals in symbols.items():
+            absA = np.abs(vals)
+            for ie, eps in enumerate(eps_list):
+                assert rep.measures[0, ip, ie] == 0.5 * int(np.count_nonzero(absA <= eps))

@@ -392,3 +392,55 @@ class TestMarginalDensity:
             marginal_density_check(ms[:1], r_prime=2.0)
         with pytest.raises(DomainError):
             marginal_density_check(ms, r_prime=1.0)
+
+
+class TestZeroMeanOwnership:
+    def test_from_callable_subtracts_the_mean(self):
+        g = SpectralGrid((16, 8), (1.0, 1.0), n_velocity=(3,), velocity_length=(1.0,))
+        x1, _ = g.coordinates()
+
+        def produce(n):
+            vals = (2.0 + np.cos(2 * np.pi * n * x1)) * np.ones(g.shape)
+            return SpectralField(g, vals, PHYSICAL)
+
+        gen = SequenceGenerator.from_callable(produce)
+        for n in (1, 2, 3):
+            u = gen.field(n)
+            assert np.max(np.abs(np.mean(u.values, axis=(0, 1)))) <= 1e-14
+
+    def test_from_files_subtracts_the_mean(self, tmp_path):
+        from hpm.spectral import write_field
+        g = SpectralGrid((8, 8), (1.0, 1.0))
+        path = tmp_path / "u.fld"
+        write_field(SpectralField(g, 3.0 + band_limited_field(g, rng(2)).values,
+                                  PHYSICAL), path)
+        u = SequenceGenerator.from_files([str(path)]).field(0)
+        assert abs(np.mean(u.values)) <= 1e-14
+
+    def test_oscillation_subtracts_once_per_snapshot(self, monkeypatch):
+        import hpm.hmeasure as hm
+        calls = []
+        original = hm.subtract_spatial_mean
+
+        def counting(f):
+            calls.append(1)
+            return original(f)
+
+        monkeypatch.setattr(hm, "subtract_spatial_mean", counting)
+        g = SpectralGrid((16, 16), (1.0, 1.0))
+        env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), env)
+        for n in (4, 6, 8):
+            gen.field(n)
+        assert len(calls) == 3
+
+
+class TestEstimateLimitAlongAxis0:
+    def test_stack_matches_per_entry_scalar_estimates(self):
+        stack = rng(5).standard_normal((5, 2, 3)) + 1j * rng(6).standard_normal((5, 2, 3))
+        avg, err = estimate_limit(stack)
+        assert avg.shape == err.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                a, e = estimate_limit(list(stack[:, i, j]))
+                assert avg[i, j] == a and err[i, j] == e

@@ -191,3 +191,22 @@ class TestBandLimited:
         f2 = band_limited_field(g, rng(11))
         assert np.array_equal(f1.values, f2.values)
         assert abs(np.mean(f1.values)) <= 1e-13
+
+
+class TestOwnership:
+    def test_complex_array_is_shared_and_frozen(self):
+        g = SpectralGrid((8, 4), (1.0, 1.0))
+        vals = np.zeros(g.shape, dtype=np.complex128)
+        f = SpectralField(g, vals, PHYSICAL)
+        assert np.shares_memory(f.values, vals)
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0, 0] = 1.0
+
+    def test_other_dtypes_are_converted(self):
+        g = SpectralGrid((8,), (1.0,))
+        vals = np.arange(8.0)
+        f = SpectralField(g, vals, PHYSICAL)
+        assert f.values.dtype == np.complex128
+        assert not np.shares_memory(f.values, vals)
+        assert vals.flags.writeable
