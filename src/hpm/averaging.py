@@ -179,14 +179,8 @@ class TransportProblem:
     t: float
 
     def velocity_field(self) -> np.ndarray:
-        if callable(self.a):
-            coords = np.meshgrid(*[self.grid.velocity_axis(i)
-                                   for i in range(self.grid.m)], indexing="ij")
-            vals = np.asarray(self.a(*coords), dtype=float)
-        else:
-            vals = np.asarray(self.a, dtype=float)
-        want = self.grid.n_velocity + (self.grid.d,)
-        vals = np.broadcast_to(vals, want)
+        vals = np.broadcast_to(self.grid.sample_velocity(self.a),
+                               self.grid.n_velocity + (self.grid.d,))
         if not np.all(np.isfinite(vals)):
             raise DomainError("transport velocity a(p) must be finite")
         return vals
@@ -200,12 +194,10 @@ def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = problem.velocity_field()
-    xi = grid.frequency_vectors()  # (*spatial, d)
-    exponent = np.zeros(grid.shape)
-    for k in range(grid.d):
-        xk = xi[..., k].reshape(grid.n_per_axis + (1,) * grid.m)
-        ak = a[..., k].reshape((1,) * grid.d + grid.n_velocity)
-        exponent = exponent + xk * ak
+    # each xi_k a_k(p) is an (n_k, 1, ..., n_velocity) slab, never a
+    # full-grid temporary
+    exponent = sum(grid.lift(xk) * a[..., k]
+                   for k, xk in enumerate(grid.frequencies()))
     phase = np.exp(-2j * np.pi * problem.t * exponent)
     U = forward_dft(u0)
     return inverse_dft(U.with_values(U.values * phase))
@@ -214,13 +206,7 @@ def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
 # --- velocity averaging -------------------------------------------------------
 
 def _rho_on_grid(rho, grid: SpectralGrid) -> np.ndarray:
-    if callable(rho):
-        coords = np.meshgrid(*[grid.velocity_axis(i) for i in range(grid.m)],
-                             indexing="ij")
-        vals = np.asarray(rho(*coords), dtype=float)
-    else:
-        vals = np.asarray(rho, dtype=float)
-    return np.broadcast_to(vals, grid.n_velocity)
+    return np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
 
 
 def velocity_average(u: SpectralField, rho) -> SpectralField:
@@ -261,14 +247,11 @@ class DecayTable:
 
 def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
     mask = np.ones(grid.n_per_axis, dtype=bool)
+    xs = grid.coordinates()
     for k, (lo, hi) in enumerate(window):
-        L = grid.length_per_axis[k]
-        if not 0 <= lo < hi <= L:
+        if not 0 <= lo < hi <= grid.length_per_axis[k]:
             raise DomainError("window must be an ordered sub-box of the torus")
-        x = grid.coord_axis(k)
-        shp = [1] * grid.d
-        shp[k] = x.size
-        mask = mask & ((x >= lo) & (x < hi)).reshape(shp)
+        mask = mask & (xs[k] >= lo) & (xs[k] < hi)
     return mask
 
 
@@ -327,19 +310,6 @@ class WeakTestFunction:
         return np.asarray(self.p_derivatives[key])
 
 
-def _coeff_arrays(coeffs, grid: SpectralGrid) -> list[np.ndarray]:
-    out = []
-    xs = grid.coordinates()
-    ps = grid.velocity_coordinates()
-    for c in coeffs:
-        if callable(c):
-            vals = np.asarray(c(*xs, *ps), dtype=complex)
-        else:
-            vals = np.asarray(c, dtype=complex)
-        out.append(np.broadcast_to(vals, grid.shape))
-    return out
-
-
 def weak_form_residual(u: SpectralField, coeffs, G: SpectralField | None,
                        g: WeakTestFunction, kappa: tuple[int, ...],
                        profile: AnisotropyProfile) -> complex:
@@ -357,7 +327,7 @@ def weak_form_residual(u: SpectralField, coeffs, G: SpectralField | None,
         raise DomainError("the weak form needs velocity axes")
     if len(coeffs) != grid.d:
         raise DomainError("need one coefficient per spatial axis")
-    a_vals = _coeff_arrays(coeffs, grid)
+    a_vals = [grid.sample(c) for c in coeffs]
     gvals = np.asarray(g.values, dtype=complex)
     if gvals.shape != grid.shape:
         raise DomainError("test function samples do not match the grid")
@@ -389,15 +359,10 @@ def build_gn_test_function(u: SpectralField, psi: SymbolOnP, phi,
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes")
-    if callable(phi):
-        phi = np.asarray(phi(*grid.spatial_only().coordinates()), dtype=complex)
-    phi = np.broadcast_to(np.asarray(phi, dtype=complex), grid.n_per_axis)
-    fu = u.with_values(np.asarray(u.values)
-                       * phi.reshape(grid.n_per_axis + (1,) * grid.m))
+    phi = grid.spatial_only().sample(phi)
+    fu = u.with_values(np.asarray(u.values) * grid.lift(phi))
     w = smoothing_inverse(apply_projected_symbol(fu, psi, profile),
                           profile, cutoff_radius)
     avg = velocity_average(w, rho2)
-    rho1_vals = _rho_on_grid(rho1, grid)
-    vals = (np.asarray(avg.values).reshape(grid.n_per_axis + (1,) * grid.m)
-            * rho1_vals.reshape((1,) * grid.d + grid.n_velocity))
+    vals = grid.lift(np.asarray(avg.values)) * _rho_on_grid(rho1, grid)
     return SpectralField(grid, vals, PHYSICAL)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,6 +59,22 @@ def _safe_expr(expr: str, names: list[str]):
     return fn
 
 
+def _compile_stack(exprs: list, names: list[str]):
+    """One callable of the variables `names` (positional, in that order)
+    that evaluates every expression, broadcasts each result to the shape
+    of the first variable (the sample grid; the others are scalars or of
+    the same shape) and stacks them on a last axis."""
+    fns = [_safe_expr(e, names) for e in exprs]
+
+    def fn(*args):
+        env = dict(zip(names, args))
+        shape = np.shape(args[0])
+        return np.stack([np.broadcast_to(np.asarray(f(**env), dtype=float), shape)
+                         for f in fns], axis=-1)
+
+    return fn
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -77,8 +94,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown command {cfg['command']!r}")
     _check_keys(cfg["grid"], _GRID_KEYS, "grid")
     _check_keys(cfg["profile"], {"alpha"}, "profile")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be a 64-bit integer")
+    if not isinstance(cfg["seed"], int) or not 0 <= cfg["seed"] < 1 << 128:
+        raise ConfigError("seed must be an integer in [0, 2**128)")
     cfg.setdefault("params", {})
     if not isinstance(cfg["params"], dict):
         raise ConfigError("params must be an object")
@@ -95,6 +112,8 @@ def _build_grid(spec: dict) -> spectral.SpectralGrid:
         )
     except KeyError as exc:
         raise ConfigError(f"grid is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
 
 
 def _build_profile(spec: dict) -> AnisotropyProfile:
@@ -105,13 +124,22 @@ def _build_profile(spec: dict) -> AnisotropyProfile:
 
 
 def _fmt(v) -> str:
+    """Fixed formatting of a published number; non-finite values are
+    integrity failures, never results."""
     if isinstance(v, complex):
         return f"{_fmt(v.real)},{_fmt(v.imag)}"
-    return repr(float(v))
+    v = float(v)
+    if not math.isfinite(v):
+        raise IntegrityError(f"non-finite result {v!r}")
+    return repr(v)
 
 
 def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    try:
+        text = json.dumps(data, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise IntegrityError(f"non-finite result in {path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -212,23 +240,13 @@ def _transport_generator(grid, profile, params, rng):
     a_exprs = params["a"]
     if len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
-    pnames = [f"p{i+1}" for i in range(grid.m)]
-    fns = [_safe_expr(e, pnames) for e in a_exprs]
-
-    def a_of_p(*coords):
-        env = {n: c for n, c in zip(pnames, coords)}
-        comps = [np.broadcast_to(np.asarray(f(**env), dtype=float),
-                                 grid.n_velocity) for f in fns]
-        return np.stack(comps, axis=-1)
-
+    a_of_p = _compile_stack(a_exprs, [f"p{i+1}" for i in range(grid.m)])
     env_field = _make_envelope(grid, rng)
     axis = int(params.get("oscillation_axis", grid.d - 1))
 
     def initial(n):
-        x = grid.coord_axis(axis)
-        shp = [1] * (grid.d + grid.m)
-        shp[axis] = x.size
-        mod = np.exp(2j * np.pi * n * x / grid.length_per_axis[axis]).reshape(shp)
+        x = grid.coordinates()[axis]
+        mod = np.exp(2j * np.pi * n * x / grid.length_per_axis[axis])
         return env_field.with_values(env_field.values * mod)
 
     gen = hmeasure.SequenceGenerator.from_callable(initial)
@@ -246,13 +264,11 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
     if grid.m == 0:
         raise ConfigError("averaging needs velocity axes (grid.n_p)")
     gen = _transport_generator(grid, profile, params, rng)
-    pnames = [f"p{i+1}" for i in range(grid.m)]
-    rho_fn = _safe_expr(params.get("rho", "cos(pi*p1)**2"), pnames)
+    rho_stack = _compile_stack([params.get("rho", "cos(pi*p1)**2")],
+                               [f"p{i+1}" for i in range(grid.m)])
 
-    def rho(*coords):
-        env = {n: c for n, c in zip(pnames, coords)}
-        return np.broadcast_to(np.asarray(rho_fn(**env), dtype=float),
-                               grid.n_velocity)
+    def rho(*p):
+        return rho_stack(*p)[..., 0]
 
     window = params.get("window")
     if window is None:
@@ -269,16 +285,12 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     a_exprs = params.get("a")
     if not a_exprs or len(a_exprs) != profile.d:
         raise ConfigError("params.a needs one expression per axis")
-    fns = [_safe_expr(e, ["p"] + [f"x{k+1}" for k in range(profile.d)])
-           for e in a_exprs]
+    stack = _compile_stack(a_exprs, ["p"] + [f"x{k+1}" for k in range(profile.d)])
     x_samples = [np.asarray(x, dtype=float)
                  for x in params.get("x_samples", [[0.0] * profile.d])]
 
     def coeffs(x, p):
-        env = {f"x{k+1}": x[k] for k in range(profile.d)}
-        env["p"] = p
-        return np.stack([np.broadcast_to(np.asarray(f(**env), dtype=float),
-                                         np.shape(p)) for f in fns], axis=-1)
+        return stack(p, *x)
 
     lo, hi = params.get("p_interval", [-1.0, 1.0])
     npts = int(params.get("p_points", 256))

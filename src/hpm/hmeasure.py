@@ -29,6 +29,7 @@ from .spectral import (
     PHYSICAL,
     SpectralField,
     SpectralGrid,
+    convolve_velocity,
     forward_dft,
     inverse_dft,
     read_field,
@@ -60,11 +61,6 @@ def _check_n_list(n_list) -> tuple[int, ...]:
 
 # --- bilinear form ------------------------------------------------------------
 
-def _as_grid_array(phi, grid: SpectralGrid) -> np.ndarray:
-    if callable(phi):
-        return np.asarray(phi(*grid.coordinates()), dtype=complex) * np.ones(grid.n_per_axis)
-    return np.asarray(phi, dtype=complex)
-
 def _check_support(phi: np.ndarray, grid: SpectralGrid, label: str) -> None:
     """Warn if phi fails to vanish within 10% of the torus boundary."""
     peak = float(np.max(np.abs(phi)))
@@ -93,8 +89,8 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
     agree to Plancherel accuracy."""
     u.require(PHYSICAL)
     grid = u.grid
-    phi1 = _as_grid_array(phi1, grid)
-    phi2 = _as_grid_array(phi2, grid)
+    phi1 = grid.sample(phi1)
+    phi2 = grid.sample(phi2)
     if check_support:
         _check_support(phi1, grid, "phi1")
         _check_support(phi2, grid, "phi2")
@@ -136,11 +132,8 @@ def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
     kap = oscillation_frequency(profile, c, n, grid)
     if np.all(kap == 0):
         raise DomainError(f"oscillation frequency vanished at n={n}")
-    phase = np.zeros(grid.n_per_axis)
-    for k, x in enumerate(grid.coordinates()):
-        phase = phase + kap[k] * x.reshape([grid.n_per_axis[j] if j == k else 1
-                                            for j in range(grid.d)])
-    mod = np.exp(2j * np.pi * phase).reshape(grid.n_per_axis + (1,) * grid.m)
+    phase = sum(kk * x for kk, x in zip(kap, grid.coordinates()))
+    mod = np.exp(2j * np.pi * phase)
     return subtract_spatial_mean(envelope.with_values(envelope.values * mod))
 
 
@@ -149,12 +142,8 @@ def concentration_sequence(profile: AnisotropyProfile, envelope: Callable,
     """L2-normalized concentration at the torus centre:
     n^(sigma/2) v(n^(1/alpha_1)(x_1 - x_1^0), ...), sigma = sum 1/alpha_k."""
     sigma = sum(1.0 / a for a in profile.alpha)
-    coords = []
-    for k in range(grid.d):
-        x = grid.coord_axis(k) - grid.length_per_axis[k] / 2
-        shp = [1] * (grid.d + grid.m)
-        shp[k] = x.size
-        coords.append((n ** (1.0 / profile.alpha[k])) * x.reshape(shp))
+    coords = [(n ** (1.0 / a)) * (x - L / 2) for a, x, L in
+              zip(profile.alpha, grid.coordinates(), grid.length_per_axis)]
     vals = n ** (sigma / 2) * np.asarray(envelope(*coords), dtype=complex)
     vals = vals * np.ones(grid.shape)
     return subtract_spatial_mean(SpectralField(grid, vals, PHYSICAL))
@@ -208,52 +197,40 @@ class MollifierKernel:
 
 def standard_mollifier(m: int = 1) -> MollifierKernel:
     """The bump exp(-1/(1-|p|^2)) on |p| < 1, numerically normalized."""
-    pts = _mass_quadrature_points(m, 1.0)
-    raw = _bump_unnormalized(pts)
-    mass = raw.sum() * _mass_quadrature_volume(m, 1.0)
-    z = float(mass)
-
-    def fn(*p):
-        q = np.stack(np.broadcast_arrays(*p), axis=-1)
-        return _bump_unnormalized(q) / z
-
-    return MollifierKernel(fn, support_radius=1.0, m=m)
+    bump = MollifierKernel(_bump_unnormalized, support_radius=1.0, m=m)
+    z = kernel_mass(bump)
+    return MollifierKernel(lambda *p: _bump_unnormalized(*p) / z,
+                           support_radius=1.0, m=m)
 
 
-def _bump_unnormalized(p: np.ndarray) -> np.ndarray:
-    r2 = np.sum(p ** 2, axis=-1)
+def _bump_unnormalized(*p: np.ndarray) -> np.ndarray:
+    r2 = np.sum(np.stack(np.broadcast_arrays(*p), axis=-1) ** 2, axis=-1)
     out = np.zeros(r2.shape)
     inside = r2 < 1
     out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     return out
 
 
-def _mass_points_per_axis(m: int) -> int:
-    return {1: 8192, 2: 256}.get(m, 48)
-
-def _mass_quadrature_points(m: int, radius: float) -> np.ndarray:
-    n = _mass_points_per_axis(m)
-    ax = -radius + (np.arange(n) + 0.5) * (2 * radius / n)
-    mesh = np.meshgrid(*([ax] * m), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, m)
-
-def _mass_quadrature_volume(m: int, radius: float) -> float:
-    n = _mass_points_per_axis(m)
-    return (2 * radius / n) ** m
-
-
 def kernel_mass(kernel: MollifierKernel) -> float:
     """Midpoint quadrature of the kernel over its support box; spectrally
     accurate for smooth compactly supported kernels."""
-    pts = _mass_quadrature_points(kernel.m, kernel.support_radius)
-    vals = kernel.func(*(pts[:, i] for i in range(kernel.m)))
-    return float(np.sum(vals) * _mass_quadrature_volume(kernel.m, kernel.support_radius))
+    m, radius = kernel.m, kernel.support_radius
+    n = {1: 8192, 2: 256}.get(m, 48)
+    ax = -radius + (np.arange(n) + 0.5) * (2 * radius / n)
+    mesh = np.meshgrid(*([ax] * m), indexing="ij")
+    vals = kernel.func(*(x.ravel() for x in mesh))
+    return float(np.sum(vals) * (2 * radius / n) ** m)
 
 
 def velocity_mollify(u: SpectralField, k: int, kernel: MollifierKernel) -> SpectralField:
     """Convolve along the velocity axes with the rescaled kernel
     omega_k(p) = k^m omega(k p), discretized on the velocity grid and
-    renormalized to unit discrete mass (so the Young bound is exact)."""
+    renormalized to unit discrete mass (so the Young bound is exact).
+
+    The convolution wraps periodically on each velocity interval
+    [-P/2, P/2): mass within support_radius / k of one end spills over
+    to the other end, so keep u supported that far inside the box when
+    the wrap is unwanted."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes")
@@ -263,26 +240,15 @@ def velocity_mollify(u: SpectralField, k: int, kernel: MollifierKernel) -> Spect
         raise DomainError("mollification index k must be a positive integer")
     if abs(kernel_mass(kernel) - 1.0) > 1e-8:
         raise DomainError("kernel mass differs from 1 beyond tolerance")
-    offsets = []
-    for i in range(grid.m):
-        n = grid.n_velocity[i]
-        dp = grid.velocity_length[i] / n
-        off = np.fft.fftfreq(n) * n * dp  # signed offsets in wrap order
-        shp = [1] * grid.m
-        shp[i] = n
-        offsets.append(off.reshape(shp))
-    scaled = [np.broadcast_to(k * o, grid.n_velocity) for o in offsets]
-    ker = kernel.func(*scaled) * (k ** grid.m)
-    total = ker.sum()
-    if total <= 0:
-        raise DomainError("kernel vanishes on the velocity grid at this scale")
-    ker = ker / total  # discrete mass exactly one
-    axes = grid.velocity_axes
-    U = np.fft.fftn(np.asarray(u.values), axes=axes)
-    K = np.fft.fftn(ker, axes=tuple(range(grid.m)))
-    K = K.reshape((1,) * grid.d + ker.shape)
-    out = np.fft.ifftn(U * K, axes=axes)
-    return u.with_values(out)
+
+    def omega_k(*offsets):
+        ker = kernel.func(*(k * o for o in offsets)) * (k ** grid.m)
+        total = ker.sum()
+        if total <= 0:
+            raise DomainError("kernel vanishes on the velocity grid at this scale")
+        return ker / total  # discrete mass exactly one
+
+    return convolve_velocity(u, omega_k)
 
 
 # --- cell discretization ------------------------------------------------------
@@ -303,11 +269,8 @@ class CellBasis:
     """Hat partitions discretizing x-space and P."""
 
     x_hats: np.ndarray          # (C, *spatial), partition of unity on the torus
-    x_centers: np.ndarray       # (C, d)
     x_cell_volume: float
     p_masks: np.ndarray         # (B, *spatial lattice), partition of unity off xi=0
-    p_centers: np.ndarray       # (B, d) reference points on P
-    x_cells_per_axis: int
 
 
 def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
@@ -315,7 +278,6 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
     d = grid.d
     # x-cells: tensor products of periodic 1-d hats
     axis_hats = []
-    axis_centers = []
     for k in range(d):
         L = grid.length_per_axis[k]
         spacing = L / x_cells
@@ -324,7 +286,6 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         dist = x[None, :] - centers[:, None]
         dist = (dist + L / 2) % L - L / 2
         axis_hats.append(_periodic_hat(dist, spacing))
-        axis_centers.append(centers)
     hats = None
     for k, h in enumerate(axis_hats):
         shaped = h.reshape((x_cells,) + tuple(
@@ -337,7 +298,6 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
     # cut-offs enter the measure form quadratically; normalize so the
     # squares sum to one and cell masses add up to the full measure
     hats = hats / np.sqrt(np.sum(hats ** 2, axis=0, keepdims=True))
-    centers = np.stack(np.meshgrid(*axis_centers, indexing="ij"), axis=-1).reshape(-1, d)
     cell_vol = 1.0
     for L in grid.length_per_axis:
         cell_vol *= L / x_cells
@@ -353,8 +313,6 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         dist = ang[None, ...] - cang.reshape((p_cells,) + (1,) * ang.ndim)
         dist = (dist + np.pi) % (2 * np.pi) - np.pi
         masks = _periodic_hat(dist, spacing)
-        dirs = np.stack([np.cos(cang), np.sin(cang)], axis=-1)
-        p_centers = project_to_P(dirs, profile)
     else:
         rng = np.random.Generator(np.random.Philox(key=11))
         dirs = rng.standard_normal((p_cells, d))
@@ -366,7 +324,7 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         g = np.exp(-d2 / (2 * sigma ** 2))
         masks = g / np.sum(g, axis=0, keepdims=True)
     masks = masks * nonzero[None, ...]
-    return CellBasis(hats, centers, cell_vol, masks, p_centers, x_cells)
+    return CellBasis(hats, cell_vol, masks)
 
 
 def _cell_forms(u: SpectralField, basis: CellBasis,
@@ -406,8 +364,6 @@ class HMeasureEstimate:
     extrapolated: dict = field(default_factory=dict)  # (pair, symbol) -> (complex, err)
     cells: np.ndarray | None = None                   # (C, B) extrapolated masses
     cell_errors: np.ndarray | None = None
-    basis: CellBasis | None = None
-    n_list: tuple[int, ...] = ()
 
 
 def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
@@ -422,7 +378,7 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
     extrapolation are recorded alongside the cell measure."""
     n_list = _check_n_list(n_list)
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
-    est = HMeasureEstimate(basis=basis, n_list=n_list)
+    est = HMeasureEstimate()
     cell_runs = []
     for n in n_list:
         u = gen.field(n)
@@ -453,7 +409,6 @@ class MatrixMeasure:
     trace: np.ndarray          # (C, B) real, nonnegative up to tolerance
     marginal: np.ndarray       # (C,) real
     cell_basis: CellBasis
-    n_list: tuple[int, ...]
 
     def check_integrity(self, diag_tol: float = 1e-10, cs_slack: float = 1e-9,
                         hermitian_tol: float = 1e-10) -> None:
@@ -505,7 +460,7 @@ def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
     weights = 0.5 ** (np.arange(N) + 1)
     trace = np.einsum("i,iicb->cb", weights, entries).real
     marginal = trace.sum(axis=-1)
-    return MatrixMeasure(N, entries, errors, trace, marginal, cb, n_list)
+    return MatrixMeasure(N, entries, errors, trace, marginal, cb)
 
 
 def cosine_velocity_basis(grid: SpectralGrid, size: int) -> np.ndarray:

@@ -275,14 +275,12 @@ def _tensor_product_test_function(grid: SpectralGrid, g, g1,
     """Assemble prod_k g_k(x_k) with its gradient and, when the second
     derivatives g2 are given, its hessian, from per-axis 1-d samples."""
     d = grid.d
+    lattice = grid.spatial_only()
 
     def product(factor):
         out = np.ones(grid.n_per_axis)
         for k in range(d):
-            arr = factor(k)
-            shp = [1] * d
-            shp[k] = arr.size
-            out = out * arr.reshape(shp)
+            out = out * lattice.on_axis(factor(k), k)
         return out
 
     vals = product(lambda k: g[k])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,12 +129,11 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
 # --- multiplier application ---------------------------------------------------
 
 def _apply_spatial_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Multiply the spatial spectrum by `symbol` (shape = spatial lattice),
-    returning a field in the caller's original space."""
+    """Multiply the spatial spectrum by `symbol` (broadcastable to the
+    spatial lattice), returning a field in the caller's original space."""
     was_physical = f.space == PHYSICAL
     F = forward_dft(f) if was_physical else f
-    sym = symbol.reshape(symbol.shape + (1,) * f.grid.m)
-    out = SpectralField(f.grid, F.values * sym, FREQUENCY)
+    out = SpectralField(f.grid, F.values * f.grid.lift(symbol), FREQUENCY)
     return inverse_dft(out) if was_physical else out
 
 
@@ -152,10 +151,7 @@ def fractional_axis_symbol(grid, axis: int, order: float,
     conjugate_direction=True returns the symbol of (-d/dx_k)^a instead."""
     if not 0 <= axis < grid.d:
         raise DomainError(f"axis {axis} out of range for a {grid.d}-d grid")
-    xi = grid.freq_axis(axis)
-    shp = [1] * grid.d
-    shp[axis] = xi.size
-    xi = xi.reshape(shp)
+    xi = grid.frequencies()[axis]
     return fractional_factor(-xi if conjugate_direction else xi, order)
 
 
@@ -164,9 +160,7 @@ def fractional_derivative(f: SpectralField, axis: int, order: float) -> Spectral
     frequency input and returns a field in the same space."""
     if order <= 0:
         raise DomainError("derivative order must be positive")
-    sym = fractional_axis_symbol(f.grid, axis, order)
-    sym = np.broadcast_to(sym, f.grid.n_per_axis)
-    return _apply_spatial_multiplier(f, sym)
+    return _apply_spatial_multiplier(f, fractional_axis_symbol(f.grid, axis, order))
 
 
 def projected_symbol_lattice(psi: SymbolOnP, grid, profile: AnisotropyProfile) -> np.ndarray:
@@ -218,7 +212,6 @@ class MarcinkiewiczReport:
 
     constant_estimate: float
     per_beta_sup: dict[tuple[int, ...], float]
-    sample_spec: dict = field(default_factory=dict)
     diverged: bool = False
 
     def to_json_dict(self) -> dict:
@@ -309,10 +302,5 @@ def marcinkiewicz_certify(psi: SymbolOnP, profile: AnisotropyProfile,
     return MarcinkiewiczReport(
         constant_estimate=c_fine,
         per_beta_sup=fine,
-        sample_spec={
-            "shells": [list(range(-shells, shells)), list(range(-(shells + 2), shells + 2))],
-            "samples_per_shell": [samples_per_shell, 2 * samples_per_shell],
-            "coarse_constant": c_coarse,
-        },
         diverged=diverged,
     )

@@ -14,12 +14,21 @@ so that the discrete Plancherel identity
 holds to rounding.  The frequency lattice on axis k is
 {-n_k/2 + 1, ..., n_k/2} / L_k with the Nyquist mode on the positive side;
 arrays are stored in FFT (wrap-around) order.
+
+Field layout: a field u(x, p) is an array of shape
+(n_1, ..., n_d, n_p1, ..., n_pm), spatial axes first (in FFT order in
+frequency space), then the velocity midpoints.  SpectralGrid owns that
+layout: it broadcasts 1-d axis arrays (on_axis, coordinates,
+frequencies) and x-only arrays (lift) over the grid, and samples
+callables on x or (x, p) (sample) and on p (sample_velocity).  This is
+the only module that calls numpy.fft.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -135,31 +144,52 @@ class SpectralGrid:
         n, P = self.n_velocity[i], self.velocity_length[i]
         return -P / 2 + (np.arange(n) + 0.5) * (P / n)
 
+    def on_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """A 1-d array along grid axis `axis` (spatial axes first, then
+        velocity axes), shaped for broadcasting over the full grid."""
+        shape = [1] * (self.d + self.m)
+        shape[axis] = -1
+        return np.reshape(values, shape)
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """An array over the spatial axes (or broadcastable to them),
+        shaped for broadcasting over the full grid."""
+        return np.reshape(values, np.shape(values) + (1,) * self.m)
+
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Spatial coordinate arrays shaped for broadcasting over the full grid."""
-        out = []
-        nd = self.d + self.m
-        for k in range(self.d):
-            shp = [1] * nd
-            shp[k] = self.n_per_axis[k]
-            out.append(self.coord_axis(k).reshape(shp))
-        return tuple(out)
+        return tuple(self.on_axis(self.coord_axis(k), k) for k in range(self.d))
 
     def velocity_coordinates(self) -> tuple[np.ndarray, ...]:
-        out = []
-        nd = self.d + self.m
-        for i in range(self.m):
-            shp = [1] * nd
-            shp[self.d + i] = self.n_velocity[i]
-            out.append(self.velocity_axis(i).reshape(shp))
-        return tuple(out)
+        return tuple(self.on_axis(self.velocity_axis(i), self.d + i)
+                     for i in range(self.m))
+
+    def frequencies(self) -> tuple[np.ndarray, ...]:
+        """Frequency axes shaped for broadcasting over the spatial lattice
+        (FFT order); lift them to reach the velocity axes."""
+        lattice = self.spatial_only()
+        return tuple(lattice.on_axis(self.freq_axis(k), k) for k in range(self.d))
+
+    def sample(self, f) -> np.ndarray:
+        """A constant, an array or a callable of the coordinates
+        (x_1, ..., x_d, p_1, ..., p_m) as a complex array of the grid shape."""
+        if callable(f):
+            f = f(*self.coordinates(), *self.velocity_coordinates())
+        return np.broadcast_to(np.asarray(f, dtype=complex), self.shape)
+
+    def sample_velocity(self, f) -> np.ndarray:
+        """A constant, an array or a callable of the velocities
+        (p_1, ..., p_m), evaluated on the full velocity mesh, as a float
+        array; callers broadcast it to the shape they need."""
+        if callable(f):
+            f = f(*np.meshgrid(*(self.velocity_axis(i) for i in range(self.m)),
+                               indexing="ij"))
+        return np.asarray(f, dtype=float)
 
     def frequency_vectors(self) -> np.ndarray:
         """Array of shape (*n_per_axis, d) with the frequency vector at each
         spatial lattice site (FFT order)."""
-        axes = [self.freq_axis(k) for k in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.broadcast_arrays(*self.frequencies()), axis=-1)
 
     def spatial_only(self) -> "SpectralGrid":
         if self.m == 0:
@@ -241,6 +271,22 @@ def subtract_spatial_mean(f: SpectralField) -> SpectralField:
     return f.with_values(f.values - m)
 
 
+def convolve_velocity(f: SpectralField, kernel: Callable[..., np.ndarray]) -> SpectralField:
+    """Discrete periodic convolution along the velocity axes:
+    out(x, p) = sum_q f(x, p - q) kernel(q), with p - q wrapped onto the
+    centred interval [-P/2, P/2) of each axis.  kernel is called once
+    with the signed velocity offsets q_1, ..., q_m (multiples of the
+    velocity spacing, each of shape n_velocity, in wrap order) and
+    returns the kernel samples, used as given (no quadrature weight)."""
+    g = f.grid
+    offsets = [np.fft.fftfreq(n) * n * (P / n)
+               for n, P in zip(g.n_velocity, g.velocity_length)]
+    ker = kernel(*np.meshgrid(*offsets, indexing="ij"))
+    U = np.fft.fftn(np.asarray(f.values), axes=g.velocity_axes)
+    K = np.fft.fftn(ker, axes=tuple(range(g.m)))
+    return f.with_values(np.fft.ifftn(U * K, axes=g.velocity_axes))
+
+
 def write_field(f: SpectralField, path) -> None:
     """Serialize in the HPFLD1 format: magic, one JSON header line, raw
     little-endian float64 (re, im) pairs, row-major, last axis fastest."""
@@ -320,9 +366,7 @@ def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
         n = grid.n_per_axis[k]
         idx = np.fft.fftfreq(n) * n
         keep = np.abs(idx) <= max(1, int(band_fraction * n / 2))
-        shp = [1] * len(shape)
-        shp[k] = n
-        spec = spec * keep.reshape(shp)
+        spec = spec * grid.on_axis(keep, k)
     zero = (0,) * grid.d + (slice(None),) * grid.m
     spec[zero] = 0.0
     F = SpectralField(grid, spec * grid.freq_cell_volume, FREQUENCY)

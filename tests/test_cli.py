@@ -151,6 +151,25 @@ class TestErrorHandling:
         assert run_cli("nondegeneracy", cfg_path, tmp_path / "out") == 2
         assert "not allowed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_3(self, tmp_path, capsys):
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        cfg = dict(cfg, params=dict(cfg["params"], rho="p1/0"))
+        cfg_path = write_config(tmp_path, cfg)
+        assert run_cli("averaging", cfg_path, tmp_path / "out") == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_seed_outside_philox_keys_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(seed=-1))
+        assert run_cli("project", cfg_path, tmp_path / "out") == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_malformed_grid_entry_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(
+            grid={"n": [16, "x"], "L": [1.0, 1.0]}))
+        assert run_cli("project", cfg_path, tmp_path / "out") == 2
+        assert "invalid grid" in capsys.readouterr().err
+
     def test_integrity_error_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(grid, profile, params, rng, out):
             raise IntegrityError("synthetic failure")
@@ -169,6 +188,10 @@ class TestHelpers:
     def test_fmt_roundtrips(self):
         assert cli._fmt(0.1) == repr(0.1)
         assert cli._fmt(2.0 + 3.0j) == f"{repr(2.0)},{repr(3.0)}"
+
+    def test_json_rejects_non_finite(self, tmp_path):
+        with pytest.raises(IntegrityError):
+            cli._write_json(tmp_path / "x.json", {"norm": float("nan")})
 
     def test_safe_expr_numeric_literal(self):
         fn = cli._safe_expr(2.5, ["p"])

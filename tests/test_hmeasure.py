@@ -216,6 +216,18 @@ class TestMollifier:
             diffs.append(float(np.max(np.abs(out.values - u.values))))
         assert diffs[0] > diffs[1] > diffs[2]
 
+    def test_convolution_wraps_periodically(self):
+        # a unit mass at the last velocity sample spills over the end of
+        # [-P/2, P/2) onto the first sample, as far as onto its neighbour
+        g = SpectralGrid((4,), (1.0,), n_velocity=(32,), velocity_length=(2.0,))
+        vals = np.zeros(g.shape)
+        vals[:, -1] = 1.0
+        out = velocity_mollify(SpectralField(g, vals, PHYSICAL), 4,
+                               standard_mollifier(1)).values.real
+        assert out[0, 0] == pytest.approx(0.1926, abs=1e-4)
+        assert out[0, 0] == pytest.approx(out[0, -2], abs=1e-12)
+        assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_bad_mass_rejected(self):
         g = SpectralGrid((8,), (1.0,), n_velocity=(16,), velocity_length=(2.0,))
         u = SpectralField(g, np.zeros(g.shape), PHYSICAL)

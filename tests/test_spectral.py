@@ -13,6 +13,7 @@ from hpm.spectral import (
     SpectralField,
     SpectralGrid,
     band_limited_field,
+    convolve_velocity,
     forward_dft,
     inverse_dft,
     read_field,
@@ -210,3 +211,56 @@ class TestOwnership:
         assert f.values.dtype == np.complex128
         assert not np.shares_memory(f.values, vals)
         assert vals.flags.writeable
+
+
+class TestLayout:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_helpers_match_explicit_constructions(self, d, m):
+        g = SpectralGrid((4, 8, 16)[:d], (1.0, 2.0, 0.5)[:d], (6,) * m, (3.0,) * m)
+
+        def shaped(arr, axis, ndim):
+            shp = [1] * ndim
+            shp[axis] = arr.size
+            return arr.reshape(shp)
+
+        def same(a, b):
+            return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+        for k, x in enumerate(g.coordinates()):
+            assert same(x, shaped(g.coord_axis(k), k, d + m))
+        for i, p in enumerate(g.velocity_coordinates()):
+            assert same(p, shaped(g.velocity_axis(i), d + i, d + m))
+        freqs = g.frequencies()
+        for k, xi in enumerate(freqs):
+            assert same(xi, shaped(g.freq_axis(k), k, d))
+        mesh = np.meshgrid(*[g.freq_axis(k) for k in range(d)], indexing="ij")
+        assert same(np.stack(np.broadcast_arrays(*freqs), axis=-1),
+                    np.stack(mesh, axis=-1))
+        assert same(g.frequency_vectors(), np.stack(mesh, axis=-1))
+        x_only = rng(d).standard_normal(g.n_per_axis)
+        assert same(g.lift(x_only), x_only.reshape(g.n_per_axis + (1,) * m))
+
+        axes = [g.coord_axis(k) for k in range(d)] + \
+               [g.velocity_axis(i) for i in range(m)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+
+        def f(*xp):
+            return sum((j + 1) * c for j, c in enumerate(xp))
+
+        assert same(g.sample(f), f(*mesh).astype(complex))
+        assert same(g.sample(2.0), np.full(g.shape, 2.0 + 0j))
+        if m:
+            assert same(g.sample_velocity(np.cos), np.cos(g.velocity_axis(0)))
+
+    def test_convolve_velocity_is_periodic_sum(self):
+        g = SpectralGrid((4,), (1.0,), (10,), (2.0,))
+        f = random_field(g, key=4)
+        dp = 2.0 / 10
+        out = convolve_velocity(f, lambda q: np.exp(-q ** 2) * (q < 0.5))
+        # explicit sum over the signed wrap-order offsets q_j = j dp
+        expected = np.zeros(g.shape, dtype=complex)
+        for j in range(-5, 5):
+            q = j * dp
+            expected += np.roll(f.values, j, axis=1) * np.exp(-q ** 2) * (q < 0.5)
+        assert np.max(np.abs(out.values - expected)) <= 1e-12
