@@ -7,7 +7,12 @@ residual of the model equation
 
 The transport solutions are exact in frequency space — every spatial mode
 just picks up the phase e^{-2 pi i t a(p).xi} — so averaging effects are
-isolated from any scheme diffusion.
+isolated from any scheme diffusion.  The phase is applied as d per-axis
+factors e^{-2 pi i t xi_k a_k(p)}, each on a small (n_k, 1, ..., n_p)
+slab.  The p-quadrature acts on the velocity axes only and so commutes
+with the spatial DFT: velocity_average works in either space, and
+compactness_metric averages transport snapshots (transport_spectrum) in
+frequency space and inverts only the d-dimensional average.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .multiplier import (
     smoothing_inverse,
 )
 from .spectral import (
+    FREQUENCY,
     PHYSICAL,
     SpectralField,
     SpectralGrid,
@@ -186,21 +192,32 @@ class TransportProblem:
         return vals
 
 
-def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
-    """Exact solution at time t: every spatial mode xi is multiplied by
-    e^(-2 pi i t a(p).xi), so the per-p L2 norm is conserved exactly."""
+def transport_spectrum(problem: TransportProblem, n: int) -> SpectralField:
+    """Exact solution at time t in frequency space: every spatial mode xi
+    is multiplied by e^(-2 pi i t a(p).xi), so the per-p L2 norm is
+    conserved exactly."""
     u0 = problem.generator.field(n)
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = problem.velocity_field()
-    # each xi_k a_k(p) is an (n_k, 1, ..., n_velocity) slab, never a
-    # full-grid temporary
-    exponent = sum(grid.lift(xk) * a[..., k]
-                   for k, xk in enumerate(grid.frequencies()))
-    phase = np.exp(-2j * np.pi * problem.t * exponent)
     U = forward_dft(u0)
-    return inverse_dft(U.with_values(U.values * phase))
+    # the phase is d per-axis factors, each on an (n_k, 1, ..., n_velocity)
+    # slab: the first product allocates the output, the rest multiply in
+    # place, so no full-grid exponent or phase is ever built
+    out = None
+    for k, xk in enumerate(grid.frequencies()):
+        factor = np.exp(-2j * np.pi * problem.t * (grid.lift(xk) * a[..., k]))
+        if out is None:
+            out = U.values * factor
+        else:
+            out *= factor
+    return U.with_values(out)
+
+
+def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
+    """Exact solution at time t in physical space."""
+    return inverse_dft(transport_spectrum(problem, n))
 
 
 # --- velocity averaging -------------------------------------------------------
@@ -211,8 +228,9 @@ def _rho_on_grid(rho, grid: SpectralGrid) -> np.ndarray:
 
 def velocity_average(u: SpectralField, rho) -> SpectralField:
     """Midpoint quadrature int u(x, p) rho(p) dp; rho should be compactly
-    supported inside the velocity box (boundary support only warns)."""
-    u.require(PHYSICAL)
+    supported inside the velocity box (boundary support only warns).  The
+    quadrature acts on the velocity axes only, so u may be in either space
+    and the average keeps its space tag."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
@@ -229,7 +247,7 @@ def velocity_average(u: SpectralField, rho) -> SpectralField:
     dv = grid.velocity_cell_volume
     avg = np.tensordot(np.asarray(u.values), rho_vals,
                        axes=(grid.velocity_axes, tuple(range(grid.m)))) * dv
-    return SpectralField(grid.spatial_only(), avg, PHYSICAL)
+    return SpectralField(grid.spatial_only(), avg, u.space)
 
 
 @dataclass
@@ -246,6 +264,8 @@ class DecayTable:
 
 
 def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
+    if len(window) != grid.d:
+        raise DomainError("window needs one interval per spatial axis")
     mask = np.ones(grid.n_per_axis, dtype=bool)
     xs = grid.coordinates()
     for k, (lo, hi) in enumerate(window):
@@ -258,14 +278,17 @@ def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
 def compactness_metric(gen: SequenceGenerator, rho, window,
                        n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
-    of the ratios is the observable footprint of velocity averaging."""
+    of the ratios is the observable footprint of velocity averaging.  The
+    snapshots may be in either space; an average in frequency space is
+    transformed back before the window is applied."""
     n_list = tuple(n_list)
     if len(n_list) < 2:
         raise DomainError("need at least 2 sequence indices")
     norms = []
     for n in n_list:
-        u = gen.field(n)
-        avg = velocity_average(u, rho)
+        avg = velocity_average(gen.field(n), rho)
+        if avg.space == FREQUENCY:
+            avg = inverse_dft(avg)
         mask = _window_mask(avg.grid, window)
         norms.append(float(np.sqrt(
             np.sum(np.abs(avg.values[mask]) ** 2) * avg.grid.cell_volume)))

@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,37 @@ def _compile_stack(exprs: list, names: list[str]):
                          for f in fns], axis=-1)
 
     return fn
+
+
+def _number(value, where: str, integer: bool = False):
+    """A JSON number from the config (a JSON integer if `integer`, else a
+    finite number, returned as float); anything else is a ConfigError."""
+    ok = not isinstance(value, bool) and isinstance(
+        value, int if integer else (int, float))
+    if ok and not integer:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        ok = ok and math.isfinite(value)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str, length: int | None = None,
+             integer: bool = False) -> list:
+    """A JSON list of numbers (of the given length, if any)."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else f" {length}"
+        raise ConfigError(f"{where} must be a list of{size} numbers, got {value!r}")
+    return [_number(v, f"{where}[{i}]", integer) for i, v in enumerate(value)]
+
+
+def _param(params: dict, key: str, default, integer: bool = False):
+    """params[key] (or the default) as a number, see _number."""
+    return _number(params.get(key, default), f"params.{key}", integer)
 
 
 def _load_config(path: str) -> dict:
@@ -163,9 +196,11 @@ def emit_plotdata(rows, columns: list[str], path: Path) -> None:
 
 def _cmd_project(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"points"}, "params")
-    pts = np.asarray(params.get("points", []), dtype=float)
-    if pts.size == 0 or pts.ndim != 2 or pts.shape[1] != profile.d:
+    pts = params.get("points", [])
+    if not isinstance(pts, list) or not pts:
         raise ConfigError("params.points must be a list of d-vectors")
+    pts = np.asarray([_numbers(q, f"params.points[{i}]", profile.d)
+                      for i, q in enumerate(pts)])
     proj = project_to_P(pts, profile)
     rows = [tuple(p) + tuple(q) for p, q in zip(pts, proj)]
     header = [f"xi_{k}" for k in range(profile.d)] + \
@@ -177,17 +212,18 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "operation", "axis", "order",
                          "cutoff_radius", "band_fraction"}, "params")
     u = spectral.band_limited_field(
-        grid, rng, band_fraction=float(params.get("band_fraction", 0.25)))
+        grid, rng, band_fraction=_param(params, "band_fraction", 0.25))
     op = params.get("operation", "projected")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
         v = multiplier.apply_projected_symbol(u, psi, profile)
     elif op == "fractional":
         v = multiplier.fractional_derivative(
-            u, int(params.get("axis", 0)), float(params.get("order", 1.0)))
+            u, _param(params, "axis", 0, integer=True),
+            _param(params, "order", 1.0))
     elif op == "smoothing":
         v = multiplier.smoothing_inverse(
-            u, profile, float(params.get("cutoff_radius", 1.0)))
+            u, profile, _param(params, "cutoff_radius", 1.0))
     else:
         raise ConfigError(f"unknown operation {op!r}")
     spectral.write_field(v, out / "output.fld")
@@ -199,8 +235,8 @@ def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "shells", "samples_per_shell"}, "params")
     psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
     report = multiplier.marcinkiewicz_certify(
-        psi, profile, shells=int(params.get("shells", 4)),
-        samples_per_shell=int(params.get("samples_per_shell", 24)))
+        psi, profile, shells=_param(params, "shells", 4, integer=True),
+        samples_per_shell=_param(params, "samples_per_shell", 24, integer=True))
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
 
 
@@ -215,16 +251,15 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     _check_keys(genspec, {"kind", "c"}, "params.generator")
     if genspec.get("kind", "oscillation") != "oscillation":
         raise ConfigError("only the oscillation generator is wired to the CLI")
-    c = genspec.get("c")
-    if not c or len(c) != profile.d:
-        raise ConfigError("generator.c must be a nonzero d-vector")
+    c = _numbers(genspec.get("c"), "params.generator.c", profile.d)
     env = _make_envelope(grid, rng)
     gen = hmeasure.SequenceGenerator.oscillation(profile, c, env)
-    n_list = [int(n) for n in params.get("n_list", [8, 16, 24, 32])]
+    n_list = _numbers(params.get("n_list", [8, 16, 24, 32]), "params.n_list",
+                      integer=True)
     est = hmeasure.scalar_hmeasure(
         gen, profile, grid, n_list,
-        x_cells=int(params.get("x_cells", 4)),
-        p_cells=int(params.get("p_cells", 16)))
+        x_cells=_param(params, "x_cells", 4, integer=True),
+        p_cells=_param(params, "p_cells", 16, integer=True))
     rows = []
     C, B = est.cells.shape
     for ci in range(C):
@@ -242,7 +277,9 @@ def _transport_generator(grid, profile, params, rng):
         raise ConfigError("params.a needs one expression per spatial axis")
     a_of_p = _compile_stack(a_exprs, [f"p{i+1}" for i in range(grid.m)])
     env_field = _make_envelope(grid, rng)
-    axis = int(params.get("oscillation_axis", grid.d - 1))
+    axis = _param(params, "oscillation_axis", grid.d - 1, integer=True)
+    if not -grid.d <= axis < grid.d:
+        raise ConfigError(f"params.oscillation_axis must be a spatial axis, got {axis}")
 
     def initial(n):
         x = grid.coordinates()[axis]
@@ -251,11 +288,12 @@ def _transport_generator(grid, profile, params, rng):
 
     gen = hmeasure.SequenceGenerator.from_callable(initial)
     problem = averaging.TransportProblem(grid, a_of_p, gen,
-                                         t=float(params.get("t", 1.0)))
+                                         t=_param(params, "t", 1.0))
     # exact transport multiplies the xi = 0 mode by exactly 1, so the
-    # evolved snapshots keep the zero mean of the initial data
+    # evolved spectra keep the zero mean of the initial data; they are
+    # velocity-averaged before the (small) inverse DFT
     return hmeasure.SequenceGenerator(
-        lambda n: averaging.transport_evolve(problem, n))
+        lambda n: averaging.transport_spectrum(problem, n))
 
 
 def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
@@ -273,7 +311,12 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
     window = params.get("window")
     if window is None:
         window = [[0.25 * L, 0.75 * L] for L in grid.length_per_axis]
-    n_list = [int(n) for n in params.get("n_list", [4, 8, 16, 32, 64])]
+    elif isinstance(window, list):
+        window = [_numbers(w, f"params.window[{k}]", 2) for k, w in enumerate(window)]
+    else:
+        raise ConfigError("params.window must be a list of [lo, hi] intervals")
+    n_list = _numbers(params.get("n_list", [4, 8, 16, 32, 64]), "params.n_list",
+                      integer=True)
     table = averaging.compactness_metric(gen, rho, window, n_list)
     _write_csv(out / "decay.csv", ["n", "norm", "ratio"], table.rows())
     emit_plotdata(table.rows(), ["n", "norm", "ratio"], out / "decay.dat")
@@ -286,18 +329,22 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     if not a_exprs or len(a_exprs) != profile.d:
         raise ConfigError("params.a needs one expression per axis")
     stack = _compile_stack(a_exprs, ["p"] + [f"x{k+1}" for k in range(profile.d)])
-    x_samples = [np.asarray(x, dtype=float)
-                 for x in params.get("x_samples", [[0.0] * profile.d])]
+    x_samples = params.get("x_samples", [[0.0] * profile.d])
+    if not isinstance(x_samples, list):
+        raise ConfigError("params.x_samples must be a list of d-vectors")
+    x_samples = [np.asarray(_numbers(x, f"params.x_samples[{i}]", profile.d))
+                 for i, x in enumerate(x_samples)]
 
     def coeffs(x, p):
         return stack(p, *x)
 
-    lo, hi = params.get("p_interval", [-1.0, 1.0])
-    npts = int(params.get("p_points", 256))
+    lo, hi = _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2)
+    npts = _param(params, "p_points", 256, integer=True)
     p_grid = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
-    eps_list = [float(e) for e in params.get("eps_list", [0.01, 0.1, 0.5, 1.0])]
+    eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
+                        "params.eps_list")
     report = averaging.nondegeneracy_scan(
-        coeffs, x_samples, profile, int(params.get("resolution", 32)),
+        coeffs, x_samples, profile, _param(params, "resolution", 32, integer=True),
         p_grid, eps_list)
     _write_json(out / "nondegeneracy.json", report.to_json_dict())
     _write_csv(out / "nondegeneracy.csv", ["x_idx", "P_idx", "eps", "measure"],
@@ -313,16 +360,16 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
                                   d=grid.d, velocity=params.get("velocity"))
     lspec = params.get("lambda", {})
     _check_keys(lspec, {"min", "max", "points"}, "params.lambda")
-    lo = float(lspec.get("min", -1.0))
-    hi = float(lspec.get("max", 1.0))
-    npts = int(lspec.get("points", 256))
+    lo = _number(lspec.get("min", -1.0), "params.lambda.min")
+    hi = _number(lspec.get("max", 1.0), "params.lambda.max")
+    npts = _number(lspec.get("points", 256), "params.lambda.points", integer=True)
     lam = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
-    eps_list = [float(e) for e in params.get("eps_list", [0.05, 0.2, 1.0])]
+    eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list,
-        resolution=int(params.get("resolution", 64)))
-    M = float(params.get("M", 1.0))
+        resolution=_param(params, "resolution", 64, integer=True))
+    M = _param(params, "M", 1.0)
     u = spectral.band_limited_field(grid, rng, band_fraction=0.2, real=True)
     vals = np.asarray(u.values).real
     peak = float(np.max(np.abs(vals)))
@@ -350,14 +397,18 @@ _RUNNERS = {
 
 
 def run(cfg: dict, out_dir: str | None = None) -> int:
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config; returns the process exit code.
+
+    Artifacts are written to a temporary directory next to the output
+    directory (inside it, if it already exists, so its parent need not be
+    writable) and moved into it only when the command succeeds: a failed
+    run leaves no output directory, or an existing one unchanged."""
     grid = _build_grid(cfg["grid"])
     profile = _build_profile(cfg["profile"])
     if profile.d != grid.d:
         raise ConfigError("profile.alpha length must match the grid dimension")
     out = Path(out_dir or cfg.get("output_dir")
                or os.environ.get("HPM_OUTPUT_DIR") or ".")
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     manifest = {
         "command": cfg["command"],
@@ -368,8 +419,17 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
         "seed": cfg["seed"],
         "params": cfg["params"],
     }
-    _write_json(out / "manifest.json", manifest)
-    _RUNNERS[cfg["command"]](grid, profile, cfg["params"], rng, out)
+    home = out if out.is_dir() else out.parent
+    home.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=home))
+    try:
+        _write_json(stage / "manifest.json", manifest)
+        _RUNNERS[cfg["command"]](grid, profile, cfg["params"], rng, stage)
+        out.mkdir(exist_ok=True)
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return 0
 
 

@@ -27,6 +27,7 @@ the only module that calls numpy.fft.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -347,11 +348,13 @@ def read_field(path) -> SpectralField:
         count = 1
         for nk in n:
             count *= nk
-        payload = fh.read()
-        if len(payload) != count * 16:
+        # check the size before reading, so a corrupt header cannot make
+        # us read (or allocate for) a payload of the wrong length
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * 16:
             raise FieldCorruptionError(
-                f"payload is {len(payload)} bytes, expected {count * 16}")
-        flat = np.frombuffer(payload, dtype="<f8")
+                f"payload is {size} bytes, expected {count * 16}")
+        flat = np.frombuffer(fh.read(), dtype="<f8")
         vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
         return SpectralField(grid, vals, header["space"])
 

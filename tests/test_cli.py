@@ -206,3 +206,92 @@ class TestHelpers:
         cfg_path = write_config(tmp_path, base_config())
         assert cli.main(["project", "--config", cfg_path]) == 0
         assert (tmp_path / "envout" / "manifest.json").exists()
+
+
+class TestFailedRunLeavesNoOutput:
+    def _failing(self, tmp_path):
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        cfg = dict(cfg, params=dict(cfg["params"], rho="p1/0"))
+        return write_config(tmp_path, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_new_output_dir_is_not_created(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("averaging", self._failing(tmp_path), out) == 3
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_existing_output_dir_is_unchanged(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("project", write_config(tmp_path, base_config(),
+                                               "ok.json"), out) == 0
+        (out / "notes.txt").write_text("kept\n")
+        before = snapshot(out)
+        assert run_cli("averaging", self._failing(tmp_path), out) == 3
+        assert snapshot(out) == before
+
+    def test_success_into_existing_dir_replaces_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("stale\n")
+        (out / "notes.txt").write_text("kept\n")
+        assert run_cli("project", write_config(tmp_path, base_config()), out) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "projections.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+    def test_config_error_after_grid_leaves_nothing(self, tmp_path):
+        cfg = base_config(params={"points": [[1.0]]})
+        out = tmp_path / "deep" / "out"
+        assert run_cli("project", write_config(tmp_path, cfg), out) == 2
+        assert not out.exists()
+
+
+class TestMalformedParams:
+    HMEASURE = TestDeterminism.CONFIGS["hmeasure"]
+    AVERAGING = TestDeterminism.CONFIGS["averaging"]
+
+    def _exits_2(self, tmp_path, capsys, cfg, key, **params):
+        cfg = dict(cfg, params=dict(cfg["params"], **params))
+        out = tmp_path / "out"
+        assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_x_cells_not_a_number(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.HMEASURE, "x_cells", x_cells="many")
+
+    def test_p_cells_not_an_integer(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.HMEASURE, "p_cells", p_cells=2.5)
+
+    def test_window_with_wrong_interval_count(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "window",
+                      window=[[0.0, 0.5]] * 3)
+
+    def test_window_interval_not_a_pair(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "window",
+                      window=[[0.0, 0.5], [0.5]])
+
+    def test_oscillation_axis_out_of_range(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "oscillation_axis",
+                      oscillation_axis=5)
+
+    def test_t_not_a_number(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "params.t", t="soon")
+
+    def test_n_list_entry_not_a_number(self, tmp_path, capsys):
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "n_list", n_list=[2, "x"])
+
+    def test_number_rules(self):
+        assert cli._number(3, "v", integer=True) == 3
+        assert cli._number(3, "v") == 3.0 and isinstance(cli._number(3, "v"), float)
+        for bad in (True, "1", None, [1], float("nan"), float("inf"), 10 ** 400):
+            with pytest.raises(ConfigError):
+                cli._number(bad, "v")
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ConfigError):
+                cli._number(bad, "v", integer=True)

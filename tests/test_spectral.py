@@ -264,3 +264,50 @@ class TestLayout:
             q = j * dp
             expected += np.roll(f.values, j, axis=1) * np.exp(-q ** 2) * (q < 0.5)
         assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+
+class TestPayloadSize:
+    def _written(self, tmp_path):
+        path = tmp_path / "f.fld"
+        write_field(random_field(SpectralGrid((8,), (1.0,))), path)
+        return path
+
+    @pytest.mark.parametrize("change", [-16, -1, 1, 16])
+    def test_wrong_length_is_corruption(self, tmp_path, change):
+        path = self._written(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(FieldCorruptionError, match="expected 128"):
+            read_field(path)
+
+    def test_payload_is_not_read_when_the_size_is_wrong(self, tmp_path, monkeypatch):
+        import builtins
+
+        from hpm import spectral
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        reads = []
+
+        class Spy:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.fh.read(size)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(spectral, "open",
+                            lambda *a, **k: Spy(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(FieldCorruptionError):
+            read_field(path)
+        assert reads and all(0 < size <= 7 for size in reads)
