@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -33,7 +34,9 @@ _TOP_KEYS = {"command", "grid", "profile", "seed", "output_dir", "params"}
 _GRID_KEYS = {"n", "L", "n_p", "P_len"}
 
 _SAFE_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-               "abs": np.abs, "pi": np.pi, "tanh": np.tanh}
+               "abs": np.abs, "tanh": np.tanh}
+_SAFE_CONSTANTS = {"pi": np.pi}
+_SAFE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -42,21 +45,59 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _check_tree(node: ast.AST, expr: str, names: list[str]) -> None:
+    """Validate the syntax tree of a config expression and make every
+    numeric constant in it float (so no integer tower can grow without
+    bound).  Only the declared names, _SAFE_CONSTANTS, + - * / **, unary
+    +/- and one-argument positional calls of _SAFE_FUNCS are admitted;
+    anything else is a ConfigError."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SAFE_OPS):
+        _check_tree(node.left, expr, names)
+        _check_tree(node.right, expr, names)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _check_tree(node.operand, expr, names)
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        node.value = float(node.value)
+    elif isinstance(node, ast.Name):
+        if node.id not in names and node.id not in _SAFE_CONSTANTS:
+            raise ConfigError(f"name {node.id!r} not allowed in expression {expr!r}")
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if (node.func.id not in _SAFE_FUNCS or node.keywords
+                or len(node.args) != 1 or isinstance(node.args[0], ast.Starred)):
+            raise ConfigError(f"call {ast.unparse(node)!r} not allowed in "
+                              f"expression {expr!r}")
+        _check_tree(node.args[0], expr, names)
+    else:
+        what = type(getattr(node, "op", node)).__name__
+        raise ConfigError(f"{what} not allowed in expression {expr!r}")
+
+
 def _safe_expr(expr: str, names: list[str]):
     """Compile a restricted arithmetic expression over the given variable
-    names plus a fixed function table."""
+    names plus a fixed function table (see _check_tree).  Evaluation errors
+    and complex values are integrity failures."""
     if not isinstance(expr, str):
-        value = float(expr)
+        value = _number(expr, "an expression")
         return lambda **kw: value
-    code = compile(expr, "<config>", "eval")
-    for name in code.co_names:
-        if name not in names and name not in _SAFE_FUNCS:
-            raise ConfigError(f"name {name!r} not allowed in expression {expr!r}")
+    try:
+        tree = ast.parse(expr, "<config>", mode="eval")
+        _check_tree(tree.body, expr, names)
+        code = compile(tree, "<config>", "eval")
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+        raise ConfigError(f"invalid expression {expr!r}: {exc}") from None
+
+    env = {"__builtins__": {}, **_SAFE_FUNCS, **_SAFE_CONSTANTS}
 
     def fn(**kw):
-        env = dict(_SAFE_FUNCS)
-        env.update(kw)
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            value = eval(code, env, kw)
+        except ArithmeticError as exc:  # float ** overflow, division by zero
+            raise IntegrityError(f"expression {expr!r} failed: {exc}") from None
+        # a negative float to a fractional power is complex
+        if isinstance(value, complex) or (isinstance(value, np.ndarray)
+                                          and value.dtype.kind == "c"):
+            raise IntegrityError(f"expression {expr!r} is not real")
+        return value
 
     return fn
 
@@ -272,8 +313,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
 
 
 def _transport_generator(grid, profile, params, rng):
-    a_exprs = params["a"]
-    if len(a_exprs) != grid.d:
+    a_exprs = params.get("a")
+    if not isinstance(a_exprs, list) or len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
     a_of_p = _compile_stack(a_exprs, [f"p{i+1}" for i in range(grid.m)])
     env_field = _make_envelope(grid, rng)
@@ -326,7 +367,7 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"a", "eps_list", "p_interval", "p_points",
                          "x_samples", "resolution"}, "params")
     a_exprs = params.get("a")
-    if not a_exprs or len(a_exprs) != profile.d:
+    if not isinstance(a_exprs, list) or len(a_exprs) != profile.d:
         raise ConfigError("params.a needs one expression per axis")
     stack = _compile_stack(a_exprs, ["p"] + [f"x{k+1}" for k in range(profile.d)])
     x_samples = params.get("x_samples", [[0.0] * profile.d])

@@ -7,9 +7,12 @@ The central object is the bilinear form
 whose limit over a sequence u_n weakly converging to zero defines a measure
 on x-space x P.  The measure is discretized on cells: C^1 hat partitions of
 unity over a uniform x-grid, and angular sectors on P (for d = 2) or
-normalized smooth direction weights (d >= 3).  Matrix-valued measures over
-a velocity basis, their weighted trace and its x-marginal density are
-assembled from the same forms.
+normalized smooth direction weights (d >= 3).  The P-masks are real, so
+for each x-cell the forms of every P-cell are two real matrix products
+(GEMMs) of the real and imaginary parts of F(hat_c w_i) conj(F(hat_c w_j))
+with the transposed masks.  Matrix-valued measures over a velocity basis,
+their weighted trace and its x-marginal density are assembled from the
+same forms.
 """
 
 from __future__ import annotations
@@ -333,7 +336,13 @@ def _cell_forms(u: SpectralField, basis: CellBasis,
 
     With components = [w_1, ..., w_N] (x-arrays), returns V[i, j, c, b] =
     sum_xi mask_b F(hat_c w_i) conj(F(hat_c w_j)) vol_xi; without
-    components, the scalar case V[0, 0, c, b] for w = u."""
+    components, the scalar case V[0, 0, c, b] for w = u.
+
+    The masks are real, so for each cell the real and the imaginary parts
+    of the (N^2, S) products G_i conj(G_j) (G_i = F(hat_c w_i) flattened)
+    meet the (S, B) transposed masks in two real GEMMs.  The masks are
+    never cast to complex, nothing larger than one cell's products is
+    built, and the scalar forms (N = 1) come out exactly real."""
     grid = u.grid
     if components is None:
         components = [np.asarray(u.values)]
@@ -342,14 +351,21 @@ def _cell_forms(u: SpectralField, basis: CellBasis,
     N = len(components)
     V = np.empty((N, N, C, B), dtype=complex)
     vol = grid.freq_cell_volume
-    masks = basis.p_masks.reshape(B, -1)
+    masks_t = basis.p_masks.reshape(B, -1).T
     for c in range(C):
         G = np.empty((N, int(np.prod(grid.n_per_axis))), dtype=complex)
         for i, w in enumerate(components):
             f = SpectralField(grid.spatial_only(), basis.x_hats[c] * w, PHYSICAL)
             G[i] = forward_dft(f).values.ravel()
-        inner = np.einsum("bs,is,js->ijb", masks, G, np.conj(G), optimize=True)
-        V[:, :, c, :] = inner * vol
+        # real and imaginary parts of G_i conj(G_j), each product rounded
+        # on its own: the diagonal imaginary parts cancel exactly
+        re = G.real[:, None] * G.real[None]
+        re += G.imag[:, None] * G.imag[None]
+        im = G.imag[:, None] * G.real[None]
+        im -= G.real[:, None] * G.imag[None]
+        forms = (re.reshape(N * N, -1) @ masks_t
+                 + 1j * (im.reshape(N * N, -1) @ masks_t)) * vol
+        V[:, :, c, :] = forms.reshape(N, N, B)
     return V
 
 

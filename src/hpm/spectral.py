@@ -246,10 +246,14 @@ class SpectralField:
 
 
 def forward_dft(f: SpectralField) -> SpectralField:
-    """Transform the spatial axes to frequency space."""
+    """Transform the spatial axes to frequency space.  The transform
+    writes into one new array and is scaled there in place (numpy >= 2.0),
+    so one full-grid array is allocated; likewise inverse_dft."""
     f.require(PHYSICAL)
     g = f.grid
-    out = np.fft.fftn(np.asarray(f.values), axes=g.spatial_axes) * g.cell_volume
+    out = np.fft.fftn(np.asarray(f.values), axes=g.spatial_axes,
+                      out=np.empty(f.values.shape, complex))
+    out *= g.cell_volume
     return SpectralField(g, out, FREQUENCY)
 
 
@@ -260,7 +264,9 @@ def inverse_dft(F: SpectralField) -> SpectralField:
     scale = 1.0
     for n, L in zip(g.n_per_axis, g.length_per_axis):
         scale *= n / L
-    out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes) * scale
+    out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes,
+                       out=np.empty(F.values.shape, complex))
+    out *= scale
     return SpectralField(g, out, PHYSICAL)
 
 

@@ -1,7 +1,11 @@
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hpm import cli
 from hpm.errors import ConfigError, IntegrityError
@@ -295,3 +299,103 @@ class TestMalformedParams:
         for bad in (True, 2.0, "2"):
             with pytest.raises(ConfigError):
                 cli._number(bad, "v", integer=True)
+
+
+# tiny configs whose expressions the sandbox tests vary
+TINY = {
+    "averaging": base_config(
+        "averaging",
+        grid={"n": [8, 8], "L": [1.0, 1.0], "n_p": [8], "P_len": [1.0]},
+        params={"a": ["1.0", "p1"], "rho": "cos(pi*p1)**2", "t": 0.5,
+                "n_list": [2, 3, 4]}),
+    "nondegeneracy": base_config(
+        "nondegeneracy",
+        params={"a": ["1.0", "p"], "eps_list": [0.1], "p_points": 8,
+                "resolution": 8}),
+}
+
+# each hostile alternative is drawn about one time in four
+_ATOMS = ["pi", "0", "1", "2.5", "9", "1e308"]
+_HOSTILE_ATOMS = ["q", "sin", "True", "1j", "'s'", "None", "p1.real", "p[0]",
+                  "[p1]", "__import__"]
+_BINARY = ["+", "-", "*", "/", "**"]
+_HOSTILE_BINARY = ["//", "%", "@", "==", " and ", " if p1 else "]
+_UNARY = ["-", "+"]
+_HOSTILE_UNARY = ["~", "not "]
+_CALLEES = ["sin", "cos", "exp", "sqrt", "abs", "tanh"]
+_HOSTILE_CALLEES = ["pi", "p1", "lambda", "sin(1)"]
+NAMES = {"averaging": ["p1"], "nondegeneracy": ["p", "x1", "x2"]}
+
+
+def _mostly(valid, hostile):
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(hostile))
+
+
+def expressions(names):
+    def combine(children):
+        return st.one_of(
+            st.tuples(children, _mostly(_BINARY, _HOSTILE_BINARY), children).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(_mostly(_UNARY, _HOSTILE_UNARY), children).map("".join),
+            st.tuples(_mostly(_CALLEES, _HOSTILE_CALLEES), children).map(
+                lambda t: f"{t[0]}({t[1]})"))
+
+    atoms = _mostly(names + _ATOMS, _HOSTILE_ATOMS)
+    return st.recursive(atoms, combine, max_leaves=10)
+
+
+def entries(names):
+    return st.one_of(*[expressions(names)] * 4, st.text(max_size=16),
+                     st.integers(), st.floats(), st.booleans(), st.none())
+
+
+class TestExpressionSandbox:
+    def _run(self, tmp_path, command, **params):
+        cfg = TINY[command]
+        cfg = dict(cfg, params=dict(cfg["params"], **params))
+        return run_cli(command, write_config(tmp_path, cfg), tmp_path / "out")
+
+    @pytest.mark.parametrize("expr", [
+        "(lambda q: q.__class__.__mro__[-1].__subclasses__())(p1)",
+        "p1.__class__",
+        "p1[0]",
+        "cos(x=p1)",
+        "__import__('os').getcwd()",
+        "sin(p1, p1)",
+    ])
+    def test_hostile_expression_exits_2(self, tmp_path, capsys, expr):
+        assert self._run(tmp_path, "averaging", rho=expr) == 2
+        err = capsys.readouterr().err
+        assert "not allowed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("expr", ["9**9**9", "1/0", "(-8)**(1/3)"])
+    def test_arithmetic_failure_exits_3_promptly(self, tmp_path, capsys, expr):
+        start = time.monotonic()
+        assert self._run(tmp_path, "averaging", rho=expr) == 3
+        assert time.monotonic() - start < 10.0
+        assert expr in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    @pytest.mark.parametrize("a", [5, "p1", None])
+    def test_expression_list_must_be_a_list(self, tmp_path, capsys, command, a):
+        assert self._run(tmp_path, command, a=a) == 2
+        assert "params.a" in capsys.readouterr().err
+
+    def test_integer_constants_become_float(self):
+        value = cli._safe_expr("2**3 - 1", ["p"])(p=0.0)
+        assert value == 7.0 and type(value) is float
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(sorted(TINY)))
+    def test_fuzzed_expressions_exit_0_2_or_3(self, capsys, data, command):
+        exprs = entries(NAMES[command])
+        params = {"a": data.draw(st.one_of(
+            *[st.lists(exprs, min_size=2, max_size=2)] * 4, st.lists(exprs), exprs))}
+        if command == "averaging":
+            params["rho"] = data.draw(exprs)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self._run(Path(tmp), command, **params) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err

@@ -311,3 +311,56 @@ class TestPayloadSize:
         with pytest.raises(FieldCorruptionError):
             read_field(path)
         assert reads and all(0 < size <= 7 for size in reads)
+
+
+class TestOneAllocationPerTransform:
+    GRID = SpectralGrid((32, 64), (1.0, 2.0), n_velocity=(16,),
+                        velocity_length=(1.0,))
+
+    def test_bitwise_equal_to_scaled_fft(self):
+        g = self.GRID
+        f = random_field(g, key=5)
+        x = np.array(f.values)
+        F = forward_dft(f)
+        assert np.array_equal(F.values,
+                              np.fft.fftn(x, axes=g.spatial_axes) * g.cell_volume)
+        scale = 1.0
+        for n, L in zip(g.n_per_axis, g.length_per_axis):
+            scale *= n / L
+        y = np.array(F.values)
+        assert np.array_equal(inverse_dft(F).values,
+                              np.fft.ifftn(y, axes=g.spatial_axes) * scale)
+
+    @pytest.mark.parametrize("transform", ["forward", "inverse"])
+    def test_peak_memory_is_one_output(self, transform):
+        import tracemalloc
+
+        f = random_field(self.GRID, key=6)
+        if transform == "inverse":
+            f = forward_dft(f)
+        op = forward_dft if transform == "forward" else inverse_dft
+        tracemalloc.start()
+        try:
+            op(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * f.values.nbytes
+
+
+def test_numpy_fft_is_called_only_in_spectral():
+    """`spectral` is the one FFT seam of the package."""
+    import re
+    from pathlib import Path
+
+    import hpm
+
+    pattern = re.compile(r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s+fft\b")
+    offenders = []
+    for path in sorted(Path(hpm.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, offenders
