@@ -13,6 +13,10 @@ slab.  The p-quadrature acts on the velocity axes only and so commutes
 with the spatial DFT: velocity_average works in either space, and
 compactness_metric averages transport snapshots (transport_spectrum) in
 frequency space and inverts only the d-dimensional average.
+transport_spectrum takes its initial snapshot in either space; the CLI
+builds its snapshots in frequency space from the start (the envelope's
+spectrum shifted by n, spectral.oscillated_spectrum), so its averaging
+run does no full-grid DFT at all.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .anisotropy import AnisotropyProfile
-from .errors import DomainError, SingularPointError, SupportWarning
+from .errors import DomainError, IntegrityError, SingularPointError, SupportWarning
 from .hmeasure import SequenceGenerator
 from .multiplier import (
     SymbolOnP,
@@ -60,14 +64,20 @@ def principal_symbol(x, xi, p, coeffs, profile: AnisotropyProfile):
     or a sequence of d per-axis entries, each a callable (x, p) -> (...) or
     a constant; the result is vectorized over the leading axes of p."""
     d = profile.d
-    if callable(coeffs):
-        a = np.asarray(coeffs(x, p), dtype=complex)
-        coeffs = [a[..., k] for k in range(d)]
-    elif len(coeffs) != d:
-        raise DomainError("need one coefficient per spatial axis")
     return mixed_symbol(x, xi, p, [
         (c, (0,) * k + (a,) + (0,) * (d - 1 - k))
-        for k, (c, a) in enumerate(zip(coeffs, profile.alpha))])
+        for k, (c, a) in enumerate(zip(_axis_coeffs(coeffs, x, p, d),
+                                       profile.alpha))])
+
+
+def _axis_coeffs(coeffs, x, p, d: int) -> list:
+    """The d per-axis coefficient values a_k(x, p), see principal_symbol."""
+    if callable(coeffs):
+        a = np.asarray(coeffs(x, p), dtype=complex)
+        return [a[..., k] for k in range(d)]
+    if len(coeffs) != d:
+        raise DomainError("need one coefficient per spatial axis")
+    return [_eval_coeff(c, x, p) for c in coeffs]
 
 
 def mixed_symbol(x, xi, p, terms) -> np.ndarray:
@@ -152,7 +162,8 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     x sample and every mesh point xi on P.
 
     p_grid is a 1-d array of uniform midpoints (or (N, m) points together
-    with an explicit p_cell_measure)."""
+    with an explicit p_cell_measure).  The coefficients are evaluated once
+    per x sample; a value that is not finite raises IntegrityError."""
     from .anisotropy import mesh_P
     p_grid = np.asarray(p_grid, dtype=float)
     if p_cell_measure is None:
@@ -161,16 +172,27 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
         p_cell_measure = float(p_grid[1] - p_grid[0])
     mesh = [pt.as_array() for pt in mesh_P(profile, P_resolution)]
 
-    def symbol_at(x, xi):
-        vals = principal_symbol(x, xi, p_grid, coeffs, profile)
+    def coeffs_at(ix, x):
+        a = _axis_coeffs(coeffs, x, p_grid, profile.d)
+        for k, ak in enumerate(a):
+            bad = np.size(ak) - int(np.count_nonzero(np.isfinite(ak)))
+            if bad:
+                raise IntegrityError(
+                    f"coefficient a_{k + 1}(x, p) is not finite at x sample "
+                    f"{ix}: {bad} of {np.size(ak)} values")
+        return a
+
+    def symbol_at(a, xi):
+        vals = principal_symbol(None, xi, p_grid, a, profile)
         if np.shape(vals) != p_grid.shape[:1]:
             # p-independent coefficients give a scalar symbol; the
             # sub-level count still ranges over the whole velocity grid
             vals = np.broadcast_to(vals, p_grid.shape[:1])
         return vals
 
-    return _scan_measures(symbol_at, list(x_samples), mesh, eps_list,
-                          p_cell_measure, p_grid.shape[0])
+    per_x = [coeffs_at(ix, x) for ix, x in enumerate(x_samples)]
+    return _scan_measures(symbol_at, per_x, mesh, eps_list, p_cell_measure,
+                          p_grid.shape[0])
 
 
 # --- transport evolution ------------------------------------------------------
@@ -195,13 +217,14 @@ class TransportProblem:
 def transport_spectrum(problem: TransportProblem, n: int) -> SpectralField:
     """Exact solution at time t in frequency space: every spatial mode xi
     is multiplied by e^(-2 pi i t a(p).xi), so the per-p L2 norm is
-    conserved exactly."""
+    conserved exactly.  The initial snapshot may be given in either
+    space; a physical one is transformed first."""
     u0 = problem.generator.field(n)
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = problem.velocity_field()
-    U = forward_dft(u0)
+    U = u0 if u0.space == FREQUENCY else forward_dft(u0)
     # the phase is d per-axis factors, each on an (n_k, 1, ..., n_velocity)
     # slab: the first product allocates the output, the rest multiply in
     # place, so no full-grid exponent or phase is ever built

@@ -286,6 +286,13 @@ def _make_envelope(grid, rng):
     return v.with_values(v.values + 1.0)  # keep the envelope away from zero
 
 
+def _envelope_spectrum(grid, rng):
+    """The spectrum of _make_envelope's field, built without a transform:
+    the real part and the +1 are taken in frequency space."""
+    return spectral.real_part_spectrum(
+        spectral.band_limited_spectrum(grid, rng, band_fraction=0.15), offset=1.0)
+
+
 def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"generator", "n_list", "x_cells", "p_cells"}, "params")
     genspec = params.get("generator", {})
@@ -317,17 +324,13 @@ def _transport_generator(grid, profile, params, rng):
     if not isinstance(a_exprs, list) or len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
     a_of_p = _compile_stack(a_exprs, [f"p{i+1}" for i in range(grid.m)])
-    env_field = _make_envelope(grid, rng)
+    env_spec = _envelope_spectrum(grid, rng)
     axis = _param(params, "oscillation_axis", grid.d - 1, integer=True)
     if not -grid.d <= axis < grid.d:
         raise ConfigError(f"params.oscillation_axis must be a spatial axis, got {axis}")
-
-    def initial(n):
-        x = grid.coordinates()[axis]
-        mod = np.exp(2j * np.pi * n * x / grid.length_per_axis[axis])
-        return env_field.with_values(env_field.values * mod)
-
-    gen = hmeasure.SequenceGenerator.from_callable(initial)
+    # the snapshots env e^{2 pi i n x / L} minus their means, as spectra
+    gen = hmeasure.SequenceGenerator(
+        lambda n: spectral.oscillated_spectrum(env_spec, n, axis))
     problem = averaging.TransportProblem(grid, a_of_p, gen,
                                          t=_param(params, "t", 1.0))
     # exact transport multiplies the xi = 0 mode by exactly 1, so the

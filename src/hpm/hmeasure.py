@@ -160,7 +160,9 @@ class SequenceGenerator:
     oscillation_sequence and concentration_sequence subtract it themselves,
     and from_callable and from_files wrap their producer in
     subtract_spatial_mean.  field(n) returns the snapshot unchanged, so a
-    producer passed to the constructor directly must already be zero-mean."""
+    producer passed to the constructor directly must already be zero-mean
+    (a spectrum with a zero xi = 0 mode, as spectral.oscillated_spectrum
+    yields, is)."""
 
     produce: Callable[[int], SpectralField]
 
@@ -428,18 +430,29 @@ class MatrixMeasure:
 
     def check_integrity(self, diag_tol: float = 1e-10, cs_slack: float = 1e-9,
                         hermitian_tol: float = 1e-10) -> None:
+        """Raise IntegrityError, stating the measured value and the
+        tolerance, if a diagonal cell measure is negative, the matrix is
+        not Hermitian or |mu_ij| exceeds sqrt(mu_ii mu_jj) in some cell."""
         N = self.basis_size
         diag = self.entries[range(N), range(N)].real
-        if np.min(diag) < -diag_tol:
-            raise IntegrityError("negative diagonal cell measure")
+        low = float(np.min(diag))
+        if low < -diag_tol:
+            raise IntegrityError(f"negative diagonal cell measure: minimum "
+                                 f"{low:.3e} below -{diag_tol:.1e}")
         herm = np.abs(self.entries - np.conj(np.swapaxes(self.entries, 0, 1)))
         scale = max(1e-30, float(np.max(np.abs(self.entries))))
-        if float(np.max(herm)) > hermitian_tol * scale:
-            raise IntegrityError("matrix measure lost hermitian symmetry")
+        defect = float(np.max(herm))
+        if defect > hermitian_tol * scale:
+            raise IntegrityError(
+                f"matrix measure lost hermitian symmetry: defect {defect:.3e} "
+                f"above {hermitian_tol:.1e} x max|mu| = {hermitian_tol * scale:.3e}")
         dpos = np.maximum(diag, 0.0)
-        bound = np.sqrt(dpos[:, None] * dpos[None, :]) + cs_slack
-        if np.any(np.abs(self.entries) > bound):
-            raise IntegrityError("cellwise Cauchy-Schwarz bound violated")
+        geo = np.sqrt(dpos[:, None] * dpos[None, :])
+        if np.any(np.abs(self.entries) > geo + cs_slack):
+            excess = float(np.max(np.abs(self.entries) - geo))
+            raise IntegrityError(
+                f"cellwise Cauchy-Schwarz bound violated: |mu_ij| exceeds "
+                f"sqrt(mu_ii mu_jj) by {excess:.3e}, slack {cs_slack:.1e}")
 
 
 def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
@@ -515,10 +528,14 @@ def marginal_density_check(measures: Sequence[MatrixMeasure],
         raise DomainError("r' must exceed 1")
     norms = []
     for M in measures:
-        if float(np.min(M.trace)) < -1e-9:
-            raise IntegrityError("negative conditional cell mass in the trace")
-        if float(np.max(np.abs(M.trace.sum(axis=-1) - M.marginal))) > 1e-12:
-            raise IntegrityError("trace masses do not sum to the marginal")
+        low = float(np.min(M.trace))
+        if low < -1e-9:
+            raise IntegrityError(f"negative conditional cell mass in the trace: "
+                                 f"minimum {low:.3e} below -1.0e-09")
+        gap = float(np.max(np.abs(M.trace.sum(axis=-1) - M.marginal)))
+        if gap > 1e-12:
+            raise IntegrityError(f"trace masses do not sum to the marginal: "
+                                 f"gap {gap:.3e} above 1.0e-12")
         vol = M.cell_basis.x_cell_volume
         dens = np.abs(M.marginal) / vol
         norms.append(float((np.sum(dens ** r_prime) * vol) ** (1.0 / r_prime)))

@@ -22,11 +22,21 @@ layout: it broadcasts 1-d axis arrays (on_axis, coordinates,
 frequencies) and x-only arrays (lift) over the grid, and samples
 callables on x or (x, p) (sample) and on p (sample_velocity).  This is
 the only module that calls numpy.fft.
+
+Spectra can also be built without a transform.  band_limited_spectrum
+draws a random band-limited spectrum (band_limited_field is its inverse
+DFT); real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
+constant, as the Hermitian part (F(xi) + conj F(-xi)) / 2 with -xi taken
+mod n_k and the constant times prod_k L_k on the xi = 0 mode; and
+oscillated_spectrum gives the spectrum of the zero-mean part of
+f e^{2 pi i n x_k / L_k}, which is F rolled by n lattice points along
+axis k with the xi = 0 mode cleared.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -365,22 +375,61 @@ def read_field(path) -> SpectralField:
         return SpectralField(grid, vals, header["space"])
 
 
-def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
-                       band_fraction: float = 0.25, real: bool = False) -> SpectralField:
-    """Random zero-mean physical field with spectrum confined to the central
-    band_fraction of each spatial axis.  Used for test corpora."""
-    shape = grid.shape
-    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _zero_mode(grid: SpectralGrid) -> tuple:
+    """Index of the xi = 0 mode at every velocity sample."""
+    return (0,) * grid.d + (slice(None),) * grid.m
+
+
+def band_limited_spectrum(grid: SpectralGrid, rng: np.random.Generator,
+                          band_fraction: float = 0.25) -> SpectralField:
+    """Random spectrum with zero xi = 0 mode, confined to the central
+    band_fraction of each spatial axis (white along the velocity axes)."""
+    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     for k in range(grid.d):
         n = grid.n_per_axis[k]
         idx = np.fft.fftfreq(n) * n
         keep = np.abs(idx) <= max(1, int(band_fraction * n / 2))
-        spec = spec * grid.on_axis(keep, k)
-    zero = (0,) * grid.d + (slice(None),) * grid.m
-    spec[zero] = 0.0
-    F = SpectralField(grid, spec * grid.freq_cell_volume, FREQUENCY)
-    f = inverse_dft(F)
+        spec *= grid.on_axis(keep, k)
+    spec[_zero_mode(grid)] = 0.0
+    spec *= grid.freq_cell_volume
+    return SpectralField(grid, spec, FREQUENCY)
+
+
+def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
+                       band_fraction: float = 0.25, real: bool = False) -> SpectralField:
+    """Random zero-mean physical field, the inverse DFT of
+    band_limited_spectrum.  Used for test corpora."""
+    f = inverse_dft(band_limited_spectrum(grid, rng, band_fraction))
     if real:
         f = f.with_values(f.values.real.astype(np.complex128))
         f = subtract_spatial_mean(f)
     return f
+
+
+def real_part_spectrum(F: SpectralField, offset: float = 0.0) -> SpectralField:
+    """Spectrum of Re(inverse_dft(F)) + offset, without a transform: the
+    Hermitian part (F(xi) + conj F(-xi)) / 2 over the spatial axes, with
+    -xi taken mod n_k (the Nyquist index maps to itself), and offset
+    times the torus volume prod_k L_k added to the xi = 0 mode."""
+    F.require(FREQUENCY)
+    g = F.grid
+    axes = g.spatial_axes
+    # index j of the flipped array holds -1 - j; rolling by one makes it -j
+    out = np.roll(np.flip(F.values, axis=axes), 1, axis=axes)
+    np.conjugate(out, out=out)
+    out += F.values
+    out *= 0.5
+    out[_zero_mode(g)] += offset * math.prod(g.length_per_axis)
+    return F.with_values(out)
+
+
+def oscillated_spectrum(F: SpectralField, n: int, axis: int) -> SpectralField:
+    """Spectrum of f e^{2 pi i n x_axis / L_axis} minus its spatial mean,
+    from the spectrum F of f: F rolled by n lattice points along spatial
+    axis `axis` (taken mod d, so -1 is the last spatial axis), with the
+    xi = 0 mode set to 0."""
+    F.require(FREQUENCY)
+    g = F.grid
+    out = np.roll(F.values, n, axis=axis % g.d)
+    out[_zero_mode(g)] = 0.0
+    return F.with_values(out)

@@ -19,7 +19,7 @@ from hpm.averaging import (
     weak_form_residual,
     WeakTestFunction,
 )
-from hpm.errors import DomainError, SingularPointError, SupportWarning
+from hpm.errors import DomainError, IntegrityError, SingularPointError, SupportWarning
 from hpm.hmeasure import SequenceGenerator
 from hpm.multiplier import fractional_derivative, symbol_from_name
 from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, band_limited_field
@@ -460,3 +460,27 @@ class TestScanCounts:
             absA = np.abs(vals)
             for ie, eps in enumerate(eps_list):
                 assert rep.measures[0, ip, ie] == 0.5 * int(np.count_nonzero(absA <= eps))
+
+
+class TestNonFiniteCoefficients:
+    def test_integrity_failure_names_the_x_sample(self):
+        def coeffs(x, p):
+            bad = np.where(p > 0.25, np.nan, p) if x[0] > 0 else p
+            return np.stack([np.ones_like(p), bad], axis=-1)
+        with pytest.raises(IntegrityError, match=r"a_2\(x, p\) is not finite at "
+                           r"x sample 1: 32 of 128 values"):
+            nondegeneracy_scan(coeffs, [np.zeros(2), np.ones(2)], ISO2, 16,
+                               midpoints(128), (0.1, 0.2))
+
+    def test_coefficients_evaluated_once_per_x_sample(self):
+        calls = []
+
+        def coeffs(x, p):
+            calls.append(x)
+            return np.stack([np.ones_like(p), p], axis=-1)
+        rep = nondegeneracy_scan(coeffs, [np.zeros(2), np.ones(2)], ISO2, 16,
+                                 midpoints(64), (0.1, 0.2))
+        assert len(calls) == 2
+        want = nondegeneracy_scan([1.0, lambda x, p: p], [0.0, 1.0], ISO2, 16,
+                                  midpoints(64), (0.1, 0.2))
+        assert np.array_equal(rep.measures, want.measures)

@@ -399,3 +399,20 @@ class TestExpressionSandbox:
         with tempfile.TemporaryDirectory() as tmp:
             assert self._run(Path(tmp), command, **params) in (0, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestNonFiniteCoefficients:
+    CONFIG = base_config(
+        "nondegeneracy", grid={"n": [8, 8], "L": [1.0, 1.0]},
+        params={"a": ["1.0", "p/0"], "eps_list": [0.05, 0.2],
+                "p_points": 64, "resolution": 16})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("a", [["1.0", "p/0"], ["0*p/0", "p"], ["1.0", "x1/0"]])
+    def test_nondegeneracy_exits_3_and_leaves_no_output(self, tmp_path, capsys, a):
+        cfg = dict(self.CONFIG, params=dict(self.CONFIG["params"], a=a))
+        out = tmp_path / "out"
+        assert run_cli("nondegeneracy", write_config(tmp_path, cfg), out) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
