@@ -249,11 +249,25 @@ def _rho_on_grid(rho, grid: SpectralGrid) -> np.ndarray:
     return np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
 
 
+def _rho_at_ends(rho, rho_vals: np.ndarray, grid: SpectralGrid, i: int) -> np.ndarray:
+    """The weight at both ends of p-axis i: on the faces p_i = -P_i/2 and
+    P_i/2 of the closed box (the other axes at their midpoints) for a
+    callable, at the outermost midpoints for sampled values."""
+    if not callable(rho):
+        return np.moveaxis(rho_vals, i, 0)[[0, -1]]
+    axes = [grid.velocity_axis(j) for j in range(grid.m)]
+    axes[i] = np.array([-0.5, 0.5]) * grid.velocity_length[i]
+    with np.errstate(all="ignore"):  # the quadrature never uses these points
+        return np.asarray(rho(*np.meshgrid(*axes, indexing="ij")), dtype=float)
+
+
 def velocity_average(u: SpectralField, rho) -> SpectralField:
     """Midpoint quadrature int u(x, p) rho(p) dp; rho should be compactly
-    supported inside the velocity box (boundary support only warns).  The
-    quadrature acts on the velocity axes only, so u may be in either space
-    and the average keeps its space tag."""
+    supported inside the velocity box (boundary support only warns: a
+    callable weight must vanish on the faces of the closed box, sampled
+    values at the outermost midpoints).  The quadrature acts on the
+    velocity axes only, so u may be in either space and the average keeps
+    its space tag."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
@@ -261,7 +275,7 @@ def velocity_average(u: SpectralField, rho) -> SpectralField:
     peak = float(np.max(np.abs(rho_vals)))
     if peak > 0:
         for i in range(grid.m):
-            edge = np.moveaxis(rho_vals, i, 0)[[0, -1]]
+            edge = _rho_at_ends(rho, rho_vals, grid, i)
             if float(np.max(np.abs(edge))) > 1e-12 * peak:
                 warnings.warn(
                     f"velocity weight touches the boundary of p-axis {i}",

@@ -7,16 +7,20 @@ The central object is the bilinear form
 whose limit over a sequence u_n weakly converging to zero defines a measure
 on x-space x P.  The measure is discretized on cells: C^1 hat partitions of
 unity over a uniform x-grid, and angular sectors on P (for d = 2) or
-normalized smooth direction weights (d >= 3).  The P-masks are real, so
-for each x-cell the forms of every P-cell are two real matrix products
-(GEMMs) of the real and imaginary parts of F(hat_c w_i) conj(F(hat_c w_j))
-with the transposed masks.  Matrix-valued measures over a velocity basis,
-their weighted trace and its x-marginal density are assembled from the
-same forms.
+normalized smooth direction weights (d >= 3).  The x-hats are separable,
+kept as d per-axis factors, and each cell's hat is formed when it is used.
+The P-masks are real, so the forms of every cell of one snapshot come from
+one real matrix product (GEMM): the real parts of F(hat_c w_i)
+conj(F(hat_c w_j)) of all cells, stacked, against the transposed masks,
+plus a second GEMM for the imaginary parts of a matrix measure (the scalar
+ones vanish).  Matrix-valued measures over a velocity basis, their
+weighted trace and its x-marginal density are assembled from the same
+forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -97,9 +101,17 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
     if check_support:
         _check_support(phi1, grid, "phi1")
         _check_support(phi2, grid, "phi2")
+    sym = projected_symbol_lattice(psi, grid, profile)
+    return _lattice_form(u, phi1, phi2, sym, via)
+
+
+def _lattice_form(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
+                  sym: np.ndarray, via: str = "frequency") -> complex:
+    """bilinear_form with sampled cut-offs and the symbol already on the
+    frequency lattice."""
+    grid = u.grid
     f1 = SpectralField(grid, phi1 * u.values, PHYSICAL)
     f2 = SpectralField(grid, phi2 * u.values, PHYSICAL)
-    sym = projected_symbol_lattice(psi, grid, profile)
     F1 = forward_dft(f1)
     F2 = forward_dft(f2)
     if via == "frequency":
@@ -271,18 +283,81 @@ def _periodic_hat(dist: np.ndarray, spacing: float) -> np.ndarray:
 
 @dataclass
 class CellBasis:
-    """Hat partitions discretizing x-space and P."""
+    """Hat partitions discretizing x-space and P.
 
-    x_hats: np.ndarray          # (C, *spatial), partition of unity on the torus
+    The x-cell hats are separable: cell c, the row-major index of
+    (c_1, ..., c_d), has the hat prod_k x_factors[k][c_k] (along axis k)."""
+
+    x_factors: tuple[np.ndarray, ...]  # d arrays (x_cells, n_k), squares sum to one
     x_cell_volume: float
     p_masks: np.ndarray         # (B, *spatial lattice), partition of unity off xi=0
+
+    def cell_indices(self):
+        """The multi-indices (c_1, ..., c_d) of the x-cells in row-major order."""
+        return np.ndindex(*(f.shape[0] for f in self.x_factors))
+
+    def x_hat(self, cell) -> np.ndarray:
+        """The hat of the x-cell with multi-index `cell` on the spatial grid."""
+        return functools.reduce(
+            np.multiply.outer, [f[i] for f, i in zip(self.x_factors, cell)])
+
+    @property
+    def x_hats(self) -> np.ndarray:
+        """The dense (C, *spatial) stack of all hats, a partition of unity
+        in squares on the torus.  Built on each access; the cell forms
+        form one hat at a time instead."""
+        return np.stack([self.x_hat(c) for c in self.cell_indices()])
+
+
+def _angular_masks(proj: np.ndarray, p_cells: int) -> np.ndarray:
+    """(B, S) angular-sector hats of the projected 2-d lattice.  A point's
+    hat is nonzero only in the sectors next to its angle: the nearest
+    centre m and m +- 1 (sector m +- 2 lies 1.5 spacings away or more), so
+    the hat formula is evaluated there alone and the other masks stay 0."""
+    ang = np.arctan2(proj[..., 1], proj[..., 0]).ravel() % (2 * np.pi)
+    spacing = 2 * np.pi / p_cells
+    cang = np.arange(p_cells) * spacing
+    nearest = np.rint(ang / spacing).astype(np.intp)
+    cols = np.arange(ang.size)
+    masks = np.zeros((p_cells, ang.size))
+    for offset in (-1, 0, 1):
+        b = (nearest + offset) % p_cells
+        dist = ang - cang[b]
+        dist = (dist + np.pi) % (2 * np.pi) - np.pi
+        masks[b, cols] = _periodic_hat(dist, spacing)
+    return masks
+
+
+def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
+                     p_cells: int) -> np.ndarray:
+    """(B, S) normalized Gaussian weights around p_cells random directions
+    projected onto P; the squared distances are summed one axis at a time."""
+    d = proj.shape[-1]
+    rng = np.random.Generator(np.random.Philox(key=11))
+    dirs = rng.standard_normal((p_cells, d))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    p_centers = project_to_P(dirs, profile)
+    sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
+    pts = proj.reshape(-1, d)
+    d2 = (pts[:, 0] - p_centers[:, 0, None]) ** 2
+    for k in range(1, d):
+        d2 += (pts[:, k] - p_centers[:, k, None]) ** 2
+    g = np.exp(-d2 / (2 * sigma ** 2))
+    return g / np.sum(g, axis=0, keepdims=True)
 
 
 def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
                     x_cells: int, p_cells: int) -> CellBasis:
+    if x_cells < 1 or p_cells < 1:
+        raise DomainError(f"x_cells and p_cells must be positive, got "
+                          f"x_cells={x_cells}, p_cells={p_cells}")
     d = grid.d
-    # x-cells: tensor products of periodic 1-d hats
-    axis_hats = []
+    # x-cells: tensor products of periodic 1-d hats.  The hats enter the
+    # measure form quadratically, so they are normalized to square-sum to
+    # one and the cell masses add up to the full measure; since
+    # sum_c prod_k h_k^2 = prod_k sum_{c_k} h_k^2, each axis is normalized
+    # on its own.
+    factors = []
     for k in range(d):
         L = grid.length_per_axis[k]
         spacing = L / x_cells
@@ -290,46 +365,21 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         x = grid.coord_axis(k)
         dist = x[None, :] - centers[:, None]
         dist = (dist + L / 2) % L - L / 2
-        axis_hats.append(_periodic_hat(dist, spacing))
-    hats = None
-    for k, h in enumerate(axis_hats):
-        shaped = h.reshape((x_cells,) + tuple(
-            grid.n_per_axis[k] if j == k else 1 for j in range(d)))
-        if hats is None:
-            hats = shaped
-        else:
-            hats = hats[:, None] * shaped[None, :]
-            hats = hats.reshape((-1,) + hats.shape[2:])
-    # cut-offs enter the measure form quadratically; normalize so the
-    # squares sum to one and cell masses add up to the full measure
-    hats = hats / np.sqrt(np.sum(hats ** 2, axis=0, keepdims=True))
+        h = _periodic_hat(dist, spacing)
+        factors.append(h / np.sqrt(np.sum(h ** 2, axis=0)))
     cell_vol = 1.0
     for L in grid.length_per_axis:
         cell_vol *= L / x_cells
 
     # P-cells on the frequency lattice
-    xi = grid.frequency_vectors()
-    nonzero = ~np.all(xi == 0, axis=-1)
-    proj = project_lattice(xi, profile)
+    proj = project_lattice(grid.frequency_vectors(), profile)
     if d == 2:
-        ang = np.arctan2(proj[..., 1], proj[..., 0]) % (2 * np.pi)
-        spacing = 2 * np.pi / p_cells
-        cang = np.arange(p_cells) * spacing
-        dist = ang[None, ...] - cang.reshape((p_cells,) + (1,) * ang.ndim)
-        dist = (dist + np.pi) % (2 * np.pi) - np.pi
-        masks = _periodic_hat(dist, spacing)
+        masks = _angular_masks(proj, p_cells)
     else:
-        rng = np.random.Generator(np.random.Philox(key=11))
-        dirs = rng.standard_normal((p_cells, d))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        p_centers = project_to_P(dirs, profile)
-        sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
-        d2 = np.sum((proj[None, ...] - p_centers.reshape(
-            (p_cells,) + (1,) * (proj.ndim - 1) + (d,))) ** 2, axis=-1)
-        g = np.exp(-d2 / (2 * sigma ** 2))
-        masks = g / np.sum(g, axis=0, keepdims=True)
-    masks = masks * nonzero[None, ...]
-    return CellBasis(hats, cell_vol, masks)
+        masks = _direction_masks(proj, profile, p_cells)
+    masks[:, 0] = 0.0  # flat index 0 is the mode xi = 0 in FFT order
+    return CellBasis(tuple(factors), cell_vol,
+                     masks.reshape((p_cells,) + grid.n_per_axis))
 
 
 def _cell_forms(u: SpectralField, basis: CellBasis,
@@ -340,34 +390,49 @@ def _cell_forms(u: SpectralField, basis: CellBasis,
     sum_xi mask_b F(hat_c w_i) conj(F(hat_c w_j)) vol_xi; without
     components, the scalar case V[0, 0, c, b] for w = u.
 
-    The masks are real, so for each cell the real and the imaginary parts
-    of the (N^2, S) products G_i conj(G_j) (G_i = F(hat_c w_i) flattened)
-    meet the (S, B) transposed masks in two real GEMMs.  The masks are
-    never cast to complex, nothing larger than one cell's products is
-    built, and the scalar forms (N = 1) come out exactly real."""
+    The masks are real.  The real parts of the products G_i conj(G_j)
+    (G_i = F(hat_c w_i) flattened) of k = max(1, C // N^2) cells are
+    stacked into a real (k N^2, S) array that meets the (S, B) transposed
+    masks in one GEMM; for N > 1 the imaginary parts get a second stack
+    and GEMM.  For N = 1 the imaginary parts are exactly zero, so they are
+    neither formed nor multiplied and the scalar forms are exactly real.
+    The scalar stack is the size of the dense (C, S) hat stack that the
+    separable hats never build."""
     grid = u.grid
     if components is None:
         components = [np.asarray(u.values)]
-    C = basis.x_hats.shape[0]
     B = basis.p_masks.shape[0]
     N = len(components)
-    V = np.empty((N, N, C, B), dtype=complex)
+    S = math.prod(grid.n_per_axis)
+    cells = list(basis.cell_indices())
+    C = len(cells)
+    V = np.zeros((N, N, C, B), dtype=complex)
     vol = grid.freq_cell_volume
     masks_t = basis.p_masks.reshape(B, -1).T
-    for c in range(C):
-        G = np.empty((N, int(np.prod(grid.n_per_axis))), dtype=complex)
+    k = max(1, C // (N * N))
+    re = np.empty((k, N, N, S))
+    im = np.empty((k, N, N, S)) if N > 1 else None
+    G = np.empty((N, S), dtype=complex)
+    for c, cell in enumerate(cells):
+        hat = basis.x_hat(cell)
         for i, w in enumerate(components):
-            f = SpectralField(grid.spatial_only(), basis.x_hats[c] * w, PHYSICAL)
+            f = SpectralField(grid.spatial_only(), hat * w, PHYSICAL)
             G[i] = forward_dft(f).values.ravel()
         # real and imaginary parts of G_i conj(G_j), each product rounded
         # on its own: the diagonal imaginary parts cancel exactly
-        re = G.real[:, None] * G.real[None]
-        re += G.imag[:, None] * G.imag[None]
-        im = G.imag[:, None] * G.real[None]
-        im -= G.real[:, None] * G.imag[None]
-        forms = (re.reshape(N * N, -1) @ masks_t
-                 + 1j * (im.reshape(N * N, -1) @ masks_t)) * vol
-        V[:, :, c, :] = forms.reshape(N, N, B)
+        j = c % k
+        np.multiply(G.real[:, None], G.real[None], out=re[j])
+        re[j] += G.imag[:, None] * G.imag[None]
+        if im is not None:
+            np.multiply(G.imag[:, None], G.real[None], out=im[j])
+            im[j] -= G.real[:, None] * G.imag[None]
+        if j == k - 1 or c == C - 1:
+            done = slice(c - j, c + 1)
+            for part, stack in ((V.real, re), (V.imag, im)):
+                if stack is not None:
+                    forms = stack[:j + 1].reshape(-1, S) @ masks_t
+                    part[:, :, done] = np.moveaxis(
+                        forms.reshape(j + 1, N, N, B), 0, 2) * vol
     return V
 
 
@@ -397,15 +462,20 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
     n_list = _check_n_list(n_list)
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
     est = HMeasureEstimate()
+    if pairs and symbols:
+        cutoffs = {pid: (grid.sample(p1), grid.sample(p2))
+                   for pid, (p1, p2) in pairs.items()}
+        lattices = {sid: projected_symbol_lattice(psi, grid, profile)
+                    for sid, psi in symbols.items()}
     cell_runs = []
     for n in n_list:
         u = gen.field(n)
         cell_runs.append(_cell_forms(u, basis)[0, 0])
         if pairs and symbols:
-            for pid, (p1, p2) in pairs.items():
-                for sid, psi in symbols.items():
-                    est.values[(pid, sid, n)] = bilinear_form(
-                        u, p1, p2, psi, profile, check_support=False)
+            u.require(PHYSICAL)
+            for pid, (p1, p2) in cutoffs.items():
+                for sid, sym in lattices.items():
+                    est.values[(pid, sid, n)] = _lattice_form(u, p1, p2, sym)
     cells, est.cell_errors = estimate_limit(np.stack(cell_runs))  # (n, C, B)
     est.cells = cells.real
     if pairs and symbols:
@@ -511,17 +581,17 @@ class MarginalReport:
     r_prime: float
     norms: list[float]
     ratios: list[float]
-    slicing_ok: bool
 
     def to_json_dict(self) -> dict:
         return {"r_prime": self.r_prime, "norms": self.norms,
-                "ratios": self.ratios, "slicing_ok": self.slicing_ok}
+                "ratios": self.ratios}
 
 
 def marginal_density_check(measures: Sequence[MatrixMeasure],
                            r_prime: float) -> MarginalReport:
     """Discrete L^{r'} norms of the marginal density across cell
-    refinements, plus the cellwise slicing consistency of the trace."""
+    refinements.  Raises IntegrityError if a trace cell mass is negative
+    or the trace masses of an x-cell do not sum to its marginal."""
     if len(measures) < 2:
         raise DomainError("need matrix measures at >= 2 cell refinements")
     if r_prime <= 1:
@@ -540,4 +610,4 @@ def marginal_density_check(measures: Sequence[MatrixMeasure],
         dens = np.abs(M.marginal) / vol
         norms.append(float((np.sum(dens ** r_prime) * vol) ** (1.0 / r_prime)))
     ratios = [b / a if a > 0 else float("inf") for a, b in zip(norms, norms[1:])]
-    return MarginalReport(r_prime, norms, ratios, slicing_ok=True)
+    return MarginalReport(r_prime, norms, ratios)

@@ -34,7 +34,8 @@ class SymbolOnP:
     """A scalar symbol defined on the manifold P.
 
     eval is vectorized: it accepts an array of shape (..., d) of points on P
-    and returns a complex array of shape (...).  With projected=False the
+    and returns a new complex array of shape (...), which
+    projected_symbol_lattice may write into.  With projected=False the
     symbol is a raw function of the frequency itself and is never composed
     with the projection (useful for certifying non-projected symbols)."""
 
@@ -168,8 +169,10 @@ def projected_symbol_lattice(psi: SymbolOnP, grid, profile: AnisotropyProfile) -
     xi = grid.frequency_vectors()
     arg = project_lattice(xi, profile) if psi.projected else xi
     vals = np.asarray(psi.eval(arg), dtype=complex)
-    zero = np.all(xi == 0, axis=-1)
-    vals = np.where(zero, 0.0, vals)
+    if (vals.shape != grid.n_per_axis or not vals.flags.owndata
+            or not vals.flags.writeable):
+        vals = np.array(np.broadcast_to(vals, grid.n_per_axis))
+    vals[(0,) * grid.d] = 0.0  # the mode xi = 0 comes first in FFT order
     return vals
 
 

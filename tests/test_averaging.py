@@ -484,3 +484,32 @@ class TestNonFiniteCoefficients:
         want = nondegeneracy_scan([1.0, lambda x, p: p], [0.0, 1.0], ISO2, 16,
                                   midpoints(64), (0.1, 0.2))
         assert np.array_equal(rep.measures, want.measures)
+
+
+class TestWeightBoundary:
+    """A callable weight is checked on the faces p_i = +-P_i/2 of the
+    closed velocity box; sampled values keep the outermost-midpoint check."""
+
+    def _field(self, n_velocity, velocity_length):
+        g = SpectralGrid((8,), (1.0,), n_velocity=n_velocity,
+                         velocity_length=velocity_length)
+        return SpectralField(g, np.ones(g.shape), PHYSICAL)
+
+    @pytest.mark.parametrize("n_p", [16, 256])
+    def test_weight_vanishing_on_the_faces_is_silent(self, recwarn, n_p):
+        u = self._field((n_p,), (1.0,))
+        avg = velocity_average(u, lambda p1: np.cos(np.pi * p1) ** 2)
+        assert not [w for w in recwarn if issubclass(w.category, SupportWarning)]
+        midpoints_ = midpoints(n_p)
+        oracle = np.sum(np.cos(np.pi * midpoints_) ** 2) / n_p
+        assert np.max(np.abs(avg.values - oracle)) <= 1e-14
+
+    def test_weight_touching_a_face_warns(self):
+        u = self._field((8, 4), (1.0, 2.0))
+        with pytest.warns(SupportWarning, match="p-axis 1"):
+            velocity_average(u, lambda p1, p2: np.cos(np.pi * p1) ** 2 * (1.0 + p2))
+
+    def test_weight_singular_on_a_face_warns(self):
+        u = self._field((16,), (1.0,))
+        with pytest.warns(SupportWarning):
+            velocity_average(u, lambda p1: 1.0 / (0.25 - p1 ** 2))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,8 +13,8 @@ from hypothesis import strategies as st
 from hpm import cli
 from hpm.errors import ConfigError, IntegrityError
 
-# the default cos^2 velocity weight only vanishes at the exact interval
-# endpoints, which the conservative boundary check flags
+# fuzzed velocity weights may touch the boundary of the velocity box, which
+# only warns
 pytestmark = pytest.mark.filterwarnings("ignore::hpm.errors.SupportWarning")
 
 
@@ -272,6 +275,11 @@ class TestMalformedParams:
     def test_p_cells_not_an_integer(self, tmp_path, capsys):
         self._exits_2(tmp_path, capsys, self.HMEASURE, "p_cells", p_cells=2.5)
 
+    @pytest.mark.parametrize("key, value", [("x_cells", 0), ("p_cells", 0),
+                                            ("p_cells", -3)])
+    def test_cell_count_not_positive(self, tmp_path, capsys, key, value):
+        self._exits_2(tmp_path, capsys, self.HMEASURE, key, **{key: value})
+
     def test_window_with_wrong_interval_count(self, tmp_path, capsys):
         self._exits_2(tmp_path, capsys, self.AVERAGING, "window",
                       window=[[0.0, 0.5]] * 3)
@@ -416,3 +424,30 @@ class TestNonFiniteCoefficients:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+class TestReadmeAveragingExample:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def _readme_config(self):
+        text = self.README.read_text()
+        start = text.index("```json", text.index("hpm averaging --config"))
+        body = text[start + len("```json"):text.index("```", start + 1)]
+        cfg = json.loads(body)
+        assert cfg["command"] == "averaging"
+        return cfg
+
+    def test_writes_nothing_to_stderr(self, tmp_path):
+        # run as the console entry point does, in a fresh interpreter that
+        # shows every warning the default filters let through
+        cfg_path = write_config(tmp_path, self._readme_config())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from hpm.cli import main; sys.exit(main())",
+             "averaging", "--config", cfg_path, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "out" / "decay.csv").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpm.anisotropy import AnisotropyProfile, quasi_norm
+from hpm.anisotropy import AnisotropyProfile, project_lattice, quasi_norm
 from hpm.errors import DomainError
 from hpm.multiplier import (
     SymbolOnP,
@@ -244,3 +244,39 @@ class TestRegistry:
         assert abs(bv[0] - 1.0) <= 1e-12 and abs(bv[1]) <= 1e-12
         sv = sec.eval(pts)
         assert abs(sv[0] - 1.0) <= 1e-12 and abs(sv[1]) <= 1e-12
+
+
+class TestProjectedSymbolLattice:
+    """The lattice writes 0 into the mode xi = 0 of the symbol's own
+    result; it equals masking the full grid."""
+
+    MIX3 = AnisotropyProfile((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("name", ["one", "coordinate:0", "coordinate:2",
+                                      "sector:axis=1,sign=-",
+                                      "sin-inverse-quasinorm"])
+    def test_equals_masked_evaluation(self, name):
+        g = SpectralGrid((16, 8, 32), (1.0, 2.0, 0.5))
+        psi = symbol_from_name(name, self.MIX3)
+        xi = g.frequency_vectors()
+        arg = project_lattice(xi, self.MIX3) if psi.projected else xi
+        ref = np.where(np.all(xi == 0, axis=-1), 0.0,
+                       np.asarray(psi.eval(arg), dtype=complex))
+        sym = projected_symbol_lattice(psi, g, self.MIX3)
+        assert sym.dtype == complex and sym.shape == g.n_per_axis
+        assert np.array_equal(sym, ref)
+        assert sym[0, 0, 0] == 0.0
+
+    TABLE = np.full((8, 8, 2), 4.0 + 0j)
+
+    @pytest.mark.parametrize("result, value", [
+        (lambda xi: 2.0 + 1j, 2.0 + 1j),                                  # a scalar
+        (lambda xi: np.broadcast_to(np.complex128(3.0), xi.shape[:-1]), 3.0),  # read-only
+        (lambda xi: TestProjectedSymbolLattice.TABLE[..., 0], 4.0),       # a view
+    ])
+    def test_result_not_owned_by_the_lattice(self, result, value):
+        g = SpectralGrid((8, 8), (1.0, 1.0))
+        sym = projected_symbol_lattice(SymbolOnP(result), g, ISO2)
+        assert sym.shape == (8, 8) and sym[0, 0] == 0.0
+        assert np.all(sym.ravel()[1:] == value)
+        assert np.all(self.TABLE == 4.0)  # the symbol's own data is untouched
