@@ -62,10 +62,6 @@ class AnisotropyProfile:
         l = self.l
         return tuple(l * a for a in self.alpha)
 
-    @property
-    def isotropic(self) -> bool:
-        return all(a == self.alpha[0] for a in self.alpha)
-
 
 def constraint_sum(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
     """sum_k |xi_k|^(l alpha_k), vectorized over leading axes of xi (..., d)."""
@@ -158,11 +154,17 @@ def _sphere_mesh(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return pts.reshape(-1, d), w.reshape(-1)
 
 
-def mesh_P(profile: AnisotropyProfile, resolution: int) -> list[PMeshPoint]:
-    """Quadrature mesh on P obtained by projecting a uniform Euclidean
-    sphere mesh through pi_P.  Covers both signs of every axis."""
+def mesh_P_arrays(profile: AnisotropyProfile, resolution: int):
+    """Quadrature mesh on P, points (N, d) and weights (N,): a uniform
+    Euclidean sphere mesh projected through pi_P.  Covers both signs of
+    every axis."""
     if resolution < 8:
         raise DomainError("mesh resolution must be at least 8")
     pts, w = _sphere_mesh(profile.d, resolution)
-    proj = project_to_P(pts, profile)
-    return [PMeshPoint(tuple(p), float(wt)) for p, wt in zip(proj, w)]
+    return project_to_P(pts, profile), w
+
+
+def mesh_P(profile: AnisotropyProfile, resolution: int) -> list[PMeshPoint]:
+    """mesh_P_arrays as a list of nodes."""
+    return [PMeshPoint(tuple(p), float(wt))
+            for p, wt in zip(*mesh_P_arrays(profile, resolution))]

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anisotropy import AnisotropyProfile
+from .anisotropy import AnisotropyProfile, mesh_P_arrays
 from .errors import DomainError, IntegrityError, SingularPointError, SupportWarning
 from .hmeasure import SequenceGenerator
 from .multiplier import (
@@ -126,27 +126,37 @@ class NonDegeneracyReport:
         }
 
     def rows(self):
-        for x_idx in range(self.measures.shape[0]):
-            for p_idx in range(self.measures.shape[1]):
-                for e_idx, eps in enumerate(self.eps_list):
-                    yield x_idx, p_idx, eps, float(self.measures[x_idx, p_idx, e_idx])
+        for x_idx, per_x in enumerate(self.measures.tolist()):
+            for p_idx, per_p in enumerate(per_x):
+                for eps, m in zip(self.eps_list, per_p):
+                    yield x_idx, p_idx, eps, m
+
+
+_BLOCK_BYTES = 1 << 20  # one (rows, n_cells) complex block of a scan
 
 
 def _scan_measures(symbol_at, x_samples, mesh_points, eps_list,
                    cell_measure: float, n_cells: int,
                    threshold_fraction: float = 0.01) -> NonDegeneracyReport:
+    """Measures of {|symbol_at(x, block)| <= eps}, where NaN never counts,
+    on (rows, n_cells) blocks: an array mesh is cut into blocks of rows,
+    any other sequence is taken one point at a time, as a block of one."""
     eps_list = tuple(float(e) for e in eps_list)
     if any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be positive and increasing")
-    X, NP = len(x_samples), len(mesh_points)
-    eps = np.asarray(eps_list)
-    meas = np.empty((X, NP, eps.size))
+    blocked = isinstance(mesh_points, np.ndarray)
+    rows = max(1, _BLOCK_BYTES // (16 * n_cells)) if blocked else 1
+    meas = np.empty((len(x_samples), len(mesh_points), len(eps_list)))
     for ix, x in enumerate(x_samples):
-        for ip, xi in enumerate(mesh_points):
-            # counts of |A| <= eps for every eps at once (NaN sorts last)
-            absA = np.sort(np.abs(symbol_at(x, xi)), axis=None)
-            meas[ix, ip] = cell_measure * np.searchsorted(absA, eps, side="right")
+        for i in range(0, len(mesh_points), rows):
+            out = meas[ix, i:i + rows]
+            absA = np.broadcast_to(np.abs(symbol_at(
+                x, mesh_points[i:i + rows] if blocked else mesh_points[i])),
+                (len(out), n_cells))
+            for ie, eps in enumerate(eps_list):
+                out[:, ie] = np.count_nonzero(absA <= eps, axis=1)
+    meas *= cell_measure
     sup = meas.max(axis=(0, 1))
     domain = cell_measure * n_cells
     flag = bool(sup[0] > threshold_fraction * domain)
@@ -164,34 +174,30 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     p_grid is a 1-d array of uniform midpoints (or (N, m) points together
     with an explicit p_cell_measure).  The coefficients are evaluated once
     per x sample; a value that is not finite raises IntegrityError."""
-    from .anisotropy import mesh_P
     p_grid = np.asarray(p_grid, dtype=float)
     if p_cell_measure is None:
         if p_grid.ndim != 1 or p_grid.size < 2:
             raise DomainError("pass p_cell_measure for non-1d velocity grids")
         p_cell_measure = float(p_grid[1] - p_grid[0])
-    mesh = [pt.as_array() for pt in mesh_P(profile, P_resolution)]
-
-    def coeffs_at(ix, x):
-        a = _axis_coeffs(coeffs, x, p_grid, profile.d)
+    mesh, _ = mesh_P_arrays(profile, P_resolution)
+    # the scan walks rows of the per-axis factors (2 pi i xi_k)^(alpha_k)
+    factors = np.stack([fractional_factor(mesh[:, k], a)
+                        for k, a in enumerate(profile.alpha)], axis=-1)
+    per_x = [_axis_coeffs(coeffs, x, p_grid, profile.d) for x in x_samples]
+    for ix, a in enumerate(per_x):
         for k, ak in enumerate(a):
             bad = np.size(ak) - int(np.count_nonzero(np.isfinite(ak)))
             if bad:
                 raise IntegrityError(
                     f"coefficient a_{k + 1}(x, p) is not finite at x sample "
                     f"{ix}: {bad} of {np.size(ak)} values")
-        return a
 
-    def symbol_at(a, xi):
-        vals = principal_symbol(None, xi, p_grid, a, profile)
-        if np.shape(vals) != p_grid.shape[:1]:
-            # p-independent coefficients give a scalar symbol; the
-            # sub-level count still ranges over the whole velocity grid
-            vals = np.broadcast_to(vals, p_grid.shape[:1])
-        return vals
+    def symbol_at(a, F):
+        # term by term from 0 + 0j in mixed_symbol's order, so |A| is bitwise
+        # that of principal_symbol; a constant a_k gives a (rows, 1) column
+        return sum((ak * F[:, k, None] for k, ak in enumerate(a)), 0.0 + 0.0j)
 
-    per_x = [coeffs_at(ix, x) for ix, x in enumerate(x_samples)]
-    return _scan_measures(symbol_at, per_x, mesh, eps_list, p_cell_measure,
+    return _scan_measures(symbol_at, per_x, factors, eps_list, p_cell_measure,
                           p_grid.shape[0])
 
 

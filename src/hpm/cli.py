@@ -216,12 +216,20 @@ def _write_json(path: Path, data) -> None:
     path.write_text(text + "\n")
 
 
+def _csv_column(col) -> list[str]:
+    """One CSV column as text.  A column of floats is formatted one
+    distinct bit pattern at a time, so -0.0 and 0.0 stay apart."""
+    if all(isinstance(c, float) for c in col):
+        uniq, inv = np.unique(np.array(col).view(np.int64), return_inverse=True)
+        text = [_fmt(v) for v in uniq.view(float).tolist()]
+        return [text[i] for i in inv.tolist()]
+    return [str(c) if isinstance(c, (int, str)) else _fmt(c) for c in col]
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    cols = [_csv_column(col) for col in zip(*rows, strict=True)]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cols))])
+                    + "\n")
 
 
 def emit_plotdata(rows, columns: list[str], path: Path) -> None:

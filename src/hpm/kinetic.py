@@ -49,13 +49,19 @@ class FluxPair:
         Bv = np.asarray(self.B(None, lam))
         if Bv.shape[-2:] != (self.d, self.d):
             raise DomainError("B must return d x d matrices")
-        if np.max(np.abs(Bv - np.swapaxes(Bv, -1, -2))) > 1e-12:
-            raise IntegrityError("diffusion matrix B is not symmetric")
-        for j in range(self.d):
-            for k in range(self.d):
-                if min(j, k) < self.l_split and np.max(np.abs(Bv[..., j, k])) > 0:
-                    raise IntegrityError(
-                        "diffusion must vanish on the hyperbolic axes")
+        asym = float(np.max(np.abs(Bv - np.swapaxes(Bv, -1, -2))))
+        if asym > 1e-12:
+            raise IntegrityError(f"diffusion matrix B is not symmetric: "
+                                 f"asymmetry {asym:.3e} above 1.0e-12")
+        # every entry b_jk with min(j, k) < l_split lies outside the
+        # parabolic block
+        hyp = np.abs(Bv).reshape(-1, self.d, self.d).max(axis=0)
+        hyp[self.l_split:, self.l_split:] = 0.0
+        j, k = np.unravel_index(np.argmax(hyp), hyp.shape)
+        if hyp[j, k] > 0:
+            raise IntegrityError(
+                f"diffusion must vanish on the hyperbolic axes: largest entry "
+                f"|b_jk| = {hyp[j, k]:.3e} at axes j = {j}, k = {k}, above 0")
 
 
 @dataclass
@@ -92,7 +98,8 @@ def validate_flux(flux: FluxPair, lambda_samples: Sequence[float],
                 quad = np.einsum("ni,ij,nj->n", dirs, blk, dirs)
                 c_min = min(c_min, float(np.min(quad)) / (l1 - l2))
         if c_min <= 0:
-            raise IntegrityError("parabolic block fails the monotonicity bound")
+            raise IntegrityError(f"parabolic block fails the monotonicity "
+                                 f"bound: c_min = {c_min:.3e}, not above 0")
     lip = 0.0
     for i, l2 in enumerate(lams):
         for l1 in lams[i + 1:]:
@@ -100,7 +107,8 @@ def validate_flux(flux: FluxPair, lambda_samples: Sequence[float],
                   - np.asarray(flux.f(None, np.asarray([l2])))[0])
             lip = max(lip, float(np.linalg.norm(df)) / (l1 - l2))
     if not np.isfinite(lip):
-        raise IntegrityError("flux fails the uniform-continuity bound")
+        raise IntegrityError(f"flux fails the uniform-continuity bound: "
+                             f"Lipschitz estimate {lip:.3e} is not finite")
     return FluxValidation(c_min, lip)
 
 
@@ -228,14 +236,14 @@ class UPManifold:
 
 def up_symbol(x, xi, lam, flux: FluxPair):
     """Genuine-nonlinearity symbol on the manifold:
-    2 pi i sum_{k < l_split} xi_k dlam_f_k + 4 pi^2 <dlam_B xi, xi>."""
+    2 pi i sum_{k < l_split} xi_k dlam_f_k + 4 pi^2 <dlam_B xi, xi>,
+    vectorized over the leading axes of xi and lam together."""
     xi = np.asarray(xi, dtype=float)
     df = np.asarray(flux.dlam_f(x, lam))
     dB = np.asarray(flux.dlam_B(x, lam))
     hyp = np.sum(df[..., :flux.l_split] * xi[..., :flux.l_split], axis=-1)
-    quad = np.einsum("...jk,...j,...k->...", dB,
-                     np.broadcast_to(xi, dB.shape[:-1]),
-                     np.broadcast_to(xi, dB.shape[:-1]))
+    xi = np.broadcast_to(xi, np.broadcast_shapes(xi.shape, dB.shape[:-1]))
+    quad = np.einsum("...jk,...j,...k->...", dB, xi, xi)
     return 2j * np.pi * hyp + 4 * np.pi ** 2 * quad
 
 
@@ -243,18 +251,18 @@ def up_nondegeneracy_scan(flux: FluxPair, x_samples, manifold: UPManifold,
                           lambda_grid: np.ndarray, eps_list,
                           resolution: int = 64) -> NonDegeneracyReport:
     """Measure of {lambda : |up_symbol(x, xi, lambda)| <= eps} for every
-    x sample and mesh point xi on the manifold."""
+    x sample and mesh point xi on the manifold, a block of mesh rows at a
+    time."""
     lam = np.asarray(lambda_grid, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise DomainError("lambda_grid must be a 1-d array of midpoints")
     dlam = float(lam[1] - lam[0])
-    mesh = list(manifold.mesh(resolution))
 
     def symbol_at(x, xi):
-        return up_symbol(x, xi, lam, flux)
+        return up_symbol(x, xi[:, None], lam, flux)
 
-    return _scan_measures(symbol_at, list(x_samples), mesh, eps_list,
-                          dlam, lam.size)
+    return _scan_measures(symbol_at, list(x_samples), manifold.mesh(resolution),
+                          eps_list, dlam, lam.size)
 
 
 # --- entropy residual ---------------------------------------------------------

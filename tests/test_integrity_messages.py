@@ -6,6 +6,7 @@ import pytest
 from hpm.anisotropy import AnisotropyProfile
 from hpm.errors import IntegrityError
 from hpm.hmeasure import MatrixMeasure, make_cell_basis, marginal_density_check
+from hpm.kinetic import FluxPair, validate_flux
 from hpm.spectral import SpectralGrid
 
 ISO2 = AnisotropyProfile((1.0, 1.0))
@@ -74,3 +75,62 @@ class TestMarginalDensity:
         with pytest.raises(IntegrityError, match=r"trace masses do not sum to the "
                            r"marginal: gap 5\.000e-09 above 1\.0e-12"):
             marginal_density_check(ms, r_prime=2.0)
+
+
+def flux(B=None, f=None, l_split=1):
+    """A 2-d flux pair with zero derivatives."""
+    def zeros(*tail):
+        return lambda x, lam: np.zeros(np.shape(lam) + tail)
+    return FluxPair("probe", 2, l_split, f=f or zeros(2), B=B or zeros(2, 2),
+                    dlam_f=zeros(2), dlam_B=zeros(2, 2))
+
+
+def diffusion(entries):
+    """B(x, lam) with the given (j, k) -> callable(lam) entries."""
+    def B(x, lam):
+        out = np.zeros(np.shape(lam) + (2, 2))
+        for (j, k), c in entries.items():
+            out[..., j, k] = c(np.asarray(lam))
+        return out
+    return B
+
+
+class TestKineticChecks:
+    def test_asymmetric_diffusion(self):
+        with pytest.raises(IntegrityError, match=r"diffusion matrix B is not "
+                           r"symmetric: asymmetry 2\.500e-09 above 1\.0e-12"):
+            flux(B=diffusion({(1, 1): lambda s: s, (0, 1): lambda s: 2.5e-9 + 0 * s,
+                              (1, 0): lambda s: 0 * s}))
+
+    def test_symmetry_tolerance_unchanged(self):
+        # two parabolic axes: an asymmetry of exactly 1e-12 still passes
+        B = diffusion({(0, 0): lambda s: s, (1, 1): lambda s: s,
+                       (1, 0): lambda s: 0 * s + 1e-12})
+        flux(B=B, l_split=0)
+
+    def test_diffusion_on_hyperbolic_axes(self):
+        # b_01 = b_10 = 0.3 is the largest entry outside the parabolic block
+        with pytest.raises(IntegrityError, match=r"diffusion must vanish on the "
+                           r"hyperbolic axes: largest entry \|b_jk\| = 3\.000e-01 "
+                           r"at axes j = 0, k = 1, above 0"):
+            flux(B=diffusion({(0, 0): lambda s: 0.1 * s, (1, 1): lambda s: s,
+                              (0, 1): lambda s: s, (1, 0): lambda s: s}))
+
+    def test_monotonicity(self):
+        # B~ = -2 lam: every difference quotient is exactly -2
+        bad = flux(B=diffusion({(1, 1): lambda s: -2.0 * s}))
+        with pytest.raises(IntegrityError, match=r"parabolic block fails the "
+                           r"monotonicity bound: c_min = -2\.000e\+00, not above 0"):
+            validate_flux(bad, [-1.0, 0.0, 1.0])
+
+    def test_uniform_continuity(self):
+        def f(x, lam):
+            lam = np.asarray(lam, dtype=float)
+            out = np.zeros(lam.shape + (2,))
+            out[..., 0] = np.where(lam > 0.5, np.inf, lam)
+            return out
+        with pytest.raises(IntegrityError, match=r"flux fails the "
+                           r"uniform-continuity bound: Lipschitz estimate inf "
+                           r"is not finite"):
+            validate_flux(flux(B=diffusion({(1, 1): lambda s: s}), f=f),
+                          [-1.0, 0.0, 1.0])

@@ -1,0 +1,224 @@
+"""The array scans of the P-mesh and the certifier shells against the
+one-point-at-a-time loops they replaced, kept here as oracles.
+
+The counts of {p : |A| <= eps} are compared exactly, with eps placed on
+values of |A| itself: a last-bit change in |A| would flip such a count."""
+
+import numpy as np
+import pytest
+
+from hpm import averaging
+from hpm.anisotropy import (
+    AnisotropyProfile,
+    fibre_point,
+    mesh_P,
+    mesh_P_arrays,
+    project_to_P,
+)
+from hpm.averaging import _scan_measures, nondegeneracy_scan, principal_symbol
+from hpm.kinetic import UPManifold, flux_from_name, up_nondegeneracy_scan, up_symbol
+from hpm.multiplier import _shell_samples
+
+PROFILES = {1: AnisotropyProfile((1.0,)),
+            2: AnisotropyProfile((1.0, 2.0)),
+            3: AnisotropyProfile((1.0, 1.0, 2.0))}
+
+
+def midpoints(n, lo=-1.0, hi=1.0):
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def sorted_counts(absA, eps_list):
+    """Counts of |A| <= eps for every eps, by a sort (NaN sorts last)."""
+    return np.searchsorted(np.sort(absA), eps_list, side="right")
+
+
+def tie_eps(absA, count=64):
+    """Increasing eps taken from the values of |A| themselves."""
+    vals = np.unique(absA[np.isfinite(absA) & (absA > 0)])
+    picks = np.unique(np.linspace(0, vals.size - 1, count, dtype=int))
+    return tuple(float(v) for v in vals[picks])
+
+
+def per_point_symbols(coeffs, x_samples, profile, resolution, p_grid):
+    """principal_symbol at one mesh point at a time, as the scan did."""
+    mesh = [pt.as_array() for pt in mesh_P(profile, resolution)]
+    return np.array([[np.abs(np.broadcast_to(
+        principal_symbol(x, xi, p_grid, coeffs, profile), p_grid.shape))
+        for xi in mesh] for x in x_samples])
+
+
+def small_blocks(monkeypatch, rows, n_cells):
+    monkeypatch.setattr(averaging, "_BLOCK_BYTES", 16 * n_cells * rows)
+
+
+def coefficient_cases():
+    def x_dependent(x, p):
+        return np.stack([np.ones_like(p) + x[0], p, p * p - x[1]], axis=-1)
+    return [
+        (1, [lambda x, p: p]),
+        (2, [1.0, lambda x, p: p]),
+        (2, [lambda x, p: p, lambda x, p: 1.0 - 2.0 * p ** 3]),
+        (3, [1.0, lambda x, p: p, lambda x, p: p * p]),
+        (3, x_dependent),
+        # p-independent coefficients: a scalar symbol over the whole grid
+        (2, [1.0, 1.0]),
+        (3, [2.0, 0.5, -1.0]),
+    ]
+
+
+class TestBlockedNondegeneracyScan:
+    @pytest.mark.parametrize("d, coeffs", coefficient_cases())
+    def test_bitwise_per_point_reference(self, monkeypatch, d, coeffs):
+        profile = PROFILES[d]
+        p_grid = midpoints(96)
+        x_samples = [np.zeros(d), np.full(d, 0.25)]
+        absA = per_point_symbols(coeffs, x_samples, profile, 8, p_grid)
+        eps = tie_eps(absA)
+        # 7 rows a block: no mesh size here is a multiple of it
+        small_blocks(monkeypatch, 7, p_grid.size)
+        rep = nondegeneracy_scan(coeffs, x_samples, profile, 8, p_grid, eps)
+        assert len(mesh_P(profile, 8)) % 7 != 0
+        cell = float(p_grid[1] - p_grid[0])
+        want = cell * np.array([[sorted_counts(a, eps) for a in per_x]
+                                for per_x in absA])
+        assert np.array_equal(rep.measures, want)
+
+    @pytest.mark.parametrize("rows", [1, 5, 64, 10 ** 6])
+    def test_block_size_does_not_change_measures(self, monkeypatch, rows):
+        profile = PROFILES[3]
+        p_grid = midpoints(64)
+        coeffs = [1.0, lambda x, p: p, lambda x, p: p * p]
+        small_blocks(monkeypatch, rows, p_grid.size)
+        rep = nondegeneracy_scan(coeffs, [np.zeros(3)], profile, 16, p_grid,
+                                 (0.01, 0.1, 0.5, 1.0))
+        monkeypatch.undo()
+        want = nondegeneracy_scan(coeffs, [np.zeros(3)], profile, 16, p_grid,
+                                  (0.01, 0.1, 0.5, 1.0))
+        assert np.array_equal(rep.measures, want.measures)
+
+    def test_scalar_symbol_counts_the_whole_grid(self):
+        rep = nondegeneracy_scan([1.0, 1.0], [0.0], PROFILES[2], 16,
+                                 midpoints(32), (0.5, 100.0))
+        counts = rep.measures[0] / rep.p_domain_measure
+        assert set(np.unique(counts)) <= {0.0, 1.0}
+        assert np.all(counts[:, 1] == 1.0)
+
+
+class TestScanMeasuresBlocks:
+    def test_ties_and_nan_in_array_blocks(self):
+        r = np.random.default_rng(5)
+        eps_list = (0.25, 0.5, 1.0, 2.0)
+        table = r.standard_normal((11, 40)) + 1j * r.standard_normal((11, 40))
+        table[:, :4] = eps_list  # |A| exactly on each threshold
+        table[::2, 4] = np.nan
+        table[3, 5:9] = np.nan
+        mesh = np.arange(11.0)[:, None]
+        calls = []
+
+        def symbol_at(x, rows):
+            calls.append(len(rows))
+            return table[rows[:, 0].astype(int)]
+
+        rep = _scan_measures(symbol_at, [0.0], mesh, eps_list, 0.5, 40)
+        assert sum(calls) == 11
+        for ip in range(11):
+            want = 0.5 * sorted_counts(np.abs(table[ip]), eps_list)
+            assert np.array_equal(rep.measures[0, ip], want)
+
+    def test_remainder_block(self, monkeypatch):
+        small_blocks(monkeypatch, 4, 3)
+        seen = []
+
+        def symbol_at(x, rows):
+            seen.append(rows[:, 0].tolist())
+            return np.ones((len(rows), 3))
+
+        rep = _scan_measures(symbol_at, [0.0], np.arange(10.0)[:, None],
+                             (1.0,), 1.0, 3)
+        assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert np.all(rep.measures == 3.0)
+
+
+class TestMeshArrays:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mesh_P_wraps_the_arrays(self, d):
+        pts, w = mesh_P_arrays(PROFILES[d], 12)
+        nodes = mesh_P(PROFILES[d], 12)
+        assert np.array_equal(pts, [p.as_array() for p in nodes])
+        assert np.array_equal(w, [p.weight for p in nodes])
+
+
+def shell_samples_one_at_a_time(profile, j, count):
+    """The certifier's shell as it was drawn before: one direction, one
+    projection and one lift per sample."""
+    rng = np.random.Generator(np.random.Philox(key=abs(j) * 2 + (j < 0) + 7))
+    pts = []
+    while len(pts) < count:
+        v = rng.standard_normal(profile.d)
+        v /= np.linalg.norm(v)
+        if np.min(np.abs(v)) < 0.05:
+            continue
+        qn = 2.0 ** (j + (len(pts) + 0.5) / count)
+        pts.append(fibre_point(project_to_P(v, profile), qn ** profile.l, profile))
+    return np.asarray(pts)
+
+
+class TestShellSamples:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [5, 48, 96])
+    def test_bitwise_one_at_a_time(self, d, count):
+        profile = PROFILES[d]
+        for j in range(-8, 8):
+            got = _shell_samples(profile, j, count)
+            want = shell_samples_one_at_a_time(profile, j, count)
+            assert got.shape == (count, d)
+            assert np.array_equal(got, want), j
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vectorised_norm_is_linalg_norm(self, d):
+        v = np.random.Generator(np.random.Philox(key=11)).standard_normal((4096, d))
+        want = np.array([np.linalg.norm(row) for row in v])
+        assert np.array_equal(np.sqrt(np.vecdot(v, v)), want)
+
+
+def up_scan_per_point(flux, manifold, lam, eps_list, resolution):
+    """up_symbol at one manifold point at a time, counted by a sort."""
+    cell = float(lam[1] - lam[0])
+    return cell * np.array([[sorted_counts(np.abs(up_symbol(None, xi, lam, flux)),
+                                           eps_list)
+                             for xi in manifold.mesh(resolution)]])
+
+
+def tabulated_flux(d, l_split):
+    r = np.random.default_rng(17)
+    lg = np.linspace(-1.0, 1.0, 9)
+    B = r.standard_normal((9, d, d))
+    B = B + np.swapaxes(B, 1, 2)
+    B[:, :l_split] = 0.0
+    B[:, :, :l_split] = 0.0
+    return flux_from_name("custom-tabulated", tables={
+        "lambda_grid": lg, "l_split": l_split, "f": r.standard_normal((9, d)),
+        "B": B, "dlam_f": r.standard_normal((9, d)),
+        "dlam_B": r.standard_normal((9, d, d))})
+
+
+class TestUpScan:
+    @pytest.mark.parametrize("make", [
+        lambda: flux_from_name("burgers-heat"),
+        lambda: flux_from_name("linear-transport", d=2, velocity=(3.0, 1.0)),
+        lambda: tabulated_flux(2, 1),
+        lambda: tabulated_flux(3, 1),
+    ])
+    def test_measures_unchanged(self, monkeypatch, make):
+        flux = make()
+        manifold = UPManifold(flux.d, flux.l_split)
+        lam = midpoints(200)
+        absA = np.array([np.abs(up_symbol(None, xi, lam, flux))
+                         for xi in manifold.mesh(16)])
+        eps = tie_eps(absA)
+        small_blocks(monkeypatch, 5, lam.size)
+        rep = up_nondegeneracy_scan(flux, [None], manifold, lam, eps,
+                                    resolution=16)
+        assert np.array_equal(rep.measures,
+                              up_scan_per_point(flux, manifold, lam, eps, 16))
