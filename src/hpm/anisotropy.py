@@ -16,7 +16,7 @@ for all sign patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,32 +35,25 @@ def compute_l(alpha, d: int) -> int:
 
 @dataclass(frozen=True)
 class AnisotropyProfile:
-    """Derivative orders alpha with the derived exponent l.
+    """Derivative orders alpha with the derived exponent l and the powers
+    l*alpha_k defining the P-constraint.
 
-    l is always computed from alpha, never user-supplied."""
+    l and the exponents are computed from alpha once, never user-supplied."""
 
     alpha: tuple[float, ...]
+    l: int = field(init=False)
+    exponents: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) == 0:
-            raise DomainError("alpha must be non-empty")
-        if any(a <= 0 for a in self.alpha):
-            raise DomainError("all derivative orders must be positive")
+        alpha = tuple(float(a) for a in self.alpha)
+        l = compute_l(alpha, len(alpha))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "exponents", tuple(l * a for a in alpha))
 
     @property
     def d(self) -> int:
         return len(self.alpha)
-
-    @property
-    def l(self) -> int:
-        return compute_l(self.alpha, self.d)
-
-    @property
-    def exponents(self) -> tuple[float, ...]:
-        """The powers l*alpha_k defining the P-constraint."""
-        l = self.l
-        return tuple(l * a for a in self.alpha)
 
 
 def constraint_sum(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
@@ -112,21 +105,11 @@ def fibre_point(xi_P, t, profile: AnisotropyProfile) -> np.ndarray:
     return xi_P * t[..., None] ** (1.0 / ex) if t.ndim else xi_P * t ** (1.0 / ex)
 
 
-@dataclass(frozen=True)
-class PMeshPoint:
-    """A quadrature node on P.  The weight is inherited from the Euclidean
-    sphere mesh the node was projected from (a fixed reference measure)."""
-
-    xi: tuple[float, ...]
-    weight: float
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.xi)
-
-
 def _sphere_mesh(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint mesh of the Euclidean unit sphere S^{d-1}: points (N, d)
     and surface-measure weights (N,)."""
+    if resolution < 8:
+        raise DomainError(f"mesh resolution must be at least 8, got {resolution}")
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if d == 2:
@@ -154,17 +137,10 @@ def _sphere_mesh(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return pts.reshape(-1, d), w.reshape(-1)
 
 
-def mesh_P_arrays(profile: AnisotropyProfile, resolution: int):
+def mesh_P(profile: AnisotropyProfile, resolution: int):
     """Quadrature mesh on P, points (N, d) and weights (N,): a uniform
     Euclidean sphere mesh projected through pi_P.  Covers both signs of
-    every axis."""
-    if resolution < 8:
-        raise DomainError("mesh resolution must be at least 8")
+    every axis.  The weights are the sphere mesh's surface measure (a
+    fixed reference measure)."""
     pts, w = _sphere_mesh(profile.d, resolution)
     return project_to_P(pts, profile), w
-
-
-def mesh_P(profile: AnisotropyProfile, resolution: int) -> list[PMeshPoint]:
-    """mesh_P_arrays as a list of nodes."""
-    return [PMeshPoint(tuple(p), float(wt))
-            for p, wt in zip(*mesh_P_arrays(profile, resolution))]

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .anisotropy import AnisotropyProfile, mesh_P_arrays
+from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SingularPointError, SupportWarning
 from .hmeasure import SequenceGenerator
 from .multiplier import (
@@ -114,7 +114,6 @@ class NonDegeneracyReport:
     sup_measure: np.ndarray    # (eps,)
     degenerate_flag: bool
     p_domain_measure: float
-    threshold_fraction: float = 0.01
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +121,7 @@ class NonDegeneracyReport:
             "sup_measure": [float(v) for v in self.sup_measure],
             "degenerate": bool(self.degenerate_flag),
             "p_domain_measure": self.p_domain_measure,
-            "threshold_fraction": self.threshold_fraction,
+            "threshold_fraction": _THRESHOLD_FRACTION,
         }
 
     def rows(self):
@@ -133,53 +132,49 @@ class NonDegeneracyReport:
 
 
 _BLOCK_BYTES = 1 << 20  # one (rows, n_cells) complex block of a scan
+_THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
 
 
-def _scan_measures(symbol_at, x_samples, mesh_points, eps_list,
-                   cell_measure: float, n_cells: int,
-                   threshold_fraction: float = 0.01) -> NonDegeneracyReport:
-    """Measures of {|symbol_at(x, block)| <= eps}, where NaN never counts,
-    on (rows, n_cells) blocks: an array mesh is cut into blocks of rows,
-    any other sequence is taken one point at a time, as a block of one."""
+def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
+                   cell_measure: float, n_cells: int) -> NonDegeneracyReport:
+    """Measures of {|symbol_at(x, rows)| <= eps}, where NaN never counts,
+    with the (M, ...) mesh array cut into blocks of rows, each symbol
+    block of shape (rows, n_cells) or broadcastable to it."""
     eps_list = tuple(float(e) for e in eps_list)
-    if any(e <= 0 for e in eps_list) or any(
+    if not eps_list or any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list, eps_list[1:])):
-        raise DomainError("eps_list must be positive and increasing")
-    blocked = isinstance(mesh_points, np.ndarray)
-    rows = max(1, _BLOCK_BYTES // (16 * n_cells)) if blocked else 1
-    meas = np.empty((len(x_samples), len(mesh_points), len(eps_list)))
+        raise DomainError("eps_list must be non-empty, positive and increasing")
+    if len(x_samples) == 0:
+        raise DomainError("x_samples must not be empty")
+    rows = max(1, _BLOCK_BYTES // (16 * n_cells))
+    meas = np.empty((len(x_samples), len(mesh), len(eps_list)))
     for ix, x in enumerate(x_samples):
-        for i in range(0, len(mesh_points), rows):
+        for i in range(0, len(mesh), rows):
             out = meas[ix, i:i + rows]
-            absA = np.broadcast_to(np.abs(symbol_at(
-                x, mesh_points[i:i + rows] if blocked else mesh_points[i])),
-                (len(out), n_cells))
+            absA = np.broadcast_to(np.abs(symbol_at(x, mesh[i:i + rows])),
+                                   (len(out), n_cells))
             for ie, eps in enumerate(eps_list):
                 out[:, ie] = np.count_nonzero(absA <= eps, axis=1)
     meas *= cell_measure
     sup = meas.max(axis=(0, 1))
     domain = cell_measure * n_cells
-    flag = bool(sup[0] > threshold_fraction * domain)
-    return NonDegeneracyReport(eps_list, meas, sup, flag, domain,
-                               threshold_fraction)
+    return NonDegeneracyReport(eps_list, meas, sup,
+                               bool(sup[0] > _THRESHOLD_FRACTION * domain), domain)
 
 
 def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
                        P_resolution: int, p_grid: np.ndarray,
-                       eps_list: Sequence[float],
-                       p_cell_measure: float | None = None) -> NonDegeneracyReport:
+                       eps_list: Sequence[float]) -> NonDegeneracyReport:
     """Midpoint-quadrature measure of {p : |A(x, xi, p)| <= eps} for every
     x sample and every mesh point xi on P.
 
-    p_grid is a 1-d array of uniform midpoints (or (N, m) points together
-    with an explicit p_cell_measure).  The coefficients are evaluated once
-    per x sample; a value that is not finite raises IntegrityError."""
+    p_grid is a 1-d array of at least 2 uniform midpoints.  The
+    coefficients are evaluated once per x sample; a value that is not
+    finite raises IntegrityError."""
     p_grid = np.asarray(p_grid, dtype=float)
-    if p_cell_measure is None:
-        if p_grid.ndim != 1 or p_grid.size < 2:
-            raise DomainError("pass p_cell_measure for non-1d velocity grids")
-        p_cell_measure = float(p_grid[1] - p_grid[0])
-    mesh, _ = mesh_P_arrays(profile, P_resolution)
+    if p_grid.ndim != 1 or p_grid.size < 2:
+        raise DomainError("p_grid must be a 1-d array of at least 2 midpoints")
+    mesh, _ = mesh_P(profile, P_resolution)
     # the scan walks rows of the per-axis factors (2 pi i xi_k)^(alpha_k)
     factors = np.stack([fractional_factor(mesh[:, k], a)
                         for k, a in enumerate(profile.alpha)], axis=-1)
@@ -197,8 +192,8 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
         # that of principal_symbol; a constant a_k gives a (rows, 1) column
         return sum((ak * F[:, k, None] for k, ak in enumerate(a)), 0.0 + 0.0j)
 
-    return _scan_measures(symbol_at, per_x, factors, eps_list, p_cell_measure,
-                          p_grid.shape[0])
+    return _scan_measures(symbol_at, per_x, factors, eps_list,
+                          float(p_grid[1] - p_grid[0]), p_grid.size)
 
 
 # --- transport evolution ------------------------------------------------------

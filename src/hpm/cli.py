@@ -40,6 +40,8 @@ _SAFE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -226,19 +228,20 @@ def _csv_column(col) -> list[str]:
     return [str(c) if isinstance(c, (int, str)) else _fmt(c) for c in col]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], rows, sep: str) -> None:
+    """The header, then the rows with their columns (_csv_column), each
+    line joined by sep; no rows write the header alone."""
     cols = [_csv_column(col) for col in zip(*rows, strict=True)]
-    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cols))])
-                    + "\n")
+    path.write_text("\n".join(map(sep.join, [header, *zip(*cols)])) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _write_rows(path, header, rows, ",")
 
 
 def emit_plotdata(rows, columns: list[str], path: Path) -> None:
     """Whitespace-separated numeric columns with a '#' header line."""
-    lines = ["# " + " ".join(columns)]
-    for row in rows:
-        lines.append(" ".join(str(c) if isinstance(c, int) else _fmt(c)
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, ["#", *columns], rows, " ")
 
 
 # --- command implementations --------------------------------------------------
@@ -312,6 +315,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     gen = hmeasure.SequenceGenerator.oscillation(profile, c, env)
     n_list = _numbers(params.get("n_list", [8, 16, 24, 32]), "params.n_list",
                       integer=True)
+    if any(n < 1 for n in n_list):
+        raise ConfigError(f"params.n_list entries must be positive, got {n_list}")
     est = hmeasure.scalar_hmeasure(
         gen, profile, grid, n_list,
         x_cells=_param(params, "x_cells", 4, integer=True),
@@ -392,6 +397,8 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
 
     lo, hi = _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2)
     npts = _param(params, "p_points", 256, integer=True)
+    if npts < 2:
+        raise ConfigError(f"params.p_points must be at least 2, got {npts}")
     p_grid = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
     eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
                         "params.eps_list")
@@ -408,12 +415,17 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
 def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"flux", "velocity", "lambda", "eps_list",
                          "resolution", "M"}, "params")
+    velocity = params.get("velocity")
+    if velocity is not None:
+        velocity = _numbers(velocity, "params.velocity", grid.d)
     flux = kinetic.flux_from_name(params.get("flux", "burgers-heat"),
-                                  d=grid.d, velocity=params.get("velocity"))
+                                  d=grid.d, velocity=velocity)
     lspec = params.get("lambda", {})
     _check_keys(lspec, {"min", "max", "points"}, "params.lambda")
     lo = _number(lspec.get("min", -1.0), "params.lambda.min")
     hi = _number(lspec.get("max", 1.0), "params.lambda.max")
+    if not lo < hi:
+        raise ConfigError(f"params.lambda needs min < max, got {lo} and {hi}")
     npts = _number(lspec.get("points", 256), "params.lambda.points", integer=True)
     lam = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
     manifold = kinetic.UPManifold(flux.d, flux.l_split)

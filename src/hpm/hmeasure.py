@@ -301,13 +301,6 @@ class CellBasis:
         return functools.reduce(
             np.multiply.outer, [f[i] for f, i in zip(self.x_factors, cell)])
 
-    @property
-    def x_hats(self) -> np.ndarray:
-        """The dense (C, *spatial) stack of all hats, a partition of unity
-        in squares on the torus.  Built on each access; the cell forms
-        form one hat at a time instead."""
-        return np.stack([self.x_hat(c) for c in self.cell_indices()])
-
 
 def _angular_masks(proj: np.ndarray, p_cells: int) -> np.ndarray:
     """(B, S) angular-sector hats of the projected 2-d lattice.  A point's

@@ -74,20 +74,20 @@ class FluxValidation:
                 "lipschitz": self.lipschitz_constant}
 
 
-def validate_flux(flux: FluxPair, lambda_samples: Sequence[float],
-                  n_directions: int = 16) -> FluxValidation:
+def validate_flux(flux: FluxPair, lambda_samples: Sequence[float]) -> FluxValidation:
     """Sampled certificates: the parabolic-block monotonicity constant
-    c = min (B~(l1) - B~(l2)) xt.xt / ((l1 - l2)|xt|^2) over l1 > l2, and
-    the flux Lipschitz constant as a uniform-continuity modulus.  c <= 0
-    fails the flux pair."""
+    c = min (B~(l1) - B~(l2)) xt.xt / ((l1 - l2)|xt|^2) over l1 > l2 and
+    16 fixed unit directions xt, and the flux Lipschitz constant as a
+    uniform-continuity modulus.  c <= 0, a NaN c or a Lipschitz estimate
+    that is not finite fails the flux pair."""
     lams = sorted(float(v) for v in lambda_samples)
-    if len(lams) < 2:
-        raise DomainError("need at least 2 lambda samples")
+    if len(lams) < 2 or any(b <= a for a, b in zip(lams, lams[1:])):
+        raise DomainError(f"need at least 2 distinct lambda samples, got {lams}")
     tilde = flux.d - flux.l_split
     c_min = None
     if tilde > 0:
         rng = np.random.Generator(np.random.Philox(key=23))
-        dirs = rng.standard_normal((n_directions, tilde))
+        dirs = rng.standard_normal((16, tilde))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         c_min = np.inf
         for i, l2 in enumerate(lams):
@@ -96,8 +96,9 @@ def validate_flux(flux: FluxPair, lambda_samples: Sequence[float],
                       - np.asarray(flux.B(None, np.asarray([l2])))[0])
                 blk = dB[flux.l_split:, flux.l_split:].real
                 quad = np.einsum("ni,ij,nj->n", dirs, blk, dirs)
-                c_min = min(c_min, float(np.min(quad)) / (l1 - l2))
-        if c_min <= 0:
+                # np.minimum, unlike min, keeps a NaN
+                c_min = float(np.minimum(c_min, float(np.min(quad)) / (l1 - l2)))
+        if not c_min > 0:
             raise IntegrityError(f"parabolic block fails the monotonicity "
                                  f"bound: c_min = {c_min:.3e}, not above 0")
     lip = 0.0
@@ -105,7 +106,7 @@ def validate_flux(flux: FluxPair, lambda_samples: Sequence[float],
         for l1 in lams[i + 1:]:
             df = (np.asarray(flux.f(None, np.asarray([l1])))[0]
                   - np.asarray(flux.f(None, np.asarray([l2])))[0])
-            lip = max(lip, float(np.linalg.norm(df)) / (l1 - l2))
+            lip = float(np.maximum(lip, float(np.linalg.norm(df)) / (l1 - l2)))
     if not np.isfinite(lip):
         raise IntegrityError(f"flux fails the uniform-continuity bound: "
                              f"Lipschitz estimate {lip:.3e} is not finite")

@@ -81,22 +81,39 @@ def _parse_kv(spec: str) -> dict:
     return out
 
 
+def _axis_index(text: str, name: str, d: int) -> int:
+    """The axis k written in a symbol name, an integer in [0, d)."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if not 0 <= k < d:
+        raise DomainError(f"symbol {name!r} needs an axis in 0..{d - 1}")
+    return k
+
+
 def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
     """Resolve a registry name: "one", "coordinate:k",
-    "bump:center=[...],width=w", "sector:axis=k,sign=+|-"."""
+    "bump:center=[...],width=w", "sector:axis=k,sign=+|-".  A malformed
+    name raises DomainError."""
+    if not isinstance(name, str):
+        raise DomainError(f"symbol name must be a string, got {name!r}")
     if name == "one":
         return SymbolOnP(lambda xi: np.ones(xi.shape[:-1], dtype=complex),
                          name="one")
     kind, _, rest = name.partition(":")
     if kind == "coordinate":
-        k = int(rest)
-        if not 0 <= k < profile.d:
-            raise DomainError(f"coordinate axis {k} out of range")
+        k = _axis_index(rest, name, profile.d)
         return SymbolOnP(lambda xi: xi[..., k].astype(complex), name=name)
     if kind == "bump":
         kv = _parse_kv(rest)
-        center = np.asarray(json.loads(kv["center"]), dtype=float)
-        width = float(kv["width"])
+        try:
+            center = np.asarray(json.loads(kv["center"]), dtype=float)
+            np.broadcast_shapes(center.shape, (profile.d,))
+            width = float(kv["width"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"symbol {name!r} needs center=[...] and "
+                              f"width=w: {exc!r}") from None
 
         def _bump(xi, center=center, width=width):
             r2 = np.sum((xi - center) ** 2, axis=-1) / width ** 2
@@ -108,7 +125,7 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
         return SymbolOnP(_bump, name=name)
     if kind == "sector":
         kv = _parse_kv(rest)
-        k = int(kv["axis"])
+        k = _axis_index(kv.get("axis", ""), name, profile.d)
         sign = 1.0 if kv.get("sign", "+") != "-" else -1.0
 
         def _sector(xi, k=k, sign=sign):
@@ -289,6 +306,9 @@ def marcinkiewicz_certify(psi: SymbolOnP, profile: AnisotropyProfile,
     refined toward the origin) is reported as data, not an error."""
     if shells < 3:
         raise DomainError("need at least 3 dyadic shells")
+    if samples_per_shell < 1:
+        raise DomainError(f"samples_per_shell must be positive, got "
+                          f"{samples_per_shell}")
     coarse = _scan_level(psi, profile, range(-shells, shells), samples_per_shell)
     fine = _scan_level(psi, profile, range(-(shells + 2), shells + 2),
                        2 * samples_per_shell)

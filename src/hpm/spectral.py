@@ -331,18 +331,12 @@ def read_field(path) -> SpectralField:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise FieldFormatError(f"bad magic {magic!r}")
-        header_bytes = bytearray()
-        while True:
-            c = fh.read(1)
-            if not c:
-                raise FieldFormatError("unterminated header line")
-            if c == b"\n":
-                break
-            header_bytes.extend(c)
-            if len(header_bytes) > 1 << 16:
-                raise FieldFormatError("header line too long")
+        line = fh.readline((1 << 16) + 1)  # at most 65,536 bytes and "\n"
+        if not line.endswith(b"\n"):
+            raise FieldFormatError("header line too long" if len(line) > 1 << 16
+                                   else "unterminated header line")
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
+            header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FieldFormatError(f"unparsable header: {exc}") from exc
         for key in ("d", "m", "n", "L", "space"):

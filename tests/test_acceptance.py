@@ -200,7 +200,7 @@ def test_criterion_5_averaging_dichotomy():
     p_grid = -0.5 + (np.arange(2048) + 0.5) / 2048
     rep = nondegeneracy_scan([1.0, lambda x, p: p], [0.0], ISO2, 16,
                              p_grid, eps)
-    mesh = [pt.as_array() for pt in mesh_P(ISO2, 16)]
+    mesh, _ = mesh_P(ISO2, 16)
     idx = int(np.argmin([abs(m[0]) + abs(m[1] - 1.0) for m in mesh]))
     slope_ok = all(abs(m - e / np.pi) <= 0.2 * (e / np.pi)
                    for e, m in zip(eps, rep.measures[0, idx]))

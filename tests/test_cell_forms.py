@@ -24,13 +24,14 @@ def einsum_forms(u, basis, components=None):
     grid = u.grid
     if components is None:
         components = [np.asarray(u.values)]
-    C, B = basis.x_hats.shape[0], basis.p_masks.shape[0]
+    hats = np.stack([basis.x_hat(cell) for cell in basis.cell_indices()])
+    C, B = hats.shape[0], basis.p_masks.shape[0]
     N = len(components)
     masks = basis.p_masks.reshape(B, -1)
     V = np.empty((N, N, C, B), dtype=complex)
     for c in range(C):
         G = np.stack([forward_dft(SpectralField(
-            grid.spatial_only(), basis.x_hats[c] * w, PHYSICAL)).values.ravel()
+            grid.spatial_only(), hats[c] * w, PHYSICAL)).values.ravel()
             for w in components])
         V[:, :, c, :] = np.einsum("bs,is,js->ijb", masks, G, np.conj(G),
                                   optimize=True) * grid.freq_cell_volume

@@ -298,6 +298,40 @@ class TestMalformedParams:
     def test_n_list_entry_not_a_number(self, tmp_path, capsys):
         self._exits_2(tmp_path, capsys, self.AVERAGING, "n_list", n_list=[2, "x"])
 
+    CONFIGS = TestDeterminism.CONFIGS
+    HMEASURE_3D = base_config(
+        "hmeasure", grid={"n": [16, 16, 16], "L": [1.0, 1.0, 1.0]},
+        profile={"alpha": [1.0, 1.0, 2.0]},
+        params={"generator": {"kind": "oscillation", "c": [1.0, 0.0, 0.5]},
+                "n_list": [2, 3, 4], "x_cells": 2, "p_cells": 8})
+
+    @pytest.mark.parametrize("command, params, needle", [
+        ("kinetic", {"resolution": 0}, "resolution"),
+        ("kinetic", {"resolution": -3}, "resolution"),
+        ("kinetic", {"resolution": 7}, "resolution"),
+        ("kinetic", {"flux": "linear-transport", "velocity": "x"},
+         "params.velocity"),
+        ("kinetic", {"eps_list": []}, "eps_list"),
+        ("kinetic", {"lambda": {"min": 1.0, "max": 1.0}}, "params.lambda"),
+        ("nondegeneracy", {"eps_list": []}, "eps_list"),
+        ("nondegeneracy", {"x_samples": []}, "x_samples"),
+        ("nondegeneracy", {"p_points": 1}, "params.p_points"),
+        ("multiplier-check", {"samples_per_shell": 0}, "samples_per_shell"),
+        ("multiplier-check", {"symbol": 3}, "3"),
+        ("multiplier-check", {"symbol": "coordinate:x"}, "coordinate:x"),
+        ("multiplier-check", {"symbol": "sector:axis=9"}, "sector:axis=9"),
+        ("multiplier-check", {"symbol": "bump:width=0.2"}, "bump:width=0.2"),
+        ("multiplier-check", {"symbol": "bump:center=[0.5,,],width=0.2"},
+         "bump:center=[0.5,,],width=0.2"),
+        ("hmeasure", {"generator": 5}, "params.generator"),
+        ("hmeasure", {"n_list": [-8, -4, 8]}, "params.n_list"),
+        ("hmeasure-3d", {"n_list": [-8, -4, 8]}, "params.n_list"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
+                                     needle):
+        cfg = self.HMEASURE_3D if command == "hmeasure-3d" else self.CONFIGS[command]
+        self._exits_2(tmp_path, capsys, cfg, needle, **params)
+
     def test_number_rules(self):
         assert cli._number(3, "v", integer=True) == 3
         assert cli._number(3, "v") == 3.0 and isinstance(cli._number(3, "v"), float)

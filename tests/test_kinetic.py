@@ -168,6 +168,38 @@ class TestValidateFlux:
         with pytest.raises(DomainError):
             validate_flux(flux_from_name("burgers-heat"), [0.0])
 
+    def test_repeated_samples_rejected(self):
+        with pytest.raises(DomainError, match="distinct"):
+            validate_flux(flux_from_name("burgers-heat"), [1.0, 1.0, 1.0])
+
+    @staticmethod
+    def nan_above_half(nan_f, nan_b):
+        """burgers-heat with f_1 (nan_f) or b_22 (nan_b) NaN for lambda > 0.5."""
+        def cut(v, lam, on):
+            return np.where(np.asarray(lam) > 0.5, np.nan, v) if on else v
+
+        def f(x, lam):
+            out = np.zeros(np.shape(lam) + (2,))
+            out[..., 0] = cut(np.asarray(lam) ** 2 / 2, lam, nan_f)
+            return out
+
+        def B(x, lam):
+            out = np.zeros(np.shape(lam) + (2, 2))
+            out[..., 1, 1] = cut(np.asarray(lam), lam, nan_b)
+            return out
+
+        return FluxPair("nan", 2, 1, f=f, B=B,
+                        dlam_f=lambda x, l: np.zeros(np.shape(l) + (2,)),
+                        dlam_B=lambda x, l: np.zeros(np.shape(l) + (2, 2)))
+
+    def test_nan_monotonicity_estimate_fails(self):
+        with pytest.raises(IntegrityError, match="monotonicity.*c_min = nan"):
+            validate_flux(self.nan_above_half(True, True), [-1.0, 0.0, 1.0])
+
+    def test_nan_lipschitz_estimate_fails(self):
+        with pytest.raises(IntegrityError, match="Lipschitz estimate nan"):
+            validate_flux(self.nan_above_half(True, False), [-1.0, 0.0, 1.0])
+
 
 class TestUPManifold:
     def test_mesh_on_manifold(self):

@@ -12,7 +12,6 @@ from hpm.anisotropy import (
     AnisotropyProfile,
     fibre_point,
     mesh_P,
-    mesh_P_arrays,
     project_to_P,
 )
 from hpm.averaging import _scan_measures, nondegeneracy_scan, principal_symbol
@@ -42,7 +41,7 @@ def tie_eps(absA, count=64):
 
 def per_point_symbols(coeffs, x_samples, profile, resolution, p_grid):
     """principal_symbol at one mesh point at a time, as the scan did."""
-    mesh = [pt.as_array() for pt in mesh_P(profile, resolution)]
+    mesh, _ = mesh_P(profile, resolution)
     return np.array([[np.abs(np.broadcast_to(
         principal_symbol(x, xi, p_grid, coeffs, profile), p_grid.shape))
         for xi in mesh] for x in x_samples])
@@ -78,7 +77,7 @@ class TestBlockedNondegeneracyScan:
         # 7 rows a block: no mesh size here is a multiple of it
         small_blocks(monkeypatch, 7, p_grid.size)
         rep = nondegeneracy_scan(coeffs, x_samples, profile, 8, p_grid, eps)
-        assert len(mesh_P(profile, 8)) % 7 != 0
+        assert len(mesh_P(profile, 8)[0]) % 7 != 0
         cell = float(p_grid[1] - p_grid[0])
         want = cell * np.array([[sorted_counts(a, eps) for a in per_x]
                                 for per_x in absA])
@@ -138,15 +137,6 @@ class TestScanMeasuresBlocks:
                              (1.0,), 1.0, 3)
         assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         assert np.all(rep.measures == 3.0)
-
-
-class TestMeshArrays:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_mesh_P_wraps_the_arrays(self, d):
-        pts, w = mesh_P_arrays(PROFILES[d], 12)
-        nodes = mesh_P(PROFILES[d], 12)
-        assert np.array_equal(pts, [p.as_array() for p in nodes])
-        assert np.array_equal(w, [p.weight for p in nodes])
 
 
 def shell_samples_one_at_a_time(profile, j, count):

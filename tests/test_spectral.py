@@ -184,6 +184,34 @@ class TestSerialization:
         with pytest.raises(FieldFormatError):
             read_field(path)
 
+    @staticmethod
+    def padded_header_file(path, header_bytes, newline=True):
+        """A valid one-sample field whose header line is padded with
+        spaces to header_bytes bytes, not counting the newline."""
+        g = SpectralGrid((4,), (1.0,))
+        write_field(SpectralField(g, np.arange(4.0), PHYSICAL), path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header += b" " * (header_bytes - len(header))
+        path.write_bytes(magic + b"\n" + header + b"\n" * newline + payload)
+
+    def test_longest_header_reads(self, tmp_path):
+        path = tmp_path / "f.fld"
+        self.padded_header_file(path, 1 << 16)
+        assert np.array_equal(read_field(path).values, np.arange(4.0))
+
+    def test_header_one_byte_too_long(self, tmp_path):
+        path = tmp_path / "f.fld"
+        self.padded_header_file(path, (1 << 16) + 1)
+        with pytest.raises(FieldFormatError, match="header line too long"):
+            read_field(path)
+
+    @pytest.mark.parametrize("header", [b"", b'{"d": 1'])
+    def test_eof_before_newline(self, tmp_path, header):
+        path = tmp_path / "f.fld"
+        path.write_bytes(b"HPFLD1\n" + header)
+        with pytest.raises(FieldFormatError, match="unterminated header line"):
+            read_field(path)
+
 
 class TestBandLimited:
     def test_zero_mean_and_determinism(self):
