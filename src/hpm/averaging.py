@@ -7,16 +7,19 @@ residual of the model equation
 
 The transport solutions are exact in frequency space — every spatial mode
 just picks up the phase e^{-2 pi i t a(p).xi} — so averaging effects are
-isolated from any scheme diffusion.  The phase is applied as d per-axis
-factors e^{-2 pi i t xi_k a_k(p)}, each on a small (n_k, 1, ..., n_p)
-slab.  The p-quadrature acts on the velocity axes only and so commutes
-with the spatial DFT: velocity_average works in either space, and
-compactness_metric averages transport snapshots (transport_spectrum) in
-frequency space and inverts only the d-dimensional average.
-transport_spectrum takes its initial snapshot in either space; the CLI
-builds its snapshots in frequency space from the start (the envelope's
-spectrum shifted by n, spectral.oscillated_spectrum), so its averaging
-run does no full-grid DFT at all.
+isolated from any scheme diffusion, and every mode evolves on its own.
+transport_spectrum therefore runs on a spectral.SpectralBand, the box of
+modes where the spectrum can be nonzero (a full-grid spectrum is the
+band of every index): the phase is applied as d per-axis factors
+e^{-2 pi i t xi_k a_k(p)} at the box's frequencies, each on a small
+(|B_k|, 1, ..., n_p) slab.  The p-quadrature acts on the velocity axes
+only and so commutes with the spatial DFT: velocity_average works on a
+field in either space and on a band, and compactness_metric scatters a
+band's d-dimensional average onto the spatial lattice and inverts only
+that.  The CLI builds its snapshots as bands from the start (the
+envelope's band shifted by n, spectral.oscillated_spectrum), so its
+averaging run makes no full-grid pass after the random draw: no DFT,
+no phase and no quadrature over the whole grid.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .multiplier import (
 from .spectral import (
     FREQUENCY,
     PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     forward_dft,
@@ -215,23 +219,28 @@ class TransportProblem:
         return vals
 
 
-def transport_spectrum(problem: TransportProblem, n: int) -> SpectralField:
+def transport_spectrum(problem: TransportProblem, n: int) -> SpectralBand:
     """Exact solution at time t in frequency space: every spatial mode xi
     is multiplied by e^(-2 pi i t a(p).xi), so the per-p L2 norm is
-    conserved exactly.  The initial snapshot may be given in either
-    space; a physical one is transformed first."""
+    conserved exactly.  The initial snapshot is a band, or a field in
+    either space (a physical one is transformed first, and a full-grid
+    spectrum is the band of every index); the solution is a band on the
+    same box."""
     u0 = problem.generator.field(n)
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = problem.velocity_field()
-    U = u0 if u0.space == FREQUENCY else forward_dft(u0)
-    # the phase is d per-axis factors, each on an (n_k, 1, ..., n_velocity)
+    if isinstance(u0, SpectralField) and u0.space == PHYSICAL:
+        u0 = forward_dft(u0)
+    U = SpectralBand.of(u0)
+    # the phase is d per-axis factors, each on a (|B_k|, 1, ..., n_velocity)
     # slab: the first product allocates the output, the rest multiply in
-    # place, so no full-grid exponent or phase is ever built
+    # place, so no exponent or phase of the whole box is ever built
     out = None
-    for k, xk in enumerate(grid.frequencies()):
-        factor = np.exp(-2j * np.pi * problem.t * (grid.lift(xk) * a[..., k]))
+    for k, i in enumerate(U.index):
+        xk = grid.on_axis(grid.freq_axis(k)[i], k)
+        factor = np.exp(-2j * np.pi * problem.t * (xk * a[..., k]))
         if out is None:
             out = U.values * factor
         else:
@@ -241,7 +250,7 @@ def transport_spectrum(problem: TransportProblem, n: int) -> SpectralField:
 
 def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
     """Exact solution at time t in physical space."""
-    return inverse_dft(transport_spectrum(problem, n))
+    return inverse_dft(transport_spectrum(problem, n).scatter())
 
 
 # --- velocity averaging -------------------------------------------------------
@@ -262,13 +271,14 @@ def _rho_at_ends(rho, rho_vals: np.ndarray, grid: SpectralGrid, i: int) -> np.nd
         return np.asarray(rho(*np.meshgrid(*axes, indexing="ij")), dtype=float)
 
 
-def velocity_average(u: SpectralField, rho) -> SpectralField:
+def velocity_average(u: SpectralField | SpectralBand, rho) -> SpectralField | SpectralBand:
     """Midpoint quadrature int u(x, p) rho(p) dp; rho should be compactly
     supported inside the velocity box (boundary support only warns: a
     callable weight must vanish on the faces of the closed box, sampled
     values at the outermost midpoints).  The quadrature acts on the
-    velocity axes only, so u may be in either space and the average keeps
-    its space tag."""
+    velocity axes only, so u may be a field in either space, whose
+    average keeps its space tag, or a band, whose average is a band on
+    the same box of spatial modes."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
@@ -285,6 +295,8 @@ def velocity_average(u: SpectralField, rho) -> SpectralField:
     dv = grid.velocity_cell_volume
     avg = np.tensordot(np.asarray(u.values), rho_vals,
                        axes=(grid.velocity_axes, tuple(range(grid.m)))) * dv
+    if isinstance(u, SpectralBand):
+        return SpectralBand(grid.spatial_only(), avg, u.index)
     return SpectralField(grid.spatial_only(), avg, u.space)
 
 
@@ -317,14 +329,17 @@ def compactness_metric(gen: SequenceGenerator, rho, window,
                        n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
     of the ratios is the observable footprint of velocity averaging.  The
-    snapshots may be in either space; an average in frequency space is
-    transformed back before the window is applied."""
+    snapshots may be bands or fields in either space; an average in
+    frequency space is transformed back before the window is applied, a
+    band's once scattered onto the spatial lattice."""
     n_list = tuple(n_list)
     if len(n_list) < 2:
         raise DomainError("need at least 2 sequence indices")
     norms = []
     for n in n_list:
         avg = velocity_average(gen.field(n), rho)
+        if isinstance(avg, SpectralBand):
+            avg = avg.scatter()
         if avg.space == FREQUENCY:
             avg = inverse_dft(avg)
         mask = _window_mask(avg.grid, window)

@@ -298,8 +298,8 @@ def _make_envelope(grid, rng):
 
 
 def _envelope_spectrum(grid, rng):
-    """The spectrum of _make_envelope's field, built without a transform:
-    the real part and the +1 are taken in frequency space."""
+    """The spectrum of _make_envelope's field as a band, built without a
+    transform: the real part and the +1 are taken on the band."""
     return spectral.real_part_spectrum(
         spectral.band_limited_spectrum(grid, rng, band_fraction=0.15), offset=1.0)
 
@@ -341,14 +341,14 @@ def _transport_generator(grid, profile, params, rng):
     axis = _param(params, "oscillation_axis", grid.d - 1, integer=True)
     if not -grid.d <= axis < grid.d:
         raise ConfigError(f"params.oscillation_axis must be a spatial axis, got {axis}")
-    # the snapshots env e^{2 pi i n x / L} minus their means, as spectra
+    # the snapshots env e^{2 pi i n x / L} minus their means, as bands
     gen = hmeasure.SequenceGenerator(
         lambda n: spectral.oscillated_spectrum(env_spec, n, axis))
     problem = averaging.TransportProblem(grid, a_of_p, gen,
                                          t=_param(params, "t", 1.0))
     # exact transport multiplies the xi = 0 mode by exactly 1, so the
-    # evolved spectra keep the zero mean of the initial data; they are
-    # velocity-averaged before the (small) inverse DFT
+    # evolved bands keep the zero mean of the initial data; they are
+    # velocity-averaged on the box before the (small) inverse DFT
     return hmeasure.SequenceGenerator(
         lambda n: averaging.transport_spectrum(problem, n))
 
@@ -396,6 +396,8 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
         return stack(p, *x)
 
     lo, hi = _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2)
+    if not lo < hi:
+        raise ConfigError(f"params.p_interval needs lo < hi, got {lo} and {hi}")
     npts = _param(params, "p_points", 256, integer=True)
     if npts < 2:
         raise ConfigError(f"params.p_points must be at least 2, got {npts}")

@@ -95,7 +95,8 @@ def _axis_index(text: str, name: str, d: int) -> int:
 def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
     """Resolve a registry name: "one", "coordinate:k",
     "bump:center=[...],width=w", "sector:axis=k,sign=+|-".  A malformed
-    name raises DomainError."""
+    name, a center or width that is not finite, a width <= 0 and a sign
+    other than + or - raise DomainError."""
     if not isinstance(name, str):
         raise DomainError(f"symbol name must be a string, got {name!r}")
     if name == "one":
@@ -114,6 +115,9 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"symbol {name!r} needs center=[...] and "
                               f"width=w: {exc!r}") from None
+        if not (np.all(np.isfinite(center)) and np.isfinite(width) and width > 0):
+            raise DomainError(f"symbol {name!r} needs a finite center and a "
+                              f"finite width > 0")
 
         def _bump(xi, center=center, width=width):
             r2 = np.sum((xi - center) ** 2, axis=-1) / width ** 2
@@ -126,7 +130,9 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
     if kind == "sector":
         kv = _parse_kv(rest)
         k = _axis_index(kv.get("axis", ""), name, profile.d)
-        sign = 1.0 if kv.get("sign", "+") != "-" else -1.0
+        sign = {"+": 1.0, "-": -1.0}.get(kv.get("sign", "+"))
+        if sign is None:
+            raise DomainError(f"symbol {name!r} needs sign=+ or sign=-")
 
         def _sector(xi, k=k, sign=sign):
             return smooth_ramp(sign * xi[..., k] / 0.2).astype(complex)

@@ -23,14 +23,21 @@ frequencies) and x-only arrays (lift) over the grid, and samples
 callables on x or (x, p) (sample) and on p (sample_velocity).  This is
 the only module that calls numpy.fft.
 
-Spectra can also be built without a transform.  band_limited_spectrum
-draws a random band-limited spectrum (band_limited_field is its inverse
-DFT); real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
+Spectra can also be built without a transform, and kept on their band.
+A SpectralBand holds a spectrum that vanishes outside a box of spatial
+modes: the (|B_1|, ..., |B_d|, *n_velocity) values on the box and the
+sorted FFT indices B_k of each axis; a full-grid spectrum is the band of
+every index, and scatter() puts a band back on the grid.
+band_limited_spectrum draws a random band-limited spectrum as a band
+(band_limited_field is the inverse DFT of it scattered);
+real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
 constant, as the Hermitian part (F(xi) + conj F(-xi)) / 2 with -xi taken
-mod n_k and the constant times prod_k L_k on the xi = 0 mode; and
-oscillated_spectrum gives the spectrum of the zero-mean part of
-f e^{2 pi i n x_k / L_k}, which is F rolled by n lattice points along
-axis k with the xi = 0 mode cleared.
+mod n_k inside the symmetric box and the constant times prod_k L_k on
+the xi = 0 mode; and oscillated_spectrum gives the spectrum of the
+zero-mean part of f e^{2 pi i n x_k / L_k}, which is the box shifted by
+n lattice points along axis k (its indices mod n_k) with the xi = 0 mode
+cleared.  Each works on the box alone, so its cost follows the band, not
+the grid.
 """
 
 from __future__ import annotations
@@ -369,61 +376,131 @@ def read_field(path) -> SpectralField:
         return SpectralField(grid, vals, header["space"])
 
 
-def _zero_mode(grid: SpectralGrid) -> tuple:
-    """Index of the xi = 0 mode at every velocity sample."""
-    return (0,) * grid.d + (slice(None),) * grid.m
+@dataclass(frozen=True)
+class SpectralBand:
+    """A spectrum that vanishes outside a box of spatial modes.
+
+    index holds one sorted array of distinct FFT storage indices B_k per
+    spatial axis, and values the spectrum on the box B_1 x ... x B_d at
+    every velocity sample, an array of shape (|B_1|, ..., |B_d|,
+    *n_velocity); every mode outside the box is 0.  A full-grid spectrum
+    is the band whose index arrays hold every index (SpectralBand.of),
+    and its values are then the full-grid array itself.  Like
+    SpectralField, the band freezes its arrays in place."""
+
+    grid: SpectralGrid
+    values: np.ndarray = field(repr=False)
+    index: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self):
+        g = self.grid
+        index = tuple(np.asarray(i, dtype=np.intp) for i in self.index)
+        if len(index) != g.d or any(
+                i.ndim != 1 or np.any(i[1:] <= i[:-1]) or np.any(i < 0) or np.any(i >= n)
+                for i, n in zip(index, g.n_per_axis)):
+            raise DomainError("a band needs one sorted array of distinct FFT "
+                              "indices per spatial axis")
+        vals = np.asarray(self.values, dtype=np.complex128)
+        shape = tuple(i.size for i in index) + g.n_velocity
+        if vals.shape != shape:
+            raise DomainError(f"band values shape {vals.shape} does not match "
+                              f"its box {shape}")
+        for a in (vals, *index):
+            a.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "index", index)
+
+    @classmethod
+    def of(cls, F: "SpectralField | SpectralBand") -> "SpectralBand":
+        """F if it is a band, else the band of every index of the
+        spectrum F (its values, not a copy)."""
+        if isinstance(F, SpectralBand):
+            return F
+        F.require(FREQUENCY)
+        return cls(F.grid, F.values, tuple(np.arange(n) for n in F.grid.n_per_axis))
+
+    def with_values(self, values: np.ndarray) -> "SpectralBand":
+        return SpectralBand(self.grid, values, self.index)
+
+    def scatter(self) -> SpectralField:
+        """The spectrum on the full grid, 0 outside the box."""
+        out = np.zeros(self.grid.shape, complex)
+        out[np.ix_(*self.index)] = self.values
+        return SpectralField(self.grid, out, FREQUENCY)
+
+
+def _positions(index: np.ndarray, wanted) -> np.ndarray:
+    """Where the FFT indices `wanted` sit in the sorted band index (for
+    real_part_spectrum, which needs -xi and xi = 0 inside the box)."""
+    if not np.all(np.isin(wanted, index)):
+        raise DomainError("the Hermitian part needs a box that holds -xi "
+                          "with every xi, and xi = 0")
+    return np.searchsorted(index, wanted)
 
 
 def band_limited_spectrum(grid: SpectralGrid, rng: np.random.Generator,
-                          band_fraction: float = 0.25) -> SpectralField:
-    """Random spectrum with zero xi = 0 mode, confined to the central
-    band_fraction of each spatial axis (white along the velocity axes)."""
-    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    for k in range(grid.d):
-        n = grid.n_per_axis[k]
+                          band_fraction: float = 0.25) -> SpectralBand:
+    """Random spectrum with zero xi = 0 mode, confined to the box of modes
+    within max(1, band_fraction * n_k / 2) lattice points of 0 on each
+    spatial axis (white along the velocity axes).  The draw is the
+    stream of the full grid, its real parts and then its imaginary
+    parts, through one reused float buffer of which only the box is
+    kept."""
+    index = []
+    for n in grid.n_per_axis:
         idx = np.fft.fftfreq(n) * n
-        keep = np.abs(idx) <= max(1, int(band_fraction * n / 2))
-        spec *= grid.on_axis(keep, k)
-    spec[_zero_mode(grid)] = 0.0
+        index.append(np.flatnonzero(np.abs(idx) <= max(1, int(band_fraction * n / 2))))
+    box = np.ix_(*index)
+    draw = np.empty(grid.shape)
+    re = rng.standard_normal(out=draw)[box]
+    spec = re + 1j * rng.standard_normal(out=draw)[box]
+    spec[(0,) * grid.d] = 0.0  # the indices are sorted, so xi = 0 comes first
     spec *= grid.freq_cell_volume
-    return SpectralField(grid, spec, FREQUENCY)
+    return SpectralBand(grid, spec, tuple(index))
 
 
 def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
                        band_fraction: float = 0.25, real: bool = False) -> SpectralField:
     """Random zero-mean physical field, the inverse DFT of
     band_limited_spectrum.  Used for test corpora."""
-    f = inverse_dft(band_limited_spectrum(grid, rng, band_fraction))
+    f = inverse_dft(band_limited_spectrum(grid, rng, band_fraction).scatter())
     if real:
         f = f.with_values(f.values.real.astype(np.complex128))
         f = subtract_spatial_mean(f)
     return f
 
 
-def real_part_spectrum(F: SpectralField, offset: float = 0.0) -> SpectralField:
+def real_part_spectrum(F: SpectralField | SpectralBand,
+                       offset: float = 0.0) -> SpectralBand:
     """Spectrum of Re(inverse_dft(F)) + offset, without a transform: the
     Hermitian part (F(xi) + conj F(-xi)) / 2 over the spatial axes, with
     -xi taken mod n_k (the Nyquist index maps to itself), and offset
-    times the torus volume prod_k L_k added to the xi = 0 mode."""
-    F.require(FREQUENCY)
-    g = F.grid
-    axes = g.spatial_axes
-    # index j of the flipped array holds -1 - j; rolling by one makes it -j
-    out = np.roll(np.flip(F.values, axis=axes), 1, axis=axes)
-    np.conjugate(out, out=out)
-    out += F.values
+    times the torus volume prod_k L_k added to the xi = 0 mode.  F is a
+    band or a full-grid spectrum; the box must hold -xi with every xi,
+    and the zero mode."""
+    B = SpectralBand.of(F)
+    g = B.grid
+    neg = np.ix_(*(_positions(i, -i % n) for i, n in zip(B.index, g.n_per_axis)))
+    out = np.conjugate(B.values[neg])
+    out += B.values
     out *= 0.5
-    out[_zero_mode(g)] += offset * math.prod(g.length_per_axis)
-    return F.with_values(out)
+    out[tuple(_positions(i, 0) for i in B.index)] += offset * math.prod(g.length_per_axis)
+    return B.with_values(out)
 
 
-def oscillated_spectrum(F: SpectralField, n: int, axis: int) -> SpectralField:
+def oscillated_spectrum(F: SpectralField | SpectralBand, n: int, axis: int) -> SpectralBand:
     """Spectrum of f e^{2 pi i n x_axis / L_axis} minus its spatial mean,
-    from the spectrum F of f: F rolled by n lattice points along spatial
-    axis `axis` (taken mod d, so -1 is the last spatial axis), with the
-    xi = 0 mode set to 0."""
-    F.require(FREQUENCY)
-    g = F.grid
-    out = np.roll(F.values, n, axis=axis % g.d)
-    out[_zero_mode(g)] = 0.0
-    return F.with_values(out)
+    from the spectrum F of f (a band or a full-grid spectrum): the box
+    shifted by n lattice points along spatial axis `axis` (taken mod d,
+    so -1 is the last spatial axis), its indices taken mod n_k, with the
+    xi = 0 mode set to 0 if the shifted box holds it."""
+    B = SpectralBand.of(F)
+    g = B.grid
+    k = axis % g.d
+    shifted = (B.index[k] + n) % g.n_per_axis[k]
+    order = np.argsort(shifted)
+    index = B.index[:k] + (shifted[order],) + B.index[k + 1:]
+    out = np.take(B.values, order, axis=k)
+    if all(0 in i for i in index):
+        out[(0,) * g.d] = 0.0  # sorted indices: xi = 0 comes first
+    return SpectralBand(g, out, index)

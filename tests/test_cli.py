@@ -267,6 +267,8 @@ class TestMalformedParams:
         assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        # the one error line and nothing else: no warning, no traceback
+        assert err.startswith("hpm: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_x_cells_not_a_number(self, tmp_path, capsys):
@@ -326,6 +328,16 @@ class TestMalformedParams:
         ("hmeasure", {"generator": 5}, "params.generator"),
         ("hmeasure", {"n_list": [-8, -4, 8]}, "params.n_list"),
         ("hmeasure-3d", {"n_list": [-8, -4, 8]}, "params.n_list"),
+        # new cases go last: the test ids number the cases in order
+        ("nondegeneracy", {"p_interval": [1.0, -1.0]}, "params.p_interval"),
+        ("nondegeneracy", {"p_interval": [0.0, 0.0]}, "params.p_interval"),
+        # symbol parameters: width not finite or <= 0, center not finite,
+        # a sector sign other than + or -
+        *[("multiplier-check", {"symbol": name}, name) for name in (
+            "bump:center=[0.5,0.5],width=0", "bump:center=[0.5,0.5],width=-1",
+            "bump:center=[0.5,0.5],width=nan", "bump:center=[0.5,0.5],width=inf",
+            "bump:center=[NaN,0.5],width=0.2", "bump:center=[0.5,Infinity],width=0.2",
+            "sector:axis=0,sign=x", "sector:axis=1,sign=++")],
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):

@@ -2,6 +2,8 @@
 the spectrum of a real part, and the shift-and-zero-mean rule."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ class TestBandLimitedSpectrum:
         want[0, 0, :] = 0.0
         want = want * g.freq_cell_volume
         r2 = rng(5)
-        F = band_limited_spectrum(g, r2, 0.3)
+        F = band_limited_spectrum(g, r2, 0.3).scatter()
         assert F.space == FREQUENCY
         assert np.array_equal(F.values, want)
         assert r2.standard_normal() == r.standard_normal()
@@ -65,8 +67,8 @@ class TestBandLimitedSpectrum:
     def test_field_is_its_inverse_dft(self):
         g = GRIDS[3]
         f = band_limited_field(g, rng(2), 0.4)
-        assert np.array_equal(f.values,
-                              inverse_dft(band_limited_spectrum(g, rng(2), 0.4)).values)
+        F = band_limited_spectrum(g, rng(2), 0.4).scatter()
+        assert np.array_equal(f.values, inverse_dft(F).values)
 
 
 class TestRealPartSpectrum:
@@ -104,11 +106,11 @@ class TestOscillatedSpectrum:
         # negative axes (counted from the last spatial axis)
         g = GRIDS[d]
         E = envelope_spectrum(g)
-        env = inverse_dft(E).values
+        env = inverse_dft(E.scatter()).values
         x = g.coordinates()[axis]
         snap = subtract_spatial_mean(SpectralField(
             g, env * np.exp(2j * np.pi * n * x / g.length_per_axis[axis]), PHYSICAL))
-        got = oscillated_spectrum(E, n, axis)
+        got = oscillated_spectrum(E, n, axis).scatter()
         assert got.space == FREQUENCY
         assert close(inverse_dft(got).values, snap.values, 1e-13)
         assert close(got.values, forward_dft(snap).values, 1e-13)
@@ -129,7 +131,7 @@ class TestCliEnvelope:
     ])
     def test_spectrum_inverts_to_the_physical_envelope(self, grid):
         want = cli._make_envelope(grid, rng(11)).values
-        got = inverse_dft(cli._envelope_spectrum(grid, rng(11))).values
+        got = inverse_dft(cli._envelope_spectrum(grid, rng(11)).scatter()).values
         assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
 
     @pytest.mark.filterwarnings("ignore::hpm.errors.SupportWarning")
@@ -157,3 +159,22 @@ class TestCliEnvelope:
                          "--out", str(tmp_path / "out")]) == 0
         assert calls == {"forward_dft": 0, "subtract_spatial_mean": 0}
         assert (tmp_path / "out" / "decay.csv").exists()
+
+    def test_averaging_peaks_below_one_full_grid_array(self, tmp_path):
+        # the run keeps its spectra on the envelope's band; its largest
+        # array is the float buffer of the draw, half a complex full grid
+        n, n_p = [16, 128], [128]
+        cfg = {"command": "averaging",
+               "grid": {"n": n, "L": [1.0, 1.0], "n_p": n_p, "P_len": [1.0]},
+               "profile": {"alpha": [1.0, 1.0]}, "seed": 3,
+               "params": {"a": ["1.0", "p1"], "t": 0.5, "n_list": [1, 2, 4]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert cli.main(["averaging", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * math.prod(n + n_p)

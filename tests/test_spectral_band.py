@@ -1,0 +1,193 @@
+"""The band pipeline against the full-grid computation, bit for bit.
+
+A band keeps the spectrum on a box of spatial modes only.  Every step of
+the transport pipeline (the draw, the Hermitian part, the shift by n,
+the transport phase and the velocity quadrature) is written out below on
+the full grid, as the pipeline computed it before it ran on the box, and
+the band's values scattered onto the grid must equal it exactly."""
+
+import numpy as np
+import pytest
+
+from hpm.averaging import TransportProblem, transport_spectrum, velocity_average
+from hpm.errors import DomainError
+from hpm.hmeasure import SequenceGenerator
+from hpm.spectral import (
+    SpectralBand,
+    SpectralGrid,
+    band_limited_spectrum,
+    oscillated_spectrum,
+    real_part_spectrum,
+)
+
+
+def rng(key=0):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+GRIDS = {
+    (1, 1): SpectralGrid((16,), (1.5,), n_velocity=(5,), velocity_length=(1.0,)),
+    (1, 2): SpectralGrid((8,), (1.0,), n_velocity=(3, 4), velocity_length=(1.0, 2.0)),
+    (2, 1): SpectralGrid((8, 16), (1.0, 2.0), n_velocity=(6,), velocity_length=(1.0,)),
+    (2, 2): SpectralGrid((16, 8), (2.0, 0.5), n_velocity=(3, 2),
+                         velocity_length=(1.0, 0.5)),
+    (3, 1): SpectralGrid((4, 8, 16), (0.5, 1.0, 3.0), n_velocity=(3,),
+                         velocity_length=(2.0,)),
+    (3, 2): SpectralGrid((8, 4, 8), (1.0, 1.0, 1.0), n_velocity=(2, 3),
+                         velocity_length=(1.0, 1.0)),
+}
+FRACTIONS = [0.3, 1.0]
+
+
+# --- the full-grid computation ------------------------------------------------
+
+def full_draw(grid, r, band_fraction):
+    spec = r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape)
+    for k in range(grid.d):
+        n = grid.n_per_axis[k]
+        idx = np.fft.fftfreq(n) * n
+        spec *= grid.on_axis(np.abs(idx) <= max(1, int(band_fraction * n / 2)), k)
+    spec[(0,) * grid.d] = 0.0
+    spec *= grid.freq_cell_volume
+    return spec
+
+
+def full_real_part(grid, spec, offset):
+    axes = grid.spatial_axes
+    out = np.conjugate(np.roll(np.flip(spec, axis=axes), 1, axis=axes))
+    out += spec
+    out *= 0.5
+    out[(0,) * grid.d] += offset * np.prod(grid.length_per_axis)
+    return out
+
+
+def full_shift(grid, spec, n, axis):
+    out = np.roll(spec, n, axis=axis % grid.d)
+    out[(0,) * grid.d] = 0.0
+    return out
+
+
+def full_transport(grid, spec, a, t):
+    out = spec
+    for k, xk in enumerate(grid.frequencies()):
+        out = out * np.exp(-2j * np.pi * t * (grid.lift(xk) * a[..., k]))
+    return out
+
+
+def full_average(grid, spec, rho_vals):
+    return np.tensordot(spec, rho_vals, axes=(grid.velocity_axes, tuple(range(grid.m)))) \
+        * grid.velocity_cell_volume
+
+
+def velocity(grid):
+    # a(p) with every component depending on the velocities
+    def a(*p):
+        s = sum(p)
+        return np.stack([0.5 + s * (k + 1) for k in range(grid.d)], axis=-1)
+    return a
+
+
+def weight(grid):
+    # vanishes on the faces of the velocity box
+    def rho(*p):
+        return np.prod([np.cos(np.pi * q / P) ** 2
+                        for q, P in zip(p, grid.velocity_length)], axis=0)
+    return rho
+
+
+def envelope(grid, band_fraction, key=3):
+    """The CLI's envelope spectrum, as a band and on the full grid."""
+    band = real_part_spectrum(band_limited_spectrum(grid, rng(key), band_fraction),
+                              offset=1.0)
+    full = full_real_part(grid, full_draw(grid, rng(key), band_fraction), 1.0)
+    return band, full
+
+
+def shifts(grid):
+    """(n, axis) pairs: a small shift, shifts that wrap the box past n_k/2,
+    a full period, backwards, and along negative axes."""
+    d, last = grid.d, grid.n_per_axis[-1]
+    return [(1, 0), (grid.n_per_axis[0] // 2, 0), (grid.n_per_axis[0], 0),
+            (-3, -1), (last // 2 + 1, -1), (-last - 2, d - 1), (2 * last, -d)]
+
+
+CASES = [(dm, bf) for dm in GRIDS for bf in FRACTIONS]
+IDS = [f"d{d}-m{m}-band{bf}" for (d, m), bf in CASES]
+
+
+@pytest.mark.parametrize("dm,band_fraction", CASES, ids=IDS)
+class TestAgainstTheFullGrid:
+    def test_draw(self, dm, band_fraction):
+        grid = GRIDS[dm]
+        r_band, r_full = rng(5), rng(5)
+        band = band_limited_spectrum(grid, r_band, band_fraction)
+        assert np.array_equal(band.scatter().values, full_draw(grid, r_full, band_fraction))
+        # the band consumes exactly the old two draws of the full grid
+        assert r_band.standard_normal() == r_full.standard_normal()
+
+    def test_box_of_the_whole_grid(self, dm, band_fraction):
+        grid = GRIDS[dm]
+        band = band_limited_spectrum(grid, rng(1), band_fraction)
+        whole = [np.array_equal(i, np.arange(n))
+                 for i, n in zip(band.index, grid.n_per_axis)]
+        # band_fraction 1.0 keeps every index, the Nyquist index included
+        assert all(whole) == (band_fraction == 1.0)
+        assert band.values.shape == tuple(map(len, band.index)) + grid.n_velocity
+
+    def test_hermitian_part(self, dm, band_fraction):
+        grid = GRIDS[dm]
+        band, full = envelope(grid, band_fraction)
+        assert np.array_equal(band.scatter().values, full)
+
+    def test_shifts(self, dm, band_fraction):
+        grid = GRIDS[dm]
+        band, full = envelope(grid, band_fraction)
+        for n, axis in shifts(grid):
+            got = oscillated_spectrum(band, n, axis)
+            assert np.array_equal(got.scatter().values, full_shift(grid, full, n, axis))
+            assert all(np.all(np.diff(i) > 0) for i in got.index)
+
+    def test_transport_and_average(self, dm, band_fraction):
+        grid = GRIDS[dm]
+        band, full = envelope(grid, band_fraction)
+        problem = TransportProblem(
+            grid, velocity(grid),
+            SequenceGenerator(lambda n: oscillated_spectrum(band, n, -1)), t=0.7)
+        a = problem.velocity_field()
+        rho = weight(grid)
+        rho_vals = np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
+        for n in (2, grid.n_per_axis[-1] // 2 + 1):
+            want = full_transport(grid, full_shift(grid, full, n, -1), a, 0.7)
+            got = transport_spectrum(problem, n)
+            assert np.array_equal(got.scatter().values, want)
+            avg = velocity_average(got, rho)
+            assert isinstance(avg, SpectralBand)
+            assert all(map(np.array_equal, avg.index, got.index))
+            assert avg.grid == grid.spatial_only()
+            assert np.array_equal(avg.scatter().values, full_average(grid, want, rho_vals))
+
+
+class TestBandRules:
+    def test_full_grid_spectrum_is_the_band_of_every_index(self):
+        grid = GRIDS[(2, 1)]
+        band, full = envelope(grid, 1.0)
+        whole = SpectralBand.of(band.scatter())
+        assert np.array_equal(whole.values, full)
+        assert all(np.array_equal(i, np.arange(n))
+                   for i, n in zip(whole.index, grid.n_per_axis))
+        assert SpectralBand.of(whole) is whole
+
+    def test_hermitian_part_needs_a_symmetric_box(self):
+        band, _ = envelope(GRIDS[(2, 1)], 0.3)
+        with pytest.raises(DomainError):
+            real_part_spectrum(oscillated_spectrum(band, 1, 0))
+
+    @pytest.mark.parametrize("index, shape", [
+        ((np.array([0, 2]), np.array([1, 0])), (2, 2, 6)),   # unsorted
+        ((np.array([0, 8]), np.array([0, 1])), (2, 2, 6)),   # out of range
+        ((np.array([0, 2]),), (2, 6)),                       # one axis short
+        ((np.array([0, 2]), np.array([0, 1])), (2, 2, 5)),   # wrong shape
+    ])
+    def test_malformed_band(self, index, shape):
+        with pytest.raises(DomainError):
+            SpectralBand(GRIDS[(2, 1)], np.zeros(shape, complex), index)
