@@ -9,18 +9,27 @@ on x-space x P.  The measure is discretized on cells: C^1 hat partitions of
 unity over a uniform x-grid, and angular sectors on P (for d = 2) or
 normalized smooth direction weights (d >= 3).  The x-hats are separable,
 kept as d per-axis factors, and each cell's hat is formed when it is used.
-The P-masks are real, so the forms of every cell of one snapshot come from
-one real matrix product (GEMM): the real parts of F(hat_c w_i)
-conj(F(hat_c w_j)) of all cells, stacked, against the transposed masks,
-plus a second GEMM for the imaginary parts of a matrix measure (the scalar
-ones vanish).  Matrix-valued measures over a velocity basis, their
-weighted trace and its x-marginal density are assembled from the same
-forms.
+The P-masks are real, so the cell forms come from real matrix products
+(GEMM): the real parts of F(hat_c w_i) conj(F(hat_c w_j)), stacked over
+cells (C rows for a scalar snapshot), against the transposed masks, plus a
+second GEMM for the imaginary parts of a matrix measure (the scalar ones
+vanish).  A snapshot's spectra F(hat_c w_i) are transforms of hat_c w_i,
+one per cell.  An oscillation snapshot is one envelope v times
+exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus its mean m_n, so
+its spectra follow by the shift rule
+
+    F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
+
+scalar_hmeasure then loops cells outer and n inner, with one transform
+per cell for every n.  Matrix-valued measures over a velocity basis,
+their weighted trace and its x-marginal density are assembled from the
+same forms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -126,16 +135,44 @@ def _lattice_form(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
 
 # --- sequence generators ------------------------------------------------------
 
+def _lattice_steps(profile: AnisotropyProfile, c, n: int,
+                   grid: SpectralGrid) -> list[int]:
+    """The integers round(n^(1/alpha_k) c_k L_k) = kappa_k(n) L_k;
+    DomainError naming n where one of them is not finite."""
+    c = np.asarray(c, dtype=float).tolist()  # Python floats: inf, no warning
+    steps = []
+    for k in range(profile.d):
+        try:
+            x = float(n) ** (1.0 / profile.alpha[k]) * c[k] * grid.length_per_axis[k]
+        except OverflowError:  # n^(1/alpha_k) beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise DomainError(f"oscillation frequency is not finite at n={n}: "
+                              f"n^(1/alpha_{k}) c_{k} L_{k} = {x}")
+        steps.append(round(x))
+    return steps
+
+
 def oscillation_frequency(profile: AnisotropyProfile, c, n: int,
                           grid: SpectralGrid) -> np.ndarray:
     """Lattice frequency kappa(n) riding the fibre through the c-direction:
     kappa_k = round(n^(1/alpha_k) c_k L_k) / L_k."""
-    c = np.asarray(c, dtype=float)
-    kap = np.empty(profile.d)
-    for k in range(profile.d):
-        L = grid.length_per_axis[k]
-        kap[k] = round(n ** (1.0 / profile.alpha[k]) * c[k] * L) / L
-    return kap
+    steps = _lattice_steps(profile, c, n, grid)
+    return np.array([s / L for s, L in zip(steps, grid.length_per_axis)])
+
+
+def _lattice_shift(profile: AnisotropyProfile, c, n: int,
+                   grid: SpectralGrid) -> tuple[int, ...]:
+    """The shift kappa_k(n) L_k mod n_k of each axis, by which multiplying
+    with exp(2 pi i kappa(n).x) rolls a spectrum.  Shifts of 0 on every
+    axis alias kappa(n) to the zero mode, where the zero-mean snapshot
+    is no oscillation: DomainError."""
+    shift = tuple(s % nk for s, nk in
+                  zip(_lattice_steps(profile, c, n, grid), grid.n_per_axis))
+    if not any(shift):
+        raise DomainError(f"oscillation frequency vanished at n={n}: kappa(n) "
+                          f"aliases to the zero mode of the {grid.n_per_axis} lattice")
+    return shift
 
 
 def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
@@ -144,9 +181,8 @@ def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
     frequencies travel up one fibre, so pi_P(kappa(n)) stabilizes."""
     envelope.require(PHYSICAL)
     grid = envelope.grid
+    _lattice_shift(profile, c, n, grid)
     kap = oscillation_frequency(profile, c, n, grid)
-    if np.all(kap == 0):
-        raise DomainError(f"oscillation frequency vanished at n={n}")
     phase = sum(kk * x for kk, x in zip(kap, grid.coordinates()))
     mod = np.exp(2j * np.pi * phase)
     return subtract_spatial_mean(envelope.with_values(envelope.values * mod))
@@ -174,16 +210,25 @@ class SequenceGenerator:
     subtract_spatial_mean.  field(n) returns the snapshot unchanged, so a
     producer passed to the constructor directly must already be zero-mean
     (a spectrum with a zero xi = 0 mode, as spectral.oscillated_spectrum
-    yields, is)."""
+    yields, is).
+
+    Every oscillation snapshot is one envelope rolled by a lattice shift,
+    so an oscillation generator also carries cell_spectra, which gives
+    scalar_hmeasure the cell spectra F(hat_c u_n) of all its snapshots by
+    the shift rule: one transform per cell, not one per (cell, n).  The
+    other generators leave it None and their snapshots are transformed
+    cell by cell."""
 
     produce: Callable[[int], SpectralField]
+    cell_spectra: Callable | None = None
 
     def field(self, n: int) -> SpectralField:
         return self.produce(n)
 
     @classmethod
     def oscillation(cls, profile, c, envelope: SpectralField) -> "SequenceGenerator":
-        return cls(lambda n: oscillation_sequence(profile, c, envelope, n))
+        return cls(lambda n: oscillation_sequence(profile, c, envelope, n),
+                   functools.partial(_shifted_cell_spectra, profile, c, envelope))
 
     @classmethod
     def concentration(cls, profile, envelope: Callable,
@@ -381,52 +426,122 @@ def _cell_forms(u: SpectralField, basis: CellBasis,
 
     With components = [w_1, ..., w_N] (x-arrays), returns V[i, j, c, b] =
     sum_xi mask_b F(hat_c w_i) conj(F(hat_c w_j)) vol_xi; without
-    components, the scalar case V[0, 0, c, b] for w = u.
-
-    The masks are real.  The real parts of the products G_i conj(G_j)
-    (G_i = F(hat_c w_i) flattened) of k = max(1, C // N^2) cells are
-    stacked into a real (k N^2, S) array that meets the (S, B) transposed
-    masks in one GEMM; for N > 1 the imaginary parts get a second stack
-    and GEMM.  For N = 1 the imaginary parts are exactly zero, so they are
-    neither formed nor multiplied and the scalar forms are exactly real.
-    The scalar stack is the size of the dense (C, S) hat stack that the
-    separable hats never build."""
-    grid = u.grid
+    components, the scalar case V[0, 0, c, b] for w = u.  The spectra are
+    the transforms of hat_c w_i, formed cell by cell, and _stacked_forms
+    meets them with the masks."""
+    grid = u.grid.spatial_only()
     if components is None:
         components = [np.asarray(u.values)]
-    B = basis.p_masks.shape[0]
-    N = len(components)
-    S = math.prod(grid.n_per_axis)
-    cells = list(basis.cell_indices())
-    C = len(cells)
-    V = np.zeros((N, N, C, B), dtype=complex)
-    vol = grid.freq_cell_volume
-    masks_t = basis.p_masks.reshape(B, -1).T
-    k = max(1, C // (N * N))
-    re = np.empty((k, N, N, S))
-    im = np.empty((k, N, N, S)) if N > 1 else None
-    G = np.empty((N, S), dtype=complex)
-    for c, cell in enumerate(cells):
+    G = np.empty((len(components), math.prod(grid.n_per_axis)), dtype=complex)
+
+    def spectra(cell):
         hat = basis.x_hat(cell)
         for i, w in enumerate(components):
-            f = SpectralField(grid.spatial_only(), hat * w, PHYSICAL)
-            G[i] = forward_dft(f).values.ravel()
-        # real and imaginary parts of G_i conj(G_j), each product rounded
-        # on its own: the diagonal imaginary parts cancel exactly
-        j = c % k
-        np.multiply(G.real[:, None], G.real[None], out=re[j])
-        re[j] += G.imag[:, None] * G.imag[None]
-        if im is not None:
-            np.multiply(G.imag[:, None], G.real[None], out=im[j])
-            im[j] -= G.real[:, None] * G.imag[None]
-        if j == k - 1 or c == C - 1:
-            done = slice(c - j, c + 1)
-            for part, stack in ((V.real, re), (V.imag, im)):
-                if stack is not None:
-                    forms = stack[:j + 1].reshape(-1, S) @ masks_t
-                    part[:, :, done] = np.moveaxis(
-                        forms.reshape(j + 1, N, N, B), 0, 2) * vol
-    return V
+            G[i] = forward_dft(SpectralField(grid, hat * w, PHYSICAL)).values.ravel()
+        yield G
+
+    return _stacked_forms(basis, grid, spectra, 1, len(components))[0]
+
+
+def _stacked_forms(basis: CellBasis, grid: SpectralGrid, spectra: Callable,
+                   runs: int, N: int) -> np.ndarray:
+    """V[r, i, j, c, b] = sum_xi mask_b G_i conj(G_j) vol_xi, where G is the
+    (N, S) array of spectra that spectra(cell) yields for cell c in run r
+    (cells outer, runs inner; G may be one buffer that each yield
+    overwrites).
+
+    The masks are real.  The real parts of the products G_i conj(G_j) of
+    k = max(1, C // N^2) (cell, run) pairs are stacked into a real
+    (k N^2, S) array that meets the (S, B) transposed masks in one GEMM;
+    for N > 1 the imaginary parts get a second stack and GEMM.  For N = 1
+    the imaginary parts are exactly zero, so they are neither formed nor
+    multiplied and the scalar forms are exactly real.  The scalar stack is
+    the size of the dense (C, S) hat stack that the separable hats never
+    build, whatever the number of runs."""
+    B = basis.p_masks.shape[0]
+    S = math.prod(grid.n_per_axis)
+    cells = list(basis.cell_indices())
+    total = len(cells) * runs
+    V = np.zeros((total, N, N, B), dtype=complex)
+    vol = grid.freq_cell_volume
+    masks_t = basis.p_masks.reshape(B, -1).T
+    k = max(1, len(cells) // (N * N))
+    re = np.empty((k, N, N, S))
+    im = np.empty((k, N, N, S)) if N > 1 else None
+    q = 0
+    for cell in cells:
+        for G in spectra(cell):
+            # real and imaginary parts of G_i conj(G_j), each product
+            # rounded on its own: the diagonal imaginary parts cancel exactly
+            j = q % k
+            np.multiply(G.real[:, None], G.real[None], out=re[j])
+            re[j] += G.imag[:, None] * G.imag[None]
+            if im is not None:
+                np.multiply(G.imag[:, None], G.real[None], out=im[j])
+                im[j] -= G.real[:, None] * G.imag[None]
+            q += 1
+            if j == k - 1 or q == total:
+                for part, stack in ((V.real, re), (V.imag, im)):
+                    if stack is not None:
+                        forms = stack[:j + 1].reshape(-1, S) @ masks_t
+                        part[q - j - 1:q] = forms.reshape(j + 1, N, N, B) * vol
+    return np.moveaxis(V.reshape(len(cells), runs, N, N, B), 0, 3)
+
+
+def _roll_blocks(shift: Sequence[int], n_per_axis: Sequence[int]) -> list:
+    """(destination, source) index pairs that copy np.roll(a, shift) in
+    at most 2^d blocks: out[dst] = a[src]."""
+    pieces = [[(slice(s, n), slice(0, n - s))]
+              + ([(slice(0, s), slice(n - s, n))] if s else [])
+              for s, n in zip(shift, n_per_axis)]
+    return [tuple(zip(*blocks)) for blocks in itertools.product(*pieces)]
+
+
+def _shifted_cell_spectra(profile: AnisotropyProfile, c, envelope: SpectralField,
+                          basis: CellBasis, n_list: Sequence[int]) -> Callable:
+    """The spectra producer of _stacked_forms for the oscillation snapshots
+    u_n = v e^{2 pi i kappa(n).x} - m_n, n in n_list, by the shift rule.
+
+    kappa(n) lies on the lattice, so with the integer shift s(n) of
+    _lattice_shift
+
+        F(hat_c u_n) = roll(F(hat_c v), s(n)) - m_n F(hat_c),
+
+    with the mean m_n = F(v)(-kappa(n)) / |T| read off one transform of
+    the envelope and F(hat_c) the outer product of the 1-d transforms of
+    the separable hat factors.  Each cell costs one full-grid transform,
+    F(hat_c v), held only while its runs are produced; each (cell, n)
+    then writes the shifted spectrum into one reused buffer."""
+    envelope.require(PHYSICAL)
+    grid = envelope.grid
+    shifts = [_lattice_shift(profile, c, n, grid) for n in n_list]
+    Fv = forward_dft(envelope).values
+    area = math.prod(grid.length_per_axis)
+    means = [Fv[tuple(-s for s in shift)] / area for shift in shifts]
+    blocks = [_roll_blocks(shift, grid.n_per_axis) for shift in shifts]
+    hat_spectra = [
+        [forward_dft(SpectralField(SpectralGrid((n,), (L,)), f, PHYSICAL)).values
+         for f in factors]
+        for n, L, factors in zip(grid.n_per_axis, grid.length_per_axis,
+                                 basis.x_factors)]
+    G = np.empty(grid.n_per_axis, dtype=complex)
+    env = np.asarray(envelope.values)
+
+    def spectra(cell):
+        Fhv = forward_dft(SpectralField(grid, basis.x_hat(cell) * env,
+                                        PHYSICAL)).values
+        h = [hk[i] for hk, i in zip(hat_spectra, cell)]
+        for m, roll in zip(means, blocks):
+            # G = -m F(hat_c) + roll(F(hat_c v), s(n)) block by block; the
+            # outer product -m F(hat_c) is written into G itself
+            for dst, src in roll:
+                f = [hk[dk] for hk, dk in zip(h, dst)]
+                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1], -m),
+                                  f[-1], out=G[dst])
+                G[dst] += Fhv[src]
+            yield G.reshape(1, -1)
+
+    return spectra
 
 
 # --- estimates ----------------------------------------------------------------
@@ -451,27 +566,38 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
 
     pairs maps pair-ids to (phi1, phi2) grid arrays and symbols maps
     symbol-ids to SymbolOnP; for every combination the raw V_n and its
-    extrapolation are recorded alongside the cell measure."""
+    extrapolation are recorded alongside the cell measure.  Giving one
+    without the other is a DomainError."""
     n_list = _check_n_list(n_list)
+    if bool(pairs) != bool(symbols):
+        raise DomainError(f"pairs and symbols must be given together, got "
+                          f"{len(pairs or {})} pairs and {len(symbols or {})} symbols")
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
     est = HMeasureEstimate()
-    if pairs and symbols:
+    if pairs:
         cutoffs = {pid: (grid.sample(p1), grid.sample(p2))
                    for pid, (p1, p2) in pairs.items()}
         lattices = {sid: projected_symbol_lattice(psi, grid, profile)
                     for sid, psi in symbols.items()}
+    # the shift rule loops cells outer and n inner, one transform per cell
+    # for every n; other generators transform each snapshot cell by cell
+    shifted = gen.cell_spectra is not None
     cell_runs = []
-    for n in n_list:
+    if shifted:
+        cell_runs = _stacked_forms(basis, grid, gen.cell_spectra(basis, n_list),
+                                   len(n_list), 1)[:, 0, 0]
+    for n in (n_list if pairs or not shifted else ()):
         u = gen.field(n)
-        cell_runs.append(_cell_forms(u, basis)[0, 0])
-        if pairs and symbols:
+        if not shifted:
+            cell_runs.append(_cell_forms(u, basis)[0, 0])
+        if pairs:
             u.require(PHYSICAL)
             for pid, (p1, p2) in cutoffs.items():
                 for sid, sym in lattices.items():
                     est.values[(pid, sid, n)] = _lattice_form(u, p1, p2, sym)
     cells, est.cell_errors = estimate_limit(np.stack(cell_runs))  # (n, C, B)
     est.cells = cells.real
-    if pairs and symbols:
+    if pairs:
         for pid in pairs:
             for sid in symbols:
                 seq = [est.values[(pid, sid, n)] for n in n_list]

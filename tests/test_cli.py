@@ -344,6 +344,19 @@ class TestMalformedParams:
         cfg = self.HMEASURE_3D if command == "hmeasure-3d" else self.CONFIGS[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
 
+    @pytest.mark.parametrize("alpha, c", [([1.0, 1.0], [1.7e308, 0.0]),
+                                          ([0.01, 1.0], [1e300, 0.0])])
+    def test_oscillation_frequency_beyond_float_range_exits_2(
+            self, tmp_path, capsys, alpha, c):
+        cfg = dict(self.HMEASURE, profile={"alpha": alpha})
+        self._exits_2(tmp_path, capsys, cfg, "not finite at n=4",
+                      generator={"kind": "oscillation", "c": c})
+
+    def test_oscillation_frequency_aliased_to_zero_exits_2(self, tmp_path, capsys):
+        # kappa(n) = (32 n, 0) is the zero mode of the 32 x 32 lattice
+        self._exits_2(tmp_path, capsys, self.HMEASURE, "vanished at n=4",
+                      generator={"kind": "oscillation", "c": [32.0, 0.0]})
+
     def test_number_rules(self):
         assert cli._number(3, "v", integer=True) == 3
         assert cli._number(3, "v") == 3.0 and isinstance(cli._number(3, "v"), float)
