@@ -74,12 +74,13 @@ def _check_tree(node: ast.AST, expr: str, names: list[str]) -> None:
         raise ConfigError(f"{what} not allowed in expression {expr!r}")
 
 
-def _safe_expr(expr: str, names: list[str]):
+def _safe_expr(expr: str, names: list[str], where: str = "an expression"):
     """Compile a restricted arithmetic expression over the given variable
-    names plus a fixed function table (see _check_tree).  Evaluation errors
-    and complex values are integrity failures."""
+    names plus a fixed function table (see _check_tree); an entry that is
+    neither a string nor a finite number is a ConfigError naming `where`.
+    Evaluation errors and complex values are integrity failures."""
     if not isinstance(expr, str):
-        value = _number(expr, "an expression")
+        value = _number(expr, where)
         return lambda **kw: value
     try:
         tree = ast.parse(expr, "<config>", mode="eval")
@@ -104,12 +105,13 @@ def _safe_expr(expr: str, names: list[str]):
     return fn
 
 
-def _compile_stack(exprs: list, names: list[str]):
+def _compile_stack(exprs: dict, names: list[str]):
     """One callable of the variables `names` (positional, in that order)
-    that evaluates every expression, broadcasts each result to the shape
-    of the first variable (the sample grid; the others are scalars or of
-    the same shape) and stacks them on a last axis."""
-    fns = [_safe_expr(e, names) for e in exprs]
+    that evaluates every expression of `exprs` (keyed by the config key it
+    sits at), broadcasts each result to the shape of the first variable
+    (the sample grid; the others are scalars or of the same shape) and
+    stacks them on a last axis."""
+    fns = [_safe_expr(e, names, where) for where, e in exprs.items()]
 
     def fn(*args):
         env = dict(zip(names, args))
@@ -151,6 +153,18 @@ def _param(params: dict, key: str, default, integer: bool = False):
     return _number(params.get(key, default), f"params.{key}", integer)
 
 
+def _count(value, where: str, elements) -> int:
+    """A count from the config (a JSON integer, see _number), rejected
+    before anything is allocated when the largest array it sizes, of
+    elements(count) elements, would exceed the bound the grid enforces.
+    Counts below 1 pass here, for the checks that name their own floor."""
+    count = _number(value, where, integer=True)
+    if count > 0 and elements(count) > spectral._MAX_SAMPLES:
+        raise ConfigError(f"{where} = {count} is too large: its largest array "
+                          f"would exceed {spectral._MAX_SAMPLES} elements")
+    return count
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -170,7 +184,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"unknown command {cfg['command']!r}")
     _check_keys(cfg["grid"], _GRID_KEYS, "grid")
     _check_keys(cfg["profile"], {"alpha"}, "profile")
-    if not isinstance(cfg["seed"], int) or not 0 <= cfg["seed"] < 1 << 128:
+    if not 0 <= _number(cfg["seed"], "seed", integer=True) < 1 << 128:
         raise ConfigError("seed must be an integer in [0, 2**128)")
     cfg.setdefault("params", {})
     if not isinstance(cfg["params"], dict):
@@ -181,22 +195,22 @@ def _load_config(path: str) -> dict:
 def _build_grid(spec: dict) -> spectral.SpectralGrid:
     try:
         return spectral.SpectralGrid(
-            n_per_axis=tuple(int(v) for v in spec["n"]),
-            length_per_axis=tuple(float(v) for v in spec["L"]),
-            n_velocity=tuple(int(v) for v in spec.get("n_p", ())),
-            velocity_length=tuple(float(v) for v in spec.get("P_len", ())),
+            n_per_axis=tuple(_numbers(spec["n"], "grid.n", integer=True)),
+            length_per_axis=tuple(_numbers(spec["L"], "grid.L")),
+            n_velocity=tuple(_numbers(spec.get("n_p", []), "grid.n_p", integer=True)),
+            velocity_length=tuple(_numbers(spec.get("P_len", []), "grid.P_len")),
         )
     except KeyError as exc:
         raise ConfigError(f"grid is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from None
 
 
 def _build_profile(spec: dict) -> AnisotropyProfile:
-    alpha = spec.get("alpha")
+    alpha = _numbers(spec.get("alpha"), "profile.alpha")
     if not alpha:
         raise ConfigError("profile.alpha must be a non-empty list")
-    return AnisotropyProfile(tuple(float(a) for a in alpha))
+    return AnisotropyProfile(tuple(alpha))
 
 
 def _fmt(v) -> str:
@@ -286,22 +300,20 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
 def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "shells", "samples_per_shell"}, "params")
     psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
+    # the refined scan draws (2 samples_per_shell, d) directions per shell
+    samples = _count(params.get("samples_per_shell", 24),
+                     "params.samples_per_shell", lambda s: 2 * s * profile.d)
     report = multiplier.marcinkiewicz_certify(
         psi, profile, shells=_param(params, "shells", 4, integer=True),
-        samples_per_shell=_param(params, "samples_per_shell", 24, integer=True))
+        samples_per_shell=samples)
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
 
 
-def _make_envelope(grid, rng):
-    v = spectral.band_limited_field(grid, rng, band_fraction=0.15, real=True)
-    return v.with_values(v.values + 1.0)  # keep the envelope away from zero
-
-
-def _envelope_spectrum(grid, rng):
-    """The spectrum of _make_envelope's field as a band, built without a
-    transform: the real part and the +1 are taken on the band."""
+def _envelope_spectrum(grid, rng, band_fraction: float, offset: float):
+    """The band of Re(band_limited_field(grid, rng, band_fraction)) +
+    offset, a real field of mean `offset`: the CLI's one real random field."""
     return spectral.real_part_spectrum(
-        spectral.band_limited_spectrum(grid, rng, band_fraction=0.15), offset=1.0)
+        spectral.band_limited_spectrum(grid, rng, band_fraction), offset)
 
 
 def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
@@ -311,16 +323,23 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if genspec.get("kind", "oscillation") != "oscillation":
         raise ConfigError("only the oscillation generator is wired to the CLI")
     c = _numbers(genspec.get("c"), "params.generator.c", profile.d)
-    env = _make_envelope(grid, rng)
-    gen = hmeasure.SequenceGenerator.oscillation(profile, c, env)
     n_list = _numbers(params.get("n_list", [8, 16, 24, 32]), "params.n_list",
                       integer=True)
     if any(n < 1 for n in n_list):
         raise ConfigError(f"params.n_list entries must be positive, got {n_list}")
-    est = hmeasure.scalar_hmeasure(
-        gen, profile, grid, n_list,
-        x_cells=_param(params, "x_cells", 4, integer=True),
-        p_cells=_param(params, "p_cells", 16, integer=True))
+    # the largest arrays: the (C, S) row stack of the cell forms, with C =
+    # x_cells^d cells and S lattice points, the (p_cells, S) P-masks and
+    # the (C len(n_list), p_cells) forms
+    S = math.prod(grid.n_per_axis)
+    x_cells = _count(params.get("x_cells", 4), "params.x_cells",
+                     lambda x: x ** grid.d * S)
+    p_cells = _count(params.get("p_cells", 16), "params.p_cells",
+                     lambda b: b * max(S, max(x_cells, 0) ** grid.d * len(n_list)))
+    # the envelope: band 0.15, kept away from zero by its mean 1
+    env = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.15, 1.0).scatter())
+    gen = hmeasure.SequenceGenerator.oscillation(profile, c, env)
+    est = hmeasure.scalar_hmeasure(gen, profile, grid, n_list,
+                                   x_cells=x_cells, p_cells=p_cells)
     rows = []
     C, B = est.cells.shape
     for ci in range(C):
@@ -336,8 +355,9 @@ def _transport_generator(grid, profile, params, rng):
     a_exprs = params.get("a")
     if not isinstance(a_exprs, list) or len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
-    a_of_p = _compile_stack(a_exprs, [f"p{i+1}" for i in range(grid.m)])
-    env_spec = _envelope_spectrum(grid, rng)
+    a_of_p = _compile_stack({f"params.a[{k}]": e for k, e in enumerate(a_exprs)},
+                            [f"p{i+1}" for i in range(grid.m)])
+    env_spec = _envelope_spectrum(grid, rng, 0.15, 1.0)
     axis = _param(params, "oscillation_axis", grid.d - 1, integer=True)
     if not -grid.d <= axis < grid.d:
         raise ConfigError(f"params.oscillation_axis must be a spatial axis, got {axis}")
@@ -359,7 +379,7 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
     if grid.m == 0:
         raise ConfigError("averaging needs velocity axes (grid.n_p)")
     gen = _transport_generator(grid, profile, params, rng)
-    rho_stack = _compile_stack([params.get("rho", "cos(pi*p1)**2")],
+    rho_stack = _compile_stack({"params.rho": params.get("rho", "cos(pi*p1)**2")},
                                [f"p{i+1}" for i in range(grid.m)])
 
     def rho(*p):
@@ -385,7 +405,8 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     a_exprs = params.get("a")
     if not isinstance(a_exprs, list) or len(a_exprs) != profile.d:
         raise ConfigError("params.a needs one expression per axis")
-    stack = _compile_stack(a_exprs, ["p"] + [f"x{k+1}" for k in range(profile.d)])
+    stack = _compile_stack({f"params.a[{k}]": e for k, e in enumerate(a_exprs)},
+                           ["p"] + [f"x{k+1}" for k in range(profile.d)])
     x_samples = params.get("x_samples", [[0.0] * profile.d])
     if not isinstance(x_samples, list):
         raise ConfigError("params.x_samples must be a list of d-vectors")
@@ -398,15 +419,19 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     lo, hi = _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2)
     if not lo < hi:
         raise ConfigError(f"params.p_interval needs lo < hi, got {lo} and {hi}")
-    npts = _param(params, "p_points", 256, integer=True)
+    # the coefficients on the p grid, (p_points, d), and the (N, d) mesh
+    # of P, N = resolution^(d-1)
+    npts = _count(params.get("p_points", 256), "params.p_points",
+                  lambda n: n * profile.d)
     if npts < 2:
         raise ConfigError(f"params.p_points must be at least 2, got {npts}")
+    resolution = _count(params.get("resolution", 32), "params.resolution",
+                        lambda r: r ** (profile.d - 1) * profile.d)
     p_grid = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
     eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
                         "params.eps_list")
     report = averaging.nondegeneracy_scan(
-        coeffs, x_samples, profile, _param(params, "resolution", 32, integer=True),
-        p_grid, eps_list)
+        coeffs, x_samples, profile, resolution, p_grid, eps_list)
     _write_json(out / "nondegeneracy.json", report.to_json_dict())
     _write_csv(out / "nondegeneracy.csv", ["x_idx", "P_idx", "eps", "measure"],
                report.rows())
@@ -428,15 +453,19 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     hi = _number(lspec.get("max", 1.0), "params.lambda.max")
     if not lo < hi:
         raise ConfigError(f"params.lambda needs min < max, got {lo} and {hi}")
-    npts = _number(lspec.get("points", 256), "params.lambda.points", integer=True)
+    # the flux derivatives at every lambda, (points, d, d), and the (N, d)
+    # mesh of the manifold, N = resolution^(d-1)
+    npts = _count(lspec.get("points", 256), "params.lambda.points",
+                  lambda n: n * flux.d ** 2)
+    resolution = _count(params.get("resolution", 64), "params.resolution",
+                        lambda r: r ** (flux.d - 1) * flux.d)
     lam = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
     report = kinetic.up_nondegeneracy_scan(
-        flux, [None], manifold, lam, eps_list,
-        resolution=_param(params, "resolution", 64, integer=True))
+        flux, [None], manifold, lam, eps_list, resolution=resolution)
     M = _param(params, "M", 1.0)
-    u = spectral.band_limited_field(grid, rng, band_fraction=0.2, real=True)
+    u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0).scatter())
     vals = np.asarray(u.values).real
     peak = float(np.max(np.abs(vals)))
     if peak > 0:

@@ -111,26 +111,28 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
         _check_support(phi1, grid, "phi1")
         _check_support(phi2, grid, "phi2")
     sym = projected_symbol_lattice(psi, grid, profile)
-    return _lattice_form(u, phi1, phi2, sym, via)
+    return _lattice_forms(u, phi1, phi2, [sym], via)[0]
 
 
-def _lattice_form(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
-                  sym: np.ndarray, via: str = "frequency") -> complex:
-    """bilinear_form with sampled cut-offs and the symbol already on the
-    frequency lattice."""
+def _lattice_forms(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
+                   syms, via: str = "frequency") -> list[complex]:
+    """bilinear_form with sampled cut-offs for each symbol of syms, given
+    on the frequency lattice.  phi1 u and phi2 u are transformed once
+    (the physical route needs only F(phi1 u)); each symbol then only sums
+    against the spectra."""
     grid = u.grid
-    f1 = SpectralField(grid, phi1 * u.values, PHYSICAL)
-    f2 = SpectralField(grid, phi2 * u.values, PHYSICAL)
-    F1 = forward_dft(f1)
-    F2 = forward_dft(f2)
+    F1 = forward_dft(SpectralField(grid, phi1 * u.values, PHYSICAL)).values
     if via == "frequency":
-        total = np.sum(sym * F1.values * np.conj(F2.values)) * grid.freq_cell_volume
+        f2 = SpectralField(grid, phi2 * u.values, PHYSICAL)
+        conj_F2 = np.conj(forward_dft(f2).values)
+        totals = [np.sum(sym * F1 * conj_F2) * grid.freq_cell_volume for sym in syms]
     elif via == "physical":
-        Au = inverse_dft(SpectralField(grid, sym * F1.values, FREQUENCY))
-        total = np.sum(Au.values * np.conj(f2.values)) * grid.cell_volume
+        conj_f2 = np.conj(phi2 * u.values)
+        totals = [np.sum(inverse_dft(SpectralField(grid, sym * F1, FREQUENCY)).values
+                         * conj_f2) * grid.cell_volume for sym in syms]
     else:
         raise DomainError(f"unknown evaluation route {via!r}")
-    return complex(total)
+    return [complex(t) for t in totals]
 
 
 # --- sequence generators ------------------------------------------------------
@@ -593,8 +595,9 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
         if pairs:
             u.require(PHYSICAL)
             for pid, (p1, p2) in cutoffs.items():
-                for sid, sym in lattices.items():
-                    est.values[(pid, sid, n)] = _lattice_form(u, p1, p2, sym)
+                forms = _lattice_forms(u, p1, p2, lattices.values())
+                for sid, form in zip(lattices, forms):
+                    est.values[(pid, sid, n)] = form
     cells, est.cell_errors = estimate_limit(np.stack(cell_runs))  # (n, C, B)
     est.cells = cells.real
     if pairs:

@@ -338,11 +338,36 @@ class TestMalformedParams:
             "bump:center=[0.5,0.5],width=nan", "bump:center=[0.5,0.5],width=inf",
             "bump:center=[NaN,0.5],width=0.2", "bump:center=[0.5,Infinity],width=0.2",
             "sector:axis=0,sign=x", "sector:axis=1,sign=++")],
+        # counts whose largest array would exceed the grid's sample bound
+        ("hmeasure", {"x_cells": 10 ** 12}, "params.x_cells"),
+        ("hmeasure", {"p_cells": 10 ** 12}, "params.p_cells"),
+        ("multiplier-check", {"samples_per_shell": 10 ** 12}, "params.samples_per_shell"),
+        ("nondegeneracy", {"resolution": 10 ** 12}, "params.resolution"),
+        ("kinetic", {"resolution": 10 ** 12}, "params.resolution"),
+        ("nondegeneracy", {"p_points": 10 ** 12}, "params.p_points"),
+        ("kinetic", {"lambda": {"points": 10 ** 12}}, "params.lambda.points"),
+        # an expression entry that is neither a string nor a number
+        ("averaging", {"rho": [1]}, "params.rho must be"),
+        ("averaging", {"a": ["1.0", [1]]}, "params.a[1] must be"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
         cfg = self.HMEASURE_3D if command == "hmeasure-3d" else self.CONFIGS[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
+
+    @pytest.mark.parametrize("section, value, needle", [
+        ("grid", {"n": [16.9, 16], "L": [1.0, 1.0]}, "invalid grid: grid.n[0]"),
+        ("grid", {"n": [16, 16], "L": ["1.0", 1.0]}, "invalid grid: grid.L[0]"),
+        # JSON 1e400 reads as inf
+        ("grid", {"n": [16, 16], "L": [float("inf"), 1.0]}, "invalid grid: grid.L[0]"),
+        ("profile", {"alpha": ["2", 1.0]}, "profile.alpha[0]"),
+        ("profile", {"alpha": [True, 1.0]}, "profile.alpha[0]"),
+        ("profile", {"alpha": "11"}, "profile.alpha"),
+        ("seed", True, "seed"),
+    ])
+    def test_grid_profile_and_seed_follow_the_number_rule(
+            self, tmp_path, capsys, section, value, needle):
+        self._exits_2(tmp_path, capsys, base_config(**{section: value}), needle)
 
     @pytest.mark.parametrize("alpha, c", [([1.0, 1.0], [1.7e308, 0.0]),
                                           ([0.01, 1.0], [1e300, 0.0])])

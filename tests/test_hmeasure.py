@@ -285,6 +285,39 @@ class TestScalarMeasure:
         oracle = np.sum(np.abs(phi) ** 2) * g.cell_volume  # psi = 1 at (1, 0)
         assert abs(lim - oracle) <= 0.05 * oracle + err
 
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_pair_forms_transform_once_per_pair_and_n(self, monkeypatch, count):
+        # 4 cells and the envelope for the cell measure, then phi1 u_n and
+        # phi2 u_n once per n, whatever the number of symbols
+        import hpm.hmeasure as hm
+        from hpm.multiplier import projected_symbol_lattice
+        g = SpectralGrid((32, 32), (1.0, 1.0))
+        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), band_limited_field(g, rng(9)))
+        phi1, phi2 = bump2(g), bump2(g) ** 2
+        names = ["coordinate:0", "coordinate:1", "one", "sector:axis=0,sign=+"][:count]
+        symbols = {name: symbol_from_name(name, ISO2) for name in names}
+        calls = []
+        original = hm.forward_dft
+
+        def counting(f):
+            calls.append(f.grid == g)
+            return original(f)
+
+        monkeypatch.setattr(hm, "forward_dft", counting)
+        est = scalar_hmeasure(gen, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
+                              pairs={"q": (phi1, phi2)}, symbols=symbols)
+        assert sum(calls) == 11
+        # the per-symbol forms, as computed when each symbol transformed
+        # the pair again: the same transforms and sums, so bit for bit
+        for n in (4, 6, 8):
+            u = gen.field(n).values
+            F1 = original(SpectralField(g, g.sample(phi1) * u, PHYSICAL)).values
+            F2 = original(SpectralField(g, g.sample(phi2) * u, PHYSICAL)).values
+            for name, psi in symbols.items():
+                sym = projected_symbol_lattice(psi, g, ISO2)
+                want = complex(np.sum(sym * F1 * np.conj(F2)) * g.freq_cell_volume)
+                assert est.values[("q", name, n)] == want
+
     def test_bad_n_list(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
         env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
