@@ -277,8 +277,11 @@ def _cmd_project(grid, profile, params, rng, out: Path) -> None:
 def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "operation", "axis", "order",
                          "cutoff_radius", "band_fraction"}, "params")
-    u = spectral.band_limited_field(
-        grid, rng, band_fraction=_param(params, "band_fraction", 0.25))
+    band_fraction = _param(params, "band_fraction", 0.25)
+    try:
+        u = spectral.band_limited_field(grid, rng, band_fraction)
+    except DomainError as exc:  # the grid is valid, so the band fraction is not
+        raise ConfigError(f"params.band_fraction: {exc}") from None
     op = params.get("operation", "projected")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
@@ -303,9 +306,12 @@ def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     # the refined scan draws (2 samples_per_shell, d) directions per shell
     samples = _count(params.get("samples_per_shell", 24),
                      "params.samples_per_shell", lambda s: 2 * s * profile.d)
+    shells = _param(params, "shells", 4, integer=True)
+    if not multiplier.shells_in_float_range(profile, shells):
+        raise ConfigError(f"params.shells = {shells} is too large: its dyadic "
+                          f"shells leave the float range for alpha {profile.alpha}")
     report = multiplier.marcinkiewicz_certify(
-        psi, profile, shells=_param(params, "shells", 4, integer=True),
-        samples_per_shell=samples)
+        psi, profile, shells=shells, samples_per_shell=samples)
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
 
 

@@ -283,6 +283,27 @@ def _shell_samples(profile: AnisotropyProfile, j: int, count: int) -> np.ndarray
     return fibre_point(project_to_P(dirs[:count], profile), t, profile)
 
 
+_STEP = 1e-3  # difference step of the certifier, relative to max(|xi_k|, 2^j)
+
+
+def shells_in_float_range(profile: AnisotropyProfile, shells: int) -> bool:
+    """Whether the certifier's refined scan, shells j in [-(shells + 2),
+    shells + 2), stays in the float range.  Its fibre parameters lie in
+    [2^(-(shells + 2) l), 2^((shells + 2) l)]: the upper end must be
+    finite (the lower end is then positive).  The differences on the top
+    shell reach |xi_k| + d h_k, with |xi_k| <= 2^((shells + 2) / alpha_k)
+    and step h_k = _STEP max(|xi_k|, 2^(shells + 1)), and the constraint
+    sum there must be finite too."""
+    top = shells + 2
+    if top * profile.l >= 1024:
+        return False
+    ex = np.asarray(profile.exponents)
+    xi = 2.0 ** (top * profile.l / ex)
+    reach = xi + profile.d * _STEP * np.maximum(xi, 2.0 ** (top - 1))
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.sum(reach ** ex)))
+
+
 def _scan_level(psi: SymbolOnP, profile: AnisotropyProfile,
                 j_range, samples_per_shell: int) -> dict[tuple[int, ...], float]:
     d = profile.d
@@ -296,7 +317,7 @@ def _scan_level(psi: SymbolOnP, profile: AnisotropyProfile,
     sups = dict.fromkeys(betas, 0.0)
     for j in j_range:
         xi = _shell_samples(profile, j, samples_per_shell)
-        steps = 1e-3 * np.maximum(np.abs(xi), 2.0 ** j)
+        steps = _STEP * np.maximum(np.abs(xi), 2.0 ** j)
         for b in betas:
             deriv = _central_difference(psi_P, xi, b, steps)
             weight = np.prod(xi ** np.asarray(b), axis=-1)
@@ -315,6 +336,9 @@ def marcinkiewicz_certify(psi: SymbolOnP, profile: AnisotropyProfile,
     if samples_per_shell < 1:
         raise DomainError(f"samples_per_shell must be positive, got "
                           f"{samples_per_shell}")
+    if not shells_in_float_range(profile, shells):
+        raise DomainError(f"{shells} dyadic shells leave the float range "
+                          f"for alpha {profile.alpha}")
     coarse = _scan_level(psi, profile, range(-shells, shells), samples_per_shell)
     fine = _scan_level(psi, profile, range(-(shells + 2), shells + 2),
                        2 * samples_per_shell)

@@ -29,15 +29,18 @@ modes: the (|B_1|, ..., |B_d|, *n_velocity) values on the box and the
 sorted FFT indices B_k of each axis; a full-grid spectrum is the band of
 every index, and scatter() puts a band back on the grid.
 band_limited_spectrum draws a random band-limited spectrum as a band
-(band_limited_field is the inverse DFT of it scattered);
+(band_limited_field is the inverse DFT of it scattered): it takes the
+normal stream of the full grid in chunks of at most _DRAW_CHUNK samples
+and keeps the box positions of each, so its memory follows the box
+(its time does not: it draws every normal of the grid);
 real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
 constant, as the Hermitian part (F(xi) + conj F(-xi)) / 2 with -xi taken
 mod n_k inside the symmetric box and the constant times prod_k L_k on
 the xi = 0 mode; and oscillated_spectrum gives the spectrum of the
 zero-mean part of f e^{2 pi i n x_k / L_k}, which is the box shifted by
 n lattice points along axis k (its indices mod n_k) with the xi = 0 mode
-cleared.  Each works on the box alone, so its cost follows the band, not
-the grid.
+cleared.  These two work on the box alone, so their cost follows the
+band, not the grid.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .errors import (
 
 _MAGIC = b"HPFLD1\n"
 _MAX_SAMPLES = 1 << 28  # constructor-checked addressable-memory bound
+_DRAW_CHUNK = 1 << 16  # samples per normal draw of band_limited_spectrum (0.5 MB)
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -443,18 +447,32 @@ def band_limited_spectrum(grid: SpectralGrid, rng: np.random.Generator,
                           band_fraction: float = 0.25) -> SpectralBand:
     """Random spectrum with zero xi = 0 mode, confined to the box of modes
     within max(1, band_fraction * n_k / 2) lattice points of 0 on each
-    spatial axis (white along the velocity axes).  The draw is the
-    stream of the full grid, its real parts and then its imaginary
-    parts, through one reused float buffer of which only the box is
-    kept."""
+    spatial axis (white along the velocity axes), for 0 < band_fraction
+    <= 1.  The draw is the stream of the full grid in C order, its real
+    parts and then its imaginary parts, taken in chunks of at most
+    _DRAW_CHUNK samples of which only the box positions are kept.
+    Chunked draws give the values and the generator state of one draw of
+    the grid, so memory follows the box and the chunk, not the grid."""
+    if not 0 < band_fraction <= 1:  # NaN fails too
+        raise DomainError(f"band_fraction must lie in (0, 1], got {band_fraction!r}")
     index = []
     for n in grid.n_per_axis:
         idx = np.fft.fftfreq(n) * n
         index.append(np.flatnonzero(np.abs(idx) <= max(1, int(band_fraction * n / 2))))
-    box = np.ix_(*index)
-    draw = np.empty(grid.shape)
-    re = rng.standard_normal(out=draw)[box]
-    spec = re + 1j * rng.standard_normal(out=draw)[box]
+    # the box's positions in the C-order stream: sorted, so the share of
+    # each chunk is one slice
+    box = np.ix_(*index, *map(np.arange, grid.n_velocity))
+    pos = np.ravel_multi_index(box, grid.shape)
+    flat = pos.ravel()
+    spec = np.empty(pos.shape, complex)
+    parts = spec.view(float).reshape(-1, 2)  # columns: real, imaginary
+    total = math.prod(grid.shape)
+    buf = np.empty(min(_DRAW_CHUNK, total))
+    for column in (0, 1):
+        for start in range(0, total, _DRAW_CHUNK):
+            draw = rng.standard_normal(out=buf[:total - start])
+            lo, hi = np.searchsorted(flat, (start, start + draw.size))
+            parts[lo:hi, column] = draw[flat[lo:hi] - start]
     spec[(0,) * grid.d] = 0.0  # the indices are sorted, so xi = 0 comes first
     spec *= grid.freq_cell_volume
     return SpectralBand(grid, spec, tuple(index))

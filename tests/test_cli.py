@@ -306,6 +306,9 @@ class TestMalformedParams:
         profile={"alpha": [1.0, 1.0, 2.0]},
         params={"generator": {"kind": "oscillation", "c": [1.0, 0.0, 0.5]},
                 "n_list": [2, 3, 4], "x_cells": 2, "p_cells": 8})
+    MULTIPLIER_CHECK_12 = base_config(
+        "multiplier-check", profile={"alpha": [1.0, 2.0]},
+        params={"symbol": "coordinate:1", "shells": 3, "samples_per_shell": 8})
 
     @pytest.mark.parametrize("command, params, needle", [
         ("kinetic", {"resolution": 0}, "resolution"),
@@ -349,11 +352,29 @@ class TestMalformedParams:
         # an expression entry that is neither a string nor a number
         ("averaging", {"rho": [1]}, "params.rho must be"),
         ("averaging", {"a": ["1.0", [1]]}, "params.a[1] must be"),
+        # dyadic shells beyond the float range for alpha (1, 2): the scan's
+        # constraint sums overflow from 179, its fibre parameters from 340
+        # and underflow to 0 from 359
+        *[("multiplier-check-12", {"shells": s}, "params.shells")
+          for s in (179, 340, 359, 10 ** 12)],
+        # a band fraction outside (0, 1]
+        *[("multiplier-apply", {"band_fraction": v}, "params.band_fraction")
+          for v in (-1, 0, 5, 1e300)],
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
-        cfg = self.HMEASURE_3D if command == "hmeasure-3d" else self.CONFIGS[command]
+        cfg = {**self.CONFIGS, "hmeasure-3d": self.HMEASURE_3D,
+               "multiplier-check-12": self.MULTIPLIER_CHECK_12}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
+
+    def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
+        # 178 shells keep the alpha (1, 2) scan in the float range
+        cfg = dict(self.MULTIPLIER_CHECK_12,
+                   params=dict(self.MULTIPLIER_CHECK_12["params"], shells=178))
+        out = tmp_path / "out"
+        assert run_cli("multiplier-check", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "marcinkiewicz.json").exists()
 
     @pytest.mark.parametrize("section, value, needle", [
         ("grid", {"n": [16.9, 16], "L": [1.0, 1.0]}, "invalid grid: grid.n[0]"),

@@ -186,8 +186,8 @@ class TestCliEnvelope:
         assert (tmp_path / "out" / "decay.csv").exists()
 
     def test_averaging_peaks_below_one_full_grid_array(self, tmp_path):
-        # the run keeps its spectra on the envelope's band; its largest
-        # array is the float buffer of the draw, half a complex full grid
+        # the run keeps its spectra on the envelope's band and draws them
+        # in chunks of 0.5 MB, so no array of the full grid is ever built
         n, n_p = [16, 128], [128]
         cfg = {"command": "averaging",
                "grid": {"n": n, "L": [1.0, 1.0], "n_p": n_p, "P_len": [1.0]},
@@ -195,11 +195,14 @@ class TestCliEnvelope:
                "params": {"a": ["1.0", "p1"], "t": 0.5, "n_list": [1, 2, 4]}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
+        argv = ["averaging", "--config", str(path), "--out", str(tmp_path / "out")]
+        # the first run imports the numpy modules loaded on first use
+        # (numpy.random, numpy.fft: about 0.9 MB traced); the second is traced
+        assert cli.main(argv) == 0
         tracemalloc.start()
         try:
-            assert cli.main(["averaging", "--config", str(path),
-                             "--out", str(tmp_path / "out")]) == 0
+            assert cli.main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * math.prod(n + n_p)
+        assert peak < 0.75 * 8 * math.prod(n + n_p)

@@ -9,6 +9,7 @@ from hpm.multiplier import (
     fractional_derivative,
     marcinkiewicz_certify,
     projected_symbol_lattice,
+    shells_in_float_range,
     smooth_ramp,
     smoothing_inverse,
     smoothing_symbol_lattice,
@@ -224,6 +225,19 @@ class TestMarcinkiewicz:
     def test_shells_minimum(self):
         with pytest.raises(DomainError):
             marcinkiewicz_certify(symbol_from_name("one", ISO2), ISO2, 2, 8)
+
+    @pytest.mark.parametrize("alpha, largest", [((1.0, 2.0), 178), ((1.0, 1.0), 338),
+                                                ((1.0, 1.0, 2.0), 135)])
+    def test_shells_within_the_float_range(self, alpha, largest):
+        # one shell more and the constraint sum at the points the
+        # differences reach on the top shell overflows
+        profile = AnisotropyProfile(alpha)
+        assert shells_in_float_range(profile, largest)
+        assert not shells_in_float_range(profile, largest + 1)
+        assert not shells_in_float_range(profile, 10 ** 12)
+        with pytest.raises(DomainError, match="float range"):
+            marcinkiewicz_certify(symbol_from_name("one", profile), profile,
+                                  largest + 1, 8)
 
     def test_report_json_shape(self):
         rep = marcinkiewicz_certify(symbol_from_name("one", ISO2), ISO2, 3, 8)

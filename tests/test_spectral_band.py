@@ -6,9 +6,13 @@ the transport phase and the velocity quadrature) is written out below on
 the full grid, as the pipeline computed it before it ran on the box, and
 the band's values scattered onto the grid must equal it exactly."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hpm import spectral
 from hpm.averaging import TransportProblem, transport_spectrum, velocity_average
 from hpm.errors import DomainError
 from hpm.hmeasure import SequenceGenerator
@@ -165,6 +169,66 @@ class TestAgainstTheFullGrid:
             assert all(map(np.array_equal, avg.index, got.index))
             assert avg.grid == grid.spatial_only()
             assert np.array_equal(avg.scatter().values, full_average(grid, want, rho_vals))
+
+
+# the draw also runs on grids with no velocity axes
+DRAW_GRIDS = {
+    **GRIDS,
+    (1, 0): SpectralGrid((32,), (1.0,)),
+    (2, 0): SpectralGrid((16, 8), (1.0, 2.0)),
+    (3, 0): SpectralGrid((8, 4, 16), (1.0, 0.5, 2.0)),
+}
+
+
+class TestStreamedDraw:
+    """band_limited_spectrum draws the stream of the full grid in chunks of
+    at most _DRAW_CHUNK samples and keeps the box positions of each."""
+
+    # TestAgainstTheFullGrid.test_draw covers the grids with velocity axes
+    @pytest.mark.parametrize("dm", [(1, 0), (2, 0), (3, 0)], ids=lambda dm: f"d{dm[0]}-m0")
+    @pytest.mark.parametrize("band_fraction", FRACTIONS)
+    def test_draw_without_velocity_axes(self, dm, band_fraction):
+        grid = DRAW_GRIDS[dm]
+        r_band, r_full = rng(9), rng(9)
+        band = band_limited_spectrum(grid, r_band, band_fraction)
+        assert np.array_equal(band.scatter().values, full_draw(grid, r_full, band_fraction))
+        assert r_band.standard_normal() == r_full.standard_normal()
+
+    # 1 and 7 put chunk edges between neighbouring box positions; 37
+    # divides no grid size, so the last chunk is a short one
+    @pytest.mark.parametrize("chunk", [1, 7, 37])
+    @pytest.mark.parametrize("dm", [(1, 0), (1, 2), (2, 1), (3, 0), (3, 2)],
+                             ids=lambda dm: f"d{dm[0]}-m{dm[1]}")
+    def test_chunk_edges_inside_the_box(self, monkeypatch, chunk, dm):
+        grid = DRAW_GRIDS[dm]
+        assert math.prod(grid.shape) % chunk or chunk == 1
+        monkeypatch.setattr(spectral, "_DRAW_CHUNK", chunk)
+        for band_fraction in FRACTIONS:
+            r_band, r_full = rng(2), rng(2)
+            band = band_limited_spectrum(grid, r_band, band_fraction)
+            assert np.array_equal(band.scatter().values,
+                                  full_draw(grid, r_full, band_fraction))
+            assert r_band.standard_normal() == r_full.standard_normal()
+
+    def test_draw_memory_follows_the_box(self):
+        # the 32 x 256 x 256 grid of the transport workload, at the band of
+        # the CLI's envelope: the box is 2.4% of the grid
+        grid = SpectralGrid((32, 256), (1.0, 1.0), n_velocity=(256,),
+                            velocity_length=(1.0,))
+        tracemalloc.start()
+        try:
+            band = band_limited_spectrum(grid, rng(7), 0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.values.shape == (5, 39, 256)
+        assert peak < 8 * math.prod(grid.shape) / 4
+
+    @pytest.mark.parametrize("band_fraction", [-1.0, 0.0, 1.5, 1e300,
+                                               float("inf"), float("nan")])
+    def test_band_fraction_outside_the_unit_interval(self, band_fraction):
+        with pytest.raises(DomainError, match="band_fraction"):
+            band_limited_spectrum(GRIDS[(2, 1)], rng(), band_fraction)
 
 
 class TestBandRules:
