@@ -5,34 +5,34 @@ residual of the model equation
 
     sum_k a_k(x, p) d_{x_k}^{alpha_k} u = G.
 
-The transport solutions are exact in frequency space — every spatial mode
-just picks up the phase e^{-2 pi i t a(p).xi} — so averaging effects are
-isolated from any scheme diffusion, and every mode evolves on its own.
-transport_spectrum therefore runs on a spectral.SpectralBand, the box of
-modes where the spectrum can be nonzero (a full-grid spectrum is the
-band of every index): the phase is applied as d per-axis factors
+Transport is an operator on one snapshot: transport_spectrum(u0, a, t)
+applies the exact solution operator of du/dt + a(p).grad_x u = 0, which
+multiplies every spatial mode xi of u0 by e^{-2 pi i t a(p).xi}, so
+averaging effects are isolated from any scheme diffusion, and every mode
+evolves on its own.  It therefore runs on a spectral.SpectralBand, the
+box of modes where the spectrum can be nonzero (a full-grid spectrum is
+the band of every index): the phase is applied as d per-axis factors
 e^{-2 pi i t xi_k a_k(p)} at the box's frequencies, each on a small
 (|B_k|, 1, ..., n_p) slab.  The p-quadrature acts on the velocity axes
 only and so commutes with the spatial DFT: velocity_average works on a
 field in either space and on a band, and compactness_metric scatters a
 band's d-dimensional average onto the spatial lattice and inverts only
-that.  The CLI builds its snapshots as bands from the start (the
-envelope's band shifted by n, spectral.oscillated_spectrum), so its
-averaging run makes no full-grid pass after the random draw: no DFT,
-no phase and no quadrature over the whole grid.
+that.  The CLI's sequence is n -> transport_spectrum(u0_n, a, t) with
+u0_n the envelope's band shifted by n (spectral.oscillated_spectrum),
+so its averaging run makes no full-grid pass after the random draw: no
+DFT, no phase and no quadrature over the whole grid.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SingularPointError, SupportWarning
-from .hmeasure import SequenceGenerator
 from .multiplier import (
     SymbolOnP,
     _apply_spatial_multiplier,
@@ -50,6 +50,9 @@ from .spectral import (
     forward_dft,
     inverse_dft,
 )
+
+if TYPE_CHECKING:
+    from .hmeasure import SequenceGenerator
 
 
 # --- principal symbol ---------------------------------------------------------
@@ -202,35 +205,19 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
 
 # --- transport evolution ------------------------------------------------------
 
-@dataclass
-class TransportProblem:
-    """du/dt + a(p) . grad_x u = 0 with zero-spatial-mean initial data."""
-
-    grid: SpectralGrid
-    a: Callable | np.ndarray   # (p...) -> (..., d) or sampled (*n_velocity, d)
-    generator: SequenceGenerator
-    t: float
-
-    def velocity_field(self) -> np.ndarray:
-        vals = np.broadcast_to(self.grid.sample_velocity(self.a),
-                               self.grid.n_velocity + (self.grid.d,))
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("transport velocity a(p) must be finite")
-        return vals
-
-
-def transport_spectrum(problem: TransportProblem, n: int) -> SpectralBand:
-    """Exact solution at time t in frequency space: every spatial mode xi
-    is multiplied by e^(-2 pi i t a(p).xi), so the per-p L2 norm is
-    conserved exactly.  The initial snapshot is a band, or a field in
-    either space (a physical one is transformed first, and a full-grid
-    spectrum is the band of every index); the solution is a band on the
-    same box."""
-    u0 = problem.generator.field(n)
+def transport_spectrum(u0: SpectralField | SpectralBand, a, t: float) -> SpectralBand:
+    """Exact solution at time t of du/dt + a(p) . grad_x u = 0 from the
+    snapshot u0 (a band, or a field in either space), as a band on u0's
+    box: every spatial mode xi is multiplied by e^(-2 pi i t a(p).xi), so
+    the per-p L2 norm is conserved exactly.  a is a callable (p...) ->
+    (..., d) or its samples (*n_velocity, d); a velocity that is not
+    finite is a DomainError, a phase that is not finite an IntegrityError."""
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
-    a = problem.velocity_field()
+    a = np.broadcast_to(grid.sample_velocity(a), grid.n_velocity + (grid.d,))
+    if not np.all(np.isfinite(a)):
+        raise DomainError("transport velocity a(p) must be finite")
     if isinstance(u0, SpectralField) and u0.space == PHYSICAL:
         u0 = forward_dft(u0)
     U = SpectralBand.of(u0)
@@ -240,7 +227,12 @@ def transport_spectrum(problem: TransportProblem, n: int) -> SpectralBand:
     out = None
     for k, i in enumerate(U.index):
         xk = grid.on_axis(grid.freq_axis(k)[i], k)
-        factor = np.exp(-2j * np.pi * problem.t * (xk * a[..., k]))
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            phase = -2j * np.pi * t * (xk * a[..., k])
+        if not np.all(np.isfinite(phase)):
+            raise IntegrityError(
+                f"transport phase 2 pi t a_{k + 1}(p) xi_{k + 1} is not finite")
+        factor = np.exp(phase)
         if out is None:
             out = U.values * factor
         else:
@@ -248,9 +240,9 @@ def transport_spectrum(problem: TransportProblem, n: int) -> SpectralBand:
     return U.with_values(out)
 
 
-def transport_evolve(problem: TransportProblem, n: int) -> SpectralField:
-    """Exact solution at time t in physical space."""
-    return inverse_dft(transport_spectrum(problem, n).scatter())
+def transport_evolve(u0: SpectralField | SpectralBand, a, t: float) -> SpectralField:
+    """Exact solution at time t in physical space, see transport_spectrum."""
+    return inverse_dft(transport_spectrum(u0, a, t).scatter())
 
 
 # --- velocity averaging -------------------------------------------------------

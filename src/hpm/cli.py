@@ -165,6 +165,18 @@ def _count(value, where: str, elements) -> int:
     return count
 
 
+def _midpoints(interval, where: str, points, points_where: str, elements):
+    """The midpoints of `points` (a count, see _count, of at least 2) equal
+    cells of the interval (lo, hi), which needs lo < hi and a finite width."""
+    lo, hi = interval
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"{where} needs lo < hi of finite width, got {lo} and {hi}")
+    count = _count(points, points_where, elements)
+    if count < 2:
+        raise ConfigError(f"{points_where} must be at least 2, got {count}")
+    return lo + (np.arange(count) + 0.5) * (hi - lo) / count
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -357,7 +369,11 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
         "n_list": n_list})
 
 
-def _transport_generator(grid, profile, params, rng):
+def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
+    _check_keys(params, {"a", "rho", "t", "n_list", "window",
+                         "oscillation_axis"}, "params")
+    if grid.m == 0:
+        raise ConfigError("averaging needs velocity axes (grid.n_p)")
     a_exprs = params.get("a")
     if not isinstance(a_exprs, list) or len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
@@ -367,24 +383,12 @@ def _transport_generator(grid, profile, params, rng):
     axis = _param(params, "oscillation_axis", grid.d - 1, integer=True)
     if not -grid.d <= axis < grid.d:
         raise ConfigError(f"params.oscillation_axis must be a spatial axis, got {axis}")
-    # the snapshots env e^{2 pi i n x / L} minus their means, as bands
-    gen = hmeasure.SequenceGenerator(
-        lambda n: spectral.oscillated_spectrum(env_spec, n, axis))
-    problem = averaging.TransportProblem(grid, a_of_p, gen,
-                                         t=_param(params, "t", 1.0))
-    # exact transport multiplies the xi = 0 mode by exactly 1, so the
-    # evolved bands keep the zero mean of the initial data; they are
-    # velocity-averaged on the box before the (small) inverse DFT
-    return hmeasure.SequenceGenerator(
-        lambda n: averaging.transport_spectrum(problem, n))
-
-
-def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
-    _check_keys(params, {"a", "rho", "t", "n_list", "window",
-                         "oscillation_axis"}, "params")
-    if grid.m == 0:
-        raise ConfigError("averaging needs velocity axes (grid.n_p)")
-    gen = _transport_generator(grid, profile, params, rng)
+    t = _param(params, "t", 1.0)
+    # the bands of env e^{2 pi i n x / L} minus their means, evolved exactly
+    # (the xi = 0 mode keeps its zero), are velocity-averaged on the box
+    # before the (small) inverse DFT
+    gen = hmeasure.SequenceGenerator(lambda n: averaging.transport_spectrum(
+        spectral.oscillated_spectrum(env_spec, n, axis), a_of_p, t))
     rho_stack = _compile_stack({"params.rho": params.get("rho", "cos(pi*p1)**2")},
                                [f"p{i+1}" for i in range(grid.m)])
 
@@ -422,18 +426,14 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     def coeffs(x, p):
         return stack(p, *x)
 
-    lo, hi = _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2)
-    if not lo < hi:
-        raise ConfigError(f"params.p_interval needs lo < hi, got {lo} and {hi}")
-    # the coefficients on the p grid, (p_points, d), and the (N, d) mesh
-    # of P, N = resolution^(d-1)
-    npts = _count(params.get("p_points", 256), "params.p_points",
-                  lambda n: n * profile.d)
-    if npts < 2:
-        raise ConfigError(f"params.p_points must be at least 2, got {npts}")
+    # the (N, d) mesh of P, N = resolution^(d-1), and the coefficients on
+    # the p grid, (p_points, d)
     resolution = _count(params.get("resolution", 32), "params.resolution",
                         lambda r: r ** (profile.d - 1) * profile.d)
-    p_grid = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
+    p_grid = _midpoints(
+        _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2),
+        "params.p_interval", params.get("p_points", 256), "params.p_points",
+        lambda n: n * profile.d)
     eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
                         "params.eps_list")
     report = averaging.nondegeneracy_scan(
@@ -453,19 +453,18 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
         velocity = _numbers(velocity, "params.velocity", grid.d)
     flux = kinetic.flux_from_name(params.get("flux", "burgers-heat"),
                                   d=grid.d, velocity=velocity)
+    if velocity is not None and flux.name != "linear-transport":
+        raise ConfigError(f"params.velocity does not apply to flux {flux.name!r}")
     lspec = params.get("lambda", {})
     _check_keys(lspec, {"min", "max", "points"}, "params.lambda")
     lo = _number(lspec.get("min", -1.0), "params.lambda.min")
     hi = _number(lspec.get("max", 1.0), "params.lambda.max")
-    if not lo < hi:
-        raise ConfigError(f"params.lambda needs min < max, got {lo} and {hi}")
-    # the flux derivatives at every lambda, (points, d, d), and the (N, d)
-    # mesh of the manifold, N = resolution^(d-1)
-    npts = _count(lspec.get("points", 256), "params.lambda.points",
-                  lambda n: n * flux.d ** 2)
+    # the (N, d) mesh of the manifold, N = resolution^(d-1), and the flux
+    # derivatives at every lambda, (points, d, d)
     resolution = _count(params.get("resolution", 64), "params.resolution",
                         lambda r: r ** (flux.d - 1) * flux.d)
-    lam = lo + (np.arange(npts) + 0.5) * (hi - lo) / npts
+    lam = _midpoints((lo, hi), "params.lambda", lspec.get("points", 256),
+                     "params.lambda.points", lambda n: n * flux.d ** 2)
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
     report = kinetic.up_nondegeneracy_scan(

@@ -508,11 +508,12 @@ def oscillated_spectrum(F: SpectralField | SpectralBand, n: int, axis: int) -> S
     from the spectrum F of f (a band or a full-grid spectrum): the box
     shifted by n lattice points along spatial axis `axis` (taken mod d,
     so -1 is the last spatial axis), its indices taken mod n_k, with the
-    xi = 0 mode set to 0 if the shifted box holds it."""
+    xi = 0 mode set to 0 if the shifted box holds it.  Only n mod n_k
+    matters; it is reduced first, so n may be any Python int."""
     B = SpectralBand.of(F)
     g = B.grid
     k = axis % g.d
-    shifted = (B.index[k] + n) % g.n_per_axis[k]
+    shifted = (B.index[k] + n % g.n_per_axis[k]) % g.n_per_axis[k]
     order = np.argsort(shifted)
     index = B.index[:k] + (shifted[order],) + B.index[k + 1:]
     out = np.take(B.values, order, axis=k)

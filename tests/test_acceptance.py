@@ -10,8 +10,7 @@ import pytest
 from hpm import cli
 from hpm.anisotropy import AnisotropyProfile, constraint_sum, fibre_point, \
     mesh_P, project_to_P
-from hpm.averaging import TransportProblem, compactness_metric, \
-    nondegeneracy_scan, transport_evolve
+from hpm.averaging import compactness_metric, nondegeneracy_scan, transport_evolve
 from hpm.hmeasure import SequenceGenerator, bilinear_form, cosine_velocity_basis, \
     matrix_hmeasure, oscillation_sequence, scalar_hmeasure
 from hpm.kinetic import UPManifold, bump_test_function, entropy_residual, \
@@ -186,14 +185,12 @@ def test_criterion_5_averaging_dichotomy():
     a_nd = lambda p: np.stack([np.ones_like(p), p], axis=-1)
     nd = compactness_metric(
         SequenceGenerator.from_callable(
-            lambda n: transport_evolve(
-                TransportProblem(g, a_nd, gen0, 0.2), n)),
+            lambda n: transport_evolve(gen0.field(n), a_nd, 0.2)),
         bump, window, n_list)
     a_dg = lambda p: np.stack([np.ones_like(p), np.zeros_like(p)], axis=-1)
     dg = compactness_metric(
         SequenceGenerator.from_callable(
-            lambda n: transport_evolve(
-                TransportProblem(g, a_dg, gen0, 0.2), n)),
+            lambda n: transport_evolve(gen0.field(n), a_dg, 0.2)),
         bump, window, n_list)
 
     eps = (0.05, 0.1, 0.2)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hpm.anisotropy import AnisotropyProfile, mesh_P
 from hpm.averaging import (
     DecayTable,
-    TransportProblem,
     beta_split_weights,
     build_gn_test_function,
     compactness_metric,
@@ -168,17 +167,15 @@ class TestTransport:
     def test_zero_velocity_is_identity(self):
         g = SpectralGrid((16,), (1.0,), n_velocity=(8,), velocity_length=(2.0,))
         gen = pure_mode_generator(g, (3,))
-        prob = TransportProblem(g, lambda p: np.zeros(p.shape + (1,)), gen, 0.7)
         u0 = gen.field(0)
-        u = transport_evolve(prob, 0)
+        u = transport_evolve(u0, lambda p: np.zeros(p.shape + (1,)), 0.7)
         assert np.max(np.abs(u.values - u0.values)) <= 1e-12
 
     def test_single_mode_exact_phase(self):
         g = SpectralGrid((16,), (1.0,), n_velocity=(8,), velocity_length=(2.0,))
         gen = pure_mode_generator(g, (3,))
         t = 0.3
-        prob = TransportProblem(g, lambda p: p[..., None], gen, t)
-        u = transport_evolve(prob, 0)
+        u = transport_evolve(gen.field(0), lambda p: p[..., None], t)
         x = g.coord_axis(0)[:, None]
         p = g.velocity_axis(0)[None, :]
         # [DERIVED] exact characteristics: u(t, x, p) = u0(x - t p, p)
@@ -194,7 +191,7 @@ class TestTransport:
         u0 = SpectralField(g, vals, PHYSICAL)
         gen = SequenceGenerator.from_callable(lambda n: u0)
         a = lambda p: np.stack([np.ones_like(p), p], axis=-1)
-        u = transport_evolve(TransportProblem(g, a, gen, 1.3), 0)
+        u = transport_evolve(gen.field(0), a, 1.3)
         n0 = np.sqrt(np.sum(np.abs(u0.values) ** 2, axis=(0, 1)))
         n1 = np.sqrt(np.sum(np.abs(u.values) ** 2, axis=(0, 1)))
         assert np.max(np.abs(n1 - n0)) <= 1e-12 * np.max(n0)
@@ -203,7 +200,7 @@ class TestTransport:
         g = SpectralGrid((16,), (1.0,))
         gen = pure_mode_generator(g, (1,))
         with pytest.raises(DomainError):
-            transport_evolve(TransportProblem(g, lambda p: p, gen, 1.0), 0)
+            transport_evolve(gen.field(0), lambda p: p, 1.0)
 
 
 class TestVelocityAverage:
@@ -252,9 +249,8 @@ class TestCompactness:
         n_list = (2, 4, 8, 16)
 
         a_nd = lambda p: np.stack([np.ones_like(p), p], axis=-1)
-        prob = TransportProblem(g, a_nd, gen0, 0.5)
         gen_nd = SequenceGenerator.from_callable(
-            lambda n: transport_evolve(prob, n))
+            lambda n: transport_evolve(gen0.field(n), a_nd, 0.5))
         tab = compactness_metric(gen_nd, compact_bump, window, n_list)
         assert isinstance(tab, DecayTable)
         assert all(b < a for a, b in zip(tab.ratios, tab.ratios[1:]))
@@ -262,9 +258,8 @@ class TestCompactness:
 
         # a independent of p: no averaging, the ratio stays pinned at 1
         a_dg = lambda p: np.stack([np.ones_like(p), np.zeros_like(p)], axis=-1)
-        prob2 = TransportProblem(g, a_dg, gen0, 0.5)
         gen_dg = SequenceGenerator.from_callable(
-            lambda n: transport_evolve(prob2, n))
+            lambda n: transport_evolve(gen0.field(n), a_dg, 0.5))
         tab2 = compactness_metric(gen_dg, compact_bump, window, n_list)
         assert all(abs(r - 1.0) <= 1e-10 for r in tab2.ratios)
 

@@ -360,6 +360,12 @@ class TestMalformedParams:
         # a band fraction outside (0, 1]
         *[("multiplier-apply", {"band_fraction": v}, "params.band_fraction")
           for v in (-1, 0, 5, 1e300)],
+        # scan intervals whose width hi - lo overflows, a single lambda point
+        ("nondegeneracy", {"p_interval": [-1e308, 1e308]}, "params.p_interval"),
+        ("kinetic", {"lambda": {"min": -1e308, "max": 1e308}}, "params.lambda"),
+        ("kinetic", {"lambda": {"points": 1}}, "params.lambda.points"),
+        # a velocity for a flux that takes none
+        ("kinetic", {"flux": "burgers-heat", "velocity": [1, 2]}, "params.velocity"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
@@ -556,3 +562,27 @@ class TestReadmeAveragingExample:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert (tmp_path / "out" / "decay.csv").exists()
+
+    # warnings are errors here: pytest would catch numpy's RuntimeWarnings
+    # before they reach stderr
+    @pytest.mark.filterwarnings("error")
+    def test_n_list_entry_beyond_int64_runs_clean(self, tmp_path, capsys):
+        cfg = self._readme_config()
+        cfg["params"]["n_list"] = [4, 10 ** 23, 2 ** 63]
+        out = tmp_path / "out"
+        assert run_cli("averaging", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "decay.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["4", str(10 ** 23), str(2 ** 63)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [{"t": 1.7e308}, {"a": ["1e308", "p1"]}])
+    def test_overflowing_phase_exits_3_with_one_line(self, tmp_path, capsys, params):
+        cfg = self._readme_config()
+        cfg["params"].update(params)
+        out = tmp_path / "out"
+        assert run_cli("averaging", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: transport phase")
+        assert err.count("\n") == 1
+        assert not out.exists()

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from hpm import spectral
-from hpm.averaging import TransportProblem, transport_spectrum, velocity_average
+from hpm.averaging import transport_spectrum, velocity_average
 from hpm.errors import DomainError
-from hpm.hmeasure import SequenceGenerator
 from hpm.spectral import (
     SpectralBand,
     SpectralGrid,
@@ -151,18 +150,26 @@ class TestAgainstTheFullGrid:
             assert np.array_equal(got.scatter().values, full_shift(grid, full, n, axis))
             assert all(np.all(np.diff(i) > 0) for i in got.index)
 
+    def test_shift_depends_on_n_mod_n_k_only(self, dm, band_fraction):
+        # n + 2**70 n_k lies beyond int64, but only n mod n_k shapes the band
+        grid = GRIDS[dm]
+        band, _ = envelope(grid, band_fraction)
+        for n, axis in shifts(grid):
+            want = oscillated_spectrum(band, n, axis)
+            got = oscillated_spectrum(band, n + 2 ** 70 * grid.n_per_axis[axis], axis)
+            assert all(map(np.array_equal, got.index, want.index))
+            assert np.array_equal(got.values, want.values)
+
     def test_transport_and_average(self, dm, band_fraction):
         grid = GRIDS[dm]
         band, full = envelope(grid, band_fraction)
-        problem = TransportProblem(
-            grid, velocity(grid),
-            SequenceGenerator(lambda n: oscillated_spectrum(band, n, -1)), t=0.7)
-        a = problem.velocity_field()
+        a = grid.sample_velocity(velocity(grid))
         rho = weight(grid)
         rho_vals = np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
         for n in (2, grid.n_per_axis[-1] // 2 + 1):
             want = full_transport(grid, full_shift(grid, full, n, -1), a, 0.7)
-            got = transport_spectrum(problem, n)
+            got = transport_spectrum(oscillated_spectrum(band, n, -1),
+                                     velocity(grid), 0.7)
             assert np.array_equal(got.scatter().values, want)
             avg = velocity_average(got, rho)
             assert isinstance(avg, SpectralBand)
