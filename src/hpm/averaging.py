@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,10 +50,6 @@ from .spectral import (
     forward_dft,
     inverse_dft,
 )
-
-if TYPE_CHECKING:
-    from .hmeasure import SequenceGenerator
-
 
 # --- principal symbol ---------------------------------------------------------
 
@@ -210,14 +206,14 @@ def transport_spectrum(u0: SpectralField | SpectralBand, a, t: float) -> Spectra
     snapshot u0 (a band, or a field in either space), as a band on u0's
     box: every spatial mode xi is multiplied by e^(-2 pi i t a(p).xi), so
     the per-p L2 norm is conserved exactly.  a is a callable (p...) ->
-    (..., d) or its samples (*n_velocity, d); a velocity that is not
-    finite is a DomainError, a phase that is not finite an IntegrityError."""
+    (..., d) or its samples (*n_velocity, d); a velocity or a phase that
+    is not finite is an IntegrityError."""
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = np.broadcast_to(grid.sample_velocity(a), grid.n_velocity + (grid.d,))
     if not np.all(np.isfinite(a)):
-        raise DomainError("transport velocity a(p) must be finite")
+        raise IntegrityError("transport velocity a(p) is not finite")
     if isinstance(u0, SpectralField) and u0.space == PHYSICAL:
         u0 = forward_dft(u0)
     U = SpectralBand.of(u0)
@@ -267,14 +263,19 @@ def velocity_average(u: SpectralField | SpectralBand, rho) -> SpectralField | Sp
     """Midpoint quadrature int u(x, p) rho(p) dp; rho should be compactly
     supported inside the velocity box (boundary support only warns: a
     callable weight must vanish on the faces of the closed box, sampled
-    values at the outermost midpoints).  The quadrature acts on the
-    velocity axes only, so u may be a field in either space, whose
-    average keeps its space tag, or a band, whose average is a band on
-    the same box of spatial modes."""
+    values at the outermost midpoints), and samples of it that are not
+    finite are an IntegrityError.  The quadrature acts on the velocity
+    axes only, so u may be a field in either space, whose average keeps
+    its space tag, or a band, whose average is a band on the same box of
+    spatial modes."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
     rho_vals = _rho_on_grid(rho, grid)
+    bad = rho_vals.size - int(np.count_nonzero(np.isfinite(rho_vals)))
+    if bad:
+        raise IntegrityError(f"non-finite velocity weight rho(p): {bad} of "
+                             f"{rho_vals.size} samples")
     peak = float(np.max(np.abs(rho_vals)))
     if peak > 0:
         for i in range(grid.m):
@@ -317,8 +318,8 @@ def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
     return mask
 
 
-def compactness_metric(gen: SequenceGenerator, rho, window,
-                       n_list: Sequence[int]) -> DecayTable:
+def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
+                       window, n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
     of the ratios is the observable footprint of velocity averaging.  The
     snapshots may be bands or fields in either space; an average in
@@ -329,7 +330,7 @@ def compactness_metric(gen: SequenceGenerator, rho, window,
         raise DomainError("need at least 2 sequence indices")
     norms = []
     for n in n_list:
-        avg = velocity_average(gen.field(n), rho)
+        avg = velocity_average(seq(n), rho)
         if isinstance(avg, SpectralBand):
             avg = avg.scatter()
         if avg.space == FREQUENCY:

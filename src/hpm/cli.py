@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, hmeasure, kinetic, multiplier, spectral
-from .anisotropy import AnisotropyProfile, project_to_P
+from .anisotropy import AnisotropyProfile, constraint_sum, project_to_P
 from .errors import ConfigError, DomainError, HpmError, IntegrityError
 
 COMMANDS = ("project", "multiplier-apply", "multiplier-check", "hmeasure",
@@ -93,7 +93,8 @@ def _safe_expr(expr: str, names: list[str], where: str = "an expression"):
 
     def fn(**kw):
         try:
-            value = eval(code, env, kw)
+            with np.errstate(all="ignore"):  # a non-finite value is checked later
+                value = eval(code, env, kw)
         except ArithmeticError as exc:  # float ** overflow, division by zero
             raise IntegrityError(f"expression {expr!r} failed: {exc}") from None
         # a negative float to a fractional power is complex
@@ -279,6 +280,16 @@ def _cmd_project(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError("params.points must be a list of d-vectors")
     pts = np.asarray([_numbers(q, f"params.points[{i}]", profile.d)
                       for i, q in enumerate(pts)])
+    # a sum past the float range, or below its normal floor (a subnormal
+    # sum has lost the digits that put the projection on P), has no
+    # projection to publish
+    with np.errstate(over="ignore"):
+        sums = constraint_sum(pts, profile).tolist()
+    for i, total in enumerate(sums):
+        if not sys.float_info.min <= total < math.inf:
+            raise ConfigError(
+                f"params.points[{i}] has constraint sum {total!r}: projection "
+                f"to P needs a finite sum of at least {sys.float_info.min!r}")
     proj = project_to_P(pts, profile)
     rows = [tuple(p) + tuple(q) for p, q in zip(pts, proj)]
     header = [f"xi_{k}" for k in range(profile.d)] + \
@@ -345,6 +356,9 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
                       integer=True)
     if any(n < 1 for n in n_list):
         raise ConfigError(f"params.n_list entries must be positive, got {n_list}")
+    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"params.n_list must be increasing with at least 3 "
+                          f"entries, got {n_list}")
     # the largest arrays: the (C, S) row stack of the cell forms, with C =
     # x_cells^d cells and S lattice points, the (p_cells, S) P-masks and
     # the (C len(n_list), p_cells) forms
@@ -355,8 +369,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
                      lambda b: b * max(S, max(x_cells, 0) ** grid.d * len(n_list)))
     # the envelope: band 0.15, kept away from zero by its mean 1
     env = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.15, 1.0).scatter())
-    gen = hmeasure.SequenceGenerator.oscillation(profile, c, env)
-    est = hmeasure.scalar_hmeasure(gen, profile, grid, n_list,
+    seq = hmeasure.OscillationSequence(profile, c, env)
+    est = hmeasure.scalar_hmeasure(seq, profile, grid, n_list,
                                    x_cells=x_cells, p_cells=p_cells)
     rows = []
     C, B = est.cells.shape
@@ -387,8 +401,10 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
     # the bands of env e^{2 pi i n x / L} minus their means, evolved exactly
     # (the xi = 0 mode keeps its zero), are velocity-averaged on the box
     # before the (small) inverse DFT
-    gen = hmeasure.SequenceGenerator(lambda n: averaging.transport_spectrum(
-        spectral.oscillated_spectrum(env_spec, n, axis), a_of_p, t))
+    def seq(n):
+        return averaging.transport_spectrum(
+            spectral.oscillated_spectrum(env_spec, n, axis), a_of_p, t)
+
     rho_stack = _compile_stack({"params.rho": params.get("rho", "cos(pi*p1)**2")},
                                [f"p{i+1}" for i in range(grid.m)])
 
@@ -404,7 +420,10 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError("params.window must be a list of [lo, hi] intervals")
     n_list = _numbers(params.get("n_list", [4, 8, 16, 32, 64]), "params.n_list",
                       integer=True)
-    table = averaging.compactness_metric(gen, rho, window, n_list)
+    if len(n_list) < 2:
+        raise ConfigError(f"params.n_list needs at least 2 sequence indices, "
+                          f"got {n_list}")
+    table = averaging.compactness_metric(seq, rho, window, n_list)
     _write_csv(out / "decay.csv", ["n", "norm", "ratio"], table.rows())
     emit_plotdata(table.rows(), ["n", "norm", "ratio"], out / "decay.dat")
 

@@ -13,10 +13,11 @@ The P-masks are real, so the cell forms come from real matrix products
 (GEMM): the real parts of F(hat_c w_i) conj(F(hat_c w_j)), stacked over
 cells (C rows for a scalar snapshot), against the transposed masks, plus a
 second GEMM for the imaginary parts of a matrix measure (the scalar ones
-vanish).  A snapshot's spectra F(hat_c w_i) are transforms of hat_c w_i,
-one per cell.  An oscillation snapshot is one envelope v times
-exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus its mean m_n, so
-its spectra follow by the shift rule
+vanish).  A sequence is any callable n -> u_n of zero-mean snapshots,
+and a snapshot's spectra F(hat_c w_i) are transforms of hat_c w_i, one
+per cell.  The snapshots of an OscillationSequence are one envelope v
+times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the mean
+m_n, so their spectra follow by the shift rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
 
@@ -48,7 +49,6 @@ from .spectral import (
     convolve_velocity,
     forward_dft,
     inverse_dft,
-    read_field,
     subtract_spatial_mean,
 )
 
@@ -95,8 +95,7 @@ def _check_support(phi: np.ndarray, grid: SpectralGrid, label: str) -> None:
 
 
 def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
-                  profile: AnisotropyProfile, via: str = "frequency",
-                  check_support: bool = True) -> complex:
+                  profile: AnisotropyProfile, via: str = "frequency") -> complex:
     """The H_P-measure generating form for a single snapshot u.
 
     phi1, phi2 are cut-off functions given as grid arrays or callables of
@@ -107,9 +106,8 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
     grid = u.grid
     phi1 = grid.sample(phi1)
     phi2 = grid.sample(phi2)
-    if check_support:
-        _check_support(phi1, grid, "phi1")
-        _check_support(phi2, grid, "phi2")
+    _check_support(phi1, grid, "phi1")
+    _check_support(phi2, grid, "phi2")
     sym = projected_symbol_lattice(psi, grid, profile)
     return _lattice_forms(u, phi1, phi2, [sym], via)[0]
 
@@ -135,7 +133,7 @@ def _lattice_forms(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
     return [complex(t) for t in totals]
 
 
-# --- sequence generators ------------------------------------------------------
+# --- sequences ----------------------------------------------------------------
 
 def _lattice_steps(profile: AnisotropyProfile, c, n: int,
                    grid: SpectralGrid) -> list[int]:
@@ -202,49 +200,22 @@ def concentration_sequence(profile: AnisotropyProfile, envelope: Callable,
     return subtract_spatial_mean(SpectralField(grid, vals, PHYSICAL))
 
 
-@dataclass
-class SequenceGenerator:
-    """A family n -> u_n of zero-spatial-mean fields.
+@dataclass(frozen=True)
+class OscillationSequence:
+    """n -> oscillation_sequence(profile, c, envelope, n), whose cell
+    spectra scalar_hmeasure forms by the shift rule (cell_spectra): one
+    transform per cell, not one per (cell, n)."""
 
-    Zero mean is established once, where a snapshot is produced:
-    oscillation_sequence and concentration_sequence subtract it themselves,
-    and from_callable and from_files wrap their producer in
-    subtract_spatial_mean.  field(n) returns the snapshot unchanged, so a
-    producer passed to the constructor directly must already be zero-mean
-    (a spectrum with a zero xi = 0 mode, as spectral.oscillated_spectrum
-    yields, is).
+    profile: AnisotropyProfile
+    c: Sequence[float]
+    envelope: SpectralField
 
-    Every oscillation snapshot is one envelope rolled by a lattice shift,
-    so an oscillation generator also carries cell_spectra, which gives
-    scalar_hmeasure the cell spectra F(hat_c u_n) of all its snapshots by
-    the shift rule: one transform per cell, not one per (cell, n).  The
-    other generators leave it None and their snapshots are transformed
-    cell by cell."""
+    def __call__(self, n: int) -> SpectralField:
+        return oscillation_sequence(self.profile, self.c, self.envelope, n)
 
-    produce: Callable[[int], SpectralField]
-    cell_spectra: Callable | None = None
-
-    def field(self, n: int) -> SpectralField:
-        return self.produce(n)
-
-    @classmethod
-    def oscillation(cls, profile, c, envelope: SpectralField) -> "SequenceGenerator":
-        return cls(lambda n: oscillation_sequence(profile, c, envelope, n),
-                   functools.partial(_shifted_cell_spectra, profile, c, envelope))
-
-    @classmethod
-    def concentration(cls, profile, envelope: Callable,
-                      grid: SpectralGrid) -> "SequenceGenerator":
-        return cls(lambda n: concentration_sequence(profile, envelope, grid, n))
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], SpectralField]) -> "SequenceGenerator":
-        return cls(lambda n: subtract_spatial_mean(fn(n)))
-
-    @classmethod
-    def from_files(cls, paths: Sequence[str]) -> "SequenceGenerator":
-        paths = list(paths)
-        return cls(lambda n: subtract_spatial_mean(read_field(paths[n])))
+    def cell_spectra(self, basis: CellBasis, n_list: Sequence[int]) -> Callable:
+        return _shifted_cell_spectra(self.profile, self.c, self.envelope,
+                                     basis, n_list)
 
 
 # --- velocity mollification ---------------------------------------------------
@@ -422,18 +393,13 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
                      masks.reshape((p_cells,) + grid.n_per_axis))
 
 
-def _cell_forms(u: SpectralField, basis: CellBasis,
-                components: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """All cellwise forms for one snapshot.
-
-    With components = [w_1, ..., w_N] (x-arrays), returns V[i, j, c, b] =
-    sum_xi mask_b F(hat_c w_i) conj(F(hat_c w_j)) vol_xi; without
-    components, the scalar case V[0, 0, c, b] for w = u.  The spectra are
-    the transforms of hat_c w_i, formed cell by cell, and _stacked_forms
-    meets them with the masks."""
-    grid = u.grid.spatial_only()
-    if components is None:
-        components = [np.asarray(u.values)]
+def _cell_forms(grid: SpectralGrid, basis: CellBasis,
+                components: Sequence[np.ndarray]) -> np.ndarray:
+    """All cellwise forms for one snapshot on the spatial grid: with
+    components = [w_1, ..., w_N] (x-arrays), V[i, j, c, b] = sum_xi mask_b
+    F(hat_c w_i) conj(F(hat_c w_j)) vol_xi, and [u] gives the scalar case.
+    The spectra are the transforms of hat_c w_i, formed cell by cell, and
+    _stacked_forms meets them with the masks."""
     G = np.empty((len(components), math.prod(grid.n_per_axis)), dtype=complex)
 
     def spectra(cell):
@@ -559,12 +525,14 @@ class HMeasureEstimate:
     cell_errors: np.ndarray | None = None
 
 
-def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
-                    grid: SpectralGrid, n_list: Sequence[int],
-                    x_cells: int, p_cells: int,
+def scalar_hmeasure(seq: Callable[[int], SpectralField],
+                    profile: AnisotropyProfile, grid: SpectralGrid,
+                    n_list: Sequence[int], x_cells: int, p_cells: int,
                     pairs: dict | None = None,
                     symbols: dict | None = None) -> HMeasureEstimate:
-    """Estimate the scalar H_P-measure of a sequence of x-only fields.
+    """Estimate the scalar H_P-measure of a sequence n -> u_n of x-only
+    fields, each of zero spatial mean (u_n tends weakly to 0; the
+    snapshots are used as given, not centred).
 
     pairs maps pair-ids to (phi1, phi2) grid arrays and symbols maps
     symbol-ids to SymbolOnP; for every combination the raw V_n and its
@@ -582,16 +550,16 @@ def scalar_hmeasure(gen: SequenceGenerator, profile: AnisotropyProfile,
         lattices = {sid: projected_symbol_lattice(psi, grid, profile)
                     for sid, psi in symbols.items()}
     # the shift rule loops cells outer and n inner, one transform per cell
-    # for every n; other generators transform each snapshot cell by cell
-    shifted = gen.cell_spectra is not None
+    # for every n; other sequences transform each snapshot cell by cell
+    shifted = isinstance(seq, OscillationSequence)
     cell_runs = []
     if shifted:
-        cell_runs = _stacked_forms(basis, grid, gen.cell_spectra(basis, n_list),
+        cell_runs = _stacked_forms(basis, grid, seq.cell_spectra(basis, n_list),
                                    len(n_list), 1)[:, 0, 0]
     for n in (n_list if pairs or not shifted else ()):
-        u = gen.field(n)
+        u = seq(n)
         if not shifted:
-            cell_runs.append(_cell_forms(u, basis)[0, 0])
+            cell_runs.append(_cell_forms(u.grid, basis, [u.values])[0, 0])
         if pairs:
             u.require(PHYSICAL)
             for pid, (p1, p2) in cutoffs.items():
@@ -647,15 +615,16 @@ class MatrixMeasure:
                 f"sqrt(mu_ii mu_jj) by {excess:.3e}, slack {cs_slack:.1e}")
 
 
-def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
+def matrix_hmeasure(seq: Callable[[int], SpectralField], basis: np.ndarray,
                     x_cells: int, p_cells: int, n_list: Sequence[int],
                     profile: AnisotropyProfile) -> MatrixMeasure:
-    """Assemble the matrix measure of a velocity-dependent sequence against
-    the first N functions of an orthonormal velocity basis."""
+    """Assemble the matrix measure of a velocity-dependent sequence n -> u_n,
+    each of zero spatial mean (used as given), against the first N
+    functions of an orthonormal velocity basis."""
     n_list = _check_n_list(n_list)
     basis = np.asarray(basis, dtype=complex)
     N = basis.shape[0]
-    probe = gen.field(n_list[0])
+    probe = seq(n_list[0])
     grid = probe.grid
     if grid.m == 0:
         raise DomainError("matrix measures need velocity axes")
@@ -666,17 +635,17 @@ def matrix_hmeasure(gen: SequenceGenerator, basis: np.ndarray,
     gram = flat @ np.conj(flat).T * dv
     if np.max(np.abs(gram - np.eye(N))) > 1e-10:
         raise DomainError("velocity basis is not orthonormal on the grid")
-    cb = make_cell_basis(grid.spatial_only(), profile, x_cells, p_cells)
+    xgrid = grid.spatial_only()
+    cb = make_cell_basis(xgrid, profile, x_cells, p_cells)
     vel_axes = tuple(range(grid.d, grid.d + grid.m))
     runs = []
     for n in n_list:
-        u = gen.field(n) if n != n_list[0] else probe
+        u = seq(n) if n != n_list[0] else probe
+        # velocity projections w_i(x) = int e_i(p)* u(x, p) dp
         comps = [np.tensordot(np.asarray(u.values), np.conj(basis[i]),
                               axes=(vel_axes, tuple(range(grid.m)))) * dv
                  for i in range(N)]
-        # velocity projections w_i(x) = int e_i(p)* u(x, p) dp
-        xu = SpectralField(grid.spatial_only(), comps[0], PHYSICAL)
-        runs.append(_cell_forms(xu, cb, components=comps))
+        runs.append(_cell_forms(xgrid, cb, comps))
     entries, errors = estimate_limit(np.stack(runs))  # (n, N, N, C, B)
     weights = 0.5 ** (np.arange(N) + 1)
     trace = np.einsum("i,iicb->cb", weights, entries).real

@@ -120,7 +120,11 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
                               f"finite width > 0")
 
         def _bump(xi, center=center, width=width):
-            r2 = np.sum((xi - center) ** 2, axis=-1) / width ** 2
+            # in float64, silently: a width whose square overflows gives
+            # r2 = 0 (the bump is 1), one whose square underflows, or an
+            # offset whose square overflows, r2 = inf or NaN (outside)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                r2 = np.sum((xi - center) ** 2, axis=-1) / np.square(width)
             out = np.zeros(xi.shape[:-1])
             inside = r2 < 1
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))

@@ -19,9 +19,15 @@ from hpm.averaging import (
     WeakTestFunction,
 )
 from hpm.errors import DomainError, IntegrityError, SingularPointError, SupportWarning
-from hpm.hmeasure import SequenceGenerator
+from hpm.hmeasure import OscillationSequence
 from hpm.multiplier import fractional_derivative, symbol_from_name
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, band_limited_field
+from hpm.spectral import (
+    PHYSICAL,
+    SpectralField,
+    SpectralGrid,
+    band_limited_field,
+    subtract_spatial_mean,
+)
 
 ISO1 = AnisotropyProfile((1.0,))
 ISO2 = AnisotropyProfile((1.0, 1.0))
@@ -156,26 +162,25 @@ class TestNonDegeneracyScan:
         assert len(rows) == 1 * 16 * 2
 
 
-def pure_mode_generator(grid, kappa):
+def pure_mode_sequence(grid, kappa):
     phase = sum(k * x for k, x in zip(kappa, grid.coordinates()))
     vals = np.exp(2j * np.pi * phase) * np.ones(grid.shape)
-    return SequenceGenerator.from_callable(
-        lambda n: SpectralField(grid, vals, PHYSICAL))
+    return lambda n: subtract_spatial_mean(SpectralField(grid, vals, PHYSICAL))
 
 
 class TestTransport:
     def test_zero_velocity_is_identity(self):
         g = SpectralGrid((16,), (1.0,), n_velocity=(8,), velocity_length=(2.0,))
-        gen = pure_mode_generator(g, (3,))
-        u0 = gen.field(0)
+        seq = pure_mode_sequence(g, (3,))
+        u0 = seq(0)
         u = transport_evolve(u0, lambda p: np.zeros(p.shape + (1,)), 0.7)
         assert np.max(np.abs(u.values - u0.values)) <= 1e-12
 
     def test_single_mode_exact_phase(self):
         g = SpectralGrid((16,), (1.0,), n_velocity=(8,), velocity_length=(2.0,))
-        gen = pure_mode_generator(g, (3,))
+        seq = pure_mode_sequence(g, (3,))
         t = 0.3
-        u = transport_evolve(gen.field(0), lambda p: p[..., None], t)
+        u = transport_evolve(seq(0), lambda p: p[..., None], t)
         x = g.coord_axis(0)[:, None]
         p = g.velocity_axis(0)[None, :]
         # [DERIVED] exact characteristics: u(t, x, p) = u0(x - t p, p)
@@ -189,18 +194,18 @@ class TestTransport:
         vals = r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape)
         vals -= vals.mean(axis=(0, 1), keepdims=True)
         u0 = SpectralField(g, vals, PHYSICAL)
-        gen = SequenceGenerator.from_callable(lambda n: u0)
+        seq = lambda n: subtract_spatial_mean(u0)
         a = lambda p: np.stack([np.ones_like(p), p], axis=-1)
-        u = transport_evolve(gen.field(0), a, 1.3)
+        u = transport_evolve(seq(0), a, 1.3)
         n0 = np.sqrt(np.sum(np.abs(u0.values) ** 2, axis=(0, 1)))
         n1 = np.sqrt(np.sum(np.abs(u.values) ** 2, axis=(0, 1)))
         assert np.max(np.abs(n1 - n0)) <= 1e-12 * np.max(n0)
 
     def test_requires_velocity_axes(self):
         g = SpectralGrid((16,), (1.0,))
-        gen = pure_mode_generator(g, (1,))
+        seq = pure_mode_sequence(g, (1,))
         with pytest.raises(DomainError):
-            transport_evolve(gen.field(0), lambda p: p, 1.0)
+            transport_evolve(seq(0), lambda p: p, 1.0)
 
 
 class TestVelocityAverage:
@@ -236,41 +241,40 @@ class TestVelocityAverage:
 
 
 class TestCompactness:
-    def _oscillating_gen(self, grid):
-        from hpm.hmeasure import oscillation_sequence
+    def _oscillating_seq(self, grid):
         env = SpectralField(grid, np.ones(grid.shape, dtype=complex), PHYSICAL)
-        return SequenceGenerator.oscillation(ISO2, (0.0, 1.0), env)
+        return OscillationSequence(ISO2, (0.0, 1.0), env)
 
     def test_dichotomy(self):
         g = SpectralGrid((8, 64), (1.0, 1.0), n_velocity=(64,),
                          velocity_length=(1.0,))
-        gen0 = self._oscillating_gen(g)
+        seq0 = self._oscillating_seq(g)
         window = ((0.0, 1.0), (0.0, 1.0))
         n_list = (2, 4, 8, 16)
 
         a_nd = lambda p: np.stack([np.ones_like(p), p], axis=-1)
-        gen_nd = SequenceGenerator.from_callable(
-            lambda n: transport_evolve(gen0.field(n), a_nd, 0.5))
-        tab = compactness_metric(gen_nd, compact_bump, window, n_list)
+        seq_nd = lambda n: subtract_spatial_mean(
+            transport_evolve(seq0(n), a_nd, 0.5))
+        tab = compactness_metric(seq_nd, compact_bump, window, n_list)
         assert isinstance(tab, DecayTable)
         assert all(b < a for a, b in zip(tab.ratios, tab.ratios[1:]))
         assert tab.ratios[-1] <= 0.3
 
         # a independent of p: no averaging, the ratio stays pinned at 1
         a_dg = lambda p: np.stack([np.ones_like(p), np.zeros_like(p)], axis=-1)
-        gen_dg = SequenceGenerator.from_callable(
-            lambda n: transport_evolve(gen0.field(n), a_dg, 0.5))
-        tab2 = compactness_metric(gen_dg, compact_bump, window, n_list)
+        seq_dg = lambda n: subtract_spatial_mean(
+            transport_evolve(seq0(n), a_dg, 0.5))
+        tab2 = compactness_metric(seq_dg, compact_bump, window, n_list)
         assert all(abs(r - 1.0) <= 1e-10 for r in tab2.ratios)
 
     def test_window_validation(self):
         g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
                          velocity_length=(1.0,))
-        gen = self._oscillating_gen(g)
+        seq = self._oscillating_seq(g)
         with pytest.raises(DomainError):
-            compactness_metric(gen, compact_bump, ((0.5, 0.2), (0.0, 1.0)), (2, 4))
+            compactness_metric(seq, compact_bump, ((0.5, 0.2), (0.0, 1.0)), (2, 4))
         with pytest.raises(DomainError):
-            compactness_metric(gen, compact_bump, ((0.0, 1.0), (0.0, 1.0)), (2,))
+            compactness_metric(seq, compact_bump, ((0.0, 1.0), (0.0, 1.0)), (2,))
 
 
 class TestBetaSplit:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P
+from hpm.errors import SupportWarning
 from hpm.hmeasure import (
-    SequenceGenerator,
+    OscillationSequence,
     _cell_forms,
     _periodic_hat,
     bilinear_form,
@@ -17,7 +18,7 @@ from hpm.hmeasure import (
     scalar_hmeasure,
 )
 from hpm.multiplier import symbol_from_name
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, band_limited_field
+from hpm.spectral import SpectralGrid, band_limited_field
 from test_cell_forms import einsum_forms
 
 
@@ -77,7 +78,7 @@ def scalar_case(d, x_cells):
     alpha = (1.0, 2.0) if d == 2 else (1.0, 1.0, 2.0)
     grid = SpectralGrid(n, (1.0,) * d)
     basis = make_cell_basis(grid, AnisotropyProfile(alpha), x_cells, 8)
-    return band_limited_field(grid, rng(d), band_fraction=0.5), basis, None
+    return grid, basis, [band_limited_field(grid, rng(d), band_fraction=0.5).values]
 
 
 def matrix_case(N, x_cells):
@@ -88,10 +89,9 @@ def matrix_case(N, x_cells):
     dv = grid.velocity_cell_volume
     comps = [np.tensordot(np.asarray(u.values), vel[i], axes=([2], [0])) * dv
              for i in range(N)]
-    xu = SpectralField(grid.spatial_only(), comps[0], PHYSICAL)
     basis = make_cell_basis(grid.spatial_only(), AnisotropyProfile((1.0, 1.0)),
                             x_cells, 8)
-    return xu, basis, comps
+    return grid.spatial_only(), basis, comps
 
 
 # C cells in chunks of k = max(1, C // N^2): one chunk of all cells (scalar),
@@ -104,17 +104,17 @@ CASES = {"scalar-2d-C9": lambda: scalar_case(2, 3),
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batched_forms_match_einsum_reference(case):
-    u, basis, comps = CASES[case]()
-    V = _cell_forms(u, basis, components=comps)
-    ref = einsum_forms(u, basis, components=comps)
+    grid, basis, comps = CASES[case]()
+    V = _cell_forms(grid, basis, comps)
+    ref = einsum_forms(grid, basis, comps)
     assert V.shape == ref.shape
     assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case", ["scalar-2d-C9", "scalar-3d-C27"])
 def test_batched_scalar_forms_are_real(case):
-    u, basis, comps = CASES[case]()
-    assert np.all(_cell_forms(u, basis, components=comps).imag == 0.0)
+    grid, basis, comps = CASES[case]()
+    assert np.all(_cell_forms(grid, basis, comps).imag == 0.0)
 
 
 # --- separable hats -----------------------------------------------------------
@@ -158,11 +158,12 @@ def test_scalar_hmeasure_values_equal_bilinear_form():
     pairs = {"a": (phi, phi), "b": (phi, lambda x1, x2: np.cos(np.pi * x1) ** 2)}
     symbols = {s: symbol_from_name(s, profile) for s in ("one", "coordinate:1")}
     env = band_limited_field(grid, rng(5), band_fraction=0.25)
-    gen = SequenceGenerator.oscillation(profile, (1.0, 0.0), env)
-    est = scalar_hmeasure(gen, profile, grid, (4, 6, 8), 2, 8,
+    seq = OscillationSequence(profile, (1.0, 0.0), env)
+    est = scalar_hmeasure(seq, profile, grid, (4, 6, 8), 2, 8,
                           pairs=pairs, symbols=symbols)
     assert len(est.values) == 2 * 2 * 3
     for (pid, sid, n), value in est.values.items():
         p1, p2 = pairs[pid]
-        assert value == bilinear_form(gen.field(n), p1, p2, symbols[sid],
-                                      profile, check_support=False)
+        with pytest.warns(SupportWarning):
+            form = bilinear_form(seq(n), p1, p2, symbols[sid], profile)
+        assert value == form

@@ -19,11 +19,8 @@ def rng(key=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def einsum_forms(u, basis, components=None):
+def einsum_forms(grid, basis, components):
     """The reference: one complex einsum over masks, G and conj(G) per cell."""
-    grid = u.grid
-    if components is None:
-        components = [np.asarray(u.values)]
     hats = np.stack([basis.x_hat(cell) for cell in basis.cell_indices()])
     C, B = hats.shape[0], basis.p_masks.shape[0]
     N = len(components)
@@ -43,7 +40,7 @@ def scalar_case(d):
     alpha = (1.0, 2.0) if d == 2 else (1.0, 1.0, 2.0)
     grid = SpectralGrid(n, (1.0,) * d)
     basis = make_cell_basis(grid, AnisotropyProfile(alpha), 2, 8)
-    return band_limited_field(grid, rng(d), band_fraction=0.5), basis, None
+    return grid, basis, [band_limited_field(grid, rng(d), band_fraction=0.5).values]
 
 
 def matrix_case():
@@ -54,9 +51,8 @@ def matrix_case():
     dv = grid.velocity_cell_volume
     comps = [np.tensordot(np.asarray(u.values), vel[i], axes=([2], [0])) * dv
              for i in range(3)]
-    xu = SpectralField(grid.spatial_only(), comps[0], PHYSICAL)
     basis = make_cell_basis(grid.spatial_only(), AnisotropyProfile((1.0, 1.0)), 2, 8)
-    return xu, basis, comps
+    return grid.spatial_only(), basis, comps
 
 
 CASES = {"scalar-2d": lambda: scalar_case(2), "scalar-3d": lambda: scalar_case(3),
@@ -65,24 +61,24 @@ CASES = {"scalar-2d": lambda: scalar_case(2), "scalar-3d": lambda: scalar_case(3
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_einsum_reference(case):
-    u, basis, comps = CASES[case]()
-    V = _cell_forms(u, basis, components=comps)
-    ref = einsum_forms(u, basis, components=comps)
+    grid, basis, comps = CASES[case]()
+    V = _cell_forms(grid, basis, comps)
+    ref = einsum_forms(grid, basis, comps)
     assert V.shape == ref.shape
     assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case", ["scalar-2d", "scalar-3d"])
 def test_scalar_forms_are_real(case):
-    u, basis, comps = CASES[case]()
-    V = _cell_forms(u, basis, components=comps)
+    grid, basis, comps = CASES[case]()
+    V = _cell_forms(grid, basis, comps)
     assert V.shape[:2] == (1, 1)
     assert np.all(V.imag == 0.0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_forms_are_hermitian(case):
-    u, basis, comps = CASES[case]()
-    V = _cell_forms(u, basis, components=comps)
+    grid, basis, comps = CASES[case]()
+    V = _cell_forms(grid, basis, comps)
     gap = np.abs(V - np.conj(np.swapaxes(V, 0, 1)))
     assert np.max(gap) <= 1e-14 * np.max(np.abs(V))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,18 @@ class TestMalformedParams:
         ("kinetic", {"lambda": {"points": 1}}, "params.lambda.points"),
         # a velocity for a flux that takes none
         ("kinetic", {"flux": "burgers-heat", "velocity": [1, 2]}, "params.velocity"),
+        # points whose constraint sum overflows, or underflows below the
+        # normal floor, have no projection onto P
+        ("project", {"points": [[1e308, 1e308], [1e200, 1]]}, "params.points[0]"),
+        ("project", {"points": [[3.0, 4.0], [1e200, 1]]}, "params.points[1]"),
+        ("project", {"points": [[1e-320, 0]]}, "params.points[0]"),
+        # a subnormal sum, 1e-321: its projection would miss P by 2e-3
+        ("project", {"points": [[1e-107, 0]]}, "params.points[0]"),
+        # too few sequence indices, or not increasing
+        ("averaging", {"n_list": [4]}, "params.n_list"),
+        ("averaging", {"n_list": []}, "params.n_list"),
+        ("hmeasure", {"n_list": [8, 4, 2]}, "params.n_list"),
+        ("hmeasure", {"n_list": [2, 4]}, "params.n_list"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
@@ -520,21 +533,111 @@ class TestExpressionSandbox:
         assert "Traceback" not in capsys.readouterr().err
 
 
+# decimal magnitudes over the whole float range, subnormals and overflow
+# to infinity included, and zero
+_WIDE_FLOATS = st.one_of(
+    st.builds(lambda sign, digit, exp: float(f"{sign}{digit}e{exp}"),
+              st.sampled_from("+-"), st.integers(1, 9), st.integers(-325, 310)),
+    st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bump(center, width):
+    return f"bump:center=[{','.join(map(repr, center))}],width={width!r}"
+
+
+class TestFloatRange:
+    ALPHAS = [[1.0, 1.0], [1.0, 2.0], [0.5, 3.0]]
+
+    def _run(self, tmp_path, command, alpha, params):
+        """Run in a fresh directory tmp_path, with every warning an error."""
+        tmp_path.mkdir()
+        cfg = base_config(command, profile={"alpha": alpha}, params=params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(command, write_config(tmp_path, cfg), tmp_path / "out")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("symbol", [
+        "bump:center=[0.5,0.5],width=1e200", "bump:center=[0.5,0.5],width=1e-200",
+        "bump:center=[1e308,0.5],width=0.2"])
+    def test_bump_beyond_the_float_range_runs_clean(self, tmp_path, capsys, symbol):
+        check = {"symbol": symbol, "shells": 3, "samples_per_shell": 8}
+        assert self._run(tmp_path / "check", "multiplier-check", [1.0, 2.0], check) == 0
+        assert self._run(tmp_path / "apply", "multiplier-apply", [1.0, 2.0],
+                         {"symbol": symbol}) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "check" / "out" / "marcinkiewicz.json").read_text())
+        if "1e200" in symbol:  # the bump is 1 on every sample: the symbol "one"
+            assert self._run(tmp_path / "one", "multiplier-check", [1.0, 2.0],
+                             dict(check, symbol="one")) == 0
+            assert report == json.loads(
+                (tmp_path / "one" / "out" / "marcinkiewicz.json").read_text())
+        else:  # the bump vanishes on every sample
+            assert report["constant"] == 0.0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alpha=st.sampled_from(ALPHAS),
+           points=st.lists(st.lists(_WIDE_FLOATS, min_size=2, max_size=2),
+                           min_size=1, max_size=3),
+           center=st.lists(_WIDE_FLOATS, min_size=2, max_size=2),
+           width=_WIDE_FLOATS.map(abs))
+    def test_fuzzed_float_range_exits_0_2_or_3(self, capsys, alpha, points,
+                                                center, width):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            code = self._run(tmp / "project", "project", alpha, {"points": points})
+            assert code in (0, 2, 3)
+            if code == 0:
+                out = tmp / "project" / "out"
+                l = json.loads((out / "manifest.json").read_text())["profile"]["l"]
+                exps = [l * a for a in alpha]
+                rows = (out / "projections.csv").read_text().splitlines()[1:]
+                for row in rows:
+                    q = [float(v) for v in row.split(",")[2:]]
+                    total = sum(abs(qk) ** e for qk, e in zip(q, exps))
+                    assert abs(total - 1.0) <= 1e-9, row
+            assert capsys.readouterr().err.count("\n") <= 1
+            symbol = _bump(center, width)
+            for command, params in [
+                    ("multiplier-check", {"symbol": symbol, "shells": 2,
+                                          "samples_per_shell": 4}),
+                    ("multiplier-apply", {"symbol": symbol})]:
+                assert self._run(tmp / command, command, alpha, params) in (0, 2, 3)
+                assert capsys.readouterr().err.count("\n") <= 1
+
+
 class TestNonFiniteCoefficients:
     CONFIG = base_config(
         "nondegeneracy", grid={"n": [8, 8], "L": [1.0, 1.0]},
         params={"a": ["1.0", "p/0"], "eps_list": [0.05, 0.2],
                 "p_points": 64, "resolution": 16})
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a", [["1.0", "p/0"], ["0*p/0", "p"], ["1.0", "x1/0"]])
     def test_nondegeneracy_exits_3_and_leaves_no_output(self, tmp_path, capsys, a):
         cfg = dict(self.CONFIG, params=dict(self.CONFIG["params"], a=a))
         out = tmp_path / "out"
         assert run_cli("nondegeneracy", write_config(tmp_path, cfg), out) == 3
-        assert "not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert err.startswith("hpm: integrity failure: ") and err.count("\n") == 1
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    # a velocity or a weight that divides by zero: exit 3 with the one
+    # integrity line, before any quadrature, and no warning on the way
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [{"a": ["1.0", "p1/0"]}, {"rho": "0*p1/0"}])
+    def test_averaging_exits_3_with_one_line(self, tmp_path, capsys, params):
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        cfg = dict(cfg, params=dict(cfg["params"], **params))
+        out = tmp_path / "out"
+        assert run_cli("averaging", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: ") and err.count("\n") == 1
+        assert "not finite" in err or "non-finite" in err
+        assert not out.exists()
 
 
 class TestReadmeAveragingExample:

@@ -8,7 +8,7 @@ from hpm.errors import DomainError, IntegrityError, SupportWarning
 from hpm.hmeasure import (
     MatrixMeasure,
     MollifierKernel,
-    SequenceGenerator,
+    OscillationSequence,
     bilinear_form,
     concentration_sequence,
     cosine_velocity_basis,
@@ -24,7 +24,13 @@ from hpm.hmeasure import (
     velocity_mollify,
 )
 from hpm.multiplier import symbol_from_name
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, band_limited_field
+from hpm.spectral import (
+    PHYSICAL,
+    SpectralField,
+    SpectralGrid,
+    band_limited_field,
+    subtract_spatial_mean,
+)
 
 ISO2 = AnisotropyProfile((1.0, 1.0))
 MIX2 = AnisotropyProfile((1.0, 2.0))
@@ -116,7 +122,8 @@ class TestBilinearForm:
         phi1 = bump2(g)
         phi2 = bump2(g) * (1.0 + 0.2 * np.sin(2 * np.pi * x2))
         psi = symbol_from_name("coordinate:0", ISO2)
-        v = bilinear_form(u, phi1, phi2, psi, ISO2, check_support=False)
+        with pytest.warns(SupportWarning):
+            v = bilinear_form(u, phi1, phi2, psi, ISO2)
         factor = float(project_to_P(kappa, ISO2)[0])
         oracle = factor * np.sum(phi1 * np.conj(phi2) * np.abs(env) ** 2) * g.cell_volume
         assert abs(v - oracle) <= 0.05 * abs(oracle)
@@ -264,8 +271,8 @@ class TestScalarMeasure:
     def test_oscillation_localizes_in_angle(self):
         g = SpectralGrid((64, 64), (1.0, 1.0))
         env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
-        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), env)
-        est = scalar_hmeasure(gen, ISO2, g, (8, 12, 16), x_cells=4, p_cells=16)
+        seq = OscillationSequence(ISO2, (1.0, 0.0), env)
+        est = scalar_hmeasure(seq, ISO2, g, (8, 12, 16), x_cells=4, p_cells=16)
         total = est.cells.sum()
         assert abs(total - 1.0) <= 1e-6  # unit-mode energy
         by_angle = est.cells.sum(axis=0)
@@ -276,9 +283,9 @@ class TestScalarMeasure:
     def test_pair_symbol_extrapolation(self):
         g = SpectralGrid((32, 32), (1.0, 1.0))
         env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
-        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), env)
+        seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         phi = bump2(g)
-        est = scalar_hmeasure(gen, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
+        est = scalar_hmeasure(seq, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
                               pairs={"d": (phi, phi)},
                               symbols={"x0": symbol_from_name("coordinate:0", ISO2)})
         lim, err = est.extrapolated[("d", "x0")]
@@ -292,7 +299,7 @@ class TestScalarMeasure:
         import hpm.hmeasure as hm
         from hpm.multiplier import projected_symbol_lattice
         g = SpectralGrid((32, 32), (1.0, 1.0))
-        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), band_limited_field(g, rng(9)))
+        seq = OscillationSequence(ISO2, (1.0, 0.0), band_limited_field(g, rng(9)))
         phi1, phi2 = bump2(g), bump2(g) ** 2
         names = ["coordinate:0", "coordinate:1", "one", "sector:axis=0,sign=+"][:count]
         symbols = {name: symbol_from_name(name, ISO2) for name in names}
@@ -304,13 +311,13 @@ class TestScalarMeasure:
             return original(f)
 
         monkeypatch.setattr(hm, "forward_dft", counting)
-        est = scalar_hmeasure(gen, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
+        est = scalar_hmeasure(seq, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
                               pairs={"q": (phi1, phi2)}, symbols=symbols)
         assert sum(calls) == 11
         # the per-symbol forms, as computed when each symbol transformed
         # the pair again: the same transforms and sums, so bit for bit
         for n in (4, 6, 8):
-            u = gen.field(n).values
+            u = seq(n).values
             F1 = original(SpectralField(g, g.sample(phi1) * u, PHYSICAL)).values
             F2 = original(SpectralField(g, g.sample(phi2) * u, PHYSICAL)).values
             for name, psi in symbols.items():
@@ -321,9 +328,9 @@ class TestScalarMeasure:
     def test_bad_n_list(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
         env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
-        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), env)
+        seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         with pytest.raises(DomainError):
-            scalar_hmeasure(gen, ISO2, g, (4, 4, 8), 2, 8)
+            scalar_hmeasure(seq, ISO2, g, (4, 4, 8), 2, 8)
 
 
 class TestMatrixMeasure:
@@ -331,7 +338,7 @@ class TestMatrixMeasure:
         return SpectralGrid((16, 16), (1.0, 1.0), n_velocity=(32,),
                             velocity_length=(2.0,))
 
-    def _gen(self, grid, basis, coeffs):
+    def _seq(self, grid, basis, coeffs):
         x1 = grid.coord_axis(0)
         prof = sum(c * basis[i] for i, c in enumerate(coeffs))
         mod = np.ones(grid.n_per_axis, dtype=complex)
@@ -340,13 +347,13 @@ class TestMatrixMeasure:
             vals = (np.exp(2j * np.pi * n * x1)[:, None] * mod)[..., None] * prof
             return SpectralField(grid, vals, PHYSICAL)
 
-        return SequenceGenerator.from_callable(produce)
+        return lambda n: subtract_spatial_mean(produce(n))
 
     def test_rank_one_structure(self):
         g = self._grid()
         basis = cosine_velocity_basis(g, 3).astype(complex)
-        gen = self._gen(g, basis, (1.0, 0.5, 0.0))
-        M = matrix_hmeasure(gen, basis, x_cells=2, p_cells=8,
+        seq = self._seq(g, basis, (1.0, 0.5, 0.0))
+        M = matrix_hmeasure(seq, basis, x_cells=2, p_cells=8,
                             n_list=(4, 6, 8), profile=ISO2)
         M.check_integrity()
         mu = M.entries.sum(axis=(2, 3))
@@ -358,8 +365,8 @@ class TestMatrixMeasure:
     def test_trace_and_marginal(self):
         g = self._grid()
         basis = cosine_velocity_basis(g, 2).astype(complex)
-        gen = self._gen(g, basis, (1.0, 0.0))
-        M = matrix_hmeasure(gen, basis, 2, 8, (4, 6, 8), ISO2)
+        seq = self._seq(g, basis, (1.0, 0.0))
+        M = matrix_hmeasure(seq, basis, 2, 8, (4, 6, 8), ISO2)
         assert abs(M.trace.sum() - 0.5) <= 1e-6  # weight 2^-1 on mu_00
         assert np.max(np.abs(M.trace.sum(axis=-1) - M.marginal)) <= 1e-14
 
@@ -368,24 +375,24 @@ class TestMatrixMeasure:
         # same total mass
         g = self._grid()
         basis = cosine_velocity_basis(g, 2).astype(complex)
-        gen = self._gen(g, basis, (1.0, 0.3))
-        a = matrix_hmeasure(gen, basis, 2, 8, (4, 6, 8), ISO2)
-        b = matrix_hmeasure(gen, basis, 4, 8, (4, 6, 8), ISO2)
+        seq = self._seq(g, basis, (1.0, 0.3))
+        a = matrix_hmeasure(seq, basis, 2, 8, (4, 6, 8), ISO2)
+        b = matrix_hmeasure(seq, basis, 4, 8, (4, 6, 8), ISO2)
         assert np.max(np.abs(a.entries.sum(axis=(2, 3))
                              - b.entries.sum(axis=(2, 3)))) <= 1e-3
 
     def test_non_orthonormal_basis_rejected(self):
         g = self._grid()
         basis = np.ones((2, 32), dtype=complex)
-        gen = self._gen(g, basis, (1.0, 0.0))
+        seq = self._seq(g, basis, (1.0, 0.0))
         with pytest.raises(DomainError):
-            matrix_hmeasure(gen, basis, 2, 8, (4, 6, 8), ISO2)
+            matrix_hmeasure(seq, basis, 2, 8, (4, 6, 8), ISO2)
 
     def test_integrity_catches_tampering(self):
         g = self._grid()
         basis = cosine_velocity_basis(g, 2).astype(complex)
-        gen = self._gen(g, basis, (1.0, 0.5))
-        M = matrix_hmeasure(gen, basis, 2, 8, (4, 6, 8), ISO2)
+        seq = self._seq(g, basis, (1.0, 0.5))
+        M = matrix_hmeasure(seq, basis, 2, 8, (4, 6, 8), ISO2)
         M.entries[0, 1] += 10.0  # break hermitian symmetry
         with pytest.raises(IntegrityError):
             M.check_integrity()
@@ -417,8 +424,8 @@ class TestMarginalDensity:
             vals = (np.exp(2j * np.pi * n * x1)[:, None] * mod)[..., None] * basis[0]
             return SpectralField(g, vals, PHYSICAL)
 
-        gen = SequenceGenerator.from_callable(produce)
-        return [matrix_hmeasure(gen, basis, c, 8, (4, 6, 8), ISO2)
+        return [matrix_hmeasure(lambda n: subtract_spatial_mean(produce(n)),
+                                basis, c, 8, (4, 6, 8), ISO2)
                 for c in (2, 4)]
 
     def test_uniform_density_stable_norms(self):
@@ -440,28 +447,6 @@ class TestMarginalDensity:
 
 
 class TestZeroMeanOwnership:
-    def test_from_callable_subtracts_the_mean(self):
-        g = SpectralGrid((16, 8), (1.0, 1.0), n_velocity=(3,), velocity_length=(1.0,))
-        x1, _ = g.coordinates()
-
-        def produce(n):
-            vals = (2.0 + np.cos(2 * np.pi * n * x1)) * np.ones(g.shape)
-            return SpectralField(g, vals, PHYSICAL)
-
-        gen = SequenceGenerator.from_callable(produce)
-        for n in (1, 2, 3):
-            u = gen.field(n)
-            assert np.max(np.abs(np.mean(u.values, axis=(0, 1)))) <= 1e-14
-
-    def test_from_files_subtracts_the_mean(self, tmp_path):
-        from hpm.spectral import write_field
-        g = SpectralGrid((8, 8), (1.0, 1.0))
-        path = tmp_path / "u.fld"
-        write_field(SpectralField(g, 3.0 + band_limited_field(g, rng(2)).values,
-                                  PHYSICAL), path)
-        u = SequenceGenerator.from_files([str(path)]).field(0)
-        assert abs(np.mean(u.values)) <= 1e-14
-
     def test_oscillation_subtracts_once_per_snapshot(self, monkeypatch):
         import hpm.hmeasure as hm
         calls = []
@@ -474,9 +459,9 @@ class TestZeroMeanOwnership:
         monkeypatch.setattr(hm, "subtract_spatial_mean", counting)
         g = SpectralGrid((16, 16), (1.0, 1.0))
         env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
-        gen = SequenceGenerator.oscillation(ISO2, (1.0, 0.0), env)
+        seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         for n in (4, 6, 8):
-            gen.field(n)
+            seq(n)
         assert len(calls) == 3
 
 
