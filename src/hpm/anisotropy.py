@@ -16,6 +16,7 @@ for all sign patterns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +74,16 @@ def project_to_P(xi, profile: AnisotropyProfile) -> np.ndarray:
     """Project nonzero xi to P along its fibre.
 
     Component k is xi_k / S^(1/(l alpha_k)) with S the constraint sum; the
-    denominator is positive, so each component keeps the sign of xi_k."""
+    denominator is positive, so each component keeps the sign of xi_k.  A
+    subnormal S has lost the digits that put the projection on P: it is a
+    DomainError, and S = 0 a SingularPointError."""
     xi = np.asarray(xi, dtype=float)
     s = constraint_sum(xi, profile)
     if np.any(s == 0):
         raise SingularPointError("projection to P is undefined at the origin")
+    if np.any(s < sys.float_info.min):
+        raise DomainError(f"constraint sum {float(np.min(s))!r} is subnormal: "
+                          f"projection to P needs at least {sys.float_info.min!r}")
     ex = np.asarray(profile.exponents)
     return xi / s[..., None] ** (1.0 / ex)
 

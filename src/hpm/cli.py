@@ -368,8 +368,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     p_cells = _count(params.get("p_cells", 16), "params.p_cells",
                      lambda b: b * max(S, max(x_cells, 0) ** grid.d * len(n_list)))
     # the envelope: band 0.15, kept away from zero by its mean 1
-    env = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.15, 1.0).scatter())
-    seq = hmeasure.OscillationSequence(profile, c, env)
+    seq = hmeasure.OscillationSequence(profile, c,
+                                       _envelope_spectrum(grid, rng, 0.15, 1.0))
     est = hmeasure.scalar_hmeasure(seq, profile, grid, n_list,
                                    x_cells=x_cells, p_cells=p_cells)
     rows = []
@@ -543,7 +543,13 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=home))
     try:
         _write_json(stage / "manifest.json", manifest)
-        _RUNNERS[cfg["command"]](grid, profile, cfg["params"], rng, stage)
+        # one floating-point boundary: an overflow, invalid operation or
+        # division by zero that no guard inside caught ends the run
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                _RUNNERS[cfg["command"]](grid, profile, cfg["params"], rng, stage)
+        except FloatingPointError as exc:
+            raise IntegrityError(f"floating-point failure: {exc}") from None
         out.mkdir(exist_ok=True)
         for path in sorted(stage.iterdir()):
             os.replace(path, out / path.name)

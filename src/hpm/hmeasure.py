@@ -8,23 +8,29 @@ whose limit over a sequence u_n weakly converging to zero defines a measure
 on x-space x P.  The measure is discretized on cells: C^1 hat partitions of
 unity over a uniform x-grid, and angular sectors on P (for d = 2) or
 normalized smooth direction weights (d >= 3).  The x-hats are separable,
-kept as d per-axis factors, and each cell's hat is formed when it is used.
+kept as d per-axis factors, and no cell's hat is ever formed: a factor on
+axis k commutes with the transforms of the other axes, so F(hat_c w) is
+built in passes along axes 1..d (multiply by the factor, transform that
+axis), and each cell reuses the passes it shares with the previous one.
 The P-masks are real, so the cell forms come from real matrix products
 (GEMM): the real parts of F(hat_c w_i) conj(F(hat_c w_j)), stacked over
 cells (C rows for a scalar snapshot), against the transposed masks, plus a
 second GEMM for the imaginary parts of a matrix measure (the scalar ones
 vanish).  A sequence is any callable n -> u_n of zero-mean snapshots,
-and a snapshot's spectra F(hat_c w_i) are transforms of hat_c w_i, one
-per cell.  The snapshots of an OscillationSequence are one envelope v
-times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the mean
-m_n, so their spectra follow by the shift rule
+whose spectra F(hat_c w_i) are transforms of hat_c w_i.  The snapshots
+of an OscillationSequence are one envelope v (given as a band or as a
+field in either space) times exp(2 pi i kappa(n).x), kappa(n) on the
+lattice, minus the mean m_n = F(v)(-kappa(n)) / |T|, so their spectra
+follow by the shift rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
 
 scalar_hmeasure then loops cells outer and n inner, with one transform
-per cell for every n.  Matrix-valued measures over a velocity basis,
-their weighted trace and its x-marginal density are assembled from the
-same forms.
+per cell for every n.  Where m_n = 0, exactly so for a band envelope
+whose box misses -kappa(n), the product row of (c, n) is the cell's power
+spectrum |F(hat_c v)|^2 rolled, formed once per cell.  Matrix-valued
+measures over a velocity basis, their weighted trace and its x-marginal
+density are assembled from the same forms.
 """
 
 from __future__ import annotations
@@ -44,9 +50,11 @@ from .multiplier import SymbolOnP, projected_symbol_lattice
 from .spectral import (
     FREQUENCY,
     PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     convolve_velocity,
+    dft_axis,
     forward_dft,
     inverse_dft,
     subtract_spatial_mean,
@@ -202,20 +210,39 @@ def concentration_sequence(profile: AnisotropyProfile, envelope: Callable,
 
 @dataclass(frozen=True)
 class OscillationSequence:
-    """n -> oscillation_sequence(profile, c, envelope, n), whose cell
-    spectra scalar_hmeasure forms by the shift rule (cell_spectra): one
-    transform per cell, not one per (cell, n)."""
+    """n -> oscillation_sequence(profile, c, v, n) for the envelope v,
+    whose cell forms scalar_hmeasure builds by the shift rule
+    (cell_products): one transform per cell, not one per (cell, n).
+
+    The envelope is a SpectralBand or a field in either space; the
+    physical field (what the snapshots modulate) and the spectrum, a band
+    (what the means m_n = F(v)(-kappa(n)) / |T| are read from), are each
+    derived once from it.  A band's m_n is exactly 0.0 where its box
+    misses -kappa(n), and those (cell, n) rows are rolled copies of the
+    cell's power spectrum."""
 
     profile: AnisotropyProfile
     c: Sequence[float]
-    envelope: SpectralField
+    envelope: SpectralField | SpectralBand
+    physical: SpectralField = field(init=False, repr=False, compare=False)
+    spectrum: SpectralBand = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = self.envelope
+        if isinstance(v, SpectralField) and v.space == PHYSICAL:
+            spectrum = SpectralBand.of(forward_dft(v))
+        else:
+            spectrum = SpectralBand.of(v)
+            v = inverse_dft(spectrum.scatter())
+        object.__setattr__(self, "physical", v)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def __call__(self, n: int) -> SpectralField:
-        return oscillation_sequence(self.profile, self.c, self.envelope, n)
+        return oscillation_sequence(self.profile, self.c, self.physical, n)
 
-    def cell_spectra(self, basis: CellBasis, n_list: Sequence[int]) -> Callable:
-        return _shifted_cell_spectra(self.profile, self.c, self.envelope,
-                                     basis, n_list)
+    def cell_products(self, basis: CellBasis, n_list: Sequence[int]) -> Callable:
+        return _shifted_products(self.profile, self.c, self.physical,
+                                 self.spectrum, basis, n_list)
 
 
 # --- velocity mollification ---------------------------------------------------
@@ -393,39 +420,80 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
                      masks.reshape((p_cells,) + grid.n_per_axis))
 
 
+def _hat_passes(basis: CellBasis, grid: SpectralGrid, w: np.ndarray) -> Callable:
+    """cell -> F(hat_c w) over the last d axes of w, as a buffer that the
+    next call overwrites.
+
+    hat_c = prod_k f_k[c_k], and the factor on axis k commutes with the
+    transforms of the other axes, so F(hat_c w) is built in passes along
+    axes 1..d: multiply by f_k[c_k], transform axis k (dft_axis).  The
+    pass of axis k depends on c_1..c_k alone, so a call redoes only the
+    passes from the first axis where its cell differs from the last one:
+    in row-major cell order, sum_k x_cells^k one-axis passes in all, not
+    x_cells^d d-dimensional transforms."""
+    d = grid.d
+    lead = w.ndim - d
+    factors = [f.reshape(f.shape + (1,) * (d - 1 - k))
+               for k, f in enumerate(basis.x_factors)]
+    passes = [np.empty(w.shape, complex) for _ in range(d)]
+    held = [None] * d  # the cell prefix (c_1, ..., c_k) that pass k holds
+
+    def transform(cell):
+        for k in range(d):
+            if held[k] != cell[:k + 1]:
+                np.multiply(passes[k - 1] if k else w, factors[k][cell[k]],
+                            out=passes[k])
+                dft_axis(passes[k], lead + k, grid.length_per_axis[k], out=passes[k])
+                held[k] = cell[:k + 1]
+        return passes[-1]
+
+    return transform
+
+
+def _write_products(G: np.ndarray, re: np.ndarray, im) -> None:
+    """The real parts of G_i conj(G_j) for the (N, S) spectra G into re
+    (N, N, S), and their imaginary parts into im unless it is None, each
+    product rounded on its own: the diagonal imaginary parts cancel
+    exactly."""
+    np.multiply(G.real[:, None], G.real[None], out=re)
+    re += G.imag[:, None] * G.imag[None]
+    if im is not None:
+        np.multiply(G.imag[:, None], G.real[None], out=im)
+        im -= G.real[:, None] * G.imag[None]
+
+
 def _cell_forms(grid: SpectralGrid, basis: CellBasis,
                 components: Sequence[np.ndarray]) -> np.ndarray:
     """All cellwise forms for one snapshot on the spatial grid: with
     components = [w_1, ..., w_N] (x-arrays), V[i, j, c, b] = sum_xi mask_b
     F(hat_c w_i) conj(F(hat_c w_j)) vol_xi, and [u] gives the scalar case.
-    The spectra are the transforms of hat_c w_i, formed cell by cell, and
-    _stacked_forms meets them with the masks."""
-    G = np.empty((len(components), math.prod(grid.n_per_axis)), dtype=complex)
+    The spectra of all components come from one run of per-axis passes
+    (_hat_passes), and _stacked_forms meets their products with the masks."""
+    N = len(components)
+    transform = _hat_passes(basis, grid, np.stack(components))
 
-    def spectra(cell):
-        hat = basis.x_hat(cell)
-        for i, w in enumerate(components):
-            G[i] = forward_dft(SpectralField(grid, hat * w, PHYSICAL)).values.ravel()
-        yield G
+    def products(cell):
+        G = transform(cell).reshape(N, -1)
+        return lambda run, re, im: _write_products(G, re, im)
 
-    return _stacked_forms(basis, grid, spectra, 1, len(components))[0]
+    return _stacked_forms(basis, grid, products, 1, N)[0]
 
 
-def _stacked_forms(basis: CellBasis, grid: SpectralGrid, spectra: Callable,
+def _stacked_forms(basis: CellBasis, grid: SpectralGrid, products: Callable,
                    runs: int, N: int) -> np.ndarray:
     """V[r, i, j, c, b] = sum_xi mask_b G_i conj(G_j) vol_xi, where G is the
-    (N, S) array of spectra that spectra(cell) yields for cell c in run r
-    (cells outer, runs inner; G may be one buffer that each yield
-    overwrites).
+    (N, S) array of spectra of cell c in run r.  products(cell) is called
+    for the cells in row-major order and returns write(r, re, im), which
+    writes the real parts of the products G_i conj(G_j) of run r into re
+    (N, N, S), and for N > 1 their imaginary parts into im.
 
-    The masks are real.  The real parts of the products G_i conj(G_j) of
-    k = max(1, C // N^2) (cell, run) pairs are stacked into a real
-    (k N^2, S) array that meets the (S, B) transposed masks in one GEMM;
-    for N > 1 the imaginary parts get a second stack and GEMM.  For N = 1
-    the imaginary parts are exactly zero, so they are neither formed nor
-    multiplied and the scalar forms are exactly real.  The scalar stack is
-    the size of the dense (C, S) hat stack that the separable hats never
-    build, whatever the number of runs."""
+    The masks are real.  The products of k = max(1, C // N^2) (cell, run)
+    pairs are stacked into a real (k N^2, S) array that meets the (S, B)
+    transposed masks in one GEMM; for N > 1 the imaginary parts get a
+    second stack and GEMM.  For N = 1 the imaginary parts are exactly
+    zero, so im is None and the scalar forms are exactly real.  The scalar
+    stack is the size of the dense (C, S) hat stack that the separable
+    hats never build, whatever the number of runs."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())
@@ -438,15 +506,10 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, spectra: Callable,
     im = np.empty((k, N, N, S)) if N > 1 else None
     q = 0
     for cell in cells:
-        for G in spectra(cell):
-            # real and imaginary parts of G_i conj(G_j), each product
-            # rounded on its own: the diagonal imaginary parts cancel exactly
+        write = products(cell)
+        for r in range(runs):
             j = q % k
-            np.multiply(G.real[:, None], G.real[None], out=re[j])
-            re[j] += G.imag[:, None] * G.imag[None]
-            if im is not None:
-                np.multiply(G.imag[:, None], G.real[None], out=im[j])
-                im[j] -= G.real[:, None] * G.imag[None]
+            write(r, re[j], None if im is None else im[j])
             q += 1
             if j == k - 1 or q == total:
                 for part, stack in ((V.real, re), (V.imag, im)):
@@ -465,51 +528,72 @@ def _roll_blocks(shift: Sequence[int], n_per_axis: Sequence[int]) -> list:
     return [tuple(zip(*blocks)) for blocks in itertools.product(*pieces)]
 
 
-def _shifted_cell_spectra(profile: AnisotropyProfile, c, envelope: SpectralField,
-                          basis: CellBasis, n_list: Sequence[int]) -> Callable:
-    """The spectra producer of _stacked_forms for the oscillation snapshots
-    u_n = v e^{2 pi i kappa(n).x} - m_n, n in n_list, by the shift rule.
+def _band_value(band: SpectralBand, mode: Sequence[int]) -> complex:
+    """The band's value at the spatial FFT index `mode`, exactly 0.0 off
+    its box."""
+    pos = tuple(np.searchsorted(i, m) for i, m in zip(band.index, mode))
+    if any(p == i.size or i[p] != m for p, i, m in zip(pos, band.index, mode)):
+        return 0.0
+    return band.values[pos]
+
+
+def _shifted_products(profile: AnisotropyProfile, c, envelope: SpectralField,
+                      spectrum: SpectralBand, basis: CellBasis,
+                      n_list: Sequence[int]) -> Callable:
+    """The products producer of _stacked_forms for the oscillation
+    snapshots u_n = v e^{2 pi i kappa(n).x} - m_n, n in n_list, by the
+    shift rule; envelope and spectrum are v and F(v) as a band.
 
     kappa(n) lies on the lattice, so with the integer shift s(n) of
     _lattice_shift
 
         F(hat_c u_n) = roll(F(hat_c v), s(n)) - m_n F(hat_c),
 
-    with the mean m_n = F(v)(-kappa(n)) / |T| read off one transform of
-    the envelope and F(hat_c) the outer product of the 1-d transforms of
-    the separable hat factors.  Each cell costs one full-grid transform,
-    F(hat_c v), held only while its runs are produced; each (cell, n)
-    then writes the shifted spectrum into one reused buffer."""
-    envelope.require(PHYSICAL)
+    with the mean m_n = F(v)(-kappa(n)) / |T| read off the band and
+    F(hat_c) the outer product of the 1-d transforms of the separable hat
+    factors.  Each cell costs one transform, F(hat_c v), by the per-axis
+    passes of _hat_passes.  Where m_n = 0 the row of (c, n) is
+    |roll(F(hat_c v), s(n))|^2 = roll(|F(hat_c v)|^2, s(n)): the cell's
+    power spectrum, formed once, copied into the row in at most 2^d
+    blocks.  Otherwise the shifted spectrum is written into one reused
+    buffer, block by block, and its power into the row."""
     grid = envelope.grid
     shifts = [_lattice_shift(profile, c, n, grid) for n in n_list]
-    Fv = forward_dft(envelope).values
     area = math.prod(grid.length_per_axis)
-    means = [Fv[tuple(-s for s in shift)] / area for shift in shifts]
+    means = [_band_value(spectrum, [-s % nk for s, nk in zip(shift, grid.n_per_axis)])
+             / area for shift in shifts]
     blocks = [_roll_blocks(shift, grid.n_per_axis) for shift in shifts]
-    hat_spectra = [
-        [forward_dft(SpectralField(SpectralGrid((n,), (L,)), f, PHYSICAL)).values
-         for f in factors]
-        for n, L, factors in zip(grid.n_per_axis, grid.length_per_axis,
-                                 basis.x_factors)]
+    hat_spectra = [dft_axis(f, 1, L)
+                   for f, L in zip(basis.x_factors, grid.length_per_axis)]
+    transform = _hat_passes(basis, grid, np.asarray(envelope.values))
+    power = np.empty(grid.n_per_axis) if 0 in means else None
     G = np.empty(grid.n_per_axis, dtype=complex)
-    env = np.asarray(envelope.values)
 
-    def spectra(cell):
-        Fhv = forward_dft(SpectralField(grid, basis.x_hat(cell) * env,
-                                        PHYSICAL)).values
+    def products(cell):
+        Fhv = transform(cell)
+        if power is not None:
+            _write_products(Fhv.reshape(1, -1), power.reshape(1, 1, -1), None)
         h = [hk[i] for hk, i in zip(hat_spectra, cell)]
-        for m, roll in zip(means, blocks):
+
+        def write(run, re, im):
+            row = re.reshape(grid.n_per_axis)
+            if means[run] == 0:
+                for dst, src in blocks[run]:
+                    row[dst] = power[src]
+                return
             # G = -m F(hat_c) + roll(F(hat_c v), s(n)) block by block; the
             # outer product -m F(hat_c) is written into G itself
-            for dst, src in roll:
+            for dst, src in blocks[run]:
                 f = [hk[dk] for hk, dk in zip(h, dst)]
-                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1], -m),
+                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1],
+                                                   -means[run]),
                                   f[-1], out=G[dst])
                 G[dst] += Fhv[src]
-            yield G.reshape(1, -1)
+            _write_products(G.reshape(1, -1), re, None)
 
-    return spectra
+        return write
+
+    return products
 
 
 # --- estimates ----------------------------------------------------------------
@@ -554,7 +638,7 @@ def scalar_hmeasure(seq: Callable[[int], SpectralField],
     shifted = isinstance(seq, OscillationSequence)
     cell_runs = []
     if shifted:
-        cell_runs = _stacked_forms(basis, grid, seq.cell_spectra(basis, n_list),
+        cell_runs = _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
                                    len(n_list), 1)[:, 0, 0]
     for n in (n_list if pairs or not shifted else ()):
         u = seq(n)

@@ -21,7 +21,9 @@ frequency space), then the velocity midpoints.  SpectralGrid owns that
 layout: it broadcasts 1-d axis arrays (on_axis, coordinates,
 frequencies) and x-only arrays (lift) over the grid, and samples
 callables on x or (x, p) (sample) and on p (sample_velocity).  This is
-the only module that calls numpy.fft.
+the only module that calls numpy.fft; besides the transforms of fields
+it offers dft_axis, the transform of a raw array along one axis, for
+callers that build a transform pass by pass.
 
 Spectra can also be built without a transform, and kept on their band.
 A SpectralBand holds a spectrum that vanishes outside a box of spatial
@@ -276,6 +278,17 @@ def forward_dft(f: SpectralField) -> SpectralField:
                       out=np.empty(f.values.shape, complex))
     out *= g.cell_volume
     return SpectralField(g, out, FREQUENCY)
+
+
+def dft_axis(a: np.ndarray, axis: int, length: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The transform of a raw array along one axis, of the given length
+    and a.shape[axis] samples, in forward_dft's convention: applied to
+    every spatial axis of a field's values in turn, it is forward_dft up
+    to rounding.  out (complex, a's shape) may be a itself."""
+    out = np.fft.fft(a, axis=axis, out=out)
+    out *= length / a.shape[axis]
+    return out
 
 
 def inverse_dft(F: SpectralField) -> SpectralField:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,20 @@ class TestProjection:
     def test_origin_raises(self):
         with pytest.raises(SingularPointError):
             project_to_P(np.zeros(2), ISO2)
+
+    @pytest.mark.parametrize("prof", [ISO2, MIX2])
+    def test_subnormal_constraint_sum_raises(self, prof):
+        # the sum of [1e-107, 0] is subnormal: dividing by its root once
+        # gave 1.00066, whose sum is 1.002, off P
+        xi = np.array([[3.0, 4.0], [1e-107, 0.0]])
+        assert 0 < constraint_sum(xi[1], prof) < sys.float_info.min
+        with pytest.raises(DomainError, match="subnormal") as info:
+            project_to_P(xi, prof)
+        assert not isinstance(info.value, SingularPointError)
+        # a sum just above the smallest normal float still projects onto P
+        q = project_to_P([(2 * sys.float_info.min) ** (1 / prof.exponents[0]), 0.0],
+                         prof)
+        assert abs(constraint_sum(q, prof) - 1.0) <= 1e-12
 
     def test_lattice_variant_maps_origin_to_zero(self):
         out = project_lattice(np.array([[0.0, 0.0], [1.0, 1.0]]), ISO2)

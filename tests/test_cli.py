@@ -639,6 +639,31 @@ class TestNonFiniteCoefficients:
         assert "not finite" in err or "non-finite" in err
         assert not out.exists()
 
+    # finite inputs whose arithmetic overflows inside a command (the symbol
+    # 1e308 * F of the scan, the quadrature of a 1e308 weight): the run's
+    # floating-point boundary ends it with the one integrity line
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, cfg", [
+        ("nondegeneracy", dict(CONFIG, params=dict(CONFIG["params"], a=["1e308", "p"]))),
+        ("nondegeneracy", base_config(
+            "nondegeneracy", grid={"n": [8, 8, 8], "L": [1.0, 1.0, 1.0]},
+            profile={"alpha": [1.0, 1.0, 1.0]},
+            params={"a": ["1e308", "p", "p*p"], "eps_list": [0.05, 0.2],
+                    "p_points": 64, "resolution": 16})),
+        ("averaging", dict(TestDeterminism.CONFIGS["averaging"], params=dict(
+            TestDeterminism.CONFIGS["averaging"]["params"],
+            rho="1e308*cos(pi*p1)**2")))], ids=["nondegeneracy-2d", "nondegeneracy-3d",
+                                                "averaging"])
+    def test_overflow_inside_a_command_exits_3_with_one_line(self, tmp_path, capsys,
+                                                              command, cfg):
+        out = tmp_path / "out"
+        assert run_cli(command, write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestReadmeAveragingExample:
     README = Path(__file__).resolve().parents[1] / "README.md"

@@ -294,7 +294,8 @@ class TestScalarMeasure:
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_pair_forms_transform_once_per_pair_and_n(self, monkeypatch, count):
-        # 4 cells and the envelope for the cell measure, then phi1 u_n and
+        # the 2 x 2 cells in 2 + 4 one-axis passes (the envelope was
+        # transformed when the sequence was built), then phi1 u_n and
         # phi2 u_n once per n, whatever the number of symbols
         import hpm.hmeasure as hm
         from hpm.multiplier import projected_symbol_lattice
@@ -303,17 +304,23 @@ class TestScalarMeasure:
         phi1, phi2 = bump2(g), bump2(g) ** 2
         names = ["coordinate:0", "coordinate:1", "one", "sector:axis=0,sign=+"][:count]
         symbols = {name: symbol_from_name(name, ISO2) for name in names}
-        calls = []
-        original = hm.forward_dft
+        calls, passes = [], []
+        original, one_axis = hm.forward_dft, hm.dft_axis
 
         def counting(f):
             calls.append(f.grid == g)
             return original(f)
 
+        def counting_passes(a, axis, length, out=None):
+            passes.append(a.shape == g.shape)
+            return one_axis(a, axis, length, out)
+
         monkeypatch.setattr(hm, "forward_dft", counting)
+        monkeypatch.setattr(hm, "dft_axis", counting_passes)
         est = scalar_hmeasure(seq, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
                               pairs={"q": (phi1, phi2)}, symbols=symbols)
-        assert sum(calls) == 11
+        assert sum(calls) == 6
+        assert sum(passes) == 2 + 4
         # the per-symbol forms, as computed when each symbol transformed
         # the pair again: the same transforms and sums, so bit for bit
         for n in (4, 6, 8):

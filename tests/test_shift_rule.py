@@ -1,6 +1,9 @@
 """The oscillation sequence's cell spectra by the shift rule against the
-transform of each snapshot, F(hat_c u_n) cell by cell; the checks on
-kappa(n) they share; and scalar_hmeasure's pairs and symbols."""
+transform of each snapshot, F(hat_c u_n) cell by cell, with the envelope
+given as a physical field and as its band; the checks on kappa(n) they
+share; and scalar_hmeasure's pairs and symbols."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hpm.hmeasure import (
     scalar_hmeasure,
 )
 from hpm.multiplier import symbol_from_name
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, band_limited_field
+from hpm.spectral import SpectralGrid, band_limited_field, band_limited_spectrum
 
 
 def rng(key=0):
@@ -28,6 +31,15 @@ def rng(key=0):
 def envelope(grid, key, band_fraction):
     v = band_limited_field(grid, rng(key), band_fraction=band_fraction)
     return v.with_values(v.values + 1.0)
+
+
+def envelope_band(grid, key, band_fraction):
+    """The band of envelope(grid, key, band_fraction): the random band
+    with the mean 1 on its zero mode."""
+    band = band_limited_spectrum(grid, rng(key), band_fraction=band_fraction)
+    values = band.values.copy()
+    values[(0,) * grid.d] = math.prod(grid.length_per_axis)
+    return band.with_values(values)
 
 
 # (n, L, alpha, c, n_list, x_cells, p_cells, band_fraction)
@@ -47,24 +59,26 @@ CASES = {
 }
 
 
-def case(name):
+def case(name, form="field"):
     n, L, alpha, c, n_list, x_cells, p_cells, band = CASES[name]
     grid = SpectralGrid(n, L)
     profile = AnisotropyProfile(alpha)
-    env = envelope(grid, len(n), band)
+    env = {"field": envelope, "band": envelope_band}[form](grid, len(n), band)
     seq = OscillationSequence(profile, c, env)
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
     return grid, profile, c, env, seq, basis, n_list
 
 
 def shifted(grid, seq, basis, n_list):
-    return _stacked_forms(basis, grid, seq.cell_spectra(basis, n_list),
+    return _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
                           len(n_list), 1)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_shift_rule_matches_transform_of_each_snapshot(name):
-    grid, profile, c, env, seq, basis, n_list = case(name)
+@pytest.mark.parametrize("name, form", [
+    pytest.param(name, form, id=name if form == "field" else f"{name}-band")
+    for form in ("field", "band") for name in sorted(CASES)])
+def test_shift_rule_matches_transform_of_each_snapshot(name, form):
+    grid, profile, c, env, seq, basis, n_list = case(name, form)
     V = shifted(grid, seq, basis, n_list)
     ref = np.stack([_cell_forms(grid, basis, [seq(n).values]) for n in n_list])
     C, B = len(list(basis.cell_indices())), basis.p_masks.shape[0]
@@ -83,6 +97,27 @@ def test_cases_subtract_a_nonzero_mean(name):
         assert abs(mean) > 1e-3
 
 
+def test_band_envelope_gives_exact_zero_means_off_its_box(monkeypatch):
+    # the box of 2d-mean-in-band reaches 8 lattice points from 0 on each
+    # axis: -kappa(2) = (-2, 0) lies in it, -kappa(12) and -kappa(13) do not
+    grid, profile, c, env, seq, basis, _ = case("2d-mean-in-band", "band")
+    seen = []
+    original = hm._band_value
+
+    def recording(band, mode):
+        seen.append(original(band, mode))
+        return seen[-1]
+
+    monkeypatch.setattr(hm, "_band_value", recording)
+    seq.cell_products(basis, (2, 12, 13))
+    assert seen[1:] == [0.0, 0.0]
+    kap = oscillation_frequency(profile, c, 2, grid)
+    phase = sum(k * x for k, x in zip(kap, grid.coordinates()))
+    mean = np.mean(seq.physical.values * np.exp(2j * np.pi * phase))
+    assert abs(mean) > 1e-3
+    assert abs(seen[0] / math.prod(grid.length_per_axis) - mean) <= 1e-13 * abs(mean)
+
+
 @pytest.mark.parametrize("name", ["2d-nonsquare-L", "3d-nonsquare-negative-c"])
 def test_scalar_hmeasure_equals_the_transform_path(name):
     grid, profile, c, env, seq, basis, n_list = case(name)
@@ -94,27 +129,35 @@ def test_scalar_hmeasure_equals_the_transform_path(name):
 
 
 def count_full_grid_transforms(monkeypatch, grid):
-    calls = []
-    original = hm.forward_dft
+    """Full-grid forward_dft calls and full-grid one-axis passes (dft_axis)
+    through hmeasure's bindings."""
+    calls = {"forward_dft": 0, "dft_axis": 0}
+    forward, one_axis = hm.forward_dft, hm.dft_axis
 
     def counting(f):
-        if f.values.shape == grid.shape:
-            calls.append(1)
-        return original(f)
+        calls["forward_dft"] += f.values.shape == grid.shape
+        return forward(f)
+
+    def counting_passes(a, axis, length, out=None):
+        calls["dft_axis"] += a.shape == grid.shape
+        return one_axis(a, axis, length, out)
 
     monkeypatch.setattr(hm, "forward_dft", counting)
+    monkeypatch.setattr(hm, "dft_axis", counting_passes)
     return calls
 
 
 def test_transform_count_does_not_grow_with_n_list(monkeypatch):
+    # 4 x 4 cells: 4 passes along axis 0 and 16 along axis 1, and no
+    # full-grid transform (the envelope's was made with the sequence)
     grid, profile, c, env, seq, basis, _ = case("2d-anisotropic-negative-c")
     calls = count_full_grid_transforms(monkeypatch, grid)
     counts = []
     for n_list in ((4, 9, 16), (4, 9, 16, 25, 36, 49)):
-        calls.clear()
+        calls.update(forward_dft=0, dft_axis=0)
         scalar_hmeasure(seq, profile, grid, n_list, 4, 8)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(dict(calls))
+    assert counts == [{"forward_dft": 0, "dft_axis": 4 + 16}] * 2
 
 
 # --- kappa(n): not finite, or aliased to the zero mode -------------------------

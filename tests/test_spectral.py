@@ -14,6 +14,7 @@ from hpm.spectral import (
     SpectralGrid,
     band_limited_field,
     convolve_velocity,
+    dft_axis,
     forward_dft,
     inverse_dft,
     read_field,
@@ -143,6 +144,22 @@ class TestTransforms:
         f = random_field(g, 7)
         back = inverse_dft(forward_dft(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("n, L", [((16,), (1.5,)), ((8, 32), (1.0, 0.25)),
+                                      ((8, 4, 16), (2.0, 1.0, 0.5))])
+    def test_one_axis_passes_make_forward_dft(self, n, L):
+        # every spatial axis in turn, in place and into new arrays
+        g = SpectralGrid(n, L)
+        f = random_field(g, len(n))
+        ref = forward_dft(f).values
+        a = np.array(f.values)
+        for k in range(g.d):
+            dft_axis(a, k, L[k], out=a)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+        b = f.values
+        for k in range(g.d):
+            b = dft_axis(b, k, L[k])
+        assert np.max(np.abs(b - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_subtract_spatial_mean(self):
         g = SpectralGrid((8,), (1.0,), n_velocity=(3,), velocity_length=(1.0,))
