@@ -1,7 +1,6 @@
 """Velocity-averaging experiments: exact spectral transport evolution,
-velocity averages, compactness decay tables, the principal-symbol
-non-degeneracy scanner, splitting-factor diagnostics, and the weak-form
-residual of the model equation
+velocity averages, compactness decay tables, and the non-degeneracy
+scanner of the principal symbol of the model equation
 
     sum_k a_k(x, p) d_{x_k}^{alpha_k} u = G.
 
@@ -26,21 +25,14 @@ DFT, no phase and no quadrature over the whole grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .anisotropy import AnisotropyProfile, mesh_P
-from .errors import DomainError, IntegrityError, SingularPointError, SupportWarning
-from .multiplier import (
-    SymbolOnP,
-    _apply_spatial_multiplier,
-    apply_projected_symbol,
-    fractional_axis_symbol,
-    fractional_factor,
-    smoothing_inverse,
-)
+from .errors import DomainError, IntegrityError, SupportWarning
+from .multiplier import fractional_factor
 from .spectral import (
     FREQUENCY,
     PHYSICAL,
@@ -95,15 +87,6 @@ def mixed_symbol(x, xi, p, terms) -> np.ndarray:
                 factor = factor * fractional_factor(xi[..., k], o)
         total = total + _eval_coeff(coeff, x, p) * factor
     return total
-
-
-def delta_regularization(symbol_values, delta: float) -> np.ndarray:
-    """|A|^2 / (|A|^2 + delta): the regularized indicator that tends to 1
-    wherever the symbol stays away from zero."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    a2 = np.abs(np.asarray(symbol_values)) ** 2
-    return a2 / (a2 + delta)
 
 
 # --- non-degeneracy scan ------------------------------------------------------
@@ -341,97 +324,3 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
     base = norms[0]
     ratios = tuple(v / base if base > 0 else 0.0 for v in norms)
     return DecayTable(n_list, tuple(norms), ratios)
-
-
-# --- splitting diagnostic -----------------------------------------------------
-
-def beta_split_weights(tau: float, xi, a_of_p, beta: float) -> tuple[float, float]:
-    """Splitting factors of the homogeneous transport analysis:
-    w_u = beta^2 |xi|^2 / ((tau + a.xi)^2 + beta^2 |xi|^2) and
-    w_g = |tau + a.xi| |xi| / (same denominator); w_u lies in [0, 1]."""
-    xi = np.asarray(xi, dtype=float)
-    a = np.asarray(a_of_p, dtype=float)
-    drift = float(tau + np.dot(a, xi))
-    norm = float(np.linalg.norm(xi))
-    denom = drift ** 2 + beta ** 2 * norm ** 2
-    if denom == 0:
-        raise SingularPointError("splitting weights undefined: tau + a.xi and beta|xi| both vanish")
-    return (beta ** 2 * norm ** 2 / denom, abs(drift) * norm / denom)
-
-
-# --- weak form ----------------------------------------------------------------
-
-@dataclass
-class WeakTestFunction:
-    """A smooth test function g(x, p) with its velocity derivatives
-    supplied analytically: p_derivatives maps the multi-index kappa to the
-    sampled array of d_p^kappa g."""
-
-    values: np.ndarray
-    p_derivatives: dict = field(default_factory=dict)
-
-    def derivative(self, kappa: tuple[int, ...]) -> np.ndarray:
-        if all(k == 0 for k in kappa):
-            return self.values
-        key = tuple(int(k) for k in kappa)
-        if key not in self.p_derivatives:
-            raise DomainError(f"velocity derivative {key} not supplied")
-        return np.asarray(self.p_derivatives[key])
-
-
-def weak_form_residual(u: SpectralField, coeffs, G: SpectralField | None,
-                       g: WeakTestFunction, kappa: tuple[int, ...],
-                       profile: AnisotropyProfile) -> complex:
-    """Residual of the weak formulation: the equation pairing
-
-        int sum_k a_k u conj((-d_k)^(alpha_k) g) dx dp
-          - (-1)^|kappa| int G conj(d_p^kappa g) dx dp,
-
-    with the x-derivatives applied spectrally and the p-integral by
-    midpoint quadrature.  Vanishes (to discretization accuracy) on exact
-    solutions with matching forcing."""
-    u.require(PHYSICAL)
-    grid = u.grid
-    if grid.m == 0:
-        raise DomainError("the weak form needs velocity axes")
-    if len(coeffs) != grid.d:
-        raise DomainError("need one coefficient per spatial axis")
-    a_vals = [grid.sample(c) for c in coeffs]
-    gvals = np.asarray(g.values, dtype=complex)
-    if gvals.shape != grid.shape:
-        raise DomainError("test function samples do not match the grid")
-    # a view: the field freezes its own handle, not the caller's g.values
-    Gspec = forward_dft(SpectralField(grid, gvals.view(), PHYSICAL))
-    measure = grid.cell_volume * grid.velocity_cell_volume
-    lhs = 0.0 + 0.0j
-    for k in range(grid.d):
-        sym = fractional_axis_symbol(grid, k, profile.alpha[k],
-                                     conjugate_direction=True)
-        dg = inverse_dft(_apply_spatial_multiplier(Gspec, sym)).values
-        lhs = lhs + np.sum(a_vals[k] * np.asarray(u.values) * np.conj(dg)) * measure
-    rhs = 0.0 + 0.0j
-    if G is not None:
-        G.require(PHYSICAL)
-        dk = g.derivative(tuple(kappa))
-        sign = (-1.0) ** int(sum(kappa))
-        rhs = sign * np.sum(np.asarray(G.values) * np.conj(dk)) * measure
-    return complex(lhs - rhs)
-
-
-def build_gn_test_function(u: SpectralField, psi: SymbolOnP, phi,
-                           rho1, rho2, profile: AnisotropyProfile,
-                           cutoff_radius: float = 1.0) -> SpectralField:
-    """The localized test function rho1(p) int (I o A_psi)(phi u(., q))(x)
-    rho2(q) dq, where I is the smoothing operator and A_psi the projected
-    multiplier.  Bounded by the sup of the composed smooth symbol."""
-    u.require(PHYSICAL)
-    grid = u.grid
-    if grid.m == 0:
-        raise DomainError("field has no velocity axes")
-    phi = grid.spatial_only().sample(phi)
-    fu = u.with_values(np.asarray(u.values) * grid.lift(phi))
-    w = smoothing_inverse(apply_projected_symbol(fu, psi, profile),
-                          profile, cutoff_radius)
-    avg = velocity_average(w, rho2)
-    vals = grid.lift(np.asarray(avg.values)) * _rho_on_grid(rho1, grid)
-    return SpectralField(grid, vals, PHYSICAL)

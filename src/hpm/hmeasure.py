@@ -53,7 +53,6 @@ from .spectral import (
     SpectralBand,
     SpectralField,
     SpectralGrid,
-    convolve_velocity,
     dft_axis,
     forward_dft,
     inverse_dft,
@@ -196,18 +195,6 @@ def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
     return subtract_spatial_mean(envelope.with_values(envelope.values * mod))
 
 
-def concentration_sequence(profile: AnisotropyProfile, envelope: Callable,
-                           grid: SpectralGrid, n: int) -> SpectralField:
-    """L2-normalized concentration at the torus centre:
-    n^(sigma/2) v(n^(1/alpha_1)(x_1 - x_1^0), ...), sigma = sum 1/alpha_k."""
-    sigma = sum(1.0 / a for a in profile.alpha)
-    coords = [(n ** (1.0 / a)) * (x - L / 2) for a, x, L in
-              zip(profile.alpha, grid.coordinates(), grid.length_per_axis)]
-    vals = n ** (sigma / 2) * np.asarray(envelope(*coords), dtype=complex)
-    vals = vals * np.ones(grid.shape)
-    return subtract_spatial_mean(SpectralField(grid, vals, PHYSICAL))
-
-
 @dataclass(frozen=True)
 class OscillationSequence:
     """n -> oscillation_sequence(profile, c, v, n) for the envelope v,
@@ -245,74 +232,6 @@ class OscillationSequence:
                                  self.spectrum, basis, n_list)
 
 
-# --- velocity mollification ---------------------------------------------------
-
-@dataclass(frozen=True)
-class MollifierKernel:
-    """A nonnegative smooth kernel with unit mass and compact support in
-    the ball of the given radius."""
-
-    func: Callable[..., np.ndarray]
-    support_radius: float
-    m: int = 1
-
-
-def standard_mollifier(m: int = 1) -> MollifierKernel:
-    """The bump exp(-1/(1-|p|^2)) on |p| < 1, numerically normalized."""
-    bump = MollifierKernel(_bump_unnormalized, support_radius=1.0, m=m)
-    z = kernel_mass(bump)
-    return MollifierKernel(lambda *p: _bump_unnormalized(*p) / z,
-                           support_radius=1.0, m=m)
-
-
-def _bump_unnormalized(*p: np.ndarray) -> np.ndarray:
-    r2 = np.sum(np.stack(np.broadcast_arrays(*p), axis=-1) ** 2, axis=-1)
-    out = np.zeros(r2.shape)
-    inside = r2 < 1
-    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return out
-
-
-def kernel_mass(kernel: MollifierKernel) -> float:
-    """Midpoint quadrature of the kernel over its support box; spectrally
-    accurate for smooth compactly supported kernels."""
-    m, radius = kernel.m, kernel.support_radius
-    n = {1: 8192, 2: 256}.get(m, 48)
-    ax = -radius + (np.arange(n) + 0.5) * (2 * radius / n)
-    mesh = np.meshgrid(*([ax] * m), indexing="ij")
-    vals = kernel.func(*(x.ravel() for x in mesh))
-    return float(np.sum(vals) * (2 * radius / n) ** m)
-
-
-def velocity_mollify(u: SpectralField, k: int, kernel: MollifierKernel) -> SpectralField:
-    """Convolve along the velocity axes with the rescaled kernel
-    omega_k(p) = k^m omega(k p), discretized on the velocity grid and
-    renormalized to unit discrete mass (so the Young bound is exact).
-
-    The convolution wraps periodically on each velocity interval
-    [-P/2, P/2): mass within support_radius / k of one end spills over
-    to the other end, so keep u supported that far inside the box when
-    the wrap is unwanted."""
-    grid = u.grid
-    if grid.m == 0:
-        raise DomainError("field has no velocity axes")
-    if kernel.m != grid.m:
-        raise DomainError("kernel dimension does not match the velocity axes")
-    if k < 1:
-        raise DomainError("mollification index k must be a positive integer")
-    if abs(kernel_mass(kernel) - 1.0) > 1e-8:
-        raise DomainError("kernel mass differs from 1 beyond tolerance")
-
-    def omega_k(*offsets):
-        ker = kernel.func(*(k * o for o in offsets)) * (k ** grid.m)
-        total = ker.sum()
-        if total <= 0:
-            raise DomainError("kernel vanishes on the velocity grid at this scale")
-        return ker / total  # discrete mass exactly one
-
-    return convolve_velocity(u, omega_k)
-
-
 # --- cell discretization ------------------------------------------------------
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -334,7 +253,6 @@ class CellBasis:
     (c_1, ..., c_d), has the hat prod_k x_factors[k][c_k] (along axis k)."""
 
     x_factors: tuple[np.ndarray, ...]  # d arrays (x_cells, n_k), squares sum to one
-    x_cell_volume: float
     p_masks: np.ndarray         # (B, *spatial lattice), partition of unity off xi=0
 
     def cell_indices(self):
@@ -405,9 +323,6 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         dist = (dist + L / 2) % L - L / 2
         h = _periodic_hat(dist, spacing)
         factors.append(h / np.sqrt(np.sum(h ** 2, axis=0)))
-    cell_vol = 1.0
-    for L in grid.length_per_axis:
-        cell_vol *= L / x_cells
 
     # P-cells on the frequency lattice
     proj = project_lattice(grid.frequency_vectors(), profile)
@@ -416,7 +331,7 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
     else:
         masks = _direction_masks(proj, profile, p_cells)
     masks[:, 0] = 0.0  # flat index 0 is the mode xi = 0 in FFT order
-    return CellBasis(tuple(factors), cell_vol,
+    return CellBasis(tuple(factors),
                      masks.reshape((p_cells,) + grid.n_per_axis))
 
 
@@ -749,40 +664,3 @@ def cosine_velocity_basis(grid: SpectralGrid, size: int) -> np.ndarray:
     for i in range(1, size):
         out[i] = math.sqrt(2.0 / P) * np.cos(np.pi * i * s)
     return out
-
-
-@dataclass
-class MarginalReport:
-    r_prime: float
-    norms: list[float]
-    ratios: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {"r_prime": self.r_prime, "norms": self.norms,
-                "ratios": self.ratios}
-
-
-def marginal_density_check(measures: Sequence[MatrixMeasure],
-                           r_prime: float) -> MarginalReport:
-    """Discrete L^{r'} norms of the marginal density across cell
-    refinements.  Raises IntegrityError if a trace cell mass is negative
-    or the trace masses of an x-cell do not sum to its marginal."""
-    if len(measures) < 2:
-        raise DomainError("need matrix measures at >= 2 cell refinements")
-    if r_prime <= 1:
-        raise DomainError("r' must exceed 1")
-    norms = []
-    for M in measures:
-        low = float(np.min(M.trace))
-        if low < -1e-9:
-            raise IntegrityError(f"negative conditional cell mass in the trace: "
-                                 f"minimum {low:.3e} below -1.0e-09")
-        gap = float(np.max(np.abs(M.trace.sum(axis=-1) - M.marginal)))
-        if gap > 1e-12:
-            raise IntegrityError(f"trace masses do not sum to the marginal: "
-                                 f"gap {gap:.3e} above 1.0e-12")
-        vol = M.cell_basis.x_cell_volume
-        dens = np.abs(M.marginal) / vol
-        norms.append(float((np.sum(dens ** r_prime) * vol) ** (1.0 / r_prime)))
-    ratios = [b / a if a > 0 else float("inf") for a, b in zip(norms, norms[1:])]
-    return MarginalReport(r_prime, norms, ratios)

@@ -10,7 +10,7 @@ weak-form residual checker for the Kruzhkov-type entropy inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

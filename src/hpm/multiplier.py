@@ -173,14 +173,12 @@ def fractional_factor(xi, order: float):
             * np.exp(1j * order * (np.pi / 2) * np.sign(xi)))
 
 
-def fractional_axis_symbol(grid, axis: int, order: float,
-                           conjugate_direction: bool = False) -> np.ndarray:
-    """Lattice symbol of the order-a one-axis fractional derivative.  With
-    conjugate_direction=True returns the symbol of (-d/dx_k)^a instead."""
+def fractional_axis_symbol(grid, axis: int, order: float) -> np.ndarray:
+    """Lattice symbol of the order-a one-axis fractional derivative."""
     if not 0 <= axis < grid.d:
         raise DomainError(f"axis {axis} out of range for a {grid.d}-d grid")
     xi = grid.frequencies()[axis]
-    return fractional_factor(-xi if conjugate_direction else xi, order)
+    return fractional_factor(xi, order)
 
 
 def fractional_derivative(f: SpectralField, axis: int, order: float) -> SpectralField:

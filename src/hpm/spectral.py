@@ -51,7 +51,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -310,22 +309,6 @@ def subtract_spatial_mean(f: SpectralField) -> SpectralField:
     axes = f.grid.spatial_axes
     m = np.mean(f.values, axis=axes, keepdims=True)
     return f.with_values(f.values - m)
-
-
-def convolve_velocity(f: SpectralField, kernel: Callable[..., np.ndarray]) -> SpectralField:
-    """Discrete periodic convolution along the velocity axes:
-    out(x, p) = sum_q f(x, p - q) kernel(q), with p - q wrapped onto the
-    centred interval [-P/2, P/2) of each axis.  kernel is called once
-    with the signed velocity offsets q_1, ..., q_m (multiples of the
-    velocity spacing, each of shape n_velocity, in wrap order) and
-    returns the kernel samples, used as given (no quadrature weight)."""
-    g = f.grid
-    offsets = [np.fft.fftfreq(n) * n * (P / n)
-               for n, P in zip(g.n_velocity, g.velocity_length)]
-    ker = kernel(*np.meshgrid(*offsets, indexing="ij"))
-    U = np.fft.fftn(np.asarray(f.values), axes=g.velocity_axes)
-    K = np.fft.fftn(ker, axes=tuple(range(g.m)))
-    return f.with_values(np.fft.ifftn(U * K, axes=g.velocity_axes))
 
 
 def write_field(f: SpectralField, path) -> None:

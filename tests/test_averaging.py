@@ -1,31 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hpm.anisotropy import AnisotropyProfile, mesh_P
 from hpm.averaging import (
     DecayTable,
-    beta_split_weights,
-    build_gn_test_function,
     compactness_metric,
-    delta_regularization,
     mixed_symbol,
     nondegeneracy_scan,
     principal_symbol,
     transport_evolve,
     velocity_average,
-    weak_form_residual,
-    WeakTestFunction,
 )
-from hpm.errors import DomainError, IntegrityError, SingularPointError, SupportWarning
+from hpm.errors import DomainError, IntegrityError, SupportWarning
 from hpm.hmeasure import OscillationSequence
-from hpm.multiplier import fractional_derivative, symbol_from_name
 from hpm.spectral import (
     PHYSICAL,
     SpectralField,
     SpectralGrid,
-    band_limited_field,
     subtract_spatial_mean,
 )
 
@@ -83,26 +74,6 @@ class TestPrincipalSymbol:
     def test_mixed_symbol_cross_term(self):
         v = mixed_symbol(0.0, np.array([1.0, 1.0]), 0.0, [(1.0, (1, 1))])
         assert abs(v - (2j * np.pi) ** 2) <= 1e-12
-
-
-class TestDeltaRegularization:
-    def test_tends_to_one_off_zero_set(self):
-        p = midpoints(64)
-        sym = principal_symbol(0.0, np.array([1.0, 0.0]), p,
-                               [1.0, lambda x, q: q], ISO2)
-        assert np.min(np.abs(sym)) > 0.1
-        prev = None
-        for delta in (1e-1, 1e-2, 1e-3):
-            reg = delta_regularization(sym, delta)
-            assert np.all((0 < reg) & (reg < 1))
-            if prev is not None:
-                assert np.all(reg >= prev)
-            prev = reg
-        assert np.min(prev) >= 0.97
-
-    def test_invalid_delta(self):
-        with pytest.raises(DomainError):
-            delta_regularization(np.array([1.0]), 0.0)
 
 
 class TestNonDegeneracyScan:
@@ -277,117 +248,6 @@ class TestCompactness:
             compactness_metric(seq, compact_bump, ((0.0, 1.0), (0.0, 1.0)), (2,))
 
 
-class TestBetaSplit:
-    def test_characteristic_direction(self):
-        w_u, w_g = beta_split_weights(-2.0, (1.0, 1.0), (1.0, 1.0), 0.5)
-        assert abs(w_u - 1.0) <= 1e-14
-        assert abs(w_g) <= 1e-14
-
-    def test_vanishing_beta(self):
-        vals = [beta_split_weights(1.0, (1.0, 0.0), (0.0, 0.0), b)[0]
-                for b in (1.0, 0.1, 0.01)]
-        assert vals[0] > vals[1] > vals[2]
-        assert vals[2] <= 1e-3
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(-5, 5), st.floats(-3, 3), st.floats(-3, 3),
-           st.floats(0.01, 2))
-    def test_weight_in_unit_interval(self, tau, a1, xi1, beta):
-        xi = (xi1, 1.0)
-        w_u, w_g = beta_split_weights(tau, xi, (a1, 0.5), beta)
-        assert 0.0 <= w_u <= 1.0
-        assert w_g >= 0.0
-
-    def test_singular_point(self):
-        with pytest.raises(SingularPointError):
-            beta_split_weights(0.0, (0.0, 0.0), (1.0, 1.0), 1.0)
-
-
-class TestWeakForm:
-    def _exact_setup(self):
-        g = SpectralGrid((16, 16), (1.0, 1.0), n_velocity=(2,),
-                         velocity_length=(4.0,))
-        x1, x2 = g.coordinates()
-        (p,) = g.velocity_coordinates()
-        # u = e^{2 pi i k (p x1 - x2)} solves d_1 u + p^{-1}... no:
-        # (1) d_1 u + (p) d_2 u with a = (p, 1): p * ik p? use a = (1, p):
-        # d_1 u = 2 pi i k p u, d_2 u = -2 pi i k u, so 1*d_1 + p*d_2 = 0
-        k = 2
-        u = SpectralField(g, np.exp(2j * np.pi * k * (p * x1 - x2))
-                          * np.ones(g.shape), PHYSICAL)
-        coeffs = [1.0, lambda a1, a2, q: q]
-        gv = (np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-              * (1.0 + 0.25 * p)) * np.ones(g.shape)
-        gfun = WeakTestFunction(gv)
-        return g, u, coeffs, gfun
-
-    def test_exact_solution_residual_vanishes(self):
-        g, u, coeffs, gfun = self._exact_setup()
-        r = weak_form_residual(u, coeffs, None, gfun, (0,), ISO2)
-        scale = u.norm_l2() * np.max(np.abs(gfun.values))
-        assert abs(r) <= 1e-12 * scale
-
-    def test_zero_field(self):
-        g, u, coeffs, gfun = self._exact_setup()
-        z = u.with_values(np.zeros_like(np.asarray(u.values)))
-        assert weak_form_residual(z, coeffs, None, gfun, (0,), ISO2) == 0
-
-    def test_forcing_consistency(self):
-        # [DERIVED] G computed by applying the operator spectrally makes
-        # the pairing an exact integration-by-parts identity
-        g, _, coeffs, gfun = self._exact_setup()
-        u = band_limited_field(g, rng(7))
-        (p,) = g.velocity_coordinates()
-        d1 = fractional_derivative(u, 0, 1.0)
-        d2 = fractional_derivative(u, 1, 1.0)
-        G = u.with_values(d1.values + p * np.ones(g.shape) * d2.values)
-        r = weak_form_residual(u, coeffs, G, gfun, (0, 0), ISO2)
-        scale = u.norm_l2() * np.max(np.abs(gfun.values))
-        assert abs(r) <= 1e-10 * scale
-
-    def test_linear_in_field(self):
-        g, u, coeffs, gfun = self._exact_setup()
-        v = band_limited_field(g, rng(8))
-        r1 = weak_form_residual(v, coeffs, None, gfun, (0,), ISO2)
-        r2 = weak_form_residual(v.with_values(3.0 * np.asarray(v.values)),
-                                coeffs, None, gfun, (0,), ISO2)
-        assert abs(r2 - 3.0 * r1) <= 1e-12 * max(1e-30, abs(r1))
-
-    def test_missing_p_derivative(self):
-        g, u, coeffs, gfun = self._exact_setup()
-        G = u.with_values(np.zeros_like(np.asarray(u.values)))
-        with pytest.raises(DomainError):
-            weak_form_residual(u, coeffs, G, gfun, (1,), ISO2)
-
-
-class TestGnTestFunction:
-    def _grid(self):
-        return SpectralGrid((16, 16), (1.0, 1.0), n_velocity=(16,),
-                            velocity_length=(1.0,))
-
-    def test_zero_field_maps_to_zero(self):
-        g = self._grid()
-        u = SpectralField(g, np.zeros(g.shape), PHYSICAL)
-        out = build_gn_test_function(u, symbol_from_name("one", ISO2),
-                                     np.ones(g.n_per_axis), compact_bump,
-                                     compact_bump, ISO2)
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_velocity_profile_factorizes(self):
-        g = self._grid()
-        r = rng(9)
-        vals = r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape)
-        u = SpectralField(g, vals, PHYSICAL)
-        out = build_gn_test_function(u, symbol_from_name("one", ISO2),
-                                     np.ones(g.n_per_axis), compact_bump,
-                                     compact_bump, ISO2)
-        rho1 = compact_bump(g.velocity_axis(0))
-        live = rho1 > 1e-6
-        ratio = out.values[..., live] / rho1[live]
-        spread = np.max(np.abs(ratio - ratio[..., :1]))
-        assert spread <= 1e-10 * max(1e-30, np.max(np.abs(ratio)))
-
-
 class TestPrincipalIsDiagonalMixed:
     def test_callable_evaluated_once_and_matches_mixed(self):
         p = midpoints(16)
@@ -403,43 +263,6 @@ class TestPrincipalIsDiagonalMixed:
         a = coeffs(0.0, p)
         w = mixed_symbol(0.0, xi, p, [(a[..., 0], (1.0, 0)), (a[..., 1], (0, 2.0))])
         assert np.array_equal(v, w)
-
-
-class TestWeakFormReference:
-    def test_matches_raw_fft_reference(self):
-        # the pairing written out with numpy's FFT and the continuum
-        # scaling by hand, independent of the spectral module
-        g = SpectralGrid((16, 8), (1.0, 2.0), n_velocity=(4,), velocity_length=(2.0,))
-        u = band_limited_field(g, rng(3))
-        (p,) = g.velocity_coordinates()
-        x1, x2 = g.coordinates()
-        gv = (np.sin(2 * np.pi * x1) * np.cos(np.pi * x2) * (1.0 + p)) * np.ones(g.shape)
-        coeffs = [1.0, lambda a1, a2, q: q]
-        r = weak_form_residual(u, coeffs, None, WeakTestFunction(gv), (0,), MIX2)
-
-        vol = (1.0 / 16) * (2.0 / 8)
-        spec = np.fft.fftn(gv, axes=(0, 1)) * vol
-        a_vals = [np.ones(g.shape), p * np.ones(g.shape)]
-        ref = 0.0
-        for k in range(2):
-            n, L = g.n_per_axis[k], g.length_per_axis[k]
-            xi = np.fft.fftfreq(n) * n
-            xi[n // 2] = n // 2
-            xi = xi / L
-            order = MIX2.alpha[k]
-            sym = np.abs(2 * np.pi * xi) ** order * np.exp(-1j * order * np.pi / 2 * np.sign(xi))
-            shp = [1, 1, 1]
-            shp[k] = n
-            dg = np.fft.ifftn(spec * sym.reshape(shp), axes=(0, 1)) / vol
-            ref = ref + np.sum(a_vals[k] * u.values * np.conj(dg)) * vol * (2.0 / 4)
-        assert abs(r - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_leaves_the_test_function_writeable(self):
-        g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(2,), velocity_length=(1.0,))
-        gv = np.ones(g.shape, dtype=complex)
-        weak_form_residual(band_limited_field(g, rng(4)), [1.0, 1.0], None,
-                           WeakTestFunction(gv), (0,), ISO2)
-        assert gv.flags.writeable
 
 
 class TestNonFiniteCoefficients:

@@ -7,21 +7,15 @@ from hpm.anisotropy import AnisotropyProfile, project_to_P
 from hpm.errors import DomainError, IntegrityError, SupportWarning
 from hpm.hmeasure import (
     MatrixMeasure,
-    MollifierKernel,
     OscillationSequence,
     bilinear_form,
-    concentration_sequence,
     cosine_velocity_basis,
     estimate_limit,
-    kernel_mass,
     make_cell_basis,
-    marginal_density_check,
     matrix_hmeasure,
     oscillation_frequency,
     oscillation_sequence,
     scalar_hmeasure,
-    standard_mollifier,
-    velocity_mollify,
 )
 from hpm.multiplier import symbol_from_name
 from hpm.spectral import (
@@ -175,79 +169,6 @@ class TestOscillationSequence:
         env = band_limited_field(g, rng(7))
         with pytest.raises(DomainError):
             oscillation_sequence(ISO2, (0.0, 0.0), env, 4)
-
-
-class TestConcentration:
-    def test_mass_localizes_at_centre(self):
-        prof = AnisotropyProfile((1.0, 1.0))
-        g = SpectralGrid((64, 64), (1.0, 1.0))
-        envelope = lambda x1, x2: np.exp(-8.0 * (x1 ** 2 + x2 ** 2))
-        fracs = []
-        for n in (2, 8):
-            u = concentration_sequence(prof, envelope, g, n)
-            dens = np.abs(u.values) ** 2
-            x1, x2 = g.coordinates()
-            near = (np.abs(x1 - 0.5) < 0.15) & (np.abs(x2 - 0.5) < 0.15)
-            fracs.append(float(dens[near].sum() / dens.sum()))
-        assert fracs[1] > fracs[0]
-        assert fracs[1] >= 0.95
-
-
-class TestMollifier:
-    def test_standard_kernel_mass(self):
-        assert abs(kernel_mass(standard_mollifier(1)) - 1.0) <= 1e-10
-
-    def test_constant_profile_unchanged(self):
-        g = SpectralGrid((8,), (1.0,), n_velocity=(16,), velocity_length=(2.0,))
-        vals = rng(8).standard_normal((8, 1)) * np.ones((8, 16))
-        u = SpectralField(g, vals, PHYSICAL)
-        out = velocity_mollify(u, 4, standard_mollifier(1))
-        assert np.max(np.abs(out.values - u.values)) <= 1e-12
-
-    def test_young_l2_bound(self):
-        g = SpectralGrid((8,), (1.0,), n_velocity=(32,), velocity_length=(2.0,))
-        r = rng(9)
-        u = SpectralField(g, r.standard_normal(g.shape)
-                          + 1j * r.standard_normal(g.shape), PHYSICAL)
-        out = velocity_mollify(u, 4, standard_mollifier(1))
-        assert out.norm_l2() <= u.norm_l2() * (1 + 1e-12)
-
-    def test_refinement_converges(self):
-        g = SpectralGrid((8,), (1.0,), n_velocity=(64,), velocity_length=(2.0,))
-        p = g.velocity_axis(0)
-        vals = np.ones((8, 1)) * np.sin(np.pi * p)[None, :]
-        u = SpectralField(g, vals, PHYSICAL)
-        diffs = []
-        for k in (4, 16, 64):
-            out = velocity_mollify(u, k, standard_mollifier(1))
-            diffs.append(float(np.max(np.abs(out.values - u.values))))
-        assert diffs[0] > diffs[1] > diffs[2]
-
-    def test_convolution_wraps_periodically(self):
-        # a unit mass at the last velocity sample spills over the end of
-        # [-P/2, P/2) onto the first sample, as far as onto its neighbour
-        g = SpectralGrid((4,), (1.0,), n_velocity=(32,), velocity_length=(2.0,))
-        vals = np.zeros(g.shape)
-        vals[:, -1] = 1.0
-        out = velocity_mollify(SpectralField(g, vals, PHYSICAL), 4,
-                               standard_mollifier(1)).values.real
-        assert out[0, 0] == pytest.approx(0.1926, abs=1e-4)
-        assert out[0, 0] == pytest.approx(out[0, -2], abs=1e-12)
-        assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_mass_rejected(self):
-        g = SpectralGrid((8,), (1.0,), n_velocity=(16,), velocity_length=(2.0,))
-        u = SpectralField(g, np.zeros(g.shape), PHYSICAL)
-        flat = MollifierKernel(lambda p: np.where(np.abs(p) < 1, 1.0, 0.0),
-                               support_radius=1.0, m=1)
-        with pytest.raises(DomainError):
-            velocity_mollify(u, 4, flat)
-
-    def test_no_velocity_axis(self):
-        g = SpectralGrid((8,), (1.0,))
-        u = SpectralField(g, np.zeros(8), PHYSICAL)
-        with pytest.raises(DomainError):
-            velocity_mollify(u, 2, standard_mollifier(1))
 
 
 class TestCellBasis:
@@ -417,40 +338,6 @@ class TestCosineBasis:
         g = SpectralGrid((8,), (1.0,))
         with pytest.raises(DomainError):
             cosine_velocity_basis(g, 2)
-
-
-class TestMarginalDensity:
-    def _measures(self):
-        g = SpectralGrid((16, 16), (1.0, 1.0), n_velocity=(32,),
-                         velocity_length=(2.0,))
-        basis = cosine_velocity_basis(g, 2).astype(complex)
-        x1 = g.coord_axis(0)
-        mod = np.ones(g.n_per_axis, dtype=complex)
-
-        def produce(n):
-            vals = (np.exp(2j * np.pi * n * x1)[:, None] * mod)[..., None] * basis[0]
-            return SpectralField(g, vals, PHYSICAL)
-
-        return [matrix_hmeasure(lambda n: subtract_spatial_mean(produce(n)),
-                                basis, c, 8, (4, 6, 8), ISO2)
-                for c in (2, 4)]
-
-    def test_uniform_density_stable_norms(self):
-        rep = marginal_density_check(self._measures(), r_prime=2.0)
-        assert all(0.8 <= r <= 1.25 for r in rep.ratios)
-
-    def test_negative_mass_detected(self):
-        ms = self._measures()
-        ms[0].trace[0, 0] = -1.0
-        with pytest.raises(IntegrityError):
-            marginal_density_check(ms, r_prime=2.0)
-
-    def test_argument_validation(self):
-        ms = self._measures()
-        with pytest.raises(DomainError):
-            marginal_density_check(ms[:1], r_prime=2.0)
-        with pytest.raises(DomainError):
-            marginal_density_check(ms, r_prime=1.0)
 
 
 class TestZeroMeanOwnership:

@@ -5,7 +5,7 @@ import pytest
 
 from hpm.anisotropy import AnisotropyProfile
 from hpm.errors import IntegrityError
-from hpm.hmeasure import MatrixMeasure, make_cell_basis, marginal_density_check
+from hpm.hmeasure import MatrixMeasure, make_cell_basis
 from hpm.kinetic import FluxPair, validate_flux
 from hpm.spectral import SpectralGrid
 
@@ -59,22 +59,6 @@ class TestMatrixMeasure:
         M.check_integrity()
         with pytest.raises(IntegrityError, match=r"below -1\.0e-11"):
             M.check_integrity(diag_tol=1e-11)
-
-
-class TestMarginalDensity:
-    def test_negative_trace_mass(self):
-        ms = [measure(2), measure(4)]
-        ms[1].trace[3, 1] = -2e-3
-        with pytest.raises(IntegrityError, match=r"negative conditional cell mass "
-                           r"in the trace: minimum -2\.000e-03 below -1\.0e-09"):
-            marginal_density_check(ms, r_prime=2.0)
-
-    def test_trace_sum_mismatch(self):
-        ms = [measure(2), measure(4)]
-        ms[0].marginal[1] += 5e-9
-        with pytest.raises(IntegrityError, match=r"trace masses do not sum to the "
-                           r"marginal: gap 5\.000e-09 above 1\.0e-12"):
-            marginal_density_check(ms, r_prime=2.0)
 
 
 def flux(B=None, f=None, l_split=1):

@@ -13,7 +13,6 @@ from hpm.spectral import (
     SpectralField,
     SpectralGrid,
     band_limited_field,
-    convolve_velocity,
     dft_axis,
     forward_dft,
     inverse_dft,
@@ -298,18 +297,6 @@ class TestLayout:
         if m:
             assert same(g.sample_velocity(np.cos), np.cos(g.velocity_axis(0)))
 
-    def test_convolve_velocity_is_periodic_sum(self):
-        g = SpectralGrid((4,), (1.0,), (10,), (2.0,))
-        f = random_field(g, key=4)
-        dp = 2.0 / 10
-        out = convolve_velocity(f, lambda q: np.exp(-q ** 2) * (q < 0.5))
-        # explicit sum over the signed wrap-order offsets q_j = j dp
-        expected = np.zeros(g.shape, dtype=complex)
-        for j in range(-5, 5):
-            q = j * dp
-            expected += np.roll(f.values, j, axis=1) * np.exp(-q ** 2) * (q < 0.5)
-        assert np.max(np.abs(out.values - expected)) <= 1e-12
-
 
 class TestPayloadSize:
     def _written(self, tmp_path):
@@ -394,7 +381,10 @@ class TestOneAllocationPerTransform:
 
 
 def test_numpy_fft_is_called_only_in_spectral():
-    """`spectral` is the one FFT seam of the package."""
+    """`spectral` is the one FFT seam of the package, and inside it numpy's
+    transforms (all of `numpy.fft` but `fftfreq`) are used only by
+    forward_dft, inverse_dft and dft_axis."""
+    import ast
     import re
     from pathlib import Path
 
@@ -408,4 +398,23 @@ def test_numpy_fft_is_called_only_in_spectral():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if pattern.search(line):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, offenders
+
+    seam = {"forward_dft", "inverse_dft", "dft_axis"}
+    tree = ast.parse((Path(hpm.__file__).parent / "spectral.py").read_text())
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "numpy.fft" or node.module == "numpy"
+                    and any(a.name == "fft" for a in node.names)):
+                offenders.append(f"spectral.py:{node.lineno}: imports from numpy.fft")
+            elif (isinstance(node, ast.Attribute) and node.attr != "fftfreq"
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "fft"
+                  and isinstance(node.value.value, ast.Name)
+                  and node.value.value.id in ("np", "numpy")
+                  and owner not in seam):
+                offenders.append(f"spectral.py:{node.lineno}: numpy.fft.{node.attr} "
+                                 f"in {owner or 'module scope'}")
     assert not offenders, offenders
