@@ -110,12 +110,6 @@ class NonDegeneracyReport:
             "threshold_fraction": _THRESHOLD_FRACTION,
         }
 
-    def rows(self):
-        for x_idx, per_x in enumerate(self.measures.tolist()):
-            for p_idx, per_p in enumerate(per_x):
-                for eps, m in zip(self.eps_list, per_p):
-                    yield x_idx, p_idx, eps, m
-
 
 _BLOCK_BYTES = 1 << 20  # one (rows, n_cells) complex block of a scan
 _THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
@@ -284,9 +278,6 @@ class DecayTable:
     n_list: tuple[int, ...]
     norms: tuple[float, ...]
     ratios: tuple[float, ...]
-
-    def rows(self):
-        return list(zip(self.n_list, self.norms, self.ratios))
 
 
 def _window_mask(grid: SpectralGrid, window) -> np.ndarray:

@@ -245,30 +245,27 @@ def _write_json(path: Path, data) -> None:
     path.write_text(text + "\n")
 
 
-def _csv_column(col) -> list[str]:
-    """One CSV column as text.  A column of floats is formatted one
-    distinct bit pattern at a time, so -0.0 and 0.0 stay apart."""
-    if all(isinstance(c, float) for c in col):
-        uniq, inv = np.unique(np.array(col).view(np.int64), return_inverse=True)
-        text = [_fmt(v) for v in uniq.view(float).tolist()]
-        return [text[i] for i in inv.tolist()]
-    return [str(c) if isinstance(c, (int, str)) else _fmt(c) for c in col]
+def _column_text(col: np.ndarray) -> list[str]:
+    """A column array as text, one call per distinct value: floats by _fmt,
+    per bit pattern (-0.0 and 0.0 stay apart), integers (in an object array
+    beyond int64) by str."""
+    floats = col.dtype.kind == "f"
+    uniq, inv = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    values = (uniq.view(float) if floats else uniq).tolist()
+    text = np.array([_fmt(v) if floats else str(v) for v in values], dtype=object)
+    return text[inv].tolist()
 
 
-def _write_rows(path: Path, header: list[str], rows, sep: str) -> None:
-    """The header, then the rows with their columns (_csv_column), each
-    line joined by sep; no rows write the header alone."""
-    cols = [_csv_column(col) for col in zip(*rows, strict=True)]
-    path.write_text("\n".join(map(sep.join, [header, *zip(*cols)])) + "\n")
+def _write_csv(path: Path, header: list[str], columns, sep: str = ",") -> None:
+    """The header, then one line per row of the equal-length column arrays
+    (_column_text), joined by sep; no rows write the header alone."""
+    cols = [_column_text(col) for col in columns]
+    path.write_text("\n".join(map(sep.join, [header, *zip(*cols, strict=True)])) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    _write_rows(path, header, rows, ",")
-
-
-def emit_plotdata(rows, columns: list[str], path: Path) -> None:
+def emit_plotdata(columns, names: list[str], path: Path) -> None:
     """Whitespace-separated numeric columns with a '#' header line."""
-    _write_rows(path, ["#", *columns], rows, " ")
+    _write_csv(path, ["#", *names], columns, " ")
 
 
 # --- command implementations --------------------------------------------------
@@ -290,11 +287,10 @@ def _cmd_project(grid, profile, params, rng, out: Path) -> None:
             raise ConfigError(
                 f"params.points[{i}] has constraint sum {total!r}: projection "
                 f"to P needs a finite sum of at least {sys.float_info.min!r}")
-    proj = project_to_P(pts, profile)
-    rows = [tuple(p) + tuple(q) for p, q in zip(pts, proj)]
     header = [f"xi_{k}" for k in range(profile.d)] + \
              [f"proj_{k}" for k in range(profile.d)]
-    _write_csv(out / "projections.csv", header, rows)
+    _write_csv(out / "projections.csv", header,
+               [*pts.T, *project_to_P(pts, profile).T])
 
 
 def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
@@ -302,37 +298,40 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
                          "cutoff_radius", "band_fraction"}, "params")
     band_fraction = _param(params, "band_fraction", 0.25)
     try:
-        u = spectral.band_limited_field(grid, rng, band_fraction)
+        band = spectral.band_limited_spectrum(grid, rng, band_fraction)
     except DomainError as exc:  # the grid is valid, so the band fraction is not
         raise ConfigError(f"params.band_fraction: {exc}") from None
+    # the operator acts on the band's box only; each band is inverted once
     op = params.get("operation", "projected")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
-        v = multiplier.apply_projected_symbol(u, psi, profile)
+        out_band = multiplier.apply_projected_symbol(band, psi, profile)
     elif op == "fractional":
-        v = multiplier.fractional_derivative(
-            u, _param(params, "axis", 0, integer=True),
+        out_band = multiplier.fractional_derivative(
+            band, _param(params, "axis", 0, integer=True),
             _param(params, "order", 1.0))
     elif op == "smoothing":
-        v = multiplier.smoothing_inverse(
-            u, profile, _param(params, "cutoff_radius", 1.0))
+        out_band = multiplier.smoothing_inverse(
+            band, profile, _param(params, "cutoff_radius", 1.0))
     else:
         raise ConfigError(f"unknown operation {op!r}")
+    input_l2 = _fmt(spectral.inverse_dft(band.scatter()).norm_l2())
+    v = spectral.inverse_dft(out_band.scatter())
     spectral.write_field(v, out / "output.fld")
-    _write_json(out / "norms.json", {
-        "input_l2": _fmt(u.norm_l2()), "output_l2": _fmt(v.norm_l2())})
+    _write_json(out / "norms.json", {"input_l2": input_l2, "output_l2": _fmt(v.norm_l2())})
 
 
 def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "shells", "samples_per_shell"}, "params")
     psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
-    # the refined scan draws (2 samples_per_shell, d) directions per shell
-    samples = _count(params.get("samples_per_shell", 24),
-                     "params.samples_per_shell", lambda s: 2 * s * profile.d)
     shells = _param(params, "shells", 4, integer=True)
     if not multiplier.shells_in_float_range(profile, shells):
         raise ConfigError(f"params.shells = {shells} is too large: its dyadic "
                           f"shells leave the float range for alpha {profile.alpha}")
+    # the refined scan stacks (2 samples_per_shell, d) samples on each of
+    # its 2 shells + 4 shells
+    samples = _count(params.get("samples_per_shell", 24), "params.samples_per_shell",
+                     lambda s: 2 * s * profile.d * (2 * shells + 4))
     report = multiplier.marcinkiewicz_certify(
         psi, profile, shells=shells, samples_per_shell=samples)
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
@@ -372,12 +371,10 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
                                        _envelope_spectrum(grid, rng, 0.15, 1.0))
     est = hmeasure.scalar_hmeasure(seq, profile, grid, n_list,
                                    x_cells=x_cells, p_cells=p_cells)
-    rows = []
     C, B = est.cells.shape
-    for ci in range(C):
-        for bi in range(B):
-            rows.append((ci, bi, est.cells[ci, bi], est.cell_errors[ci, bi]))
-    _write_csv(out / "cells.csv", ["x_cell", "P_cell", "mass", "err"], rows)
+    _write_csv(out / "cells.csv", ["x_cell", "P_cell", "mass", "err"],
+               [np.arange(C).repeat(B), np.tile(np.arange(B), C),
+                est.cells.ravel(), est.cell_errors.ravel()])
     _write_json(out / "hmeasure.json", {
         "total_mass": _fmt(float(est.cells.sum())),
         "n_list": n_list})
@@ -424,8 +421,10 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError(f"params.n_list needs at least 2 sequence indices, "
                           f"got {n_list}")
     table = averaging.compactness_metric(seq, rho, window, n_list)
-    _write_csv(out / "decay.csv", ["n", "norm", "ratio"], table.rows())
-    emit_plotdata(table.rows(), ["n", "norm", "ratio"], out / "decay.dat")
+    columns = [np.array(table.n_list, dtype=object), np.array(table.norms),
+               np.array(table.ratios)]
+    _write_csv(out / "decay.csv", ["n", "norm", "ratio"], columns)
+    emit_plotdata(columns, ["n", "norm", "ratio"], out / "decay.dat")
 
 
 def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
@@ -458,9 +457,11 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     report = averaging.nondegeneracy_scan(
         coeffs, x_samples, profile, resolution, p_grid, eps_list)
     _write_json(out / "nondegeneracy.json", report.to_json_dict())
+    X, N, E = report.measures.shape
     _write_csv(out / "nondegeneracy.csv", ["x_idx", "P_idx", "eps", "measure"],
-               report.rows())
-    emit_plotdata(zip(report.eps_list, report.sup_measure),
+               [np.arange(X).repeat(N * E), np.tile(np.arange(N).repeat(E), X),
+                np.tile(report.eps_list, X * N), report.measures.ravel()])
+    emit_plotdata([np.array(report.eps_list), report.sup_measure],
                   ["eps", "sup_measure"], out / "nondegeneracy.dat")
 
 

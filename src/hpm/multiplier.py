@@ -25,8 +25,8 @@ from .anisotropy import (
     project_to_P,
     quasi_norm,
 )
-from .errors import DomainError
-from .spectral import FREQUENCY, PHYSICAL, SpectralField, forward_dft, inverse_dft
+from .errors import DomainError, IntegrityError
+from .spectral import PHYSICAL, SpectralBand, SpectralField, forward_dft, inverse_dft
 
 
 @dataclass
@@ -156,13 +156,14 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
 
 # --- multiplier application ---------------------------------------------------
 
-def _apply_spatial_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Multiply the spatial spectrum by `symbol` (broadcastable to the
-    spatial lattice), returning a field in the caller's original space."""
-    was_physical = f.space == PHYSICAL
-    F = forward_dft(f) if was_physical else f
-    out = SpectralField(f.grid, F.values * f.grid.lift(symbol), FREQUENCY)
-    return inverse_dft(out) if was_physical else out
+def _apply_spatial_multiplier(f, symbol):
+    """Multiply the spatial spectrum of f, a band or a field in either space
+    (whose spectrum is the band of every index), by symbol(B), an array over
+    the box of its band B; the result is in f's own form and space."""
+    if isinstance(f, SpectralField) and f.space == PHYSICAL:
+        return inverse_dft(_apply_spatial_multiplier(forward_dft(f), symbol))
+    B = SpectralBand.of(f)
+    return f.with_values(B.values * B.grid.lift(symbol(B)))
 
 
 def fractional_factor(xi, order: float):
@@ -173,62 +174,55 @@ def fractional_factor(xi, order: float):
             * np.exp(1j * order * (np.pi / 2) * np.sign(xi)))
 
 
-def fractional_axis_symbol(grid, axis: int, order: float) -> np.ndarray:
-    """Lattice symbol of the order-a one-axis fractional derivative."""
-    if not 0 <= axis < grid.d:
-        raise DomainError(f"axis {axis} out of range for a {grid.d}-d grid")
-    xi = grid.frequencies()[axis]
-    return fractional_factor(xi, order)
-
-
-def fractional_derivative(f: SpectralField, axis: int, order: float) -> SpectralField:
-    """Fractional derivative along one spatial axis; accepts physical or
-    frequency input and returns a field in the same space."""
+def fractional_derivative(f, axis: int, order: float):
+    """Fractional derivative along one spatial axis of a band or a field
+    in either space (see _apply_spatial_multiplier)."""
     if order <= 0:
         raise DomainError("derivative order must be positive")
-    return _apply_spatial_multiplier(f, fractional_axis_symbol(f.grid, axis, order))
+    if not 0 <= axis < f.grid.d:
+        raise DomainError(f"axis {axis} out of range for a {f.grid.d}-d grid")
+    return _apply_spatial_multiplier(f, lambda B: fractional_factor(B.frequencies()[axis], order))
 
 
-def projected_symbol_lattice(psi: SymbolOnP, grid, profile: AnisotropyProfile) -> np.ndarray:
-    """psi(pi_P(xi)) on the spatial frequency lattice, zero at xi = 0."""
-    xi = grid.frequency_vectors()
+def projected_symbol_lattice(psi: SymbolOnP, at, profile: AnisotropyProfile) -> np.ndarray:
+    """psi(pi_P(xi)) on the spatial frequency lattice of a grid, or on the
+    box of a band, zero at xi = 0."""
+    xi = at.frequency_vectors()
     arg = project_lattice(xi, profile) if psi.projected else xi
     vals = np.asarray(psi.eval(arg), dtype=complex)
-    if (vals.shape != grid.n_per_axis or not vals.flags.owndata
-            or not vals.flags.writeable):
-        vals = np.array(np.broadcast_to(vals, grid.n_per_axis))
-    vals[(0,) * grid.d] = 0.0  # the mode xi = 0 comes first in FFT order
+    shape = xi.shape[:-1]
+    if vals.shape != shape or not vals.flags.owndata or not vals.flags.writeable:
+        vals = np.array(np.broadcast_to(vals, shape))
+    if vals.size and not np.any(xi[(0,) * len(shape)]):  # xi = 0 comes first
+        vals[(0,) * len(shape)] = 0.0
     return vals
 
 
-def apply_projected_symbol(f: SpectralField, psi: SymbolOnP,
-                           profile: AnisotropyProfile) -> SpectralField:
-    """Multiplier operator with symbol psi o pi_P; the mean mode is
-    annihilated (pi_P is undefined at the origin)."""
-    sym = projected_symbol_lattice(psi, f.grid, profile)
-    return _apply_spatial_multiplier(f, sym)
+def apply_projected_symbol(f, psi: SymbolOnP, profile: AnisotropyProfile):
+    """Multiplier operator with symbol psi o pi_P on a band or a field; the
+    mean mode is annihilated (pi_P is undefined at the origin)."""
+    return _apply_spatial_multiplier(f, lambda B: projected_symbol_lattice(psi, B, profile))
 
 
-def smoothing_symbol_lattice(grid, profile: AnisotropyProfile,
+def smoothing_symbol_lattice(at, profile: AnisotropyProfile,
                              cutoff_radius: float) -> np.ndarray:
-    """Lattice symbol (1 - theta(xi)) / quasi_norm(xi) with theta == 1 for
-    quasi_norm <= R/2 and theta == 0 for quasi_norm >= R."""
+    """Symbol (1 - theta(xi)) / quasi_norm(xi) on the frequency lattice of
+    a grid, or on the box of a band, with theta == 1 for quasi_norm <= R/2
+    and theta == 0 for quasi_norm >= R."""
     if cutoff_radius <= 0:
         raise DomainError("cutoff radius must be positive")
-    xi = grid.frequency_vectors()
-    qn = quasi_norm(xi, profile)
+    qn = quasi_norm(at.frequency_vectors(), profile)
     one_minus_theta = smooth_ramp(2 * qn / cutoff_radius - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sym = np.where(qn > 0, one_minus_theta / np.where(qn > 0, qn, 1.0), 0.0)
     return sym.astype(complex)
 
 
-def smoothing_inverse(f: SpectralField, profile: AnisotropyProfile,
-                      cutoff_radius: float) -> SpectralField:
-    """The smoothing operator gaining one anisotropic derivative: divides
-    by the quasi-norm outside the cutoff and kills low modes."""
-    sym = smoothing_symbol_lattice(f.grid, profile, cutoff_radius)
-    return _apply_spatial_multiplier(f, sym)
+def smoothing_inverse(f, profile: AnisotropyProfile, cutoff_radius: float):
+    """The smoothing operator gaining one anisotropic derivative, on a band
+    or a field: divides by the quasi-norm outside the cutoff, kills low modes."""
+    return _apply_spatial_multiplier(
+        f, lambda B: smoothing_symbol_lattice(B, profile, cutoff_radius))
 
 
 # --- Marcinkiewicz certifier --------------------------------------------------
@@ -308,22 +302,27 @@ def shells_in_float_range(profile: AnisotropyProfile, shells: int) -> bool:
 
 def _scan_level(psi: SymbolOnP, profile: AnisotropyProfile,
                 j_range, samples_per_shell: int) -> dict[tuple[int, ...], float]:
+    """sup over the shells of j_range of |xi^beta d^beta (psi o pi_P)|, per
+    |beta| <= d: the shells' samples differenced in one batch, each row with
+    its shell's step floor 2^j; a sample that is not finite is an error."""
     d = profile.d
 
     def psi_P(xi):
         arg = project_to_P(xi, profile) if psi.projected else xi
         return np.asarray(psi.eval(arg), dtype=complex)
 
+    xi = np.concatenate([_shell_samples(profile, j, samples_per_shell) for j in j_range])
+    floors = np.repeat([2.0 ** j for j in j_range], samples_per_shell)
+    steps = _STEP * np.maximum(np.abs(xi), floors[:, None])
     # every multi-index |beta| <= d; beta = 0, first, bounds |psi| itself
-    betas = [b for b in itertools.product(range(d + 1), repeat=d) if sum(b) <= d]
-    sups = dict.fromkeys(betas, 0.0)
-    for j in j_range:
-        xi = _shell_samples(profile, j, samples_per_shell)
-        steps = _STEP * np.maximum(np.abs(xi), 2.0 ** j)
-        for b in betas:
-            deriv = _central_difference(psi_P, xi, b, steps)
-            weight = np.prod(xi ** np.asarray(b), axis=-1)
-            sups[b] = max(sups[b], float(np.max(np.abs(weight * deriv))))
+    sups = {}
+    for b in [b for b in itertools.product(range(d + 1), repeat=d) if sum(b) <= d]:
+        deriv = _central_difference(psi_P, xi, b, steps)
+        sample = np.abs(np.prod(xi ** np.asarray(b), axis=-1) * deriv)
+        if not np.all(np.isfinite(sample)):
+            raise IntegrityError(f"symbol {psi.name!r}: |xi^beta d^beta psi| "
+                                 f"is not finite for beta = {b}")
+        sups[b] = float(np.max(sample))
     return sups
 
 

@@ -29,7 +29,7 @@ Spectra can also be built without a transform, and kept on their band.
 A SpectralBand holds a spectrum that vanishes outside a box of spatial
 modes: the (|B_1|, ..., |B_d|, *n_velocity) values on the box and the
 sorted FFT indices B_k of each axis; a full-grid spectrum is the band of
-every index, and scatter() puts a band back on the grid.
+every index, scatter() puts a band on the grid, frequencies() gives its box.
 band_limited_spectrum draws a random band-limited spectrum as a band
 (band_limited_field is the inverse DFT of it scattered): it takes the
 normal stream of the full grid in chunks of at most _DRAW_CHUNK samples
@@ -421,6 +421,15 @@ class SpectralBand:
 
     def with_values(self, values: np.ndarray) -> "SpectralBand":
         return SpectralBand(self.grid, values, self.index)
+
+    def frequencies(self) -> tuple[np.ndarray, ...]:
+        """SpectralGrid.frequencies at the box, for broadcasting over it."""
+        return tuple(np.take(f, i, axis=k) for k, (f, i)
+                     in enumerate(zip(self.grid.frequencies(), self.index)))
+
+    def frequency_vectors(self) -> np.ndarray:
+        """The (|B_1|, ..., |B_d|, d) array of the box's frequency vectors."""
+        return np.stack(np.broadcast_arrays(*self.frequencies()), axis=-1)
 
     def scatter(self) -> SpectralField:
         """The spectrum on the full grid, 0 outside the box."""

@@ -129,8 +129,8 @@ class TestNonDegeneracyScan:
         d = rep.to_json_dict()
         assert set(d) == {"eps", "sup_measure", "degenerate",
                           "p_domain_measure", "threshold_fraction"}
-        rows = list(rep.rows())
-        assert len(rows) == 1 * 16 * 2
+        # one CSV row per (x sample, mesh point, eps)
+        assert rep.measures.shape == (1, 16, 2)
 
 
 def pure_mode_sequence(grid, kappa):

@@ -7,6 +7,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,120 @@ class TestHelpers:
         assert (tmp_path / "envout" / "manifest.json").exists()
 
 
+def row_writer(path, header, rows, sep):
+    """The row writer the column writer replaced, kept as its oracle:
+    Python ints by str, an all-float column once per bit pattern."""
+    def column(col):
+        if all(isinstance(c, float) for c in col):
+            uniq, inv = np.unique(np.array(col).view(np.int64), return_inverse=True)
+            text = [cli._fmt(v) for v in uniq.view(float).tolist()]
+            return [text[i] for i in inv.tolist()]
+        return [str(c) if isinstance(c, (int, str)) else cli._fmt(c) for c in col]
+
+    cols = [column(col) for col in zip(*rows, strict=True)]
+    path.write_text("\n".join(map(sep.join, [header, *zip(*cols)])) + "\n")
+
+
+class TestColumnWriter:
+    INTS = [3, 0, -7, 2 ** 30, 3, 0]
+    BIG = [4, 10 ** 23, 2 ** 63, 5, 4, -(2 ** 70)]  # beyond int64
+    FLOATS = [0.0, -0.0, 1e-300, -2.5, 0.1, -0.0]
+
+    @pytest.mark.parametrize("sep", [",", " "])
+    @pytest.mark.parametrize("int_dtype", [np.int64, np.int32, object])
+    def test_same_bytes_as_the_row_writer(self, tmp_path, sep, int_dtype):
+        header = ["i", "f", "big", "g"]
+        rows = list(zip(self.INTS, self.FLOATS, self.BIG, self.FLOATS[::-1]))
+        row_writer(tmp_path / "rows", header, rows, sep)
+        cli._write_csv(tmp_path / "columns", header,
+                       [np.array(self.INTS, dtype=int_dtype), np.array(self.FLOATS),
+                        np.array(self.BIG, dtype=object), np.array(self.FLOATS[::-1])],
+                       sep)
+        text = (tmp_path / "columns").read_bytes()
+        assert text == (tmp_path / "rows").read_bytes()
+        assert text.splitlines()[2] == sep.join(["0", "-0.0", str(10 ** 23), "0.1"]).encode()
+
+    def test_strided_float_column(self, tmp_path):
+        pts = np.array([[1.0, -0.0], [0.0, 2.0], [1.0, 3.0]])
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"], [*pts.T])
+        assert (tmp_path / "x.csv").read_text() == "a,b\n1.0,-0.0\n0.0,2.0\n1.0,3.0\n"
+
+    def test_empty_columns_write_the_header_alone(self, tmp_path):
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"],
+                       [np.array([], dtype=np.int64), np.array([])])
+        assert (tmp_path / "x.csv").read_text() == "a,b\n"
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "x.csv", ["a", "b"],
+                           [np.arange(3), np.zeros(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_is_an_integrity_failure(self, tmp_path, bad):
+        with pytest.raises(IntegrityError, match="non-finite"):
+            cli._write_csv(tmp_path / "x.csv", ["a"], [np.array([1.0, bad])])
+
+
+def leaf_paths(obj, path=()):
+    """The key path of every scalar in a JSON object, lists descended."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+class TestParamsLeafContract:
+    """Every params leaf of the multiplier and nondegeneracy configs,
+    replaced by one hostile value at a time: the run exits 0, 2 or 3,
+    writes at most one line to stderr and no traceback, and a failed run
+    leaves no output directory."""
+
+    BASES = {
+        "projected": base_config("multiplier-apply", params={
+            "operation": "projected", "symbol": "coordinate:0",
+            "band_fraction": 0.5}),
+        "fractional": base_config("multiplier-apply", params={
+            "operation": "fractional", "axis": 1, "order": 0.5,
+            "band_fraction": 0.5}),
+        "smoothing": base_config("multiplier-apply", params={
+            "operation": "smoothing", "cutoff_radius": 2.0, "band_fraction": 0.5}),
+        "multiplier-check": base_config("multiplier-check", params={
+            "symbol": "bump:center=[0.5,0.5],width=0.6", "shells": 3,
+            "samples_per_shell": 4}),
+        "nondegeneracy": base_config("nondegeneracy", params={
+            "a": ["1.0", "p*p"], "eps_list": [0.05, 0.2], "p_interval": [-1.0, 1.0],
+            "p_points": 16, "resolution": 8, "x_samples": [[0.0, 0.5]]}),
+    }
+    VALUES = [1e308, -1e308, 5e-324, 10 ** 30, -(10 ** 30), -1, 0, "x", True,
+              None, [], [1.0]]
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_every_leaf_exits_0_2_or_3_cleanly(self, tmp_path, capsys, name):
+        base = self.BASES[name]
+        assert run_cli(base["command"], write_config(tmp_path, base),
+                       tmp_path / "base") == 0
+        for i, path in enumerate(leaf_paths(base["params"])):
+            for j, value in enumerate(self.VALUES):
+                cfg = json.loads(json.dumps(base))
+                node = cfg["params"]
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                out = tmp_path / f"out-{i}-{j}"
+                where = f"params{list(path)} = {value!r}"
+                try:
+                    code = run_cli(cfg["command"],
+                                   write_config(tmp_path, cfg, f"{i}-{j}.json"), out)
+                except BaseException as exc:  # noqa: BLE001 - the contract is no escape
+                    pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), where
+                assert err.count("\n") <= 1 and "Traceback" not in err, (where, err)
+                assert out.exists() == (code == 0), where
+
+
 class TestFailedRunLeavesNoOutput:
     def _failing(self, tmp_path):
         cfg = TestDeterminism.CONFIGS["averaging"]
@@ -379,6 +494,10 @@ class TestMalformedParams:
         ("averaging", {"n_list": []}, "params.n_list"),
         ("hmeasure", {"n_list": [8, 4, 2]}, "params.n_list"),
         ("hmeasure", {"n_list": [2, 4]}, "params.n_list"),
+        # shells within the float range whose stacked level of samples
+        # (2 * 178 + 4 shells of 2 * 200000 rows) would exceed the bound
+        ("multiplier-check-12", {"shells": 178, "samples_per_shell": 200000},
+         "params.samples_per_shell"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):

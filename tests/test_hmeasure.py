@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from hpm.anisotropy import AnisotropyProfile, project_to_P
 from hpm.errors import DomainError, IntegrityError, SupportWarning
 from hpm.hmeasure import (
-    MatrixMeasure,
     OscillationSequence,
     bilinear_form,
     cosine_velocity_basis,

@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hpm.anisotropy import AnisotropyProfile, project_lattice, quasi_norm
-from hpm.errors import DomainError
+from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P, quasi_norm
+from hpm.errors import DomainError, IntegrityError
 from hpm.multiplier import (
+    _STEP,
     SymbolOnP,
+    _central_difference,
+    _scan_level,
+    _shell_samples,
     apply_projected_symbol,
     fractional_derivative,
+    fractional_factor,
     marcinkiewicz_certify,
     projected_symbol_lattice,
     shells_in_float_range,
@@ -16,11 +23,16 @@ from hpm.multiplier import (
     symbol_from_name,
 )
 from hpm.spectral import (
+    FREQUENCY,
     PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     band_limited_field,
+    band_limited_spectrum,
     forward_dft,
+    inverse_dft,
+    oscillated_spectrum,
 )
 
 ISO2 = AnisotropyProfile((1.0, 1.0))
@@ -99,7 +111,6 @@ class TestProjectedSymbol:
         assert np.max(np.abs(out.values - expect)) <= 1e-12
 
     def test_single_mode_scaling(self):
-        from hpm.anisotropy import project_to_P
         g = SpectralGrid((16, 16), (1.0, 1.0))
         x1, x2 = g.coordinates()
         f = SpectralField(g, np.exp(2j * np.pi * (3 * x1 + 2 * x2)) * np.ones(g.shape),
@@ -294,3 +305,135 @@ class TestProjectedSymbolLattice:
         assert sym.shape == (8, 8) and sym[0, 0] == 0.0
         assert np.all(sym.ravel()[1:] == value)
         assert np.all(self.TABLE == 4.0)  # the symbol's own data is untouched
+
+
+def scan_level_per_shell(psi, profile, j_range, samples_per_shell):
+    """The certifier's level scan as it was: one shell at a time, each
+    multi-index differenced on that shell's samples alone."""
+    d = profile.d
+
+    def psi_P(xi):
+        arg = project_to_P(xi, profile) if psi.projected else xi
+        return np.asarray(psi.eval(arg), dtype=complex)
+
+    betas = [b for b in itertools.product(range(d + 1), repeat=d) if sum(b) <= d]
+    sups = dict.fromkeys(betas, 0.0)
+    for j in j_range:
+        xi = _shell_samples(profile, j, samples_per_shell)
+        steps = _STEP * np.maximum(np.abs(xi), 2.0 ** j)
+        for b in betas:
+            deriv = _central_difference(psi_P, xi, b, steps)
+            weight = np.prod(xi ** np.asarray(b), axis=-1)
+            sups[b] = max(sups[b], float(np.max(np.abs(weight * deriv))))
+    return sups
+
+
+class TestBatchedCertifier:
+    """Each level is one stacked batch of its shells' samples; the sups
+    are bitwise those of the shell-by-shell scan."""
+
+    CASES = [((1.0, 2.0), name) for name in (
+        "coordinate:0", "coordinate:1", "bump:center=[0.5,0.5],width=0.6",
+        "sector:axis=0,sign=+", "sin-inverse-quasinorm")] + \
+        [((1.0, 1.0, 2.0), name) for name in (
+            "coordinate:2", "bump:center=[0.3,-0.4,0.5],width=0.8",
+            "sector:axis=1,sign=-", "sin-inverse-quasinorm")]
+
+    @pytest.mark.parametrize("alpha, name", CASES)
+    def test_per_beta_bitwise_per_shell(self, alpha, name):
+        profile = AnisotropyProfile(alpha)
+        psi = symbol_from_name(name, profile)
+        shells, count = 3, 8
+        for j_range, n in ((range(-shells, shells), count),
+                           (range(-(shells + 2), shells + 2), 2 * count)):
+            assert _scan_level(psi, profile, j_range, n) == \
+                scan_level_per_shell(psi, profile, j_range, n)
+        rep = marcinkiewicz_certify(psi, profile, shells, count)
+        want = scan_level_per_shell(psi, profile, range(-(shells + 2), shells + 2),
+                                    2 * count)
+        assert rep.per_beta_sup == want
+        assert rep.constant_estimate == max(want.values())
+
+
+class TestCertifierNonFinite:
+    def test_nan_symbol_is_an_integrity_failure(self):
+        # max(0.0, nan) is 0.0: a NaN symbol used to certify constant 0
+        psi = SymbolOnP(lambda xi: np.full(xi.shape[:-1], np.nan, dtype=complex),
+                        name="nan")
+        with pytest.raises(IntegrityError, match="'nan'.*not finite"):
+            marcinkiewicz_certify(psi, ISO2, 3, 8)
+
+    def test_one_nan_sample_on_one_shell(self):
+        # NaN at one sample point of shell j = 1 of the coarse scan only
+        point = _shell_samples(ISO2, 1, 8)[5]
+
+        def one_nan(xi):
+            return np.where(np.all(xi == point, axis=-1), np.nan, 1.0).astype(complex)
+
+        psi = SymbolOnP(one_nan, name="one-nan", projected=False)
+        with pytest.raises(IntegrityError, match="not finite for beta = \\(0, 0\\)"):
+            marcinkiewicz_certify(psi, ISO2, 3, 8)
+
+
+def lattice_operator(f, symbol):
+    """The full-lattice multiplier as it was: transform the whole physical
+    field, multiply by the symbol on the whole lattice, transform back."""
+    F = forward_dft(f)
+    return inverse_dft(F.with_values(F.values * f.grid.lift(symbol)))
+
+
+class TestBandOperators:
+    """On a band, each operator evaluates its symbol on the band's box
+    only; on a field, on the box of every index.  Both match the
+    full-lattice operator."""
+
+    MIX = AnisotropyProfile((1.0, 2.0))
+    GRID = SpectralGrid((32, 16), (1.0, 2.0))
+
+    def operations(self):
+        g, profile = self.GRID, self.MIX
+        psi = symbol_from_name("coordinate:0", profile)
+        return [
+            (lambda f: apply_projected_symbol(f, psi, profile),
+             projected_symbol_lattice(psi, g, profile)),
+            (lambda f: fractional_derivative(f, 1, 0.7),
+             fractional_factor(g.frequency_vectors()[..., 1], 0.7)),
+            (lambda f: smoothing_inverse(f, profile, 3.0),
+             smoothing_symbol_lattice(g, profile, 3.0)),
+        ]
+
+    @pytest.mark.parametrize("op", range(3))
+    def test_band_matches_lattice(self, op):
+        apply, symbol = self.operations()[op]
+        band = band_limited_spectrum(self.GRID, rng(21), 0.5)
+        out = apply(band)
+        assert isinstance(out, SpectralBand)
+        assert all(np.array_equal(a, b) for a, b in zip(out.index, band.index))
+        got = inverse_dft(out.scatter()).values
+        want = lattice_operator(inverse_dft(band.scatter()), symbol).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("op", range(3))
+    def test_field_matches_lattice(self, op):
+        apply, symbol = self.operations()[op]
+        f = SpectralField(self.GRID, rng(22).standard_normal(self.GRID.shape)
+                          + 1j * rng(23).standard_normal(self.GRID.shape), PHYSICAL)
+        got = apply(f)
+        assert got.space == PHYSICAL
+        want = lattice_operator(f, symbol).values
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+        spectrum = apply(forward_dft(f))
+        assert spectrum.space == FREQUENCY
+        assert np.array_equal(inverse_dft(spectrum).values, got.values)
+
+    def test_box_symbol_is_the_lattice_symbol_on_the_box(self):
+        band = band_limited_spectrum(self.GRID, rng(24), 0.5)
+        psi = symbol_from_name("sector:axis=1,sign=-", self.MIX)
+        lattice = projected_symbol_lattice(psi, self.GRID, self.MIX)
+        assert np.array_equal(projected_symbol_lattice(psi, band, self.MIX),
+                              lattice[np.ix_(*band.index)])
+        # a box without the mode xi = 0 keeps its first value
+        shifted = oscillated_spectrum(band, 9, 0)
+        one = symbol_from_name("one", self.MIX)
+        assert 0 not in shifted.index[0]
+        assert np.all(projected_symbol_lattice(one, shifted, self.MIX) == 1.0)

@@ -9,12 +9,14 @@ import hpm
 
 MODULES = sorted(p for p in Path(hpm.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    """Each name a module imports (but `from __future__`) occurs as a Name
-    elsewhere in it; `__init__.py` re-exports and is exempt."""
+    """Each name a package module or a test file imports (but `from
+    __future__`) occurs as a Name elsewhere in it; the package's
+    `__init__.py` re-exports and is exempt."""
     tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
