@@ -14,9 +14,9 @@ the band of every index): the phase is applied as d per-axis factors
 e^{-2 pi i t xi_k a_k(p)} at the box's frequencies, each on a small
 (|B_k|, 1, ..., n_p) slab.  The p-quadrature acts on the velocity axes
 only and so commutes with the spatial DFT: velocity_average works on a
-field in either space and on a band, and compactness_metric scatters a
-band's d-dimensional average onto the spatial lattice and inverts only
-that.  The CLI's sequence is n -> transport_spectrum(u0_n, a, t) with
+field in either space and on a band, and compactness_metric inverts
+only a band's d-dimensional average, on its box (spectral.inverse_dft).
+The CLI's sequence is n -> transport_spectrum(u0_n, a, t) with
 u0_n the envelope's band shifted by n (spectral.oscillated_spectrum),
 so its averaging run makes no full-grid pass after the random draw: no
 DFT, no phase and no quadrature over the whole grid.
@@ -111,7 +111,7 @@ class NonDegeneracyReport:
         }
 
 
-_BLOCK_BYTES = 1 << 20  # one (rows, n_cells) complex block of a scan
+_BLOCK_BYTES = 1 << 18  # one (rows, n_cells) complex block of a scan
 _THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
 
 
@@ -215,7 +215,7 @@ def transport_spectrum(u0: SpectralField | SpectralBand, a, t: float) -> Spectra
 
 def transport_evolve(u0: SpectralField | SpectralBand, a, t: float) -> SpectralField:
     """Exact solution at time t in physical space, see transport_spectrum."""
-    return inverse_dft(transport_spectrum(u0, a, t).scatter())
+    return inverse_dft(transport_spectrum(u0, a, t))
 
 
 # --- velocity averaging -------------------------------------------------------
@@ -297,17 +297,15 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
     """L2 norm of the velocity average over a window, per n.  Strong decay
     of the ratios is the observable footprint of velocity averaging.  The
     snapshots may be bands or fields in either space; an average in
-    frequency space is transformed back before the window is applied, a
-    band's once scattered onto the spatial lattice."""
+    frequency space (a band among them) is transformed back before the
+    window is applied."""
     n_list = tuple(n_list)
     if len(n_list) < 2:
         raise DomainError("need at least 2 sequence indices")
     norms = []
     for n in n_list:
         avg = velocity_average(seq(n), rho)
-        if isinstance(avg, SpectralBand):
-            avg = avg.scatter()
-        if avg.space == FREQUENCY:
+        if isinstance(avg, SpectralBand) or avg.space == FREQUENCY:
             avg = inverse_dft(avg)
         mask = _window_mask(avg.grid, window)
         norms.append(float(np.sqrt(

@@ -301,7 +301,8 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         band = spectral.band_limited_spectrum(grid, rng, band_fraction)
     except DomainError as exc:  # the grid is valid, so the band fraction is not
         raise ConfigError(f"params.band_fraction: {exc}") from None
-    # the operator acts on the band's box only; each band is inverted once
+    # the operator acts on the band's box only, the norms are the bands'
+    # (Plancherel), and only the output band is inverted
     op = params.get("operation", "projected")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
@@ -315,10 +316,9 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
             band, profile, _param(params, "cutoff_radius", 1.0))
     else:
         raise ConfigError(f"unknown operation {op!r}")
-    input_l2 = _fmt(spectral.inverse_dft(band.scatter()).norm_l2())
-    v = spectral.inverse_dft(out_band.scatter())
-    spectral.write_field(v, out / "output.fld")
-    _write_json(out / "norms.json", {"input_l2": input_l2, "output_l2": _fmt(v.norm_l2())})
+    spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
+    _write_json(out / "norms.json", {"input_l2": _fmt(band.norm_l2()),
+                                     "output_l2": _fmt(out_band.norm_l2())})
 
 
 def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
@@ -490,7 +490,7 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list, resolution=resolution)
     M = _param(params, "M", 1.0)
-    u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0).scatter())
+    u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0))
     vals = np.asarray(u.values).real
     peak = float(np.max(np.abs(vals)))
     if peak > 0:

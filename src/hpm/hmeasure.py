@@ -220,7 +220,7 @@ class OscillationSequence:
             spectrum = SpectralBand.of(forward_dft(v))
         else:
             spectrum = SpectralBand.of(v)
-            v = inverse_dft(spectrum.scatter())
+            v = inverse_dft(spectrum)
         object.__setattr__(self, "physical", v)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -287,7 +287,8 @@ def _angular_masks(proj: np.ndarray, p_cells: int) -> np.ndarray:
 def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
                      p_cells: int) -> np.ndarray:
     """(B, S) normalized Gaussian weights around p_cells random directions
-    projected onto P; the squared distances are summed one axis at a time."""
+    projected onto P; the squared distances are summed one axis at a time,
+    in place in one (B, S) array with one more (B, S) array as scratch."""
     d = proj.shape[-1]
     rng = np.random.Generator(np.random.Philox(key=11))
     dirs = rng.standard_normal((p_cells, d))
@@ -295,11 +296,15 @@ def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
     p_centers = project_to_P(dirs, profile)
     sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
     pts = proj.reshape(-1, d)
-    d2 = (pts[:, 0] - p_centers[:, 0, None]) ** 2
+    g = np.empty((p_cells, pts.shape[0]))
+    scratch = np.empty_like(g)
+    np.square(np.subtract(pts[:, 0], p_centers[:, 0, None], out=g), out=g)
     for k in range(1, d):
-        d2 += (pts[:, k] - p_centers[:, k, None]) ** 2
-    g = np.exp(-d2 / (2 * sigma ** 2))
-    return g / np.sum(g, axis=0, keepdims=True)
+        g += np.square(np.subtract(pts[:, k], p_centers[:, k, None], out=scratch),
+                       out=scratch)
+    np.divide(np.negative(g, out=g), 2 * sigma ** 2, out=g)
+    g /= np.sum(np.exp(g, out=g), axis=0, keepdims=True)
+    return g
 
 
 def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,

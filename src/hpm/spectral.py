@@ -30,11 +30,13 @@ A SpectralBand holds a spectrum that vanishes outside a box of spatial
 modes: the (|B_1|, ..., |B_d|, *n_velocity) values on the box and the
 sorted FFT indices B_k of each axis; a full-grid spectrum is the band of
 every index, scatter() puts a band on the grid, frequencies() gives its box.
-band_limited_spectrum draws a random band-limited spectrum as a band
-(band_limited_field is the inverse DFT of it scattered): it takes the
-normal stream of the full grid in chunks of at most _DRAW_CHUNK samples
-and keeps the box positions of each, so its memory follows the box
-(its time does not: it draws every normal of the grid);
+inverse_dft takes a band and inverts it in its output array, transforming
+only the rows its box selects, and norm_l2 gives a band's L2 norm, which
+by Plancherel is its inverse DFT's.  band_limited_spectrum draws a random
+band-limited spectrum as a band (band_limited_field is its inverse DFT):
+it takes the normal stream of the full grid in chunks of at most
+_DRAW_CHUNK samples and keeps the box positions of each, so its memory
+follows the box (its time does not: it draws every normal of the grid);
 real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
 constant, as the Hermitian part (F(xi) + conj F(-xi)) / 2 with -xi taken
 mod n_k inside the symmetric box and the constant times prod_k L_k on
@@ -47,6 +49,7 @@ band, not the grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -290,15 +293,33 @@ def dft_axis(a: np.ndarray, axis: int, length: float,
     return out
 
 
-def inverse_dft(F: SpectralField) -> SpectralField:
-    """Transform the spatial axes back to physical space."""
-    F.require(FREQUENCY)
+def inverse_dft(F: SpectralField | SpectralBand) -> SpectralField:
+    """Transform the spatial axes back to physical space.  A band is
+    placed on the grid in the output array itself and transformed there
+    in place, axis by axis from the last, as numpy.fft.ifftn goes.  Along
+    axis k only the rows that the box selects on the axes before k are
+    transformed, one view per run of consecutive box indices: those axes
+    are not yet transformed, so every other row is 0.  The result equals
+    inverse_dft(F.scatter()) bit for bit, and the output is the only
+    full-grid array."""
     g = F.grid
     scale = 1.0
     for n, L in zip(g.n_per_axis, g.length_per_axis):
         scale *= n / L
-    out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes,
-                       out=np.empty(F.values.shape, complex))
+    if isinstance(F, SpectralBand):
+        out = np.zeros(g.shape, complex)
+        out[np.ix_(*F.index)] = F.values
+        runs = [[slice(r[0], r[-1] + 1) for r in
+                 np.split(i, np.flatnonzero(np.diff(i) != 1) + 1) if r.size]
+                for i in F.index]
+        for k in reversed(g.spatial_axes):
+            for rows in itertools.product(*runs[:k]):
+                view = out[rows]
+                np.fft.ifft(view, axis=k, out=view)
+    else:
+        F.require(FREQUENCY)
+        out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes,
+                           out=np.empty(F.values.shape, complex))
     out *= scale
     return SpectralField(g, out, PHYSICAL)
 
@@ -322,15 +343,13 @@ def write_field(f: SpectralField, path) -> None:
         "L": list(g.length_per_axis + g.velocity_length),
         "space": f.space,
     }
-    vals = np.ascontiguousarray(f.values)
-    flat = np.empty(vals.size * 2, dtype="<f8")
-    flat[0::2] = vals.real.ravel()
-    flat[1::2] = vals.imag.ravel()
+    # a complex128 array in C order already is that payload: no copy
+    vals = np.ascontiguousarray(f.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(flat.tobytes())
+        fh.write(memoryview(vals).cast("B"))
 
 
 def read_field(path) -> SpectralField:
@@ -371,8 +390,7 @@ def read_field(path) -> SpectralField:
         if size != count * 16:
             raise FieldCorruptionError(
                 f"payload is {size} bytes, expected {count * 16}")
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-        vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
+        vals = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
         return SpectralField(grid, vals, header["space"])
 
 
@@ -431,6 +449,12 @@ class SpectralBand:
         """The (|B_1|, ..., |B_d|, d) array of the box's frequency vectors."""
         return np.stack(np.broadcast_arrays(*self.frequencies()), axis=-1)
 
+    def norm_l2(self) -> float:
+        """The spectrum's L2 norm (0 off the box), so by Plancherel that
+        of its inverse DFT."""
+        vol = self.grid.freq_cell_volume * self.grid.velocity_cell_volume
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * vol))
+
     def scatter(self) -> SpectralField:
         """The spectrum on the full grid, 0 outside the box."""
         out = np.zeros(self.grid.shape, complex)
@@ -487,7 +511,7 @@ def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
                        band_fraction: float = 0.25) -> SpectralField:
     """Random zero-mean complex physical field, the inverse DFT of
     band_limited_spectrum."""
-    return inverse_dft(band_limited_spectrum(grid, rng, band_fraction).scatter())
+    return inverse_dft(band_limited_spectrum(grid, rng, band_fraction))
 
 
 def real_part_spectrum(F: SpectralField | SpectralBand,

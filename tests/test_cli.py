@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from hpm import cli
 from hpm.errors import ConfigError, IntegrityError
+from hpm.spectral import SpectralGrid, band_limited_field, read_field
 
 # fuzzed velocity weights may touch the boundary of the velocity box, which
 # only warns
@@ -117,6 +119,44 @@ class TestMultiplierCheck:
         rep = json.loads((out / "marcinkiewicz.json").read_text())
         assert float(rep["constant"]) == 1.0
         assert rep["diverged"] is False
+
+
+class TestMultiplierApply:
+    @pytest.mark.parametrize("params", [
+        {"operation": "projected", "symbol": "coordinate:0"},
+        {"operation": "fractional", "axis": 1, "order": 0.5},
+        {"operation": "smoothing", "cutoff_radius": 4.0},
+    ], ids=lambda p: p["operation"])
+    def test_norms_are_those_of_the_fields(self, tmp_path, params):
+        # the norms are taken on the bands (Plancherel); the written field
+        # and the inverse of the drawn band have them to rounding
+        cfg = base_config("multiplier-apply", grid={"n": [64, 32], "L": [1.0, 2.0]},
+                          profile={"alpha": [1.0, 2.0]}, params=params)
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 0
+        norms = {k: float(v) for k, v in
+                 json.loads((out / "norms.json").read_text()).items()}
+        grid = SpectralGrid((64, 32), (1.0, 2.0))
+        drawn = band_limited_field(grid, np.random.Generator(np.random.Philox(key=7)))
+        assert norms["input_l2"] == pytest.approx(drawn.norm_l2(), rel=1e-13)
+        written = read_field(out / "output.fld")
+        assert norms["output_l2"] == pytest.approx(written.norm_l2(), rel=1e-13)
+
+    def test_peak_below_one_and_a_half_full_grid_arrays(self, tmp_path):
+        # the catalog benchmark's config: a 512^2 grid whose drawn band is
+        # 129^2; only the output band is inverted, in place in the output
+        cfg = base_config("multiplier-apply", grid={"n": [512, 512], "L": [1.0, 1.0]},
+                          profile={"alpha": [1.0, 2.0]},
+                          params={"operation": "projected", "symbol": "coordinate:0"})
+        cfg_path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli("multiplier-apply", cfg_path, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * 16 * 512 ** 2
 
 
 class TestErrorHandling:
@@ -282,12 +322,25 @@ def leaf_paths(obj, path=()):
 
 
 class TestParamsLeafContract:
-    """Every params leaf of the multiplier and nondegeneracy configs,
-    replaced by one hostile value at a time: the run exits 0, 2 or 3,
-    writes at most one line to stderr and no traceback, and a failed run
-    leaves no output directory."""
+    """Every params leaf of a small config of each command, replaced by
+    one hostile value at a time: the run exits 0, 2 or 3, writes at most
+    one line to stderr and no traceback, and a failed run leaves no
+    output directory."""
 
     BASES = {
+        "project": base_config(),
+        "hmeasure": base_config("hmeasure", params={
+            "generator": {"kind": "oscillation", "c": [1.0, 0.0]},
+            "n_list": [2, 3, 4], "x_cells": 2, "p_cells": 4}),
+        "averaging": base_config(
+            "averaging", grid={"n": [8, 8], "L": [1.0, 1.0], "n_p": [8], "P_len": [1.0]},
+            params={"a": ["1.0", "p1"], "rho": "cos(pi*p1)**2", "t": 0.5,
+                    "n_list": [2, 3], "window": [[0.25, 0.75], [0.0, 0.5]],
+                    "oscillation_axis": 1}),
+        "kinetic": base_config("kinetic", params={
+            "flux": "linear-transport", "velocity": [1.0, 0.5],
+            "lambda": {"min": -1.0, "max": 1.0, "points": 8},
+            "eps_list": [0.05, 0.2], "resolution": 8, "M": 1.0}),
         "projected": base_config("multiplier-apply", params={
             "operation": "projected", "symbol": "coordinate:0",
             "band_fraction": 0.5}),

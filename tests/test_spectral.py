@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,19 @@ class TestSerialization:
         assert back.space == f.space
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    def test_signed_zeros_and_infinities_round_trip_bitwise(self, tmp_path):
+        # rebuilding re + 1j * im would turn -0 + 5j into 0 + 5j and
+        # 1 + inf j into nan + inf j, with a RuntimeWarning
+        g = SpectralGrid((4,), (1.0,))
+        vals = np.array([complex(-0.0, 5.0), complex(1.0, np.inf), 2 - 3j,
+                         complex(-0.0, -0.0)])
+        path = tmp_path / "f.fld"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_field(SpectralField(g, vals, PHYSICAL), path)
+            back = read_field(path).values
+        assert np.array_equal(back.view(np.uint64), vals.view(np.uint64))
 
     def test_truncated_file(self, tmp_path):
         g = SpectralGrid((8,), (1.0,))

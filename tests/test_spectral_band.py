@@ -262,3 +262,81 @@ class TestBandRules:
     def test_malformed_band(self, index, shape):
         with pytest.raises(DomainError):
             SpectralBand(GRIDS[(2, 1)], np.zeros(shape, complex), index)
+
+
+# --- the inverse DFT of a band ------------------------------------------------
+
+def bits(field):
+    return field.values.view(np.uint64)
+
+
+def inverted_bands(grid, band_fraction):
+    """Bands of every kind the pipeline inverts: the draw, its Hermitian
+    part, that part shifted along each axis (boxes whose runs of
+    consecutive indices move, split or join as they wrap mod n_k), and
+    the band of every index of its scattered spectrum."""
+    draw = band_limited_spectrum(grid, rng(4), band_fraction)
+    envelope_band = real_part_spectrum(draw, offset=1.0)
+    yield draw
+    yield envelope_band
+    for n, axis in shifts(grid):
+        yield oscillated_spectrum(envelope_band, n, axis)
+    yield SpectralBand.of(envelope_band.scatter())
+
+
+INVERSE_CASES = [(dm, bf) for dm in DRAW_GRIDS for bf in (0.1, *FRACTIONS)]
+
+
+class TestBandInverse:
+    """inverse_dft of a band transforms only the rows its box selects, in
+    place in its output, and equals inverse_dft of the band scattered
+    onto the grid bit for bit (the sign of zero included)."""
+
+    @pytest.mark.parametrize("dm,band_fraction", INVERSE_CASES,
+                             ids=[f"d{d}-m{m}-band{bf}" for (d, m), bf in INVERSE_CASES])
+    def test_bitwise_equal_to_the_scattered_inverse(self, dm, band_fraction):
+        grid = DRAW_GRIDS[dm]
+        for band in inverted_bands(grid, band_fraction):
+            got = spectral.inverse_dft(band)
+            assert got.space == spectral.PHYSICAL and got.grid == grid
+            assert np.array_equal(bits(got), bits(spectral.inverse_dft(band.scatter())))
+
+    @pytest.mark.parametrize("dm", [(1, 0), (2, 1), (3, 0)], ids=lambda dm: f"d{dm[0]}-m{dm[1]}")
+    def test_nyquist_and_scattered_boxes(self, dm):
+        # boxes holding the Nyquist index n_k/2 alone, beside xi = 0, or
+        # every other index (one run per index)
+        grid = DRAW_GRIDS[dm]
+        for pick in (lambda n: [n // 2], lambda n: [0, n // 2], lambda n: range(1, n, 2)):
+            index = tuple(np.array(pick(n)) for n in grid.n_per_axis)
+            shape = tuple(map(len, index)) + grid.n_velocity
+            values = rng(6).standard_normal(shape) + 1j * rng(7).standard_normal(shape)
+            band = SpectralBand(grid, values, index)
+            assert np.array_equal(bits(spectral.inverse_dft(band)),
+                                  bits(spectral.inverse_dft(band.scatter())))
+
+    def test_empty_box_is_the_zero_field(self):
+        grid = DRAW_GRIDS[(2, 0)]
+        band = SpectralBand(grid, np.zeros((0, 3)), (np.array([], int), np.arange(3)))
+        assert np.array_equal(bits(spectral.inverse_dft(band)),
+                              bits(spectral.inverse_dft(band.scatter())))
+
+    def test_output_is_the_only_full_grid_array(self):
+        # the band of the catalog's multiplier-apply config: 129^2 of 512^2
+        grid = SpectralGrid((512, 512), (1.0, 1.0))
+        band = band_limited_spectrum(grid, rng(7), 0.25)
+        assert band.values.shape == (129, 129)
+        tracemalloc.start()
+        try:
+            spectral.inverse_dft(band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 16 * math.prod(grid.shape)
+
+    @pytest.mark.parametrize("dm,band_fraction", CASES, ids=IDS)
+    def test_norm_is_the_inverse_dft_norm(self, dm, band_fraction):
+        # Plancherel: the modes off the box are 0
+        for band in inverted_bands(GRIDS[dm], band_fraction):
+            want = spectral.inverse_dft(band).norm_l2()
+            assert band.norm_l2() == pytest.approx(want, rel=1e-13)
+            assert band.norm_l2() == pytest.approx(band.scatter().norm_l2(), rel=1e-14)
