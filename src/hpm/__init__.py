@@ -1,7 +1,8 @@
 """hpm: numerical toolkit for anisotropic microlocal analysis.
 
 Modules:
-    spectral   - periodic grids, fields, DFTs, field serialization
+    spectral   - periodic grids, physical fields and spectral bands, DFTs,
+                 field serialization
     anisotropy - the frequency manifold P, quasi-norm, projection, fibres
     multiplier - fractional derivatives, projected symbols, certification
     hmeasure   - microlocal defect measure estimation
@@ -23,8 +24,7 @@ from .errors import (
     SupportWarning,
 )
 from .spectral import (
-    FREQUENCY,
-    PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     forward_dft,
@@ -35,8 +35,8 @@ from .spectral import (
 
 __all__ = [
     "AnisotropyProfile", "compute_l", "project_to_P", "quasi_norm",
-    "SpectralField", "SpectralGrid", "forward_dft", "inverse_dft",
-    "read_field", "write_field", "PHYSICAL", "FREQUENCY",
+    "SpectralField", "SpectralBand", "SpectralGrid", "forward_dft",
+    "inverse_dft", "read_field", "write_field",
     "HpmError", "DomainError", "SingularPointError", "SpaceTagError",
     "FieldFormatError", "FieldCorruptionError", "IntegrityError",
     "ConfigError", "SupportWarning",

@@ -9,13 +9,13 @@ applies the exact solution operator of du/dt + a(p).grad_x u = 0, which
 multiplies every spatial mode xi of u0 by e^{-2 pi i t a(p).xi}, so
 averaging effects are isolated from any scheme diffusion, and every mode
 evolves on its own.  It therefore runs on a spectral.SpectralBand, the
-box of modes where the spectrum can be nonzero (a full-grid spectrum is
-the band of every index): the phase is applied as d per-axis factors
+box of modes where the spectrum can be nonzero (forward_dft gives the
+band of every index): the phase is applied as d per-axis factors
 e^{-2 pi i t xi_k a_k(p)} at the box's frequencies, each on a small
 (|B_k|, 1, ..., n_p) slab.  The p-quadrature acts on the velocity axes
 only and so commutes with the spatial DFT: velocity_average works on a
-field in either space and on a band, and compactness_metric inverts
-only a band's d-dimensional average, on its box (spectral.inverse_dft).
+field and on a band alike, and compactness_metric inverts only a band's
+d-dimensional average, on its box (spectral.inverse_dft).
 The CLI's sequence is n -> transport_spectrum(u0_n, a, t) with
 u0_n the envelope's band shifted by n (spectral.oscillated_spectrum),
 so its averaging run makes no full-grid pass after the random draw: no
@@ -33,15 +33,7 @@ import numpy as np
 from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SupportWarning
 from .multiplier import fractional_factor
-from .spectral import (
-    FREQUENCY,
-    PHYSICAL,
-    SpectralBand,
-    SpectralField,
-    SpectralGrid,
-    forward_dft,
-    inverse_dft,
-)
+from .spectral import SpectralBand, SpectralField, SpectralGrid, forward_dft, inverse_dft
 
 # --- principal symbol ---------------------------------------------------------
 
@@ -180,20 +172,18 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
 
 def transport_spectrum(u0: SpectralField | SpectralBand, a, t: float) -> SpectralBand:
     """Exact solution at time t of du/dt + a(p) . grad_x u = 0 from the
-    snapshot u0 (a band, or a field in either space), as a band on u0's
-    box: every spatial mode xi is multiplied by e^(-2 pi i t a(p).xi), so
-    the per-p L2 norm is conserved exactly.  a is a callable (p...) ->
-    (..., d) or its samples (*n_velocity, d); a velocity or a phase that
-    is not finite is an IntegrityError."""
+    snapshot u0 (a field or a band), as a band on u0's box: every spatial
+    mode xi is multiplied by e^(-2 pi i t a(p).xi), so the per-p L2 norm
+    is conserved exactly.  a is a callable (p...) -> (..., d) or its
+    samples (*n_velocity, d); a velocity or a phase that is not finite is
+    an IntegrityError."""
     grid = u0.grid
     if grid.m == 0:
         raise DomainError("transport needs velocity axes")
     a = np.broadcast_to(grid.sample_velocity(a), grid.n_velocity + (grid.d,))
     if not np.all(np.isfinite(a)):
         raise IntegrityError("transport velocity a(p) is not finite")
-    if isinstance(u0, SpectralField) and u0.space == PHYSICAL:
-        u0 = forward_dft(u0)
-    U = SpectralBand.of(u0)
+    U = forward_dft(u0) if isinstance(u0, SpectralField) else u0
     # the phase is d per-axis factors, each on a (|B_k|, 1, ..., n_velocity)
     # slab: the first product allocates the output, the rest multiply in
     # place, so no exponent or phase of the whole box is ever built
@@ -242,9 +232,8 @@ def velocity_average(u: SpectralField | SpectralBand, rho) -> SpectralField | Sp
     callable weight must vanish on the faces of the closed box, sampled
     values at the outermost midpoints), and samples of it that are not
     finite are an IntegrityError.  The quadrature acts on the velocity
-    axes only, so u may be a field in either space, whose average keeps
-    its space tag, or a band, whose average is a band on the same box of
-    spatial modes."""
+    axes only, so u may be a field, whose average is a field, or a band,
+    whose average is a band on the same box of spatial modes."""
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
@@ -267,7 +256,7 @@ def velocity_average(u: SpectralField | SpectralBand, rho) -> SpectralField | Sp
                        axes=(grid.velocity_axes, tuple(range(grid.m)))) * dv
     if isinstance(u, SpectralBand):
         return SpectralBand(grid.spatial_only(), avg, u.index)
-    return SpectralField(grid.spatial_only(), avg, u.space)
+    return SpectralField(grid.spatial_only(), avg)
 
 
 @dataclass
@@ -296,16 +285,15 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
                        window, n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
     of the ratios is the observable footprint of velocity averaging.  The
-    snapshots may be bands or fields in either space; an average in
-    frequency space (a band among them) is transformed back before the
-    window is applied."""
+    snapshots may be fields or bands; the average of a band is
+    transformed back before the window is applied."""
     n_list = tuple(n_list)
     if len(n_list) < 2:
         raise DomainError("need at least 2 sequence indices")
     norms = []
     for n in n_list:
         avg = velocity_average(seq(n), rho)
-        if isinstance(avg, SpectralBand) or avg.space == FREQUENCY:
+        if isinstance(avg, SpectralBand):
             avg = inverse_dft(avg)
         mask = _window_mask(avg.grid, window)
         norms.append(float(np.sqrt(

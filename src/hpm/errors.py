@@ -6,7 +6,9 @@ class HpmError(Exception):
 
 
 class SpaceTagError(HpmError):
-    """A field was passed in the wrong representation (physical vs frequency)."""
+    """A value was passed in the wrong representation: physical samples (a
+    SpectralField) where a spectrum (a SpectralBand) was expected, or the
+    reverse."""
 
 
 class FieldFormatError(HpmError):

@@ -18,10 +18,10 @@ cells (C rows for a scalar snapshot), against the transposed masks, plus a
 second GEMM for the imaginary parts of a matrix measure (the scalar ones
 vanish).  A sequence is any callable n -> u_n of zero-mean snapshots,
 whose spectra F(hat_c w_i) are transforms of hat_c w_i.  The snapshots
-of an OscillationSequence are one envelope v (given as a band or as a
-field in either space) times exp(2 pi i kappa(n).x), kappa(n) on the
-lattice, minus the mean m_n = F(v)(-kappa(n)) / |T|, so their spectra
-follow by the shift rule
+of an OscillationSequence are one envelope v (given as a field or as a
+band) times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the
+mean m_n = F(v)(-kappa(n)) / |T|, so their spectra follow by the shift
+rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
 
@@ -48,14 +48,13 @@ from .anisotropy import AnisotropyProfile, project_lattice, project_to_P
 from .errors import DomainError, IntegrityError, SupportWarning
 from .multiplier import SymbolOnP, projected_symbol_lattice
 from .spectral import (
-    FREQUENCY,
-    PHYSICAL,
     SpectralBand,
     SpectralField,
     SpectralGrid,
     dft_axis,
     forward_dft,
     inverse_dft,
+    require,
     subtract_spatial_mean,
 )
 
@@ -107,37 +106,25 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
 
     phi1, phi2 are cut-off functions given as grid arrays or callables of
     the spatial coordinates.  With via="physical" the equivalent form
-    int A_{psi o pi_P}(phi1 u) conj(phi2 u) dx is evaluated instead; the two
-    agree to Plancherel accuracy."""
-    u.require(PHYSICAL)
+    int A_{psi o pi_P}(phi1 u) conj(phi2 u) dx is evaluated instead
+    (it needs only F(phi1 u)); the two agree to Plancherel accuracy."""
+    require(u, SpectralField)
     grid = u.grid
     phi1 = grid.sample(phi1)
     phi2 = grid.sample(phi2)
     _check_support(phi1, grid, "phi1")
     _check_support(phi2, grid, "phi2")
     sym = projected_symbol_lattice(psi, grid, profile)
-    return _lattice_forms(u, phi1, phi2, [sym], via)[0]
-
-
-def _lattice_forms(u: SpectralField, phi1: np.ndarray, phi2: np.ndarray,
-                   syms, via: str = "frequency") -> list[complex]:
-    """bilinear_form with sampled cut-offs for each symbol of syms, given
-    on the frequency lattice.  phi1 u and phi2 u are transformed once
-    (the physical route needs only F(phi1 u)); each symbol then only sums
-    against the spectra."""
-    grid = u.grid
-    F1 = forward_dft(SpectralField(grid, phi1 * u.values, PHYSICAL)).values
+    F1 = forward_dft(u.with_values(phi1 * u.values)).values
     if via == "frequency":
-        f2 = SpectralField(grid, phi2 * u.values, PHYSICAL)
-        conj_F2 = np.conj(forward_dft(f2).values)
-        totals = [np.sum(sym * F1 * conj_F2) * grid.freq_cell_volume for sym in syms]
+        conj_F2 = np.conj(forward_dft(u.with_values(phi2 * u.values)).values)
+        total = np.sum(sym * F1 * conj_F2) * grid.freq_cell_volume
     elif via == "physical":
-        conj_f2 = np.conj(phi2 * u.values)
-        totals = [np.sum(inverse_dft(SpectralField(grid, sym * F1, FREQUENCY)).values
-                         * conj_f2) * grid.cell_volume for sym in syms]
+        Au = inverse_dft(SpectralBand.full(grid, sym * F1)).values
+        total = np.sum(Au * np.conj(phi2 * u.values)) * grid.cell_volume
     else:
         raise DomainError(f"unknown evaluation route {via!r}")
-    return [complex(t) for t in totals]
+    return complex(total)
 
 
 # --- sequences ----------------------------------------------------------------
@@ -186,7 +173,7 @@ def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
                          n: int) -> SpectralField:
     """Zero-mean modulated envelope v(x) exp(2 pi i kappa(n).x); the
     frequencies travel up one fibre, so pi_P(kappa(n)) stabilizes."""
-    envelope.require(PHYSICAL)
+    require(envelope, SpectralField)
     grid = envelope.grid
     _lattice_shift(profile, c, n, grid)
     kap = oscillation_frequency(profile, c, n, grid)
@@ -201,12 +188,11 @@ class OscillationSequence:
     whose cell forms scalar_hmeasure builds by the shift rule
     (cell_products): one transform per cell, not one per (cell, n).
 
-    The envelope is a SpectralBand or a field in either space; the
-    physical field (what the snapshots modulate) and the spectrum, a band
-    (what the means m_n = F(v)(-kappa(n)) / |T| are read from), are each
-    derived once from it.  A band's m_n is exactly 0.0 where its box
-    misses -kappa(n), and those (cell, n) rows are rolled copies of the
-    cell's power spectrum."""
+    The envelope is a SpectralField or a SpectralBand; the field (what
+    the snapshots modulate) and the band (what the means m_n =
+    F(v)(-kappa(n)) / |T| are read from) are each derived once from it.
+    A band's m_n is exactly 0.0 where its box misses -kappa(n), and those
+    (cell, n) rows are rolled copies of the cell's power spectrum."""
 
     profile: AnisotropyProfile
     c: Sequence[float]
@@ -216,11 +202,10 @@ class OscillationSequence:
 
     def __post_init__(self):
         v = self.envelope
-        if isinstance(v, SpectralField) and v.space == PHYSICAL:
-            spectrum = SpectralBand.of(forward_dft(v))
+        if isinstance(v, SpectralField):
+            spectrum = forward_dft(v)
         else:
-            spectrum = SpectralBand.of(v)
-            v = inverse_dft(spectrum)
+            spectrum, v = v, inverse_dft(v)
         object.__setattr__(self, "physical", v)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -520,64 +505,31 @@ def _shifted_products(profile: AnisotropyProfile, c, envelope: SpectralField,
 
 @dataclass
 class HMeasureEstimate:
-    """Raw bilinear-form values over n with their extrapolated limits, plus
-    an optional cell-discretized measure."""
+    """A cell-discretized measure: the extrapolated masses with their
+    tail error bars."""
 
-    values: dict = field(default_factory=dict)        # (pair, symbol, n) -> complex
-    extrapolated: dict = field(default_factory=dict)  # (pair, symbol) -> (complex, err)
-    cells: np.ndarray | None = None                   # (C, B) extrapolated masses
-    cell_errors: np.ndarray | None = None
+    cells: np.ndarray        # (C, B) real
+    cell_errors: np.ndarray  # (C, B)
 
 
 def scalar_hmeasure(seq: Callable[[int], SpectralField],
                     profile: AnisotropyProfile, grid: SpectralGrid,
-                    n_list: Sequence[int], x_cells: int, p_cells: int,
-                    pairs: dict | None = None,
-                    symbols: dict | None = None) -> HMeasureEstimate:
+                    n_list: Sequence[int], x_cells: int,
+                    p_cells: int) -> HMeasureEstimate:
     """Estimate the scalar H_P-measure of a sequence n -> u_n of x-only
     fields, each of zero spatial mean (u_n tends weakly to 0; the
-    snapshots are used as given, not centred).
-
-    pairs maps pair-ids to (phi1, phi2) grid arrays and symbols maps
-    symbol-ids to SymbolOnP; for every combination the raw V_n and its
-    extrapolation are recorded alongside the cell measure.  Giving one
-    without the other is a DomainError."""
+    snapshots are used as given, not centred)."""
     n_list = _check_n_list(n_list)
-    if bool(pairs) != bool(symbols):
-        raise DomainError(f"pairs and symbols must be given together, got "
-                          f"{len(pairs or {})} pairs and {len(symbols or {})} symbols")
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
-    est = HMeasureEstimate()
-    if pairs:
-        cutoffs = {pid: (grid.sample(p1), grid.sample(p2))
-                   for pid, (p1, p2) in pairs.items()}
-        lattices = {sid: projected_symbol_lattice(psi, grid, profile)
-                    for sid, psi in symbols.items()}
     # the shift rule loops cells outer and n inner, one transform per cell
     # for every n; other sequences transform each snapshot cell by cell
-    shifted = isinstance(seq, OscillationSequence)
-    cell_runs = []
-    if shifted:
-        cell_runs = _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
-                                   len(n_list), 1)[:, 0, 0]
-    for n in (n_list if pairs or not shifted else ()):
-        u = seq(n)
-        if not shifted:
-            cell_runs.append(_cell_forms(u.grid, basis, [u.values])[0, 0])
-        if pairs:
-            u.require(PHYSICAL)
-            for pid, (p1, p2) in cutoffs.items():
-                forms = _lattice_forms(u, p1, p2, lattices.values())
-                for sid, form in zip(lattices, forms):
-                    est.values[(pid, sid, n)] = form
-    cells, est.cell_errors = estimate_limit(np.stack(cell_runs))  # (n, C, B)
-    est.cells = cells.real
-    if pairs:
-        for pid in pairs:
-            for sid in symbols:
-                seq = [est.values[(pid, sid, n)] for n in n_list]
-                est.extrapolated[(pid, sid)] = estimate_limit(seq)
-    return est
+    if isinstance(seq, OscillationSequence):
+        runs = _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
+                              len(n_list), 1)[:, 0, 0]
+    else:
+        runs = [_cell_forms(u.grid, basis, [u.values])[0, 0] for u in map(seq, n_list)]
+    cells, errors = estimate_limit(np.stack(runs))  # (n, C, B)
+    return HMeasureEstimate(cells.real, errors)
 
 
 @dataclass

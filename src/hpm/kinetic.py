@@ -18,7 +18,7 @@ import numpy as np
 from .anisotropy import _sphere_mesh
 from .averaging import NonDegeneracyReport, _scan_measures
 from .errors import DomainError, IntegrityError
-from .spectral import PHYSICAL, SpectralField, SpectralGrid
+from .spectral import SpectralField, SpectralGrid, require
 
 
 # --- flux pairs ---------------------------------------------------------------
@@ -381,7 +381,7 @@ def entropy_residual(u: SpectralField, lam: float, flux: FluxPair,
 
     Nonpositive up to O(h) for entropy-admissible inputs; genuinely
     positive for anti-entropy shocks."""
-    u.require(PHYSICAL)
+    require(u, SpectralField)
     grid = u.grid
     if grid.m != 0:
         raise DomainError("entropy residual expects a scalar x-field")

@@ -26,7 +26,7 @@ from .anisotropy import (
     quasi_norm,
 )
 from .errors import DomainError, IntegrityError
-from .spectral import PHYSICAL, SpectralBand, SpectralField, forward_dft, inverse_dft
+from .spectral import SpectralField, forward_dft, inverse_dft
 
 
 @dataclass
@@ -157,13 +157,12 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
 # --- multiplier application ---------------------------------------------------
 
 def _apply_spatial_multiplier(f, symbol):
-    """Multiply the spatial spectrum of f, a band or a field in either space
-    (whose spectrum is the band of every index), by symbol(B), an array over
-    the box of its band B; the result is in f's own form and space."""
-    if isinstance(f, SpectralField) and f.space == PHYSICAL:
+    """Multiply the spatial spectrum of f, a band or a field (whose
+    spectrum is the band of every index), by symbol(B), an array over the
+    box of its band B; the result is a band or a field, as f is."""
+    if isinstance(f, SpectralField):
         return inverse_dft(_apply_spatial_multiplier(forward_dft(f), symbol))
-    B = SpectralBand.of(f)
-    return f.with_values(B.values * B.grid.lift(symbol(B)))
+    return f.with_values(f.values * f.grid.lift(symbol(f)))
 
 
 def fractional_factor(xi, order: float):
@@ -176,7 +175,7 @@ def fractional_factor(xi, order: float):
 
 def fractional_derivative(f, axis: int, order: float):
     """Fractional derivative along one spatial axis of a band or a field
-    in either space (see _apply_spatial_multiplier)."""
+    (see _apply_spatial_multiplier)."""
     if order <= 0:
         raise DomainError("derivative order must be positive")
     if not 0 <= axis < f.grid.d:

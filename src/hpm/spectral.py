@@ -15,24 +15,24 @@ holds to rounding.  The frequency lattice on axis k is
 {-n_k/2 + 1, ..., n_k/2} / L_k with the Nyquist mode on the positive side;
 arrays are stored in FFT (wrap-around) order.
 
-Field layout: a field u(x, p) is an array of shape
-(n_1, ..., n_d, n_p1, ..., n_pm), spatial axes first (in FFT order in
-frequency space), then the velocity midpoints.  SpectralGrid owns that
-layout: it broadcasts 1-d axis arrays (on_axis, coordinates,
-frequencies) and x-only arrays (lift) over the grid, and samples
-callables on x or (x, p) (sample) and on p (sample_velocity).  This is
-the only module that calls numpy.fft; besides the transforms of fields
-it offers dft_axis, the transform of a raw array along one axis, for
-callers that build a transform pass by pass.
+A SpectralField holds physical samples u(x, p), an array of shape
+(n_1, ..., n_d, n_p1, ..., n_pm): spatial axes first, then the velocity
+midpoints.  SpectralGrid owns that layout: it broadcasts 1-d axis arrays
+(on_axis, coordinates, frequencies) and x-only arrays (lift) over the
+grid, and samples callables on x or (x, p) (sample) and on p
+(sample_velocity).  Every spectrum is a SpectralBand, one that vanishes
+outside a box of spatial modes: the (|B_1|, ..., |B_d|, *n_velocity)
+values on the box and the sorted FFT indices B_k of each axis.
+forward_dft gives the band of every index (SpectralBand.full), scatter()
+puts a band on the grid, frequencies() gives its box.  A full-grid band
+has a field's shape, so functions check which of the two they were
+given (require).  This is the only module that calls numpy.fft; besides
+the transforms of fields it offers dft_axis, the transform of a raw
+array along one axis, for callers that build a transform pass by pass.
 
-Spectra can also be built without a transform, and kept on their band.
-A SpectralBand holds a spectrum that vanishes outside a box of spatial
-modes: the (|B_1|, ..., |B_d|, *n_velocity) values on the box and the
-sorted FFT indices B_k of each axis; a full-grid spectrum is the band of
-every index, scatter() puts a band on the grid, frequencies() gives its box.
-inverse_dft takes a band and inverts it in its output array, transforming
-only the rows its box selects, and norm_l2 gives a band's L2 norm, which
-by Plancherel is its inverse DFT's.  band_limited_spectrum draws a random
+inverse_dft inverts a band in its output array, transforming only the
+rows its box selects, and norm_l2 gives a band's L2 norm, which by
+Plancherel is its inverse DFT's.  band_limited_spectrum draws a random
 band-limited spectrum as a band (band_limited_field is its inverse DFT):
 it takes the normal stream of the full grid in chunks of at most
 _DRAW_CHUNK samples and keeps the box positions of each, so its memory
@@ -44,7 +44,8 @@ the xi = 0 mode; and oscillated_spectrum gives the spectrum of the
 zero-mean part of f e^{2 pi i n x_k / L_k}, which is the box shifted by
 n lattice points along axis k (its indices mod n_k) with the xi = 0 mode
 cleared.  These two work on the box alone, so their cost follows the
-band, not the grid.
+band, not the grid.  Fields are stored in the HPFLD1 format, which holds
+physical samples only (write_field, read_field).
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ from .errors import (
 _MAGIC = b"HPFLD1\n"
 _MAX_SAMPLES = 1 << 28  # constructor-checked addressable-memory bound
 _DRAW_CHUNK = 1 << 16  # samples per normal draw of band_limited_spectrum (0.5 MB)
-
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 
 
 def _is_pow2(n: int) -> bool:
@@ -223,9 +221,16 @@ class SpectralGrid:
         return SpectralGrid(self.n_per_axis, self.length_per_axis)
 
 
+def require(x, kind: type) -> None:
+    """SpaceTagError unless x is a kind: SpectralField (physical samples)
+    or SpectralBand (a spectrum)."""
+    if not isinstance(x, kind):
+        raise SpaceTagError(f"expected a {kind.__name__}, got {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex samples on a grid, tagged physical or frequency.
+    """Complex physical samples on a grid.
 
     The field takes ownership of its values: a complex128 array is frozen
     in place (made read-only), not copied, so pass a copy if you keep
@@ -234,11 +239,8 @@ class SpectralField:
 
     grid: SpectralGrid
     values: np.ndarray = field(repr=False)
-    space: str = PHYSICAL
 
     def __post_init__(self):
-        if self.space not in (PHYSICAL, FREQUENCY):
-            raise SpaceTagError(f"unknown space tag {self.space!r}")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
             raise DomainError(
@@ -246,40 +248,30 @@ class SpectralField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def require(self, space: str) -> None:
-        if self.space != space:
-            raise SpaceTagError(f"expected a {space} field, got {self.space}")
-
     def norm_l2(self) -> float:
-        """L2 norm with the measure matching the space tag (velocity axes
-        always carry the physical midpoint measure)."""
-        if self.space == PHYSICAL:
-            vol = self.grid.cell_volume
-        else:
-            vol = self.grid.freq_cell_volume
-        vol *= self.grid.velocity_cell_volume
+        """L2 norm with the cell measure of x and the midpoint measure of p."""
+        vol = self.grid.cell_volume * self.grid.velocity_cell_volume
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * vol))
 
     def norm_lp(self, p: float) -> float:
-        if self.space != PHYSICAL:
-            raise SpaceTagError("Lp norms are defined on physical fields")
         vol = self.grid.cell_volume * self.grid.velocity_cell_volume
         return float((np.sum(np.abs(self.values) ** p) * vol) ** (1.0 / p))
 
-    def with_values(self, values: np.ndarray, space: str | None = None) -> "SpectralField":
-        return SpectralField(self.grid, values, self.space if space is None else space)
+    def with_values(self, values: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, values)
 
 
-def forward_dft(f: SpectralField) -> SpectralField:
-    """Transform the spatial axes to frequency space.  The transform
-    writes into one new array and is scaled there in place (numpy >= 2.0),
-    so one full-grid array is allocated; likewise inverse_dft."""
-    f.require(PHYSICAL)
+def forward_dft(f: SpectralField) -> SpectralBand:
+    """Transform the spatial axes to frequency space, as the band of every
+    index.  The transform writes into one new array and is scaled there
+    in place (numpy >= 2.0), so one full-grid array is allocated;
+    likewise inverse_dft."""
+    require(f, SpectralField)
     g = f.grid
     out = np.fft.fftn(np.asarray(f.values), axes=g.spatial_axes,
                       out=np.empty(f.values.shape, complex))
     out *= g.cell_volume
-    return SpectralField(g, out, FREQUENCY)
+    return SpectralBand.full(g, out)
 
 
 def dft_axis(a: np.ndarray, axis: int, length: float,
@@ -293,55 +285,53 @@ def dft_axis(a: np.ndarray, axis: int, length: float,
     return out
 
 
-def inverse_dft(F: SpectralField | SpectralBand) -> SpectralField:
-    """Transform the spatial axes back to physical space.  A band is
+def inverse_dft(F: SpectralBand) -> SpectralField:
+    """Transform the spatial axes back to physical space.  The band is
     placed on the grid in the output array itself and transformed there
     in place, axis by axis from the last, as numpy.fft.ifftn goes.  Along
     axis k only the rows that the box selects on the axes before k are
     transformed, one view per run of consecutive box indices: those axes
     are not yet transformed, so every other row is 0.  The result equals
-    inverse_dft(F.scatter()) bit for bit, and the output is the only
-    full-grid array."""
+    numpy.fft.ifftn of F.scatter() bit for bit (a full-grid band is one
+    run per axis), and the output is the only full-grid array."""
+    require(F, SpectralBand)
     g = F.grid
     scale = 1.0
     for n, L in zip(g.n_per_axis, g.length_per_axis):
         scale *= n / L
-    if isinstance(F, SpectralBand):
-        out = np.zeros(g.shape, complex)
-        out[np.ix_(*F.index)] = F.values
-        runs = [[slice(r[0], r[-1] + 1) for r in
-                 np.split(i, np.flatnonzero(np.diff(i) != 1) + 1) if r.size]
-                for i in F.index]
-        for k in reversed(g.spatial_axes):
-            for rows in itertools.product(*runs[:k]):
-                view = out[rows]
-                np.fft.ifft(view, axis=k, out=view)
-    else:
-        F.require(FREQUENCY)
-        out = np.fft.ifftn(np.asarray(F.values), axes=g.spatial_axes,
-                           out=np.empty(F.values.shape, complex))
+    out = np.zeros(g.shape, complex)
+    out[np.ix_(*F.index)] = F.values
+    runs = [[slice(r[0], r[-1] + 1) for r in
+             np.split(i, np.flatnonzero(np.diff(i) != 1) + 1) if r.size]
+            for i in F.index]
+    for k in reversed(g.spatial_axes):
+        for rows in itertools.product(*runs[:k]):
+            view = out[rows]
+            np.fft.ifft(view, axis=k, out=view)
     out *= scale
-    return SpectralField(g, out, PHYSICAL)
+    return SpectralField(g, out)
 
 
 def subtract_spatial_mean(f: SpectralField) -> SpectralField:
     """Remove the spatial mean at every velocity sample."""
-    f.require(PHYSICAL)
+    require(f, SpectralField)
     axes = f.grid.spatial_axes
     m = np.mean(f.values, axis=axes, keepdims=True)
     return f.with_values(f.values - m)
 
 
 def write_field(f: SpectralField, path) -> None:
-    """Serialize in the HPFLD1 format: magic, one JSON header line, raw
-    little-endian float64 (re, im) pairs, row-major, last axis fastest."""
+    """Serialize physical samples in the HPFLD1 format: magic, one JSON
+    header line, raw little-endian float64 (re, im) pairs, row-major,
+    last axis fastest."""
+    require(f, SpectralField)
     g = f.grid
     header = {
         "d": g.d,
         "m": g.m,
         "n": list(g.n_per_axis + g.n_velocity),
         "L": list(g.length_per_axis + g.velocity_length),
-        "space": f.space,
+        "space": "physical",
     }
     # a complex128 array in C order already is that payload: no copy
     vals = np.ascontiguousarray(f.values, dtype="<c16")
@@ -353,6 +343,9 @@ def write_field(f: SpectralField, path) -> None:
 
 
 def read_field(path) -> SpectralField:
+    """Read an HPFLD1 file: its header is a JSON object of integers d >= 1
+    and m >= 0, d + m integer counts n and finite lengths L, and "space":
+    "physical"."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -365,21 +358,28 @@ def read_field(path) -> SpectralField:
             header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FieldFormatError(f"unparsable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FieldFormatError("header is not a JSON object")
         for key in ("d", "m", "n", "L", "space"):
             if key not in header:
                 raise FieldFormatError(f"header missing key {key!r}")
         d, m = header["d"], header["m"]
         n, L = header["n"], header["L"]
-        if not isinstance(d, int) or not isinstance(m, int) or d < 1 or m < 0:
-            raise FieldFormatError(f"invalid dimensions d={d}, m={m}")
+        if type(d) is not int or type(m) is not int or d < 1 or m < 0:
+            raise FieldFormatError(f"invalid dimensions d={d!r}, m={m!r}")
+        if not isinstance(n, list) or any(type(nk) is not int for nk in n):
+            raise FieldFormatError("sample counts n are not a list of integers")
+        if not isinstance(L, list) or not all(
+                type(x) in (int, float) and -math.inf < x < math.inf for x in L):
+            raise FieldFormatError("lengths L are not a list of finite numbers")
         if len(n) != d + m or len(L) != d + m:
             raise FieldFormatError("axis lists do not match d + m")
-        if header["space"] not in (PHYSICAL, FREQUENCY):
-            raise FieldFormatError(f"unknown space tag {header['space']!r}")
+        if header["space"] != "physical":
+            raise FieldFormatError(f"space tag {header['space']!r} is not 'physical'")
         try:
             grid = SpectralGrid(
                 tuple(n[:d]), tuple(L[:d]), tuple(n[d:]), tuple(L[d:]))
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:  # an int length past the float range
             raise FieldFormatError(str(exc)) from exc
         count = 1
         for nk in n:
@@ -391,7 +391,7 @@ def read_field(path) -> SpectralField:
             raise FieldCorruptionError(
                 f"payload is {size} bytes, expected {count * 16}")
         vals = np.frombuffer(fh.read(), dtype="<c16").reshape(grid.shape)
-        return SpectralField(grid, vals, header["space"])
+        return SpectralField(grid, vals)
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ class SpectralBand:
     spatial axis, and values the spectrum on the box B_1 x ... x B_d at
     every velocity sample, an array of shape (|B_1|, ..., |B_d|,
     *n_velocity); every mode outside the box is 0.  A full-grid spectrum
-    is the band whose index arrays hold every index (SpectralBand.of),
+    is the band whose index arrays hold every index (SpectralBand.full),
     and its values are then the full-grid array itself.  Like
     SpectralField, the band freezes its arrays in place."""
 
@@ -429,13 +429,10 @@ class SpectralBand:
         object.__setattr__(self, "index", index)
 
     @classmethod
-    def of(cls, F: "SpectralField | SpectralBand") -> "SpectralBand":
-        """F if it is a band, else the band of every index of the
-        spectrum F (its values, not a copy)."""
-        if isinstance(F, SpectralBand):
-            return F
-        F.require(FREQUENCY)
-        return cls(F.grid, F.values, tuple(np.arange(n) for n in F.grid.n_per_axis))
+    def full(cls, grid: SpectralGrid, values: np.ndarray) -> "SpectralBand":
+        """The band of every index: the full-grid spectrum values (taken,
+        not copied)."""
+        return cls(grid, values, tuple(np.arange(n) for n in grid.n_per_axis))
 
     def with_values(self, values: np.ndarray) -> "SpectralBand":
         return SpectralBand(self.grid, values, self.index)
@@ -455,11 +452,11 @@ class SpectralBand:
         vol = self.grid.freq_cell_volume * self.grid.velocity_cell_volume
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * vol))
 
-    def scatter(self) -> SpectralField:
-        """The spectrum on the full grid, 0 outside the box."""
+    def scatter(self) -> "SpectralBand":
+        """The full-grid band of this spectrum, 0 outside the box."""
         out = np.zeros(self.grid.shape, complex)
         out[np.ix_(*self.index)] = self.values
-        return SpectralField(self.grid, out, FREQUENCY)
+        return SpectralBand.full(self.grid, out)
 
 
 def _positions(index: np.ndarray, wanted) -> np.ndarray:
@@ -514,38 +511,36 @@ def band_limited_field(grid: SpectralGrid, rng: np.random.Generator,
     return inverse_dft(band_limited_spectrum(grid, rng, band_fraction))
 
 
-def real_part_spectrum(F: SpectralField | SpectralBand,
-                       offset: float = 0.0) -> SpectralBand:
+def real_part_spectrum(F: SpectralBand, offset: float = 0.0) -> SpectralBand:
     """Spectrum of Re(inverse_dft(F)) + offset, without a transform: the
     Hermitian part (F(xi) + conj F(-xi)) / 2 over the spatial axes, with
     -xi taken mod n_k (the Nyquist index maps to itself), and offset
-    times the torus volume prod_k L_k added to the xi = 0 mode.  F is a
-    band or a full-grid spectrum; the box must hold -xi with every xi,
-    and the zero mode."""
-    B = SpectralBand.of(F)
-    g = B.grid
-    neg = np.ix_(*(_positions(i, -i % n) for i, n in zip(B.index, g.n_per_axis)))
-    out = np.conjugate(B.values[neg])
-    out += B.values
+    times the torus volume prod_k L_k added to the xi = 0 mode.  The box
+    of F must hold -xi with every xi, and the zero mode."""
+    require(F, SpectralBand)
+    g = F.grid
+    neg = np.ix_(*(_positions(i, -i % n) for i, n in zip(F.index, g.n_per_axis)))
+    out = np.conjugate(F.values[neg])
+    out += F.values
     out *= 0.5
-    out[tuple(_positions(i, 0) for i in B.index)] += offset * math.prod(g.length_per_axis)
-    return B.with_values(out)
+    out[tuple(_positions(i, 0) for i in F.index)] += offset * math.prod(g.length_per_axis)
+    return F.with_values(out)
 
 
-def oscillated_spectrum(F: SpectralField | SpectralBand, n: int, axis: int) -> SpectralBand:
+def oscillated_spectrum(F: SpectralBand, n: int, axis: int) -> SpectralBand:
     """Spectrum of f e^{2 pi i n x_axis / L_axis} minus its spatial mean,
-    from the spectrum F of f (a band or a full-grid spectrum): the box
-    shifted by n lattice points along spatial axis `axis` (taken mod d,
-    so -1 is the last spatial axis), its indices taken mod n_k, with the
-    xi = 0 mode set to 0 if the shifted box holds it.  Only n mod n_k
-    matters; it is reduced first, so n may be any Python int."""
-    B = SpectralBand.of(F)
-    g = B.grid
+    from the spectrum F of f: the box shifted by n lattice points along
+    spatial axis `axis` (taken mod d, so -1 is the last spatial axis), its
+    indices taken mod n_k, with the xi = 0 mode set to 0 if the shifted
+    box holds it.  Only n mod n_k matters; it is reduced first, so n may
+    be any Python int."""
+    require(F, SpectralBand)
+    g = F.grid
     k = axis % g.d
-    shifted = (B.index[k] + n % g.n_per_axis[k]) % g.n_per_axis[k]
+    shifted = (F.index[k] + n % g.n_per_axis[k]) % g.n_per_axis[k]
     order = np.argsort(shifted)
-    index = B.index[:k] + (shifted[order],) + B.index[k + 1:]
-    out = np.take(B.values, order, axis=k)
+    index = F.index[:k] + (shifted[order],) + F.index[k + 1:]
+    out = np.take(F.values, order, axis=k)
     if all(0 in i for i in index):
         out[(0,) * g.d] = 0.0  # sorted indices: xi = 0 comes first
     return SpectralBand(g, out, index)

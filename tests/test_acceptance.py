@@ -19,7 +19,7 @@ from hpm.kinetic import UPManifold, bump_test_function, entropy_residual, \
     up_nondegeneracy_scan
 from hpm.multiplier import fractional_derivative, marcinkiewicz_certify, \
     symbol_from_name
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid, \
+from hpm.spectral import SpectralField, SpectralGrid, \
     band_limited_field, forward_dft, inverse_dft, subtract_spatial_mean
 
 pytestmark = pytest.mark.filterwarnings("ignore::hpm.errors.SupportWarning")
@@ -46,12 +46,12 @@ def test_criterion_1_spectral_integrity():
     g = SpectralGrid((256, 256), (1.0, 1.0))
     r = rng(1)
     f = SpectralField(g, r.standard_normal(g.shape)
-                      + 1j * r.standard_normal(g.shape), PHYSICAL)
+                      + 1j * r.standard_normal(g.shape))
     F = forward_dft(f)
     lhs = np.sum(np.abs(f.values) ** 2) * g.cell_volume
     rhs = np.sum(np.abs(F.values) ** 2) * g.freq_cell_volume
     back = inverse_dft(F)
-    real = SpectralField(g, r.standard_normal(g.shape), PHYSICAL)
+    real = SpectralField(g, r.standard_normal(g.shape))
     R = forward_dft(real).values
     mirrored = R[tuple(np.meshgrid(*(-np.arange(n) % n for n in g.n_per_axis),
                                    indexing="ij"))]
@@ -126,7 +126,7 @@ def test_criterion_4_hmeasure_oracle():
     g = SpectralGrid((256, 256), (1.0, 1.0))
     x1, x2 = g.coordinates()
     env_vals = 1.0 + 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
-    env = SpectralField(g, env_vals.astype(complex), PHYSICAL)
+    env = SpectralField(g, env_vals.astype(complex))
     c = (1.0, 0.0)
     u32 = oscillation_sequence(ISO2, c, env, 32)
     phi1 = np.sin(np.pi * x1) ** 4 * np.sin(np.pi * x2) ** 4
@@ -149,8 +149,7 @@ def test_criterion_4_hmeasure_oracle():
     prof = basis[0] + 0.5 * basis[1]
     mod = np.ones(gm.n_per_axis, dtype=complex)
     mseq = lambda n: subtract_spatial_mean(SpectralField(
-        gm, (np.exp(2j * np.pi * n * xm)[:, None] * mod)[..., None] * prof,
-        PHYSICAL))
+        gm, (np.exp(2j * np.pi * n * xm)[:, None] * mod)[..., None] * prof))
     M = matrix_hmeasure(mseq, basis, 2, 8, (4, 6, 8), ISO2)
     try:
         M.check_integrity(diag_tol=1e-10, cs_slack=1e-9, hermitian_tol=1e-10)
@@ -171,7 +170,7 @@ def test_criterion_5_averaging_dichotomy():
     start = time.perf_counter()
     g = SpectralGrid((32, 256), (1.0, 1.0), n_velocity=(256,),
                      velocity_length=(1.0,))
-    env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+    env = SpectralField(g, np.ones(g.shape, dtype=complex))
     seq0 = OscillationSequence(ISO2, (0.0, 1.0), env)
 
     def bump(p):
@@ -232,7 +231,7 @@ def test_criterion_6_kinetic():
 
     lt = flux_from_name("linear-transport", d=2, velocity=(3.0, 1.0))
     gconst = SpectralGrid((64, 64), (1.0, 1.0))
-    uconst = SpectralField(gconst, np.full(gconst.shape, 0.3), PHYSICAL)
+    uconst = SpectralField(gconst, np.full(gconst.shape, 0.3))
     phic = spline_test_function(gconst, (0.25, 0.25), (0.125, 0.125))
     r_const = entropy_residual(uconst, 0.1, lt, phic)
 
@@ -241,7 +240,7 @@ def test_criterion_6_kinetic():
         gn = SpectralGrid((n, n), (1.0, 1.0))
         xa, xb = gn.coordinates()
         usm = SpectralField(gn, 0.5 * np.sin(2 * np.pi * (xa - 3 * xb))
-                            * np.ones(gn.shape), PHYSICAL)
+                            * np.ones(gn.shape))
         phin = spline_test_function(gn, (0.25, 0.25), (0.125, 0.125))
         res.append(abs(entropy_residual(usm, 0.7, lt, phin)))
     ratios = [b / a for a, b in zip(res, res[1:])]
@@ -266,7 +265,7 @@ def test_criterion_6_kinetic():
         gn = SpectralGrid((n, n), (1.0, 1.0))
         xj = gn.coord_axis(1)
         vals = np.where(xj < 0.5, -1.0, 1.0)[None, :] * np.ones(gn.n_per_axis)
-        uj = SpectralField(gn, vals, PHYSICAL)
+        uj = SpectralField(gn, vals)
         phj = bump_test_function(gn, (0.5, 0.5), (0.2, 0.2))
         anti.append(entropy_residual(uj, 0.0, burgers_x2(), phj))
     elapsed = time.perf_counter() - start

@@ -14,7 +14,6 @@ from hpm.averaging import (
 from hpm.errors import DomainError, IntegrityError, SupportWarning
 from hpm.hmeasure import OscillationSequence
 from hpm.spectral import (
-    PHYSICAL,
     SpectralField,
     SpectralGrid,
     subtract_spatial_mean,
@@ -136,7 +135,7 @@ class TestNonDegeneracyScan:
 def pure_mode_sequence(grid, kappa):
     phase = sum(k * x for k, x in zip(kappa, grid.coordinates()))
     vals = np.exp(2j * np.pi * phase) * np.ones(grid.shape)
-    return lambda n: subtract_spatial_mean(SpectralField(grid, vals, PHYSICAL))
+    return lambda n: subtract_spatial_mean(SpectralField(grid, vals))
 
 
 class TestTransport:
@@ -164,7 +163,7 @@ class TestTransport:
         r = rng(5)
         vals = r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape)
         vals -= vals.mean(axis=(0, 1), keepdims=True)
-        u0 = SpectralField(g, vals, PHYSICAL)
+        u0 = SpectralField(g, vals)
         seq = lambda n: subtract_spatial_mean(u0)
         a = lambda p: np.stack([np.ones_like(p), p], axis=-1)
         u = transport_evolve(seq(0), a, 1.3)
@@ -186,7 +185,7 @@ class TestVelocityAverage:
         p = g.velocity_axis(0)
         f = np.exp(2j * np.pi * x)
         gfun = compact_bump(p)
-        u = SpectralField(g, f[:, None] * gfun[None, :], PHYSICAL)
+        u = SpectralField(g, f[:, None] * gfun[None, :])
         avg = velocity_average(u, compact_bump)
         oracle = f * np.sum(gfun ** 2) * g.velocity_cell_volume
         assert np.max(np.abs(avg.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -194,26 +193,26 @@ class TestVelocityAverage:
 
     def test_zero_weight(self):
         g = SpectralGrid((8,), (1.0,), n_velocity=(8,), velocity_length=(1.0,))
-        u = SpectralField(g, np.ones(g.shape), PHYSICAL)
+        u = SpectralField(g, np.ones(g.shape))
         avg = velocity_average(u, np.zeros(8))
         assert np.max(np.abs(avg.values)) == 0.0
 
     def test_boundary_weight_warns(self):
         g = SpectralGrid((8,), (1.0,), n_velocity=(8,), velocity_length=(1.0,))
-        u = SpectralField(g, np.ones(g.shape), PHYSICAL)
+        u = SpectralField(g, np.ones(g.shape))
         with pytest.warns(SupportWarning):
             velocity_average(u, np.ones(8))
 
     def test_requires_velocity_axes(self):
         g = SpectralGrid((8,), (1.0,))
-        u = SpectralField(g, np.ones(8), PHYSICAL)
+        u = SpectralField(g, np.ones(8))
         with pytest.raises(DomainError):
             velocity_average(u, np.ones(8))
 
 
 class TestCompactness:
     def _oscillating_seq(self, grid):
-        env = SpectralField(grid, np.ones(grid.shape, dtype=complex), PHYSICAL)
+        env = SpectralField(grid, np.ones(grid.shape, dtype=complex))
         return OscillationSequence(ISO2, (0.0, 1.0), env)
 
     def test_dichotomy(self):
@@ -296,7 +295,7 @@ class TestWeightBoundary:
     def _field(self, n_velocity, velocity_length):
         g = SpectralGrid((8,), (1.0,), n_velocity=n_velocity,
                          velocity_length=velocity_length)
-        return SpectralField(g, np.ones(g.shape), PHYSICAL)
+        return SpectralField(g, np.ones(g.shape))
 
     @pytest.mark.parametrize("n_p", [16, 256])
     def test_weight_vanishing_on_the_faces_is_silent(self, recwarn, n_p):

@@ -1,23 +1,17 @@
 """The cell discretization against the dense formulas it replaced: cell
-forms batched over chunks of cells, separable x-hats, P-masks evaluated
-only where they can be nonzero, and scalar_hmeasure with its symbol
-lattices computed once."""
+forms batched over chunks of cells, separable x-hats, and P-masks
+evaluated only where they can be nonzero."""
 
 import numpy as np
 import pytest
 
 from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P
-from hpm.errors import SupportWarning
 from hpm.hmeasure import (
-    OscillationSequence,
     _cell_forms,
     _periodic_hat,
-    bilinear_form,
     cosine_velocity_basis,
     make_cell_basis,
-    scalar_hmeasure,
 )
-from hpm.multiplier import symbol_from_name
 from hpm.spectral import SpectralGrid, band_limited_field
 from test_cell_forms import einsum_forms
 
@@ -146,24 +140,3 @@ def test_masks_bitwise_equal_to_dense_formulas(n, alpha, p_cells):
     profile = AnisotropyProfile(alpha)
     cb = make_cell_basis(grid, profile, 2, p_cells)
     assert np.array_equal(cb.p_masks, dense_masks(grid, profile, p_cells))
-
-
-# --- scalar_hmeasure with hoisted symbol lattices ------------------------------
-
-def test_scalar_hmeasure_values_equal_bilinear_form():
-    grid = SpectralGrid((32, 32), (1.0, 1.0))
-    profile = AnisotropyProfile((1.0, 2.0))
-    x = grid.coordinates()
-    phi = np.exp(-40 * ((x[0] - 0.5) ** 2 + (x[1] - 0.5) ** 2)) * np.ones(grid.shape)
-    pairs = {"a": (phi, phi), "b": (phi, lambda x1, x2: np.cos(np.pi * x1) ** 2)}
-    symbols = {s: symbol_from_name(s, profile) for s in ("one", "coordinate:1")}
-    env = band_limited_field(grid, rng(5), band_fraction=0.25)
-    seq = OscillationSequence(profile, (1.0, 0.0), env)
-    est = scalar_hmeasure(seq, profile, grid, (4, 6, 8), 2, 8,
-                          pairs=pairs, symbols=symbols)
-    assert len(est.values) == 2 * 2 * 3
-    for (pid, sid, n), value in est.values.items():
-        p1, p2 = pairs[pid]
-        with pytest.warns(SupportWarning):
-            form = bilinear_form(seq(n), p1, p2, symbols[sid], profile)
-        assert value == form

@@ -7,7 +7,6 @@ import pytest
 from hpm.anisotropy import AnisotropyProfile
 from hpm.hmeasure import _cell_forms, cosine_velocity_basis, make_cell_basis
 from hpm.spectral import (
-    PHYSICAL,
     SpectralField,
     SpectralGrid,
     band_limited_field,
@@ -28,7 +27,7 @@ def einsum_forms(grid, basis, components):
     V = np.empty((N, N, C, B), dtype=complex)
     for c in range(C):
         G = np.stack([forward_dft(SpectralField(
-            grid.spatial_only(), hats[c] * w, PHYSICAL)).values.ravel()
+            grid.spatial_only(), hats[c] * w)).values.ravel()
             for w in components])
         V[:, :, c, :] = np.einsum("bs,is,js->ijb", masks, G, np.conj(G),
                                   optimize=True) * grid.freq_cell_volume

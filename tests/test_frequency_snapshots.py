@@ -15,8 +15,7 @@ import pytest
 from hpm import averaging, cli, hmeasure, multiplier, spectral
 from hpm.errors import SpaceTagError
 from hpm.spectral import (
-    FREQUENCY,
-    PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     band_limited_field,
@@ -64,7 +63,7 @@ class TestBandLimitedSpectrum:
         want = want * g.freq_cell_volume
         r2 = rng(5)
         F = band_limited_spectrum(g, r2, 0.3).scatter()
-        assert F.space == FREQUENCY
+        assert isinstance(F, SpectralBand)
         assert np.array_equal(F.values, want)
         assert r2.standard_normal() == r.standard_normal()
 
@@ -83,10 +82,9 @@ class TestRealPartSpectrum:
         # zero mode all carry energy
         g = GRIDS[d]
         r = rng(d)
-        S = SpectralField(g, r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape),
-                          FREQUENCY)
+        S = SpectralBand.full(g, r.standard_normal(g.shape) + 1j * r.standard_normal(g.shape))
         real = inverse_dft(S).values.real + offset
-        want = forward_dft(SpectralField(g, real, PHYSICAL)).values
+        want = forward_dft(SpectralField(g, real)).values
         assert close(real_part_spectrum(S, offset).values, want, 1e-13)
 
     def test_is_hermitian(self):
@@ -131,9 +129,9 @@ class TestOscillatedSpectrum:
         env = inverse_dft(E.scatter()).values
         x = g.coordinates()[axis]
         snap = subtract_spatial_mean(SpectralField(
-            g, env * np.exp(2j * np.pi * n * x / g.length_per_axis[axis]), PHYSICAL))
+            g, env * np.exp(2j * np.pi * n * x / g.length_per_axis[axis])))
         got = oscillated_spectrum(E, n, axis).scatter()
-        assert got.space == FREQUENCY
+        assert isinstance(got, SpectralBand)
         assert close(inverse_dft(got).values, snap.values, 1e-13)
         assert close(got.values, forward_dft(snap).values, 1e-13)
         assert np.all(got.values[(0,) * d] == 0)

@@ -16,7 +16,6 @@ from hpm.hmeasure import (
 )
 from hpm.multiplier import symbol_from_name
 from hpm.spectral import (
-    PHYSICAL,
     SpectralField,
     SpectralGrid,
     band_limited_field,
@@ -109,7 +108,7 @@ class TestBilinearForm:
         x1, x2 = g.coordinates()
         env = 1.0 + 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         kappa = np.array([20.0, 0.0])
-        u = SpectralField(g, env * np.exp(2j * np.pi * kappa[0] * x1), PHYSICAL)
+        u = SpectralField(g, env * np.exp(2j * np.pi * kappa[0] * x1))
         phi1 = bump2(g)
         phi2 = bump2(g) * (1.0 + 0.2 * np.sin(2 * np.pi * x2))
         psi = symbol_from_name("coordinate:0", ISO2)
@@ -188,7 +187,7 @@ class TestCellBasis:
 class TestScalarMeasure:
     def test_oscillation_localizes_in_angle(self):
         g = SpectralGrid((64, 64), (1.0, 1.0))
-        env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+        env = SpectralField(g, np.ones(g.shape, dtype=complex))
         seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         est = scalar_hmeasure(seq, ISO2, g, (8, 12, 16), x_cells=4, p_cells=16)
         total = est.cells.sum()
@@ -200,59 +199,18 @@ class TestScalarMeasure:
 
     def test_pair_symbol_extrapolation(self):
         g = SpectralGrid((32, 32), (1.0, 1.0))
-        env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+        env = SpectralField(g, np.ones(g.shape, dtype=complex))
         seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         phi = bump2(g)
-        est = scalar_hmeasure(seq, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
-                              pairs={"d": (phi, phi)},
-                              symbols={"x0": symbol_from_name("coordinate:0", ISO2)})
-        lim, err = est.extrapolated[("d", "x0")]
+        psi = symbol_from_name("coordinate:0", ISO2)
+        lim, err = estimate_limit([bilinear_form(seq(n), phi, phi, psi, ISO2)
+                                   for n in (4, 6, 8)])
         oracle = np.sum(np.abs(phi) ** 2) * g.cell_volume  # psi = 1 at (1, 0)
         assert abs(lim - oracle) <= 0.05 * oracle + err
 
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_pair_forms_transform_once_per_pair_and_n(self, monkeypatch, count):
-        # the 2 x 2 cells in 2 + 4 one-axis passes (the envelope was
-        # transformed when the sequence was built), then phi1 u_n and
-        # phi2 u_n once per n, whatever the number of symbols
-        import hpm.hmeasure as hm
-        from hpm.multiplier import projected_symbol_lattice
-        g = SpectralGrid((32, 32), (1.0, 1.0))
-        seq = OscillationSequence(ISO2, (1.0, 0.0), band_limited_field(g, rng(9)))
-        phi1, phi2 = bump2(g), bump2(g) ** 2
-        names = ["coordinate:0", "coordinate:1", "one", "sector:axis=0,sign=+"][:count]
-        symbols = {name: symbol_from_name(name, ISO2) for name in names}
-        calls, passes = [], []
-        original, one_axis = hm.forward_dft, hm.dft_axis
-
-        def counting(f):
-            calls.append(f.grid == g)
-            return original(f)
-
-        def counting_passes(a, axis, length, out=None):
-            passes.append(a.shape == g.shape)
-            return one_axis(a, axis, length, out)
-
-        monkeypatch.setattr(hm, "forward_dft", counting)
-        monkeypatch.setattr(hm, "dft_axis", counting_passes)
-        est = scalar_hmeasure(seq, ISO2, g, (4, 6, 8), x_cells=2, p_cells=8,
-                              pairs={"q": (phi1, phi2)}, symbols=symbols)
-        assert sum(calls) == 6
-        assert sum(passes) == 2 + 4
-        # the per-symbol forms, as computed when each symbol transformed
-        # the pair again: the same transforms and sums, so bit for bit
-        for n in (4, 6, 8):
-            u = seq(n).values
-            F1 = original(SpectralField(g, g.sample(phi1) * u, PHYSICAL)).values
-            F2 = original(SpectralField(g, g.sample(phi2) * u, PHYSICAL)).values
-            for name, psi in symbols.items():
-                sym = projected_symbol_lattice(psi, g, ISO2)
-                want = complex(np.sum(sym * F1 * np.conj(F2)) * g.freq_cell_volume)
-                assert est.values[("q", name, n)] == want
-
     def test_bad_n_list(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
-        env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+        env = SpectralField(g, np.ones(g.shape, dtype=complex))
         seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         with pytest.raises(DomainError):
             scalar_hmeasure(seq, ISO2, g, (4, 4, 8), 2, 8)
@@ -270,7 +228,7 @@ class TestMatrixMeasure:
 
         def produce(n):
             vals = (np.exp(2j * np.pi * n * x1)[:, None] * mod)[..., None] * prof
-            return SpectralField(grid, vals, PHYSICAL)
+            return SpectralField(grid, vals)
 
         return lambda n: subtract_spatial_mean(produce(n))
 
@@ -349,7 +307,7 @@ class TestZeroMeanOwnership:
 
         monkeypatch.setattr(hm, "subtract_spatial_mean", counting)
         g = SpectralGrid((16, 16), (1.0, 1.0))
-        env = SpectralField(g, np.ones(g.shape, dtype=complex), PHYSICAL)
+        env = SpectralField(g, np.ones(g.shape, dtype=complex))
         seq = OscillationSequence(ISO2, (1.0, 0.0), env)
         for n in (4, 6, 8):
             seq(n)

@@ -15,7 +15,7 @@ from hpm.kinetic import (
     up_symbol,
     validate_flux,
 )
-from hpm.spectral import PHYSICAL, SpectralField, SpectralGrid
+from hpm.spectral import SpectralField, SpectralGrid
 
 
 def rng(key=0):
@@ -319,7 +319,7 @@ def stationary_wave_field(grid):
     stationary solution of transport with that velocity."""
     x1, x2 = grid.coordinates()
     return SpectralField(grid, 0.5 * np.sin(2 * np.pi * (x1 - 3 * x2))
-                         * np.ones(grid.shape), PHYSICAL)
+                         * np.ones(grid.shape))
 
 
 def burgers_x2_flux():
@@ -342,14 +342,14 @@ def burgers_x2_flux():
 def jump_field(grid, lower, upper):
     x2 = grid.coord_axis(1)
     vals = np.where(x2 < 0.5, lower, upper)[None, :] * np.ones(grid.n_per_axis)
-    return SpectralField(grid, vals, PHYSICAL)
+    return SpectralField(grid, vals)
 
 
 class TestEntropyResidual:
     def test_constant_solution_vanishes(self):
         g = SpectralGrid((64, 64), (1.0, 1.0))
         flux = flux_from_name("linear-transport", d=2, velocity=(3.0, 1.0))
-        u = SpectralField(g, np.full(g.shape, 0.3), PHYSICAL)
+        u = SpectralField(g, np.full(g.shape, 0.3))
         phi = spline_test_function(g, (0.25, 0.25), (0.125, 0.125))
         r = entropy_residual(u, 0.1, flux, phi)
         assert abs(r) <= 1e-12

@@ -23,8 +23,6 @@ from hpm.multiplier import (
     symbol_from_name,
 )
 from hpm.spectral import (
-    FREQUENCY,
-    PHYSICAL,
     SpectralBand,
     SpectralField,
     SpectralGrid,
@@ -59,7 +57,7 @@ class TestFractionalDerivative:
     def test_order_one_single_mode(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
         x1, _ = g.coordinates()
-        f = SpectralField(g, np.exp(2j * np.pi * x1) * np.ones(g.shape), PHYSICAL)
+        f = SpectralField(g, np.exp(2j * np.pi * x1) * np.ones(g.shape))
         out = fractional_derivative(f, 0, 1.0)
         expect = 2j * np.pi * f.values
         assert np.max(np.abs(out.values - expect)) <= 1e-10
@@ -67,7 +65,7 @@ class TestFractionalDerivative:
     def test_order_two_single_mode(self):
         g = SpectralGrid((16,), (1.0,))
         x = g.coord_axis(0)
-        f = SpectralField(g, np.exp(2j * np.pi * x), PHYSICAL)
+        f = SpectralField(g, np.exp(2j * np.pi * x))
         out = fractional_derivative(f, 0, 2.0)
         assert np.max(np.abs(out.values - (-4 * np.pi ** 2) * f.values)) <= 1e-10
 
@@ -89,13 +87,13 @@ class TestFractionalDerivative:
 
     def test_zero_mode_annihilated(self):
         g = SpectralGrid((8,), (1.0,))
-        f = SpectralField(g, np.full(8, 3.0 + 0j), PHYSICAL)
+        f = SpectralField(g, np.full(8, 3.0 + 0j))
         out = fractional_derivative(f, 0, 0.5)
         assert np.max(np.abs(out.values)) <= 1e-13
 
     def test_invalid_args(self):
         g = SpectralGrid((8,), (1.0,))
-        f = SpectralField(g, np.zeros(8), PHYSICAL)
+        f = SpectralField(g, np.zeros(8))
         with pytest.raises(DomainError):
             fractional_derivative(f, 3, 1.0)
         with pytest.raises(DomainError):
@@ -105,7 +103,7 @@ class TestFractionalDerivative:
 class TestProjectedSymbol:
     def test_one_removes_mean(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
-        f = SpectralField(g, rng(3).standard_normal(g.shape) + 2.0, PHYSICAL)
+        f = SpectralField(g, rng(3).standard_normal(g.shape) + 2.0)
         out = apply_projected_symbol(f, symbol_from_name("one", ISO2), ISO2)
         expect = f.values - np.mean(f.values)
         assert np.max(np.abs(out.values - expect)) <= 1e-12
@@ -113,8 +111,7 @@ class TestProjectedSymbol:
     def test_single_mode_scaling(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
         x1, x2 = g.coordinates()
-        f = SpectralField(g, np.exp(2j * np.pi * (3 * x1 + 2 * x2)) * np.ones(g.shape),
-                          PHYSICAL)
+        f = SpectralField(g, np.exp(2j * np.pi * (3 * x1 + 2 * x2)) * np.ones(g.shape))
         psi = symbol_from_name("coordinate:0", ISO2)
         out = apply_projected_symbol(f, psi, ISO2)
         factor = project_to_P(np.array([3.0, 2.0]), ISO2)[0]
@@ -125,7 +122,7 @@ class TestProjectedSymbol:
         # summation of the inverse transform on an 8x8 grid
         g = SpectralGrid((8, 8), (1.0, 1.0))
         vals = rng(4).standard_normal(g.shape)
-        f = SpectralField(g, vals, PHYSICAL)
+        f = SpectralField(g, vals)
         psi = symbol_from_name("one", ISO2)
         out = apply_projected_symbol(f, psi, ISO2)
         assert np.max(np.abs(out.values.imag)) <= 1e-12
@@ -184,7 +181,7 @@ class TestSmoothing:
         x1, x2 = g.coordinates()
         kappa = np.array([20.0, 9.0])
         f = SpectralField(g, np.exp(2j * np.pi * (kappa[0] * x1 + kappa[1] * x2))
-                          * np.ones(g.shape), PHYSICAL)
+                          * np.ones(g.shape))
         out = smoothing_inverse(f, ISO2, cutoff_radius=4.0)
         expect = f.values / quasi_norm(kappa, ISO2)
         assert np.max(np.abs(out.values - expect)) <= 1e-12
@@ -417,13 +414,13 @@ class TestBandOperators:
     def test_field_matches_lattice(self, op):
         apply, symbol = self.operations()[op]
         f = SpectralField(self.GRID, rng(22).standard_normal(self.GRID.shape)
-                          + 1j * rng(23).standard_normal(self.GRID.shape), PHYSICAL)
+                          + 1j * rng(23).standard_normal(self.GRID.shape))
         got = apply(f)
-        assert got.space == PHYSICAL
+        assert isinstance(got, SpectralField)
         want = lattice_operator(f, symbol).values
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
         spectrum = apply(forward_dft(f))
-        assert spectrum.space == FREQUENCY
+        assert isinstance(spectrum, SpectralBand)
         assert np.array_equal(inverse_dft(spectrum).values, got.values)
 
     def test_box_symbol_is_the_lattice_symbol_on_the_box(self):

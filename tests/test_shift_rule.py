@@ -1,7 +1,7 @@
 """The oscillation sequence's cell spectra by the shift rule against the
 transform of each snapshot, F(hat_c u_n) cell by cell, with the envelope
-given as a physical field and as its band; the checks on kappa(n) they
-share; and scalar_hmeasure's pairs and symbols."""
+given as a physical field and as its band, and the checks on kappa(n)
+they share."""
 
 import math
 
@@ -20,7 +20,6 @@ from hpm.hmeasure import (
     oscillation_sequence,
     scalar_hmeasure,
 )
-from hpm.multiplier import symbol_from_name
 from hpm.spectral import SpectralGrid, band_limited_field, band_limited_spectrum
 
 
@@ -187,17 +186,3 @@ def test_frequency_beyond_the_float_range_raises(alpha, c):
     seq = OscillationSequence(profile, c, envelope(grid, 1, 0.25))
     with pytest.raises(DomainError, match="not finite at n=4"):
         scalar_hmeasure(seq, profile, grid, (4, 6, 8), 2, 4)
-
-
-# --- pairs and symbols -----------------------------------------------------------
-
-@pytest.mark.parametrize("given", ["pairs", "symbols"])
-def test_pairs_without_symbols_or_symbols_without_pairs_raise(given):
-    grid = SpectralGrid((16, 16), (1.0, 1.0))
-    profile = AnisotropyProfile((1.0, 1.0))
-    seq = OscillationSequence(profile, (1.0, 0.0), envelope(grid, 1, 0.25))
-    forms = {"pairs": {"a": (1.0, 1.0)},
-             "symbols": {"one": symbol_from_name("one", profile)}}
-    with pytest.raises(DomainError, match="pairs and symbols"):
-        scalar_hmeasure(seq, profile, grid, (4, 6, 8), 2, 4,
-                        **{given: forms[given]})

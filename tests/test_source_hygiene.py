@@ -30,3 +30,8 @@ def test_every_imported_name_is_used(path):
     unused = [f"{path.name}:{line}: {name}" for name, line in imported.items()
               if name not in used]
     assert not unused, unused
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hpm.__all__ if not hasattr(hpm, name)]
+    assert not missing, missing

@@ -1,8 +1,10 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from hpm.anisotropy import AnisotropyProfile
 from hpm.errors import (
     DomainError,
     FieldCorruptionError,
@@ -10,18 +12,22 @@ from hpm.errors import (
     SpaceTagError,
 )
 from hpm.spectral import (
-    FREQUENCY,
-    PHYSICAL,
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     band_limited_field,
     dft_axis,
     forward_dft,
     inverse_dft,
+    oscillated_spectrum,
     read_field,
+    real_part_spectrum,
     subtract_spatial_mean,
     write_field,
 )
+from hpm.hmeasure import bilinear_form, oscillation_sequence
+from hpm.kinetic import entropy_residual
+from hpm.multiplier import symbol_from_name
 
 
 def rng(key=0):
@@ -31,7 +37,7 @@ def rng(key=0):
 def random_field(grid, key=0):
     r = rng(key)
     vals = r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape)
-    return SpectralField(grid, vals, PHYSICAL)
+    return SpectralField(grid, vals)
 
 
 class TestGrid:
@@ -64,7 +70,7 @@ class TestGrid:
 class TestTransforms:
     def test_dc_mode(self):
         g = SpectralGrid((8, 8), (1.0, 1.0))
-        f = SpectralField(g, np.full(g.shape, 2.5 + 0j), PHYSICAL)
+        f = SpectralField(g, np.full(g.shape, 2.5 + 0j))
         F = forward_dft(f)
         assert abs(F.values[0, 0] - 2.5) <= 1e-12
         rest = np.abs(F.values).sum() - abs(F.values[0, 0])
@@ -73,7 +79,7 @@ class TestTransforms:
     def test_pure_mode_unit_mass(self):
         g = SpectralGrid((16,), (1.0,))
         x = g.coord_axis(0)
-        f = SpectralField(g, np.exp(2j * np.pi * 3 * x), PHYSICAL)
+        f = SpectralField(g, np.exp(2j * np.pi * 3 * x))
         F = forward_dft(f)
         assert abs(F.values[3] - 1.0) <= 1e-12
         assert np.sum(np.abs(F.values)) - abs(F.values[3]) <= 1e-12
@@ -104,7 +110,7 @@ class TestTransforms:
         g = SpectralGrid((16,), (1.0,))
         spec = np.zeros(16, dtype=complex)
         spec[5] = 1.0
-        f = inverse_dft(SpectralField(g, spec, FREQUENCY))
+        f = inverse_dft(SpectralBand.full(g, spec))
         x = g.coord_axis(0)
         # oracle: pointwise evaluation of e^{2 pi i k x}
         expect = np.exp(2j * np.pi * 5 * x)
@@ -114,7 +120,7 @@ class TestTransforms:
         g = SpectralGrid((8, 8), (1.0, 1.0))
         spec = np.zeros(g.shape, dtype=complex)
         spec[0, 0] = 1.0
-        f = inverse_dft(SpectralField(g, spec, FREQUENCY))
+        f = inverse_dft(SpectralBand.full(g, spec))
         assert np.max(np.abs(f.values - 1.0)) <= 1e-12
 
     def test_linearity(self):
@@ -127,7 +133,7 @@ class TestTransforms:
     def test_conjugate_symmetry_real_field(self):
         g = SpectralGrid((8, 8), (1.0, 1.0))
         vals = rng(4).standard_normal(g.shape)
-        F = forward_dft(SpectralField(g, vals, PHYSICAL)).values
+        F = forward_dft(SpectralField(g, vals)).values
         for i in range(8):
             for j in range(8):
                 assert abs(F[i, j] - np.conj(F[-i % 8, -j % 8])) <= 1e-12 * np.max(np.abs(F))
@@ -169,6 +175,43 @@ class TestTransforms:
         assert np.max(np.abs(np.mean(z.values, axis=0))) <= 1e-13
 
 
+ISO = AnisotropyProfile((1.0, 1.0))
+# every function that takes physical samples, and every one that takes a
+# spectrum; the other arguments are never reached
+FIELD_FUNCTIONS = {
+    "forward_dft": forward_dft,
+    "subtract_spatial_mean": subtract_spatial_mean,
+    "write_field": lambda f: write_field(f, os.devnull),
+    "bilinear_form": lambda f: bilinear_form(f, 1.0, 1.0, symbol_from_name("one", ISO), ISO),
+    "oscillation_sequence": lambda f: oscillation_sequence(ISO, (1.0, 0.0), f, 4),
+    "entropy_residual": lambda f: entropy_residual(f, 0.0, None, None),
+}
+BAND_FUNCTIONS = {
+    "inverse_dft": inverse_dft,
+    "real_part_spectrum": real_part_spectrum,
+    "oscillated_spectrum": lambda F: oscillated_spectrum(F, 1, 0),
+}
+
+
+class TestTypeChecks:
+    """A full-grid band has a field's shape, so the functions check which
+    of the two they were given."""
+
+    @pytest.mark.parametrize("name", FIELD_FUNCTIONS)
+    def test_field_functions_reject_a_full_grid_band(self, name):
+        g = SpectralGrid((8, 8), (1.0, 1.0))
+        band = forward_dft(random_field(g))
+        assert band.values.shape == g.shape
+        with pytest.raises(SpaceTagError, match="expected a SpectralField, got SpectralBand"):
+            FIELD_FUNCTIONS[name](band)
+
+    @pytest.mark.parametrize("name", BAND_FUNCTIONS)
+    def test_band_functions_reject_a_field(self, name):
+        f = random_field(SpectralGrid((8, 8), (1.0, 1.0)))
+        with pytest.raises(SpaceTagError, match="expected a SpectralBand, got SpectralField"):
+            BAND_FUNCTIONS[name](f)
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         g = SpectralGrid((8, 4), (1.0, 2.0), n_velocity=(3,), velocity_length=(1.0,))
@@ -176,7 +219,7 @@ class TestSerialization:
         path = tmp_path / "f.fld"
         write_field(f, path)
         back = read_field(path)
-        assert back.space == f.space
+        assert isinstance(back, SpectralField)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
 
@@ -189,7 +232,7 @@ class TestSerialization:
         path = tmp_path / "f.fld"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            write_field(SpectralField(g, vals, PHYSICAL), path)
+            write_field(SpectralField(g, vals), path)
             back = read_field(path).values
         assert np.array_equal(back.view(np.uint64), vals.view(np.uint64))
 
@@ -220,7 +263,7 @@ class TestSerialization:
         """A valid one-sample field whose header line is padded with
         spaces to header_bytes bytes, not counting the newline."""
         g = SpectralGrid((4,), (1.0,))
-        write_field(SpectralField(g, np.arange(4.0), PHYSICAL), path)
+        write_field(SpectralField(g, np.arange(4.0)), path)
         magic, header, payload = path.read_bytes().split(b"\n", 2)
         header += b" " * (header_bytes - len(header))
         path.write_bytes(magic + b"\n" + header + b"\n" * newline + payload)
@@ -244,6 +287,33 @@ class TestSerialization:
             read_field(path)
 
 
+    # one key of a valid one-axis, 8-sample header replaced by raw JSON,
+    # or the whole header
+    FIELDS = {"d": "1", "m": "0", "n": "[8]", "L": "[1.0]", "space": '"physical"'}
+    BAD_VALUES = [
+        ("d", "true"), ("d", "1.0"), ("m", "false"), ("m", "null"),
+        ("n", "null"), ("n", '{"a": 8}'), ("n", '["8"]'), ("n", '"8"'),
+        ("n", "[8.0]"), ("n", "[true]"),
+        ("L", "[null]"), ("L", '"x"'), ("L", "[[1.0]]"), ("L", '["1.5"]'),
+        ("L", "[true]"), ("L", "[1e400]"), ("L", "[-1e400]"), ("L", "[NaN]"),
+        ("L", "[1" + "0" * 400 + "]"), ("space", '"frequency"'), ("space", "null"),
+        ("header", '"d m n L space"'), ("header", "8"),
+    ]
+
+    @pytest.mark.parametrize("key, value", [(None, None)] + BAD_VALUES,
+                             ids=["valid"] + [f"{k}={v[:12]}" for k, v in BAD_VALUES])
+    def test_header_value_types(self, tmp_path, key, value):
+        header = value if key == "header" else "{" + ", ".join(
+            f'"{k}": {value if k == key else v}' for k, v in self.FIELDS.items()) + "}"
+        path = tmp_path / "f.fld"
+        path.write_bytes(b"HPFLD1\n" + header.encode() + b"\n" + bytes(16 * 8))
+        if key is None:
+            assert read_field(path).grid == SpectralGrid((8,), (1.0,))
+            return
+        with pytest.raises(FieldFormatError):
+            read_field(path)
+
+
 class TestBandLimited:
     def test_zero_mean_and_determinism(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
@@ -257,7 +327,7 @@ class TestOwnership:
     def test_complex_array_is_shared_and_frozen(self):
         g = SpectralGrid((8, 4), (1.0, 1.0))
         vals = np.zeros(g.shape, dtype=np.complex128)
-        f = SpectralField(g, vals, PHYSICAL)
+        f = SpectralField(g, vals)
         assert np.shares_memory(f.values, vals)
         assert not vals.flags.writeable
         with pytest.raises(ValueError):
@@ -266,7 +336,7 @@ class TestOwnership:
     def test_other_dtypes_are_converted(self):
         g = SpectralGrid((8,), (1.0,))
         vals = np.arange(8.0)
-        f = SpectralField(g, vals, PHYSICAL)
+        f = SpectralField(g, vals)
         assert f.values.dtype == np.complex128
         assert not np.shares_memory(f.values, vals)
         assert vals.flags.writeable
