@@ -44,17 +44,16 @@ def _eval_coeff(coeff, x, p):
 
 
 def principal_symbol(x, xi, p, coeffs, profile: AnisotropyProfile):
-    """A(x, xi, p) = sum_k a_k(x, p) (2 pi i xi_k)^(alpha_k), the diagonal
-    case of mixed_symbol.
+    """A(x, xi, p) = sum_k a_k(x, p) (2 pi i xi_k)^(alpha_k), summed from
+    0 + 0j in axis order.
 
     coeffs is either a single callable (x, p) -> (..., d), evaluated once,
     or a sequence of d per-axis entries, each a callable (x, p) -> (...) or
     a constant; the result is vectorized over the leading axes of p."""
-    d = profile.d
-    return mixed_symbol(x, xi, p, [
-        (c, (0,) * k + (a,) + (0,) * (d - 1 - k))
-        for k, (c, a) in enumerate(zip(_axis_coeffs(coeffs, x, p, d),
-                                       profile.alpha))])
+    xi = np.asarray(xi, dtype=float)
+    return sum((ak * fractional_factor(xi[..., k], alpha) for k, (ak, alpha)
+                in enumerate(zip(_axis_coeffs(coeffs, x, p, profile.d),
+                                 profile.alpha))), 0.0 + 0.0j)
 
 
 def _axis_coeffs(coeffs, x, p, d: int) -> list:
@@ -65,20 +64,6 @@ def _axis_coeffs(coeffs, x, p, d: int) -> list:
     if len(coeffs) != d:
         raise DomainError("need one coefficient per spatial axis")
     return [_eval_coeff(c, x, p) for c in coeffs]
-
-
-def mixed_symbol(x, xi, p, terms) -> np.ndarray:
-    """General mixed-derivative symbol sum_j c_j(x, p) prod_k (2 pi i
-    xi_k)^(orders_jk); terms is a list of (coeff, orders) pairs."""
-    xi = np.asarray(xi, dtype=float)
-    total = 0.0 + 0.0j
-    for coeff, orders in terms:
-        factor = 1.0 + 0.0j
-        for k, o in enumerate(orders):
-            if o != 0:
-                factor = factor * fractional_factor(xi[..., k], o)
-        total = total + _eval_coeff(coeff, x, p) * factor
-    return total
 
 
 # --- non-degeneracy scan ------------------------------------------------------
@@ -160,8 +145,8 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
                     f"{ix}: {bad} of {np.size(ak)} values")
 
     def symbol_at(a, F):
-        # term by term from 0 + 0j in mixed_symbol's order, so |A| is bitwise
-        # that of principal_symbol; a constant a_k gives a (rows, 1) column
+        # term by term from 0 + 0j in axis order, as principal_symbol sums,
+        # so |A| matches it bit for bit; a constant a_k gives a (rows, 1) column
         return sum((ak * F[:, k, None] for k, ak in enumerate(a)), 0.0 + 0.0j)
 
     return _scan_measures(symbol_at, per_x, factors, eps_list,
@@ -284,7 +269,8 @@ def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
 def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
                        window, n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
-    of the ratios is the observable footprint of velocity averaging.  The
+    of the ratios is the observable footprint of velocity averaging; a
+    zero norm at n_min leaves them undefined, an IntegrityError.  The
     snapshots may be fields or bands; the average of a band is
     transformed back before the window is applied."""
     n_list = tuple(n_list)
@@ -299,5 +285,7 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
         norms.append(float(np.sqrt(
             np.sum(np.abs(avg.values[mask]) ** 2) * avg.grid.cell_volume)))
     base = norms[0]
-    ratios = tuple(v / base if base > 0 else 0.0 for v in norms)
-    return DecayTable(n_list, tuple(norms), ratios)
+    if base == 0:
+        raise IntegrityError(f"the windowed average at n_min = {n_list[0]} is 0: "
+                             f"the ratios r(n) = norm(n) / norm(n_min) are undefined")
+    return DecayTable(n_list, tuple(norms), tuple(v / base for v in norms))

@@ -293,9 +293,21 @@ def _cmd_project(grid, profile, params, rng, out: Path) -> None:
                [*pts.T, *project_to_P(pts, profile).T])
 
 
+# the params keys of each multiplier-apply operation, besides the shared
+# "operation" and "band_fraction"
+_OPERATION_KEYS = {"projected": {"symbol"}, "fractional": {"axis", "order"},
+                   "smoothing": {"cutoff_radius"}}
+
+
 def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
-    _check_keys(params, {"symbol", "operation", "axis", "order",
-                         "cutoff_radius", "band_fraction"}, "params")
+    op_keys = set().union(*_OPERATION_KEYS.values())
+    _check_keys(params, {"operation", "band_fraction"} | op_keys, "params")
+    op = params.get("operation", "projected")
+    if not isinstance(op, str) or op not in _OPERATION_KEYS:
+        raise ConfigError(f"unknown operation {op!r}")
+    stray = sorted(op_keys.intersection(params) - _OPERATION_KEYS[op])
+    if stray:
+        raise ConfigError(f"params {stray} do not apply to operation {op!r}")
     band_fraction = _param(params, "band_fraction", 0.25)
     try:
         band = spectral.band_limited_spectrum(grid, rng, band_fraction)
@@ -303,7 +315,6 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError(f"params.band_fraction: {exc}") from None
     # the operator acts on the band's box only, the norms are the bands'
     # (Plancherel), and only the output band is inverted
-    op = params.get("operation", "projected")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
         out_band = multiplier.apply_projected_symbol(band, psi, profile)
@@ -311,11 +322,9 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         out_band = multiplier.fractional_derivative(
             band, _param(params, "axis", 0, integer=True),
             _param(params, "order", 1.0))
-    elif op == "smoothing":
+    else:
         out_band = multiplier.smoothing_inverse(
             band, profile, _param(params, "cutoff_radius", 1.0))
-    else:
-        raise ConfigError(f"unknown operation {op!r}")
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
     _write_json(out / "norms.json", {"input_l2": _fmt(band.norm_l2()),
                                      "output_l2": _fmt(out_band.norm_l2())})
@@ -475,6 +484,9 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
                                   d=grid.d, velocity=velocity)
     if velocity is not None and flux.name != "linear-transport":
         raise ConfigError(f"params.velocity does not apply to flux {flux.name!r}")
+    if flux.d != grid.d:
+        raise ConfigError(f"params.flux {flux.name!r} is {flux.d}-d, "
+                          f"the grid is {grid.d}-d")
     lspec = params.get("lambda", {})
     _check_keys(lspec, {"min", "max", "points"}, "params.lambda")
     lo = _number(lspec.get("min", -1.0), "params.lambda.min")

@@ -542,7 +542,6 @@ class MatrixMeasure:
     errors: np.ndarray         # (N, N, C, B) real
     trace: np.ndarray          # (C, B) real, nonnegative up to tolerance
     marginal: np.ndarray       # (C,) real
-    cell_basis: CellBasis
 
     def check_integrity(self, diag_tol: float = 1e-10, cs_slack: float = 1e-9,
                         hermitian_tol: float = 1e-10) -> None:
@@ -606,7 +605,7 @@ def matrix_hmeasure(seq: Callable[[int], SpectralField], basis: np.ndarray,
     weights = 0.5 ** (np.arange(N) + 1)
     trace = np.einsum("i,iicb->cb", weights, entries).real
     marginal = trace.sum(axis=-1)
-    return MatrixMeasure(N, entries, errors, trace, marginal, cb)
+    return MatrixMeasure(N, entries, errors, trace, marginal)
 
 
 def cosine_velocity_basis(grid: SpectralGrid, size: int) -> np.ndarray:

@@ -40,7 +40,6 @@ class FluxPair:
     B: Callable
     dlam_f: Callable
     dlam_B: Callable
-    ellipticity_constant: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.l_split <= self.d:
@@ -129,12 +128,10 @@ def _mat(lam, d, entries):
     return out
 
 
-def flux_from_name(name: str, d: int = 2, velocity=None,
-                   tables: dict | None = None) -> FluxPair:
-    """Registry: "burgers-heat" (f = (lam^2/2, 0), B_22 = lam),
-    "linear-transport" (f = velocity * lam, B = 0) and "custom-tabulated"
-    (piecewise-linear interpolation of tabulated f, B, dlam_f, dlam_B on a
-    lambda grid)."""
+def flux_from_name(name: str, d: int = 2, velocity=None) -> FluxPair:
+    """Registry: "burgers-heat" (d = 2, f = (lam^2/2, 0), B_22 = lam) and
+    "linear-transport" (f = velocity * lam, B = 0, velocity a d-vector,
+    all ones by default)."""
     if name == "burgers-heat":
         return FluxPair(
             name, 2, 1,
@@ -154,27 +151,6 @@ def flux_from_name(name: str, d: int = 2, velocity=None,
             dlam_f=lambda x, lam: np.broadcast_to(v, np.shape(lam) + (d,)).copy(),
             dlam_B=lambda x, lam: np.zeros(np.shape(lam) + (d, d)),
         )
-    if name == "custom-tabulated":
-        if not tables:
-            raise DomainError("custom-tabulated flux needs tables")
-        lg = np.asarray(tables["lambda_grid"], dtype=float)
-        def interp(tab):
-            tab = np.asarray(tab, dtype=float)
-            def ev(x, lam):
-                lam = np.asarray(lam, dtype=float)
-                flat = lam.ravel()
-                out = np.empty(flat.shape + tab.shape[1:])
-                it = np.ndindex(tab.shape[1:])
-                for idx in it:
-                    out[(slice(None),) + idx] = np.interp(
-                        flat, lg, tab[(slice(None),) + idx])
-                return out.reshape(lam.shape + tab.shape[1:])
-            return ev
-        l_split = int(tables["l_split"])
-        dd = np.asarray(tables["f"]).shape[1]
-        return FluxPair(name, dd, l_split, f=interp(tables["f"]),
-                        B=interp(tables["B"]), dlam_f=interp(tables["dlam_f"]),
-                        dlam_B=interp(tables["dlam_B"]))
     raise DomainError(f"unknown flux name {name!r}")
 
 
@@ -369,32 +345,27 @@ def spline_test_function(grid: SpectralGrid, left, knot_width) -> KineticTestFun
 
 
 def entropy_residual(u: SpectralField, lam: float, flux: FluxPair,
-                     phi: KineticTestFunction,
-                     psi_src: np.ndarray | None = None,
-                     gamma_reg: np.ndarray | None = None,
-                     gamma_sing_mass: np.ndarray | None = None) -> float:
+                     phi: KineticTestFunction) -> float:
     """Weak Kruzhkov pairing at entropy level lambda:
 
         int sgn(u - lam)(f(., u) - f(., lam)) . (-grad phi)
-          - sgn(u - lam)(B(., u) - B(., lam)) : hess phi
-          + [sgn(u - lam)(gamma_reg + psi_src) - |gamma_sing|] phi  dx.
+          - sgn(u - lam)(B(., u) - B(., lam)) : hess phi  dx,
 
+    for the law without sources, against a nonnegative phi (a diffusive
+    flux needs phi's hessian).
     Nonpositive up to O(h) for entropy-admissible inputs; genuinely
     positive for anti-entropy shocks."""
     require(u, SpectralField)
     grid = u.grid
     if grid.m != 0:
         raise DomainError("entropy residual expects a scalar x-field")
-    vals = np.asarray(phi.values, dtype=float)
-    if np.min(vals) < 0:
+    if np.min(np.asarray(phi.values, dtype=float)) < 0:
         raise DomainError("test function must be nonnegative")
     uv = np.asarray(u.values).real
     s = np.sign(uv - lam)
     x = None
     fu = np.asarray(flux.f(x, uv))
     fl = np.asarray(flux.f(x, np.full_like(uv, lam)))
-    # the flux and diffusion terms pair against derivatives of phi; only
-    # the zero-order sources pair against phi itself
     total = -np.einsum("...k,...k->...", s[..., None] * (fu - fl), phi.gradient)
     Bu = np.asarray(flux.B(x, uv))
     if np.max(np.abs(Bu)) > 0:
@@ -402,16 +373,4 @@ def entropy_residual(u: SpectralField, lam: float, flux: FluxPair,
             raise DomainError("diffusive flux needs the test function hessian")
         Bl = np.asarray(flux.B(x, np.full_like(uv, lam)))
         total = total - s * np.einsum("...jk,...jk->...", Bu - Bl, phi.hessian)
-    zero_order = np.zeros_like(uv)
-    if gamma_reg is not None:
-        zero_order = zero_order + np.asarray(gamma_reg)
-    if psi_src is not None:
-        zero_order = zero_order + np.asarray(psi_src)
-    total = total + s * zero_order * vals
-    res = float(np.sum(total).real * grid.cell_volume)
-    if gamma_sing_mass is not None:
-        mass = np.asarray(gamma_sing_mass, dtype=float)
-        if np.min(mass) < 0:
-            raise DomainError("singular masses must be nonnegative")
-        res -= float(np.sum(mass * vals))
-    return res
+    return float(np.sum(total).real * grid.cell_volume)

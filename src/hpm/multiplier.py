@@ -212,8 +212,7 @@ def smoothing_symbol_lattice(at, profile: AnisotropyProfile,
         raise DomainError("cutoff radius must be positive")
     qn = quasi_norm(at.frequency_vectors(), profile)
     one_minus_theta = smooth_ramp(2 * qn / cutoff_radius - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(qn > 0, one_minus_theta / np.where(qn > 0, qn, 1.0), 0.0)
+    sym = np.where(qn > 0, one_minus_theta / np.where(qn > 0, qn, 1.0), 0.0)
     return sym.astype(complex)
 
 

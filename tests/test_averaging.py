@@ -5,7 +5,6 @@ from hpm.anisotropy import AnisotropyProfile, mesh_P
 from hpm.averaging import (
     DecayTable,
     compactness_metric,
-    mixed_symbol,
     nondegeneracy_scan,
     principal_symbol,
     transport_evolve,
@@ -69,10 +68,6 @@ class TestPrincipalSymbol:
     def test_wrong_coefficient_count(self):
         with pytest.raises(DomainError):
             principal_symbol(0.0, np.array([1.0, 1.0]), 0.0, [1.0], ISO2)
-
-    def test_mixed_symbol_cross_term(self):
-        v = mixed_symbol(0.0, np.array([1.0, 1.0]), 0.0, [(1.0, (1, 1))])
-        assert abs(v - (2j * np.pi) ** 2) <= 1e-12
 
 
 class TestNonDegeneracyScan:
@@ -237,6 +232,14 @@ class TestCompactness:
         tab2 = compactness_metric(seq_dg, compact_bump, window, n_list)
         assert all(abs(r - 1.0) <= 1e-10 for r in tab2.ratios)
 
+    def test_zero_norm_at_n_min_is_an_integrity_failure(self):
+        # a zero weight averages every snapshot to 0: the ratios are 0/0
+        g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
+                         velocity_length=(1.0,))
+        seq = self._oscillating_seq(g)
+        with pytest.raises(IntegrityError, match=r"n_min = 2 is 0"):
+            compactness_metric(seq, np.zeros(8), ((0.0, 1.0), (0.0, 1.0)), (2, 4))
+
     def test_window_validation(self):
         g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
                          velocity_length=(1.0,))
@@ -256,12 +259,11 @@ class TestPrincipalIsDiagonalMixed:
             calls.append(1)
             return np.stack([np.ones_like(q), q], axis=-1)
 
-        xi = np.array([2.0, -3.0])
-        v = principal_symbol(0.0, xi, p, coeffs, MIX2)
+        v = principal_symbol(0.0, np.array([2.0, -3.0]), p, coeffs, MIX2)
         assert len(calls) == 1
-        a = coeffs(0.0, p)
-        w = mixed_symbol(0.0, xi, p, [(a[..., 0], (1.0, 0)), (a[..., 1], (0, 2.0))])
-        assert np.array_equal(v, w)
+        # [DERIVED] alpha = (1, 2), a = (1, p): 2 pi i 2 + p (2 pi i (-3))^2
+        expect = 2j * np.pi * 2 - 4 * np.pi ** 2 * 9 * p
+        assert np.max(np.abs(v - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestNonFiniteCoefficients:

@@ -208,6 +208,16 @@ class TestErrorHandling:
         assert run_cli("averaging", cfg_path, tmp_path / "out") == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_zero_average_exits_3(self, tmp_path, capsys):
+        # rho = 0: every norm is 0, so no ratio to n_min is defined
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        cfg = dict(cfg, params=dict(cfg["params"], rho="0"))
+        out = tmp_path / "out"
+        assert run_cli("averaging", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: ") and "n_min = 2" in err
+        assert not out.exists()
+
     def test_seed_outside_philox_keys_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(seed=-1))
         assert run_cli("project", cfg_path, tmp_path / "out") == 2
@@ -359,6 +369,25 @@ class TestParamsLeafContract:
     VALUES = [1e308, -1e308, 5e-324, 10 ** 30, -(10 ** 30), -1, 0, "x", True,
               None, [], [1.0]]
 
+    @staticmethod
+    def _check_leaf(tmp_path, capsys, base, path, value, tag):
+        cfg = json.loads(json.dumps(base))
+        node = cfg["params"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out = tmp_path / f"out-{tag}"
+        where = f"params{list(path)} = {value!r}"
+        try:
+            code = run_cli(cfg["command"],
+                           write_config(tmp_path, cfg, f"{tag}.json"), out)
+        except BaseException as exc:  # noqa: BLE001 - the contract is no escape
+            pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), where
+        assert err.count("\n") <= 1 and "Traceback" not in err, (where, err)
+        assert out.exists() == (code == 0), where
+
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_every_leaf_exits_0_2_or_3_cleanly(self, tmp_path, capsys, name):
         base = self.BASES[name]
@@ -366,22 +395,24 @@ class TestParamsLeafContract:
                        tmp_path / "base") == 0
         for i, path in enumerate(leaf_paths(base["params"])):
             for j, value in enumerate(self.VALUES):
-                cfg = json.loads(json.dumps(base))
-                node = cfg["params"]
-                for key in path[:-1]:
-                    node = node[key]
-                node[path[-1]] = value
-                out = tmp_path / f"out-{i}-{j}"
-                where = f"params{list(path)} = {value!r}"
-                try:
-                    code = run_cli(cfg["command"],
-                                   write_config(tmp_path, cfg, f"{i}-{j}.json"), out)
-                except BaseException as exc:  # noqa: BLE001 - the contract is no escape
-                    pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
-                err = capsys.readouterr().err
-                assert code in (0, 2, 3), where
-                assert err.count("\n") <= 1 and "Traceback" not in err, (where, err)
-                assert out.exists() == (code == 0), where
+                self._check_leaf(tmp_path, capsys, base, path, value, f"{i}-{j}")
+
+    # the same contract for one leaf of one base at a time, replaced by a
+    # drawn value: a float of any magnitude (subnormal, NaN and infinite
+    # included), an integer up to 10^40 in size, text, a boolean, null or
+    # a nested list of these
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_drawn_leaf_values_exit_0_2_or_3_cleanly(self, capsys, data):
+        base = self.BASES[data.draw(st.sampled_from(sorted(self.BASES)))]
+        path = data.draw(st.sampled_from(list(leaf_paths(base["params"]))))
+        value = data.draw(st.recursive(
+            st.one_of(_WIDE_FLOATS, st.floats(), st.integers(-10 ** 40, 10 ** 40),
+                      st.text(max_size=8), st.booleans(), st.none()),
+            lambda children: st.lists(children, max_size=3), max_leaves=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check_leaf(Path(tmp), capsys, base, path, value, "drawn")
 
 
 class TestFailedRunLeavesNoOutput:
@@ -478,6 +509,18 @@ class TestMalformedParams:
     MULTIPLIER_CHECK_12 = base_config(
         "multiplier-check", profile={"alpha": [1.0, 2.0]},
         params={"symbol": "coordinate:1", "shells": 3, "samples_per_shell": 8})
+    KINETIC_3D = base_config(
+        "kinetic", grid={"n": [8, 8, 8], "L": [1.0, 1.0, 1.0]},
+        profile={"alpha": [1.0, 1.0, 1.0]},
+        params={"flux": "linear-transport", "lambda": {"points": 16},
+                "resolution": 8})
+
+    def test_flux_of_the_grid_dimension_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("kinetic", write_config(tmp_path, self.KINETIC_3D), out) == 0
+        # a hyperbolic flux: no parabolic block to certify
+        assert json.loads((out / "kinetic.json").read_text())["validation"][
+            "ellipticity"] is None
 
     @pytest.mark.parametrize("command, params, needle", [
         ("kinetic", {"resolution": 0}, "resolution"),
@@ -551,11 +594,23 @@ class TestMalformedParams:
         # (2 * 178 + 4 shells of 2 * 200000 rows) would exceed the bound
         ("multiplier-check-12", {"shells": 178, "samples_per_shell": 200000},
          "params.samples_per_shell"),
+        # a flux the registry does not hold, or one of another dimension
+        ("kinetic", {"flux": "custom-tabulated"}, "unknown flux name 'custom-tabulated'"),
+        ("kinetic-3d", {"flux": "burgers-heat"}, "params.flux 'burgers-heat' is 2-d"),
+        # keys of another multiplier-apply operation, and operation names
+        # that are not strings
+        ("multiplier-apply", {"operation": "fractional", "symbol": "no-such-symbol",
+                              "cutoff_radius": -5}, "['cutoff_radius', 'symbol']"),
+        ("multiplier-apply", {"axis": 1, "order": 0.5}, "['axis', 'order']"),
+        ("multiplier-apply", {"operation": "smoothing"}, "['symbol']"),
+        ("multiplier-apply", {"operation": []}, "unknown operation []"),
+        ("multiplier-apply", {"operation": {"a": 1}}, "unknown operation"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
         cfg = {**self.CONFIGS, "hmeasure-3d": self.HMEASURE_3D,
-               "multiplier-check-12": self.MULTIPLIER_CHECK_12}[command]
+               "multiplier-check-12": self.MULTIPLIER_CHECK_12,
+               "kinetic-3d": self.KINETIC_3D}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):

@@ -3,25 +3,20 @@
 import numpy as np
 import pytest
 
-from hpm.anisotropy import AnisotropyProfile
 from hpm.errors import IntegrityError
-from hpm.hmeasure import MatrixMeasure, make_cell_basis
+from hpm.hmeasure import MatrixMeasure
 from hpm.kinetic import FluxPair, validate_flux
-from hpm.spectral import SpectralGrid
-
-ISO2 = AnisotropyProfile((1.0, 1.0))
 
 
 def measure(x_cells=2, p_cells=4):
     """A consistent rank-one 2x2 matrix measure, c c^* per cell."""
-    cb = make_cell_basis(SpectralGrid((8, 8), (1.0, 1.0)), ISO2, x_cells, p_cells)
     C, B = x_cells ** 2, p_cells
     mass = np.linspace(1.0, 2.0, C * B).reshape(C, B)
     c = np.array([1.0, 0.5j])
     entries = (c[:, None, None, None] * np.conj(c)[None, :, None, None]) * mass
     trace = 0.5 * entries[0, 0].real + 0.25 * entries[1, 1].real
     return MatrixMeasure(2, entries, np.zeros(entries.shape), trace,
-                         trace.sum(axis=-1), cb)
+                         trace.sum(axis=-1))
 
 
 class TestMatrixMeasure:

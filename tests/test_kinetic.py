@@ -77,33 +77,9 @@ class TestFluxRegistry:
         with pytest.raises(DomainError):
             flux_from_name("linear-transport", d=2, velocity=(1.0,))
 
-    def test_custom_tabulated_interpolates(self):
-        lg = np.linspace(-1, 1, 9)
-        ref = flux_from_name("burgers-heat")
-        tables = {
-            "lambda_grid": lg,
-            "l_split": 1,
-            "f": np.asarray(ref.f(None, lg)),
-            "B": np.asarray(ref.B(None, lg)),
-            "dlam_f": np.asarray(ref.dlam_f(None, lg)),
-            "dlam_B": np.asarray(ref.dlam_B(None, lg)),
-        }
-        flux = flux_from_name("custom-tabulated", tables=tables)
-        # B is linear in lambda, so interpolation is exact off-grid
-        lam = np.array([0.37])
-        assert abs(np.asarray(flux.B(None, lam))[0, 1, 1] - 0.37) <= 1e-12
-        # f is quadratic: the chord value at the midpoint of a cell
-        mid = (lg[4] + lg[5]) / 2
-        chord = (lg[4] ** 2 / 2 + lg[5] ** 2 / 2) / 2
-        assert abs(np.asarray(flux.f(None, np.array([mid])))[0, 0] - chord) <= 1e-12
-
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             flux_from_name("nope")
-
-    def test_missing_tables(self):
-        with pytest.raises(DomainError):
-            flux_from_name("custom-tabulated")
 
 
 class TestFluxPairConstruction:
@@ -411,11 +387,3 @@ class TestEntropyResidual:
         phi = spline_test_function(g, (0.25, 0.25), (0.125, 0.125))
         with pytest.raises(DomainError):
             entropy_residual(u, 0.0, flux_from_name("burgers-heat"), phi)
-
-    def test_negative_singular_mass_rejected(self):
-        g = SpectralGrid((32, 32), (1.0, 1.0))
-        u = jump_field(g, -0.5, 0.5)
-        phi = bump_test_function(g, (0.5, 0.5), (0.2, 0.2))
-        with pytest.raises(DomainError):
-            entropy_residual(u, 0.0, burgers_x2_flux(), phi,
-                             gamma_sing_mass=np.full(g.n_per_axis, -1.0))

@@ -15,7 +15,13 @@ from hpm.anisotropy import (
     project_to_P,
 )
 from hpm.averaging import _scan_measures, nondegeneracy_scan, principal_symbol
-from hpm.kinetic import UPManifold, flux_from_name, up_nondegeneracy_scan, up_symbol
+from hpm.kinetic import (
+    FluxPair,
+    UPManifold,
+    flux_from_name,
+    up_nondegeneracy_scan,
+    up_symbol,
+)
 from hpm.multiplier import _shell_samples
 
 PROFILES = {1: AnisotropyProfile((1.0,)),
@@ -180,25 +186,36 @@ def up_scan_per_point(flux, manifold, lam, eps_list, resolution):
                              for xi in manifold.mesh(resolution)]])
 
 
-def tabulated_flux(d, l_split):
+def quadratic_flux(d, l_split):
+    """f = lam f1 + lam^2/2 f2 and B = lam^2/2 B1, with B1 a random symmetric
+    matrix that is zero off the parabolic block: the symbol depends on lam
+    and has a diffusive part."""
     r = np.random.default_rng(17)
-    lg = np.linspace(-1.0, 1.0, 9)
-    B = r.standard_normal((9, d, d))
-    B = B + np.swapaxes(B, 1, 2)
-    B[:, :l_split] = 0.0
-    B[:, :, :l_split] = 0.0
-    return flux_from_name("custom-tabulated", tables={
-        "lambda_grid": lg, "l_split": l_split, "f": r.standard_normal((9, d)),
-        "B": B, "dlam_f": r.standard_normal((9, d)),
-        "dlam_B": r.standard_normal((9, d, d))})
+    f1, f2 = r.standard_normal((2, d))
+    B1 = r.standard_normal((d, d))
+    B1 = B1 + B1.T
+    B1[:l_split] = 0.0
+    B1[:, :l_split] = 0.0
+
+    def poly(lam, *coefs):
+        """sum_k lam^k coefs[k], with lam.shape leading."""
+        lam = np.asarray(lam, dtype=float)[(...,) + (None,) * coefs[0].ndim]
+        return sum(lam ** k * c for k, c in enumerate(coefs))
+
+    zf, zB = np.zeros(d), np.zeros((d, d))
+    return FluxPair(f"quadratic-{d}d", d, l_split,
+                    f=lambda x, lam: poly(lam, zf, f1, f2 / 2),
+                    B=lambda x, lam: poly(lam, zB, zB, B1 / 2),
+                    dlam_f=lambda x, lam: poly(lam, f1, f2),
+                    dlam_B=lambda x, lam: poly(lam, zB, B1))
 
 
 class TestUpScan:
     @pytest.mark.parametrize("make", [
         lambda: flux_from_name("burgers-heat"),
         lambda: flux_from_name("linear-transport", d=2, velocity=(3.0, 1.0)),
-        lambda: tabulated_flux(2, 1),
-        lambda: tabulated_flux(3, 1),
+        lambda: quadratic_flux(2, 1),
+        lambda: quadratic_flux(3, 1),
     ])
     def test_measures_unchanged(self, monkeypatch, make):
         flux = make()

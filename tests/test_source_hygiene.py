@@ -35,3 +35,51 @@ def test_every_imported_name_is_used(path):
 def test_every_exported_name_resolves():
     missing = [name for name in hpm.__all__ if not hasattr(hpm, name)]
     assert not missing, missing
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter, position or None) of every parameter with
+    a default of a module-level function or of a method of a module-level
+    class; the position counts the arguments of a call, so a method's self
+    or cls is dropped.  Nested functions, such as closures that bind values
+    through defaults, are not visited."""
+    defs = [(node, False) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        defs += [(node, True) for node in cls.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn, method in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = 1 if method and not static else 0
+        for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                len(positional) - len(args.defaults)):
+            yield fn.name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each defaulted parameter of the package (see _defaulted_parameters)
+    is passed, by keyword or by position, by some call in the package or
+    the tests of a function of that name: a default that no call
+    overrides is an option that does nothing."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES + TESTS}
+    passed = set()  # (name, keyword) and (name, position) of every call
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            spread = any(kw.arg is None for kw in call.keywords)
+            if starred or spread:  # *args or **kwargs: any parameter may be passed
+                passed.add((name, "*"))
+            passed.update((name, kw.arg) for kw in call.keywords)
+            passed.update((name, i) for i in range(len(call.args)))
+    unpassed = [f"{path.name}: {fn}({param}=)"
+                for path in MODULES
+                for fn, param, pos in _defaulted_parameters(trees[path])
+                if not {(fn, param), (fn, pos), (fn, "*")} & passed]
+    assert not unpassed, unpassed
