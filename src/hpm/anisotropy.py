@@ -31,7 +31,11 @@ def compute_l(alpha, d: int) -> int:
         raise DomainError("alpha must be a non-empty vector")
     if np.any(alpha <= 0):
         raise DomainError("all derivative orders must be positive")
-    return int(math.floor(d / float(alpha.min()))) + 1
+    ratio = d / float(alpha.min())
+    if not math.isfinite(ratio):
+        raise DomainError(f"derivative order {float(alpha.min())!r} is too small: "
+                          f"d / alpha_k = {ratio!r} is not finite")
+    return int(math.floor(ratio)) + 1
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def fibre_point(xi_P, t, profile: AnisotropyProfile) -> np.ndarray:
         raise DomainError("fibre parameter t must be positive")
     xi_P = np.asarray(xi_P, dtype=float)
     ex = np.asarray(profile.exponents)
-    return xi_P * t[..., None] ** (1.0 / ex) if t.ndim else xi_P * t ** (1.0 / ex)
+    return xi_P * t[..., None] ** (1.0 / ex)
 
 
 def _sphere_mesh(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +122,8 @@ def _sphere_mesh(d: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"mesh resolution must be at least 8, got {resolution}")
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        ang = 2 * np.pi * np.arange(resolution) / resolution
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        w = np.full(resolution, 2 * np.pi / resolution)
-        return pts, w
-    # hyperspherical midpoint product grid: d-2 polar angles in (0, pi),
-    # one azimuthal angle in [0, 2 pi)
+    # hyperspherical midpoint product grid: d-2 polar angles in (0, pi)
+    # (none on the circle), one azimuthal angle in [0, 2 pi)
     polar = [(np.arange(resolution) + 0.5) * np.pi / resolution] * (d - 2)
     azim = 2 * np.pi * np.arange(resolution) / resolution
     grids = np.meshgrid(*polar, azim, indexing="ij")

@@ -19,18 +19,19 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import averaging, hmeasure, kinetic, multiplier, spectral
 from .anisotropy import AnisotropyProfile, constraint_sum, project_to_P
-from .errors import ConfigError, DomainError, HpmError, IntegrityError
+from .errors import ConfigError, DomainError, HpmError, IntegrityError, SupportWarning
 
 COMMANDS = ("project", "multiplier-apply", "multiplier-check", "hmeasure",
             "averaging", "nondegeneracy", "kinetic")
 
-_TOP_KEYS = {"command", "grid", "profile", "seed", "output_dir", "params"}
+_TOP_KEYS = {"command", "grid", "profile", "seed", "params"}
 _GRID_KEYS = {"n", "L", "n_p", "P_len"}
 
 _SAFE_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -539,8 +540,7 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
     profile = _build_profile(cfg["profile"])
     if profile.d != grid.d:
         raise ConfigError("profile.alpha length must match the grid dimension")
-    out = Path(out_dir or cfg.get("output_dir")
-               or os.environ.get("HPM_OUTPUT_DIR") or ".")
+    out = Path(out_dir or ".")
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     manifest = {
         "command": cfg["command"],
@@ -551,6 +551,16 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
         "seed": cfg["seed"],
         "params": cfg["params"],
     }
+    # the distinct messages of the SupportWarnings the filters show; every
+    # other warning goes on to its display
+    notes, display = {}, warnings.showwarning
+
+    def show(message, category, *rest, **kw):
+        if issubclass(category, SupportWarning):
+            notes[str(message)] = None
+        else:
+            display(message, category, *rest, **kw)
+
     home = out if out.is_dir() else out.parent
     home.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=home))
@@ -559,7 +569,8 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
         # one floating-point boundary: an overflow, invalid operation or
         # division by zero that no guard inside caught ends the run
         try:
-            with np.errstate(all="raise", under="ignore"):
+            with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+                warnings.showwarning = show
                 _RUNNERS[cfg["command"]](grid, profile, cfg["params"], rng, stage)
         except FloatingPointError as exc:
             raise IntegrityError(f"floating-point failure: {exc}") from None
@@ -568,6 +579,8 @@ def run(cfg: dict, out_dir: str | None = None) -> int:
             os.replace(path, out / path.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+    for note in notes:
+        print(f"hpm: warning: {note}", file=sys.stderr)
     return 0
 
 

@@ -30,9 +30,9 @@ given (require).  This is the only module that calls numpy.fft; besides
 the transforms of fields it offers dft_axis, the transform of a raw
 array along one axis, for callers that build a transform pass by pass.
 
-inverse_dft inverts a band in its output array, transforming only the
-rows its box selects, and norm_l2 gives a band's L2 norm, which by
-Plancherel is its inverse DFT's.  band_limited_spectrum draws a random
+inverse_dft inverts a band with numpy.fft.ifftn in place in its output
+array, and norm_l2 gives a band's L2 norm, which by Plancherel is its
+inverse DFT's.  band_limited_spectrum draws a random
 band-limited spectrum as a band (band_limited_field is its inverse DFT):
 it takes the normal stream of the full grid in chunks of at most
 _DRAW_CHUNK samples and keeps the box positions of each, so its memory
@@ -50,7 +50,6 @@ physical samples only (write_field, read_field).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -287,13 +286,9 @@ def dft_axis(a: np.ndarray, axis: int, length: float,
 
 def inverse_dft(F: SpectralBand) -> SpectralField:
     """Transform the spatial axes back to physical space.  The band is
-    placed on the grid in the output array itself and transformed there
-    in place, axis by axis from the last, as numpy.fft.ifftn goes.  Along
-    axis k only the rows that the box selects on the axes before k are
-    transformed, one view per run of consecutive box indices: those axes
-    are not yet transformed, so every other row is 0.  The result equals
-    numpy.fft.ifftn of F.scatter() bit for bit (a full-grid band is one
-    run per axis), and the output is the only full-grid array."""
+    placed on the grid in the output array itself and numpy.fft.ifftn
+    transforms it there in place, so the result equals numpy.fft.ifftn of
+    F.scatter() bit for bit and the output is the only full-grid array."""
     require(F, SpectralBand)
     g = F.grid
     scale = 1.0
@@ -301,13 +296,7 @@ def inverse_dft(F: SpectralBand) -> SpectralField:
         scale *= n / L
     out = np.zeros(g.shape, complex)
     out[np.ix_(*F.index)] = F.values
-    runs = [[slice(r[0], r[-1] + 1) for r in
-             np.split(i, np.flatnonzero(np.diff(i) != 1) + 1) if r.size]
-            for i in F.index]
-    for k in reversed(g.spatial_axes):
-        for rows in itertools.product(*runs[:k]):
-            view = out[rows]
-            np.fft.ifft(view, axis=k, out=view)
+    np.fft.ifftn(out, axes=g.spatial_axes, out=out)
     out *= scale
     return SpectralField(g, out)
 

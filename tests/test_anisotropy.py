@@ -41,6 +41,12 @@ class TestComputeL:
         with pytest.raises(DomainError):
             AnisotropyProfile((0.0, 1.0))
 
+    @pytest.mark.parametrize("tiny", [1e-308, 5e-324])
+    def test_rejects_alpha_whose_l_overflows(self, tiny):
+        # d / alpha_k is infinite, so no integer l exists
+        with pytest.raises(DomainError, match=repr(tiny)):
+            compute_l([tiny, 1.0], 2)
+
 
 class TestQuasiNorm:
     def test_on_P_is_one(self):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hpm import cli
-from hpm.errors import ConfigError, IntegrityError
+from hpm.errors import ConfigError, IntegrityError, SupportWarning
 from hpm.spectral import SpectralGrid, band_limited_field, read_field
 
 # fuzzed velocity weights may touch the boundary of the velocity box, which
@@ -218,6 +218,23 @@ class TestErrorHandling:
         assert err.startswith("hpm: integrity failure: ") and "n_min = 2" in err
         assert not out.exists()
 
+    def test_output_dir_key_exits_2(self, tmp_path, capsys):
+        # --out (or the current directory) is the only output directory
+        cfg = base_config(output_dir=str(tmp_path / "elsewhere"))
+        assert run_cli("project", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "hpm: unknown keys in config: ['output_dir']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("tiny", [1e-308, 5e-324])
+    def test_alpha_too_small_for_l_exits_2(self, tmp_path, capsys, tiny):
+        # d / alpha_k overflows, so no integer l exists
+        cfg_path = write_config(tmp_path, base_config(profile={"alpha": [tiny, 1.0]}))
+        assert run_cli("project", cfg_path, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hpm: derivative order {tiny!r} is too small")
+        assert err.count("\n") == 1
+
     def test_seed_outside_philox_keys_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(seed=-1))
         assert run_cli("project", cfg_path, tmp_path / "out") == 2
@@ -236,6 +253,31 @@ class TestErrorHandling:
         cfg_path = write_config(tmp_path, base_config())
         assert run_cli("project", cfg_path, tmp_path / "out") == 3
         assert "integrity" in capsys.readouterr().err
+
+    # the module's filter ignores SupportWarnings; here the default shows them
+    @pytest.mark.filterwarnings("default::hpm.errors.SupportWarning")
+    def test_support_warnings_become_one_line_each(self, tmp_path, monkeypatch, capsys):
+        def warns(grid, profile, params, rng, out):
+            for message in ("edge", "edge", "face"):
+                warnings.warn(message, SupportWarning)
+            warnings.warn("other", UserWarning)
+        monkeypatch.setitem(cli._RUNNERS, "project", warns)
+        cfg_path = write_config(tmp_path, base_config())
+        # a warning of another category reaches Python's warning machinery
+        with pytest.warns(UserWarning, match="other") as caught:
+            assert run_cli("project", cfg_path, tmp_path / "out") == 0
+        assert not [w for w in caught if issubclass(w.category, SupportWarning)]
+        assert capsys.readouterr().err == "hpm: warning: edge\nhpm: warning: face\n"
+
+    @pytest.mark.filterwarnings("default::hpm.errors.SupportWarning")
+    def test_failed_run_prints_no_warning(self, tmp_path, monkeypatch, capsys):
+        def warns_then_fails(grid, profile, params, rng, out):
+            warnings.warn("edge", SupportWarning)
+            raise IntegrityError("synthetic failure")
+        monkeypatch.setitem(cli._RUNNERS, "project", warns_then_fails)
+        cfg_path = write_config(tmp_path, base_config())
+        assert run_cli("project", cfg_path, tmp_path / "out") == 3
+        assert capsys.readouterr().err == "hpm: integrity failure: synthetic failure\n"
 
 
 class TestHelpers:
@@ -259,12 +301,6 @@ class TestHelpers:
     def test_safe_expr_rejects_unknown_name(self):
         with pytest.raises(ConfigError):
             cli._safe_expr("q + 1", ["p"])
-
-    def test_output_dir_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HPM_OUTPUT_DIR", str(tmp_path / "envout"))
-        cfg_path = write_config(tmp_path, base_config())
-        assert cli.main(["project", "--config", cfg_path]) == 0
-        assert (tmp_path / "envout" / "manifest.json").exists()
 
 
 def row_writer(path, header, rows, sep):
@@ -332,10 +368,10 @@ def leaf_paths(obj, path=()):
 
 
 class TestParamsLeafContract:
-    """Every params leaf of a small config of each command, replaced by
-    one hostile value at a time: the run exits 0, 2 or 3, writes at most
-    one line to stderr and no traceback, and a failed run leaves no
-    output directory."""
+    """Every leaf of a small config of each command, replaced by one
+    hostile value at a time: the run exits 0, 2 or 3, writes at most one
+    line to stderr and no traceback, and a failed run leaves no output
+    directory."""
 
     BASES = {
         "project": base_config(),
@@ -372,14 +408,14 @@ class TestParamsLeafContract:
     @staticmethod
     def _check_leaf(tmp_path, capsys, base, path, value, tag):
         cfg = json.loads(json.dumps(base))
-        node = cfg["params"]
+        node = cfg
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
         out = tmp_path / f"out-{tag}"
-        where = f"params{list(path)} = {value!r}"
+        where = f"{list(path)} = {value!r}"
         try:
-            code = run_cli(cfg["command"],
+            code = run_cli(base["command"],
                            write_config(tmp_path, cfg, f"{tag}.json"), out)
         except BaseException as exc:  # noqa: BLE001 - the contract is no escape
             pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
@@ -393,7 +429,18 @@ class TestParamsLeafContract:
         base = self.BASES[name]
         assert run_cli(base["command"], write_config(tmp_path, base),
                        tmp_path / "base") == 0
-        for i, path in enumerate(leaf_paths(base["params"])):
+        for i, path in enumerate(leaf_paths(base["params"], ("params",))):
+            for j, value in enumerate(self.VALUES):
+                self._check_leaf(tmp_path, capsys, base, path, value, f"{i}-{j}")
+
+    # the same values in every leaf outside params: the grid, the profile,
+    # the seed and the command
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_every_other_leaf_exits_0_2_or_3_cleanly(self, tmp_path, capsys, name):
+        base = self.BASES[name]
+        paths = [p for p in leaf_paths(base) if p[0] != "params"]
+        assert {p[0] for p in paths} == {"command", "grid", "profile", "seed"}
+        for i, path in enumerate(paths):
             for j, value in enumerate(self.VALUES):
                 self._check_leaf(tmp_path, capsys, base, path, value, f"{i}-{j}")
 
@@ -406,7 +453,7 @@ class TestParamsLeafContract:
     @given(data=st.data())
     def test_drawn_leaf_values_exit_0_2_or_3_cleanly(self, capsys, data):
         base = self.BASES[data.draw(st.sampled_from(sorted(self.BASES)))]
-        path = data.draw(st.sampled_from(list(leaf_paths(base["params"]))))
+        path = data.draw(st.sampled_from(list(leaf_paths(base["params"], ("params",)))))
         value = data.draw(st.recursive(
             st.one_of(_WIDE_FLOATS, st.floats(), st.integers(-10 ** 40, 10 ** 40),
                       st.text(max_size=8), st.booleans(), st.none()),
@@ -941,3 +988,35 @@ class TestReadmeAveragingExample:
         assert err.startswith("hpm: integrity failure: transport phase")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestWarningLines:
+    """`python -m hpm.cli` in a fresh interpreter, whose default filters
+    show a SupportWarning: the averaging config with P_len = 2, where the
+    default weight cos(pi p1)^2 is 1 on the faces of the velocity box."""
+
+    def _run(self, tmp_path, P_len):
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        params = {k: v for k, v in cfg["params"].items() if k != "rho"}
+        cfg = dict(cfg, grid=dict(cfg["grid"], P_len=[P_len]), params=params)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run(
+            [sys.executable, "-m", "hpm.cli", "averaging", "--config",
+             write_config(tmp_path, cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+
+    def test_boundary_weight_warns_in_one_line(self, tmp_path):
+        proc = self._run(tmp_path, 2.0)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("hpm: warning: velocity weight touches the "
+                               "boundary of p-axis 0\n")
+
+    def test_failed_run_prints_its_error_line_alone(self, tmp_path):
+        # the weight warns, then every windowed average underflows to 0
+        proc = self._run(tmp_path, 5e-324)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("hpm: integrity failure: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -176,6 +176,73 @@ class TestValidateFlux:
         with pytest.raises(IntegrityError, match="Lipschitz estimate nan"):
             validate_flux(self.nan_above_half(True, False), [-1.0, 0.0, 1.0])
 
+    @staticmethod
+    def cubic_flux(d, l_split, seed):
+        """f = lam f1 + lam^2 f2 + lam^3 f3 and B = lam S + lam^3 T, with S
+        and T random, symmetric positive definite on the parabolic block and
+        zero off it, so B~ increases with lambda."""
+        r = rng(seed)
+        f1, f2, f3 = r.standard_normal((3, d))
+        S, T = np.zeros((2, d, d))
+        for M in (S, T):
+            A = r.standard_normal((d - l_split, d - l_split))
+            M[l_split:, l_split:] = A @ A.T + np.eye(d - l_split)
+
+        def f(x, lam):
+            lam = np.asarray(lam, dtype=float)[..., None]
+            return lam * f1 + lam ** 2 * f2 + lam ** 3 * f3
+
+        def B(x, lam):
+            lam = np.asarray(lam, dtype=float)[..., None, None]
+            return lam * S + lam ** 3 * T
+
+        zero = lambda x, lam: np.zeros(np.shape(lam) + (d,))
+        return FluxPair("cubic", d, l_split, f=f, B=B, dlam_f=zero,
+                        dlam_B=lambda x, lam: np.zeros(np.shape(lam) + (d, d)))
+
+    @staticmethod
+    def pairwise(flux, lams):
+        """The two constants from one f and B evaluation per sample of each
+        pair l1 > l2, the loop validate_flux replaced (kept as its oracle)."""
+        def at(g, lam):
+            return np.asarray(g(None, np.asarray([lam])))[0]
+
+        lams = sorted(lams)
+        pairs = [(l1, l2) for i, l2 in enumerate(lams) for l1 in lams[i + 1:]]
+        s = flux.l_split
+        dirs = rng(23).standard_normal((16, flux.d - s))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        c = min(float(np.min(np.einsum("ni,ij,nj->n", dirs,
+                                       (at(flux.B, l1) - at(flux.B, l2))[s:, s:], dirs)))
+                / (l1 - l2) for l1, l2 in pairs) if s < flux.d else None
+        lip = max(float(np.linalg.norm(at(flux.f, l1) - at(flux.f, l2))) / (l1 - l2)
+                  for l1, l2 in pairs)
+        return c, lip
+
+    @pytest.mark.parametrize("make", [
+        lambda: flux_from_name("burgers-heat"),
+        lambda: flux_from_name("linear-transport", d=3, velocity=(0.3, -1.7, 2.0)),
+        lambda: TestValidateFlux.cubic_flux(3, 1, 5),
+        lambda: TestValidateFlux.cubic_flux(4, 2, 6),
+        lambda: TestValidateFlux.cubic_flux(2, 0, 7),
+    ])
+    def test_equals_the_pairwise_loop_from_one_call_each(self, make):
+        flux = make()
+        calls = []
+        for name in ("f", "B"):
+            def counted(x, lam, g=getattr(flux, name), name=name):
+                calls.append(name)
+                return g(x, lam)
+            setattr(flux, name, counted)
+        r = rng(11)
+        for n, scale in [(2, 1.0), (3, 1e-3), (9, 1.0), (12, 1e3)]:
+            lams = list(r.standard_normal(n) * scale)
+            want = self.pairwise(flux, lams)
+            calls.clear()
+            rep = validate_flux(flux, lams)
+            assert sorted(calls) == (["B", "f"] if want[0] is not None else ["f"])
+            assert (rep.ellipticity_constant, rep.lipschitz_constant) == want
+
 
 class TestUPManifold:
     def test_mesh_on_manifold(self):

@@ -301,9 +301,9 @@ INVERSE_CASES = [(dm, bf) for dm in DRAW_GRIDS for bf in (0.1, *FRACTIONS)]
 
 
 class TestBandInverse:
-    """inverse_dft of a band transforms only the rows its box selects, in
-    place in its output, and equals numpy.fft.ifftn of the band scattered
-    onto the grid bit for bit (the sign of zero included)."""
+    """inverse_dft of a band runs numpy.fft.ifftn in place in its output,
+    so it equals numpy.fft.ifftn of the band scattered onto the grid bit
+    for bit (the sign of zero included)."""
 
     @pytest.mark.parametrize("dm,band_fraction", INVERSE_CASES,
                              ids=[f"d{d}-m{m}-band{bf}" for (d, m), bf in INVERSE_CASES])
