@@ -254,7 +254,10 @@ class DecayTable:
     ratios: tuple[float, ...]
 
 
-def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
+def window_mask(grid: SpectralGrid, window) -> np.ndarray:
+    """The grid samples x with lo_k <= x_k < hi_k on every axis for the
+    window [(lo_1, hi_1), ...], an ordered sub-box of the torus that holds
+    at least one sample; DomainError otherwise."""
     if len(window) != grid.d:
         raise DomainError("window needs one interval per spatial axis")
     mask = np.ones(grid.n_per_axis, dtype=bool)
@@ -263,6 +266,8 @@ def _window_mask(grid: SpectralGrid, window) -> np.ndarray:
         if not 0 <= lo < hi <= grid.length_per_axis[k]:
             raise DomainError("window must be an ordered sub-box of the torus")
         mask = mask & (xs[k] >= lo) & (xs[k] < hi)
+    if not mask.any():
+        raise DomainError(f"window {[list(w) for w in window]} holds no grid sample")
     return mask
 
 
@@ -281,9 +286,13 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
         avg = velocity_average(seq(n), rho)
         if isinstance(avg, SpectralBand):
             avg = inverse_dft(avg)
-        mask = _window_mask(avg.grid, window)
-        norms.append(float(np.sqrt(
-            np.sum(np.abs(avg.values[mask]) ** 2) * avg.grid.cell_volume)))
+        values = np.abs(avg.values[window_mask(avg.grid, window)])
+        # scaled by the power of two 2^-e of their maximum, which rounds
+        # nothing, so that no square of a tiny or huge weight leaves the
+        # float range
+        e = np.frexp(np.max(values))[1]
+        norm = np.sqrt(np.sum(np.ldexp(values, -e) ** 2) * avg.grid.cell_volume)
+        norms.append(float(np.ldexp(norm, e)))
     base = norms[0]
     if base == 0:
         raise IntegrityError(f"the windowed average at n_min = {n_list[0]} is 0: "

@@ -227,6 +227,21 @@ def _build_profile(spec: dict) -> AnisotropyProfile:
     return AnisotropyProfile(tuple(alpha))
 
 
+def _check_constraint_sum(profile: AnisotropyProfile, at) -> None:
+    """ConfigError naming profile.alpha when the constraint sum
+    sum_k |xi_k|^(l alpha_k) overflows on the frequencies of `at`, a
+    grid's lattice or a band's box, which the command projects onto P.
+    The sum grows in every |xi_k|, so it is largest at the corner of the
+    largest |xi_k| of each axis."""
+    corner = [float(np.max(np.abs(f))) for f in at.frequencies()]
+    with np.errstate(over="ignore"):
+        total = float(constraint_sum(np.array(corner), profile))
+    if not math.isfinite(total):
+        raise ConfigError(
+            f"profile.alpha = {list(profile.alpha)}: the constraint sum "
+            f"sum_k |xi_k|^(l alpha_k) overflows at the frequency {corner}")
+
+
 def _fmt(v) -> str:
     """Fixed formatting of a published number; non-finite values are
     integrity failures, never results."""
@@ -318,14 +333,16 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
     # (Plancherel), and only the output band is inverted
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
+        _check_constraint_sum(profile, band)
         out_band = multiplier.apply_projected_symbol(band, psi, profile)
     elif op == "fractional":
         out_band = multiplier.fractional_derivative(
             band, _param(params, "axis", 0, integer=True),
             _param(params, "order", 1.0))
     else:
-        out_band = multiplier.smoothing_inverse(
-            band, profile, _param(params, "cutoff_radius", 1.0))
+        cutoff_radius = _param(params, "cutoff_radius", 1.0)
+        _check_constraint_sum(profile, band)
+        out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
     _write_json(out / "norms.json", {"input_l2": _fmt(band.norm_l2()),
                                      "output_l2": _fmt(out_band.norm_l2())})
@@ -376,6 +393,7 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
                      lambda x: x ** grid.d * S)
     p_cells = _count(params.get("p_cells", 16), "params.p_cells",
                      lambda b: b * max(S, max(x_cells, 0) ** grid.d * len(n_list)))
+    _check_constraint_sum(profile, grid)  # the P-masks project the lattice
     # the envelope: band 0.15, kept away from zero by its mean 1
     seq = hmeasure.OscillationSequence(profile, c,
                                        _envelope_spectrum(grid, rng, 0.15, 1.0))
@@ -425,6 +443,10 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
         window = [_numbers(w, f"params.window[{k}]", 2) for k, w in enumerate(window)]
     else:
         raise ConfigError("params.window must be a list of [lo, hi] intervals")
+    try:
+        averaging.window_mask(grid.spatial_only(), window)
+    except DomainError as exc:
+        raise ConfigError(f"params.window: {exc}") from None
     n_list = _numbers(params.get("n_list", [4, 8, 16, 32, 64]), "params.n_list",
                       integer=True)
     if len(n_list) < 2:

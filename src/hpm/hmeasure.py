@@ -13,11 +13,12 @@ axis k commutes with the transforms of the other axes, so F(hat_c w) is
 built in passes along axes 1..d (multiply by the factor, transform that
 axis), and each cell reuses the passes it shares with the previous one.
 The P-masks are real, so the cell forms come from real matrix products
-(GEMM): the real parts of F(hat_c w_i) conj(F(hat_c w_j)), stacked over
-cells (C rows for a scalar snapshot), against the transposed masks, plus a
-second GEMM for the imaginary parts of a matrix measure (the scalar ones
-vanish).  A sequence is any callable n -> u_n of zero-mean snapshots,
-whose spectra F(hat_c w_i) are transforms of hat_c w_i.  The snapshots
+(GEMM): a row writer puts the R rows of each cell, the real parts of
+F(hat_c w_i) conj(F(hat_c w_j)), into a stack over cells that meets the
+transposed masks, plus a second GEMM for the imaginary parts of a matrix
+measure (the scalar ones vanish).  A sequence is any callable n -> u_n
+of zero-mean snapshots, whose spectra F(hat_c w_i) are transforms of
+hat_c w_i.  The snapshots
 of an OscillationSequence are one envelope v (given as a field or as a
 band) times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the
 mean m_n = F(v)(-kappa(n)) / |T|, so their spectra follow by the shift
@@ -25,9 +26,9 @@ rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
 
-scalar_hmeasure then loops cells outer and n inner, with one transform
-per cell for every n.  Where m_n = 0, exactly so for a band envelope
-whose box misses -kappa(n), the product row of (c, n) is the cell's power
+scalar_hmeasure then writes the rows of every n of a cell from one
+transform of that cell.  Where m_n = 0, exactly so for a band envelope
+whose box misses -kappa(n), the row of (c, n) is the cell's power
 spectrum |F(hat_c v)|^2 rolled, formed once per cell.  Matrix-valued
 measures over a velocity basis, their weighted trace and its x-marginal
 density are assembled from the same forms.
@@ -186,7 +187,7 @@ def oscillation_sequence(profile: AnisotropyProfile, c, envelope: SpectralField,
 class OscillationSequence:
     """n -> oscillation_sequence(profile, c, v, n) for the envelope v,
     whose cell forms scalar_hmeasure builds by the shift rule
-    (cell_products): one transform per cell, not one per (cell, n).
+    (_shifted_products): one transform per cell, not one per (cell, n).
 
     The envelope is a SpectralField or a SpectralBand; the field (what
     the snapshots modulate) and the band (what the means m_n =
@@ -211,10 +212,6 @@ class OscillationSequence:
 
     def __call__(self, n: int) -> SpectralField:
         return oscillation_sequence(self.profile, self.c, self.physical, n)
-
-    def cell_products(self, basis: CellBasis, n_list: Sequence[int]) -> Callable:
-        return _shifted_products(self.profile, self.c, self.physical,
-                                 self.spectrum, basis, n_list)
 
 
 # --- cell discretization ------------------------------------------------------
@@ -373,55 +370,52 @@ def _cell_forms(grid: SpectralGrid, basis: CellBasis,
     components = [w_1, ..., w_N] (x-arrays), V[i, j, c, b] = sum_xi mask_b
     F(hat_c w_i) conj(F(hat_c w_j)) vol_xi, and [u] gives the scalar case.
     The spectra of all components come from one run of per-axis passes
-    (_hat_passes), and _stacked_forms meets their products with the masks."""
+    (_hat_passes); the N^2 products G_i conj(G_j) of a cell are its rows
+    of _stacked_forms, with imaginary parts for N > 1."""
     N = len(components)
     transform = _hat_passes(basis, grid, np.stack(components))
 
-    def products(cell):
+    def rows(cell, re, im):
         G = transform(cell).reshape(N, -1)
-        return lambda run, re, im: _write_products(G, re, im)
+        _write_products(G, re.reshape(N, N, -1),
+                        None if im is None else im.reshape(N, N, -1))
 
-    return _stacked_forms(basis, grid, products, 1, N)[0]
+    V = _stacked_forms(basis, grid, rows, N * N, N > 1)
+    return np.moveaxis(V.reshape(len(V), N, N, -1), 0, 2)
 
 
-def _stacked_forms(basis: CellBasis, grid: SpectralGrid, products: Callable,
-                   runs: int, N: int) -> np.ndarray:
-    """V[r, i, j, c, b] = sum_xi mask_b G_i conj(G_j) vol_xi, where G is the
-    (N, S) array of spectra of cell c in run r.  products(cell) is called
-    for the cells in row-major order and returns write(r, re, im), which
-    writes the real parts of the products G_i conj(G_j) of run r into re
-    (N, N, S), and for N > 1 their imaginary parts into im.
+def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
+                   R: int, imag: bool) -> np.ndarray:
+    """V[c, r, b] = sum_xi mask_b row_{c,r} vol_xi for the R rows of each
+    cell c.  rows(cell, re, im) is called for the cells in row-major order
+    and writes the real parts of the cell's R rows into re (R, S), and, if
+    imag, their imaginary parts into im (R, S); otherwise im is None and
+    the forms are exactly real.
 
-    The masks are real.  The products of k = max(1, C // N^2) (cell, run)
-    pairs are stacked into a real (k N^2, S) array that meets the (S, B)
-    transposed masks in one GEMM; for N > 1 the imaginary parts get a
-    second stack and GEMM.  For N = 1 the imaginary parts are exactly
-    zero, so im is None and the scalar forms are exactly real.  The scalar
-    stack is the size of the dense (C, S) hat stack that the separable
-    hats never build, whatever the number of runs."""
+    The masks are real.  The rows of k = max(1, C // R) cells are stacked
+    into a real (k R, S) array that meets the (S, B) transposed masks in
+    one GEMM; the imaginary parts get a second stack and GEMM.  A stack of
+    about C rows is the size of the dense (C, S) hat stack that the
+    separable hats never build."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())
-    total = len(cells) * runs
-    V = np.zeros((total, N, N, B), dtype=complex)
+    C = len(cells)
+    V = np.zeros((C, R, B), dtype=complex)
     vol = grid.freq_cell_volume
     masks_t = basis.p_masks.reshape(B, -1).T
-    k = max(1, len(cells) // (N * N))
-    re = np.empty((k, N, N, S))
-    im = np.empty((k, N, N, S)) if N > 1 else None
-    q = 0
-    for cell in cells:
-        write = products(cell)
-        for r in range(runs):
-            j = q % k
-            write(r, re[j], None if im is None else im[j])
-            q += 1
-            if j == k - 1 or q == total:
-                for part, stack in ((V.real, re), (V.imag, im)):
-                    if stack is not None:
-                        forms = stack[:j + 1].reshape(-1, S) @ masks_t
-                        part[q - j - 1:q] = forms.reshape(j + 1, N, N, B) * vol
-    return np.moveaxis(V.reshape(len(cells), runs, N, N, B), 0, 3)
+    k = max(1, C // R)
+    re = np.empty((k, R, S))
+    im = np.empty((k, R, S)) if imag else None
+    for q, cell in enumerate(cells):
+        j = q % k
+        rows(cell, re[j], None if im is None else im[j])
+        if j == k - 1 or q == C - 1:
+            for part, stack in ((V.real, re), (V.imag, im)):
+                if stack is not None:
+                    forms = stack[:j + 1].reshape(-1, S) @ masks_t
+                    part[q - j:q + 1] = forms.reshape(j + 1, R, B) * vol
+    return V
 
 
 def _roll_blocks(shift: Sequence[int], n_per_axis: Sequence[int]) -> list:
@@ -442,19 +436,18 @@ def _band_value(band: SpectralBand, mode: Sequence[int]) -> complex:
     return band.values[pos]
 
 
-def _shifted_products(profile: AnisotropyProfile, c, envelope: SpectralField,
-                      spectrum: SpectralBand, basis: CellBasis,
+def _shifted_products(seq: OscillationSequence, basis: CellBasis,
                       n_list: Sequence[int]) -> Callable:
-    """The products producer of _stacked_forms for the oscillation
-    snapshots u_n = v e^{2 pi i kappa(n).x} - m_n, n in n_list, by the
-    shift rule; envelope and spectrum are v and F(v) as a band.
+    """The row writer of _stacked_forms for the snapshots u_n = v e^{2 pi
+    i kappa(n).x} - m_n of seq, one row per n in n_list, by the shift
+    rule.
 
     kappa(n) lies on the lattice, so with the integer shift s(n) of
     _lattice_shift
 
         F(hat_c u_n) = roll(F(hat_c v), s(n)) - m_n F(hat_c),
 
-    with the mean m_n = F(v)(-kappa(n)) / |T| read off the band and
+    with the mean m_n = F(v)(-kappa(n)) / |T| read off seq.spectrum and
     F(hat_c) the outer product of the 1-d transforms of the separable hat
     factors.  Each cell costs one transform, F(hat_c v), by the per-axis
     passes of _hat_passes.  Where m_n = 0 the row of (c, n) is
@@ -462,43 +455,40 @@ def _shifted_products(profile: AnisotropyProfile, c, envelope: SpectralField,
     power spectrum, formed once, copied into the row in at most 2^d
     blocks.  Otherwise the shifted spectrum is written into one reused
     buffer, block by block, and its power into the row."""
-    grid = envelope.grid
-    shifts = [_lattice_shift(profile, c, n, grid) for n in n_list]
+    grid = seq.physical.grid
+    shifts = [_lattice_shift(seq.profile, seq.c, n, grid) for n in n_list]
     area = math.prod(grid.length_per_axis)
-    means = [_band_value(spectrum, [-s % nk for s, nk in zip(shift, grid.n_per_axis)])
-             / area for shift in shifts]
+    means = [_band_value(seq.spectrum,
+                         [-s % nk for s, nk in zip(shift, grid.n_per_axis)]) / area
+             for shift in shifts]
     blocks = [_roll_blocks(shift, grid.n_per_axis) for shift in shifts]
     hat_spectra = [dft_axis(f, 1, L)
                    for f, L in zip(basis.x_factors, grid.length_per_axis)]
-    transform = _hat_passes(basis, grid, np.asarray(envelope.values))
+    transform = _hat_passes(basis, grid, np.asarray(seq.physical.values))
     power = np.empty(grid.n_per_axis) if 0 in means else None
     G = np.empty(grid.n_per_axis, dtype=complex)
 
-    def products(cell):
+    def rows(cell, re, im):
         Fhv = transform(cell)
         if power is not None:
             _write_products(Fhv.reshape(1, -1), power.reshape(1, 1, -1), None)
         h = [hk[i] for hk, i in zip(hat_spectra, cell)]
-
-        def write(run, re, im):
-            row = re.reshape(grid.n_per_axis)
-            if means[run] == 0:
-                for dst, src in blocks[run]:
+        for flat, mean, run_blocks in zip(re, means, blocks):
+            row = flat.reshape(grid.n_per_axis)
+            if mean == 0:
+                for dst, src in run_blocks:
                     row[dst] = power[src]
-                return
+                continue
             # G = -m F(hat_c) + roll(F(hat_c v), s(n)) block by block; the
             # outer product -m F(hat_c) is written into G itself
-            for dst, src in blocks[run]:
+            for dst, src in run_blocks:
                 f = [hk[dk] for hk, dk in zip(h, dst)]
-                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1],
-                                                   -means[run]),
+                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1], -mean),
                                   f[-1], out=G[dst])
                 G[dst] += Fhv[src]
-            _write_products(G.reshape(1, -1), re, None)
+            _write_products(G.reshape(1, -1), flat.reshape(1, 1, -1), None)
 
-        return write
-
-    return products
+    return rows
 
 
 # --- estimates ----------------------------------------------------------------
@@ -524,8 +514,9 @@ def scalar_hmeasure(seq: Callable[[int], SpectralField],
     # the shift rule loops cells outer and n inner, one transform per cell
     # for every n; other sequences transform each snapshot cell by cell
     if isinstance(seq, OscillationSequence):
-        runs = _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
-                              len(n_list), 1)[:, 0, 0]
+        runs = np.moveaxis(_stacked_forms(
+            basis, grid, _shifted_products(seq, basis, n_list), len(n_list), False),
+            1, 0)
     else:
         runs = [_cell_forms(u.grid, basis, [u.values])[0, 0] for u in map(seq, n_list)]
     cells, errors = estimate_limit(np.stack(runs))  # (n, C, B)

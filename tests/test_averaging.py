@@ -240,6 +240,25 @@ class TestCompactness:
         with pytest.raises(IntegrityError, match=r"n_min = 2 is 0"):
             compactness_metric(seq, np.zeros(8), ((0.0, 1.0), (0.0, 1.0)), (2, 4))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, scale):
+        # the squares of the windowed values would leave the float range;
+        # the norms are taken on values scaled by a power of two instead
+        g = SpectralGrid((8, 32), (1.0, 1.0), n_velocity=(32,),
+                         velocity_length=(1.0,))
+        seq0 = self._oscillating_seq(g)
+        a = lambda p: np.stack([np.ones_like(p), p], axis=-1)
+        seq = lambda n: subtract_spatial_mean(transport_evolve(seq0(n), a, 0.5))
+        window = ((0.0, 1.0), (0.25, 0.75))
+        unit = compactness_metric(seq, compact_bump, window, (2, 4, 8))
+        scaled = compactness_metric(seq, lambda p: scale * compact_bump(p),
+                                    window, (2, 4, 8))
+        assert scaled.norms == pytest.approx([scale * v for v in unit.norms],
+                                             rel=1e-14)
+        for r, r1 in zip(scaled.ratios, unit.ratios):
+            assert abs(r - r1) <= 2 * np.spacing(r1)
+        assert len(set(unit.ratios)) == 3
+
     def test_window_validation(self):
         g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
                          velocity_length=(1.0,))
@@ -248,6 +267,9 @@ class TestCompactness:
             compactness_metric(seq, compact_bump, ((0.5, 0.2), (0.0, 1.0)), (2, 4))
         with pytest.raises(DomainError):
             compactness_metric(seq, compact_bump, ((0.0, 1.0), (0.0, 1.0)), (2,))
+        # x_1 in [0.01, 0.02) lies between the samples 0 and 1/8
+        with pytest.raises(DomainError, match="holds no grid sample"):
+            compactness_metric(seq, compact_bump, ((0.01, 0.02), (0.0, 1.0)), (2, 4))
 
 
 class TestPrincipalIsDiagonalMixed:

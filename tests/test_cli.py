@@ -218,6 +218,52 @@ class TestErrorHandling:
         assert err.startswith("hpm: integrity failure: ") and "n_min = 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+    def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, tmp_path, scale):
+        # the squares of the windowed averages would under- or overflow
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        rho = cfg["params"]["rho"]
+        ratios = {}
+        for name, weight in (("unit", rho), ("scaled", f"{scale}*{rho}")):
+            scaled = dict(cfg, params=dict(cfg["params"], rho=weight))
+            out = tmp_path / name
+            assert run_cli("averaging", write_config(tmp_path, scaled), out) == 0
+            rows = (out / "decay.csv").read_text().splitlines()[1:]
+            ratios[name] = [float(row.split(",")[2]) for row in rows]
+        for r, r1 in zip(ratios["scaled"], ratios["unit"], strict=True):
+            assert abs(r - r1) <= 2 * np.spacing(r1)
+
+    # the commands that project every frequency of the 32^2 lattice (the
+    # P-masks) or of the drawn band's box onto P
+    LATTICE_32 = {"n": [32, 32], "L": [1.0, 1.0]}
+    PROJECTING = {
+        "hmeasure": TestDeterminism.CONFIGS["hmeasure"],
+        "projected": base_config("multiplier-apply", grid=LATTICE_32, params={
+            "operation": "projected", "symbol": "coordinate:0"}),
+        "smoothing": base_config("multiplier-apply", grid=LATTICE_32, params={
+            "operation": "smoothing", "cutoff_radius": 4.0}),
+    }
+
+    @pytest.mark.parametrize("alpha", [[1.0, 400.0], [1e-20, 1.0]])
+    @pytest.mark.parametrize("config", sorted(PROJECTING))
+    def test_constraint_sum_overflow_exits_2(self, tmp_path, capsys, config, alpha):
+        # sum_k |xi_k|^(l alpha_k) overflows at the largest frequencies
+        cfg = dict(self.PROJECTING[config], profile={"alpha": alpha})
+        out = tmp_path / "out"
+        assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hpm: profile.alpha = {alpha}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [[1.0, 400.0], [1e-20, 1.0]])
+    def test_fractional_derivative_ignores_the_profile(self, tmp_path, alpha):
+        cfg = base_config("multiplier-apply", grid=self.LATTICE_32,
+                          profile={"alpha": alpha},
+                          params={"operation": "fractional", "axis": 1, "order": 0.5})
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg),
+                       tmp_path / "out") == 0
+
     def test_output_dir_key_exits_2(self, tmp_path, capsys):
         # --out (or the current directory) is the only output directory
         cfg = base_config(output_dir=str(tmp_path / "elsewhere"))
@@ -536,6 +582,11 @@ class TestMalformedParams:
     def test_window_interval_not_a_pair(self, tmp_path, capsys):
         self._exits_2(tmp_path, capsys, self.AVERAGING, "window",
                       window=[[0.0, 0.5], [0.5]])
+
+    def test_window_without_a_grid_sample(self, tmp_path, capsys):
+        # x_1 in [0.01, 0.02) holds none of the samples k/8 of the 8 x 32 grid
+        self._exits_2(tmp_path, capsys, self.AVERAGING, "params.window",
+                      window=[[0.01, 0.02], [0.0, 1.0]])
 
     def test_oscillation_axis_out_of_range(self, tmp_path, capsys):
         self._exits_2(tmp_path, capsys, self.AVERAGING, "oscillation_axis",

@@ -14,6 +14,7 @@ from hpm.errors import DomainError
 from hpm.hmeasure import (
     OscillationSequence,
     _cell_forms,
+    _shifted_products,
     _stacked_forms,
     make_cell_basis,
     oscillation_frequency,
@@ -69,8 +70,11 @@ def case(name, form="field"):
 
 
 def shifted(grid, seq, basis, n_list):
-    return _stacked_forms(basis, grid, seq.cell_products(basis, n_list),
-                          len(n_list), 1)
+    """The (n, 1, 1, C, B) forms of the shift rule, shaped like a stack of
+    the scalar _cell_forms of each snapshot."""
+    V = _stacked_forms(basis, grid, _shifted_products(seq, basis, n_list),
+                       len(n_list), False)
+    return np.moveaxis(V, 1, 0)[:, None, None]
 
 
 @pytest.mark.parametrize("name, form", [
@@ -108,7 +112,7 @@ def test_band_envelope_gives_exact_zero_means_off_its_box(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(hm, "_band_value", recording)
-    seq.cell_products(basis, (2, 12, 13))
+    _shifted_products(seq, basis, (2, 12, 13))
     assert seen[1:] == [0.0, 0.0]
     kap = oscillation_frequency(profile, c, 2, grid)
     phase = sum(k * x for k, x in zip(kap, grid.coordinates()))
