@@ -373,6 +373,8 @@ def _envelope_spectrum(grid, rng, band_fraction: float, offset: float):
 
 def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"generator", "n_list", "x_cells", "p_cells"}, "params")
+    if grid.m > 0:
+        raise ConfigError("hmeasure takes no velocity axes (grid.n_p)")
     genspec = params.get("generator", {})
     _check_keys(genspec, {"kind", "c"}, "params.generator")
     if genspec.get("kind", "oscillation") != "oscillation":
@@ -522,9 +524,12 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
                      "params.lambda.points", lambda n: n * flux.d ** 2)
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
+    # the lambda range [-M, M] of the identity, 2 M wide
+    M = _param(params, "M", 1.0)
+    if not (M > 0 and math.isfinite(2 * M)):
+        raise ConfigError(f"params.M must be positive with 2 M finite, got {M}")
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list, resolution=resolution)
-    M = _param(params, "M", 1.0)
     u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0))
     vals = np.asarray(u.values).real
     peak = float(np.max(np.abs(vals)))

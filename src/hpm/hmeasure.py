@@ -13,25 +13,25 @@ axis k commutes with the transforms of the other axes, so F(hat_c w) is
 built in passes along axes 1..d (multiply by the factor, transform that
 axis), and each cell reuses the passes it shares with the previous one.
 The P-masks are real, so the cell forms come from real matrix products
-(GEMM): a row writer puts the R rows of each cell, the real parts of
-F(hat_c w_i) conj(F(hat_c w_j)), into a stack over cells that meets the
-transposed masks, plus a second GEMM for the imaginary parts of a matrix
-measure (the scalar ones vanish).  A sequence is any callable n -> u_n
-of zero-mean snapshots, whose spectra F(hat_c w_i) are transforms of
-hat_c w_i.  The snapshots
-of an OscillationSequence are one envelope v (given as a field or as a
-band) times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the
-mean m_n = F(v)(-kappa(n)) / |T|, so their spectra follow by the shift
-rule
+(GEMM): every measure is one pass over the cells, in which a row writer
+puts the R rows of each cell, the real parts of F(hat_c w_i)
+conj(F(hat_c w_j)), into a stack over cells that meets the transposed
+masks, plus a second GEMM for the imaginary parts of a matrix measure
+(the scalar ones vanish).  A sequence is any callable n -> u_n of
+zero-mean snapshots; its K = len(n_list) snapshots, or their N velocity
+projections w_i for a matrix measure, are stacked and transformed
+together, K N^2 rows per cell.  The snapshots of an OscillationSequence
+are one envelope v (given as a field or as a band) times
+exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the mean
+m_n = F(v)(-kappa(n)) / |T|, so their spectra follow by the shift rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
 
-scalar_hmeasure then writes the rows of every n of a cell from one
-transform of that cell.  Where m_n = 0, exactly so for a band envelope
-whose box misses -kappa(n), the row of (c, n) is the cell's power
-spectrum |F(hat_c v)|^2 rolled, formed once per cell.  Matrix-valued
-measures over a velocity basis, their weighted trace and its x-marginal
-density are assembled from the same forms.
+the rows of every n of a cell come from one transform of that cell.
+Where m_n = 0, exactly so for a band envelope whose box misses
+-kappa(n), the row of (c, n) is the cell's power spectrum
+|F(hat_c v)|^2 rolled, formed once per cell.  The weighted trace of a
+matrix measure and its x-marginal density come from its entries.
 """
 
 from __future__ import annotations
@@ -353,35 +353,34 @@ def _hat_passes(basis: CellBasis, grid: SpectralGrid, w: np.ndarray) -> Callable
 
 
 def _write_products(G: np.ndarray, re: np.ndarray, im) -> None:
-    """The real parts of G_i conj(G_j) for the (N, S) spectra G into re
-    (N, N, S), and their imaginary parts into im unless it is None, each
-    product rounded on its own: the diagonal imaginary parts cancel
+    """The real parts of G_i conj(G_j) for the (..., N, S) spectra G into
+    re (..., N, N, S), and their imaginary parts into im unless it is None,
+    each product rounded on its own: the diagonal imaginary parts cancel
     exactly."""
-    np.multiply(G.real[:, None], G.real[None], out=re)
-    re += G.imag[:, None] * G.imag[None]
+    a, b = G[..., :, None, :], G[..., None, :, :]
+    np.multiply(a.real, b.real, out=re)
+    re += a.imag * b.imag
     if im is not None:
-        np.multiply(G.imag[:, None], G.real[None], out=im)
-        im -= G.real[:, None] * G.imag[None]
+        np.multiply(a.imag, b.real, out=im)
+        im -= a.real * b.imag
 
 
-def _cell_forms(grid: SpectralGrid, basis: CellBasis,
-                components: Sequence[np.ndarray]) -> np.ndarray:
-    """All cellwise forms for one snapshot on the spatial grid: with
-    components = [w_1, ..., w_N] (x-arrays), V[i, j, c, b] = sum_xi mask_b
-    F(hat_c w_i) conj(F(hat_c w_j)) vol_xi, and [u] gives the scalar case.
-    The spectra of all components come from one run of per-axis passes
-    (_hat_passes); the N^2 products G_i conj(G_j) of a cell are its rows
-    of _stacked_forms, with imaginary parts for N > 1."""
-    N = len(components)
-    transform = _hat_passes(basis, grid, np.stack(components))
+def _snapshot_products(basis: CellBasis, grid: SpectralGrid,
+                       W: np.ndarray) -> Callable:
+    """The row writer of _stacked_forms for K snapshots of N components
+    each, W (K, N, *spatial): the K N^2 rows of a cell are the products
+    F(hat_c w_ki) conj(F(hat_c w_kj)) in (k, i, j) order, with imaginary
+    parts where _stacked_forms asks for them (N > 1).  The spectra of all
+    K N components come from one run of per-axis passes (_hat_passes)."""
+    K, N = W.shape[:2]
+    transform = _hat_passes(basis, grid, W)
 
     def rows(cell, re, im):
-        G = transform(cell).reshape(N, -1)
-        _write_products(G, re.reshape(N, N, -1),
-                        None if im is None else im.reshape(N, N, -1))
+        G = transform(cell).reshape(K, N, -1)
+        _write_products(G, re.reshape(K, N, N, -1),
+                        None if im is None else im.reshape(K, N, N, -1))
 
-    V = _stacked_forms(basis, grid, rows, N * N, N > 1)
-    return np.moveaxis(V.reshape(len(V), N, N, -1), 0, 2)
+    return rows
 
 
 def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
@@ -510,16 +509,18 @@ def scalar_hmeasure(seq: Callable[[int], SpectralField],
     fields, each of zero spatial mean (u_n tends weakly to 0; the
     snapshots are used as given, not centred)."""
     n_list = _check_n_list(n_list)
+    if grid.m > 0:
+        raise DomainError("scalar H-measures take no velocity axes")
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
-    # the shift rule loops cells outer and n inner, one transform per cell
-    # for every n; other sequences transform each snapshot cell by cell
+    # one row per n: by the shift rule from one transform of each cell, or
+    # from the transforms of the stacked snapshots
     if isinstance(seq, OscillationSequence):
-        runs = np.moveaxis(_stacked_forms(
-            basis, grid, _shifted_products(seq, basis, n_list), len(n_list), False),
-            1, 0)
+        rows = _shifted_products(seq, basis, n_list)
     else:
-        runs = [_cell_forms(u.grid, basis, [u.values])[0, 0] for u in map(seq, n_list)]
-    cells, errors = estimate_limit(np.stack(runs))  # (n, C, B)
+        W = np.stack([seq(n).values for n in n_list])[:, None]
+        rows = _snapshot_products(basis, grid, W)
+    V = _stacked_forms(basis, grid, rows, len(n_list), False)
+    cells, errors = estimate_limit(np.moveaxis(V, 1, 0))  # (n, C, B)
     return HMeasureEstimate(cells.real, errors)
 
 
@@ -570,8 +571,8 @@ def matrix_hmeasure(seq: Callable[[int], SpectralField], basis: np.ndarray,
     n_list = _check_n_list(n_list)
     basis = np.asarray(basis, dtype=complex)
     N = basis.shape[0]
-    probe = seq(n_list[0])
-    grid = probe.grid
+    snapshots = [seq(n) for n in n_list]
+    grid = snapshots[0].grid
     if grid.m == 0:
         raise DomainError("matrix measures need velocity axes")
     if basis.shape[1:] != grid.n_velocity:
@@ -583,16 +584,14 @@ def matrix_hmeasure(seq: Callable[[int], SpectralField], basis: np.ndarray,
         raise DomainError("velocity basis is not orthonormal on the grid")
     xgrid = grid.spatial_only()
     cb = make_cell_basis(xgrid, profile, x_cells, p_cells)
-    vel_axes = tuple(range(grid.d, grid.d + grid.m))
-    runs = []
-    for n in n_list:
-        u = seq(n) if n != n_list[0] else probe
-        # velocity projections w_i(x) = int e_i(p)* u(x, p) dp
-        comps = [np.tensordot(np.asarray(u.values), np.conj(basis[i]),
-                              axes=(vel_axes, tuple(range(grid.m)))) * dv
-                 for i in range(N)]
-        runs.append(_cell_forms(xgrid, cb, comps))
-    entries, errors = estimate_limit(np.stack(runs))  # (n, N, N, C, B)
+    # the velocity projections w_ki(x) = int e_i(p)* u_k(x, p) dp, (K, N, *x)
+    vel = (range(1, grid.m + 1), range(grid.d, grid.d + grid.m))
+    W = np.stack([np.tensordot(np.conj(basis), u.values, axes=vel)
+                  for u in snapshots]) * dv
+    K = len(n_list)
+    V = _stacked_forms(cb, xgrid, _snapshot_products(cb, xgrid, W), K * N * N, True)
+    V = np.moveaxis(V.reshape(len(V), K, N, N, -1), 0, 3)  # (n, N, N, C, B)
+    entries, errors = estimate_limit(V)
     weights = 0.5 ** (np.arange(N) + 1)
     trace = np.einsum("i,iicb->cb", weights, entries).real
     marginal = trace.sum(axis=-1)

@@ -144,7 +144,7 @@ def flux_from_name(name: str, d: int = 2, velocity=None) -> FluxPair:
             name, d, d,
             f=lambda x, lam: np.asarray(lam)[..., None] * v,
             B=lambda x, lam: np.zeros(np.shape(lam) + (d, d)),
-            dlam_f=lambda x, lam: np.broadcast_to(v, np.shape(lam) + (d,)).copy(),
+            dlam_f=lambda x, lam: np.broadcast_to(v, np.shape(lam) + (d,)),
             dlam_B=lambda x, lam: np.zeros(np.shape(lam) + (d, d)),
         )
     raise DomainError(f"unknown flux name {name!r}")

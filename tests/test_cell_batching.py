@@ -7,13 +7,12 @@ import pytest
 
 from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P
 from hpm.hmeasure import (
-    _cell_forms,
     _periodic_hat,
     cosine_velocity_basis,
     make_cell_basis,
 )
 from hpm.spectral import SpectralGrid, band_limited_field
-from test_cell_forms import einsum_forms
+from test_cell_forms import einsum_forms, snapshot_forms
 
 
 def rng(key=0):
@@ -99,7 +98,7 @@ CASES = {"scalar-2d-C9": lambda: scalar_case(2, 3),
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batched_forms_match_einsum_reference(case):
     grid, basis, comps = CASES[case]()
-    V = _cell_forms(grid, basis, comps)
+    V = snapshot_forms(grid, basis, comps)
     ref = einsum_forms(grid, basis, comps)
     assert V.shape == ref.shape
     assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -108,7 +107,7 @@ def test_batched_forms_match_einsum_reference(case):
 @pytest.mark.parametrize("case", ["scalar-2d-C9", "scalar-3d-C27"])
 def test_batched_scalar_forms_are_real(case):
     grid, basis, comps = CASES[case]()
-    assert np.all(_cell_forms(grid, basis, comps).imag == 0.0)
+    assert np.all(snapshot_forms(grid, basis, comps).imag == 0.0)
 
 
 # --- separable hats -----------------------------------------------------------

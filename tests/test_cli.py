@@ -451,17 +451,23 @@ class TestParamsLeafContract:
     VALUES = [1e308, -1e308, 5e-324, 10 ** 30, -(10 ** 30), -1, 0, "x", True,
               None, [], [1.0]]
 
-    @staticmethod
-    def _check_leaf(tmp_path, capsys, base, path, value, tag):
+    @classmethod
+    def _check_leaf(cls, tmp_path, capsys, base, path, value, tag):
         cfg = json.loads(json.dumps(base))
         node = cfg
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        cls._check_run(tmp_path, capsys, base["command"], cfg,
+                       f"{list(path)} = {value!r}", tag)
+
+    @staticmethod
+    def _check_run(tmp_path, capsys, command, cfg, where, tag):
+        """Run cfg as `command` (its own command leaf may be the hostile
+        value) under the contract; its exit code and stderr."""
         out = tmp_path / f"out-{tag}"
-        where = f"{list(path)} = {value!r}"
         try:
-            code = run_cli(base["command"],
+            code = run_cli(command,
                            write_config(tmp_path, cfg, f"{tag}.json"), out)
         except BaseException as exc:  # noqa: BLE001 - the contract is no escape
             pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
@@ -469,6 +475,7 @@ class TestParamsLeafContract:
         assert code in (0, 2, 3), where
         assert err.count("\n") <= 1 and "Traceback" not in err, (where, err)
         assert out.exists() == (code == 0), where
+        return code, err
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_every_leaf_exits_0_2_or_3_cleanly(self, tmp_path, capsys, name):
@@ -489,6 +496,17 @@ class TestParamsLeafContract:
         for i, path in enumerate(paths):
             for j, value in enumerate(self.VALUES):
                 self._check_leaf(tmp_path, capsys, base, path, value, f"{i}-{j}")
+
+    # each base on a grid with one velocity axis added; hmeasure, whose
+    # fields are x-only, rejects it naming grid.n_p
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_velocity_axes_exit_0_2_or_3_cleanly(self, tmp_path, capsys, name):
+        cfg = json.loads(json.dumps(self.BASES[name]))
+        cfg["grid"].update({"n_p": [4], "P_len": [1.0]})
+        code, err = self._check_run(tmp_path, capsys, cfg["command"], cfg,
+                                    "grid.n_p = [4]", "velocity")
+        if name == "hmeasure":
+            assert code == 2 and "grid.n_p" in err
 
     # the same contract for one leaf of one base at a time, replaced by a
     # drawn value: a float of any magnitude (subnormal, NaN and infinite
@@ -703,6 +721,9 @@ class TestMalformedParams:
         ("multiplier-apply", {"operation": "smoothing"}, "['symbol']"),
         ("multiplier-apply", {"operation": []}, "unknown operation []"),
         ("multiplier-apply", {"operation": {"a": 1}}, "unknown operation"),
+        # a lambda range [-M, M] that is empty, reversed or 2 M wide beyond
+        # the float range
+        *[("kinetic", {"M": v}, "params.M") for v in (0, -1, 1e308)],
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):

@@ -215,6 +215,13 @@ class TestScalarMeasure:
         with pytest.raises(DomainError):
             scalar_hmeasure(seq, ISO2, g, (4, 4, 8), 2, 8)
 
+    def test_velocity_axes_rejected(self):
+        g = SpectralGrid((16, 16), (1.0, 1.0), n_velocity=(4,), velocity_length=(1.0,))
+        env = SpectralField(g, np.ones(g.shape, dtype=complex))
+        seq = OscillationSequence(ISO2, (1.0, 0.0), env)
+        with pytest.raises(DomainError, match="velocity axes"):
+            scalar_hmeasure(seq, ISO2, g, (4, 6, 8), 2, 8)
+
 
 class TestMatrixMeasure:
     def _grid(self):

@@ -13,7 +13,6 @@ from hpm.anisotropy import AnisotropyProfile
 from hpm.errors import DomainError
 from hpm.hmeasure import (
     OscillationSequence,
-    _cell_forms,
     _shifted_products,
     _stacked_forms,
     make_cell_basis,
@@ -22,6 +21,7 @@ from hpm.hmeasure import (
     scalar_hmeasure,
 )
 from hpm.spectral import SpectralGrid, band_limited_field, band_limited_spectrum
+from test_cell_forms import snapshot_forms
 
 
 def rng(key=0):
@@ -71,7 +71,7 @@ def case(name, form="field"):
 
 def shifted(grid, seq, basis, n_list):
     """The (n, 1, 1, C, B) forms of the shift rule, shaped like a stack of
-    the scalar _cell_forms of each snapshot."""
+    the scalar forms of each snapshot."""
     V = _stacked_forms(basis, grid, _shifted_products(seq, basis, n_list),
                        len(n_list), False)
     return np.moveaxis(V, 1, 0)[:, None, None]
@@ -83,7 +83,7 @@ def shifted(grid, seq, basis, n_list):
 def test_shift_rule_matches_transform_of_each_snapshot(name, form):
     grid, profile, c, env, seq, basis, n_list = case(name, form)
     V = shifted(grid, seq, basis, n_list)
-    ref = np.stack([_cell_forms(grid, basis, [seq(n).values]) for n in n_list])
+    ref = np.stack([snapshot_forms(grid, basis, [seq(n).values]) for n in n_list])
     C, B = len(list(basis.cell_indices())), basis.p_masks.shape[0]
     assert V.shape == ref.shape == (len(n_list), 1, 1, C, B)
     assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,38 @@ def test_every_defaulted_parameter_is_passed():
                 for fn, param, pos in _defaulted_parameters(trees[path])
                 if not {(fn, param), (fn, pos), (fn, "*")} & passed]
     assert not unpassed, unpassed
+
+
+def _definitions(tree: ast.Module):
+    """Every module-level function and class, and every method of a
+    module-level class but the dunder methods Python calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _references(node: ast.AST) -> Counter:
+    """The names that node refers to: as a Name, or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_referenced():
+    """Each definition of the package (see _definitions) is referenced by
+    name outside its own body, in the package or the tests, or is named
+    in the span tracer's LAYERS: code that nothing reaches is gone."""
+    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    layers = next(node.value for node in tracer.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    traced = {n.value for n in ast.walk(layers) if isinstance(n, ast.Constant)}
+    trees = {path: ast.parse(path.read_text()) for path in MODULES + TESTS}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [f"{path.name}:{node.lineno}: {node.name}"
+               for path in MODULES for node in _definitions(trees[path])
+               if node.name not in traced
+               and total[node.name] == _references(node)[node.name]]
+    assert not orphans, orphans
