@@ -88,30 +88,42 @@ class NonDegeneracyReport:
         }
 
 
-_BLOCK_BYTES = 1 << 18  # one (rows, n_cells) complex block of a scan
+_BLOCK_BYTES = 1 << 18  # the budget of a scan block's symbol and of its comparisons
 _THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
+
+
+def _block_rows(n_cells: int, n_eps: int) -> int:
+    """Mesh rows of one scan block, at least one: its (rows, n_cells)
+    complex symbol and its (n_eps, rows, n_cells) bool comparisons each
+    fit in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (max(16, n_eps) * n_cells))
 
 
 def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
                    cell_measure: float, n_cells: int) -> NonDegeneracyReport:
     """Measures of {|symbol_at(x, rows)| <= eps}, where NaN never counts,
-    with the (M, ...) mesh array cut into blocks of rows, each symbol
-    block of shape (rows, n_cells) or broadcastable to it."""
+    with the (M, ...) mesh array cut into blocks of rows (_block_rows),
+    each symbol block of shape (rows, n_cells) or broadcastable to it.
+    A block is compared with every eps at once, into one reused
+    (eps, rows, n_cells) bool stack, which is summed once per block."""
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be non-empty, positive and increasing")
     if len(x_samples) == 0:
         raise DomainError("x_samples must not be empty")
-    rows = max(1, _BLOCK_BYTES // (16 * n_cells))
+    rows = _block_rows(n_cells, len(eps_list))
+    thresholds = np.array(eps_list)[:, None, None]
+    below = np.empty((len(eps_list), min(rows, len(mesh)), n_cells), dtype=bool)
+    count = np.min_scalar_type(n_cells)  # an integer that holds any count
     meas = np.empty((len(x_samples), len(mesh), len(eps_list)))
     for ix, x in enumerate(x_samples):
         for i in range(0, len(mesh), rows):
             out = meas[ix, i:i + rows]
-            absA = np.broadcast_to(np.abs(symbol_at(x, mesh[i:i + rows])),
-                                   (len(out), n_cells))
-            for ie, eps in enumerate(eps_list):
-                out[:, ie] = np.count_nonzero(absA <= eps, axis=1)
+            hit = below[:, :len(out)]
+            np.less_equal(np.abs(symbol_at(x, mesh[i:i + rows])), thresholds,
+                          out=hit)
+            out[:] = hit.view(np.uint8).sum(axis=2, dtype=count).T
     meas *= cell_measure
     sup = meas.max(axis=(0, 1))
     domain = cell_measure * n_cells
@@ -127,7 +139,10 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
 
     p_grid is a 1-d array of at least 2 uniform midpoints.  The
     coefficients are evaluated once per x sample; a value that is not
-    finite raises IntegrityError."""
+    finite raises IntegrityError.  A coefficient whose values are all
+    equal along p is kept as one value.  Each block of mesh rows is summed
+    into one reused (rows, p) buffer, term by term in axis order as
+    principal_symbol sums, so every |A| matches it bit for bit."""
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or p_grid.size < 2:
         raise DomainError("p_grid must be a 1-d array of at least 2 midpoints")
@@ -143,11 +158,33 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
                 raise IntegrityError(
                     f"coefficient a_{k + 1}(x, p) is not finite at x sample "
                     f"{ix}: {bad} of {np.size(ak)} values")
+            # one value when all are equal (they differ at most in the sign
+            # of a zero, which reaches |A| nowhere), else contiguous along p
+            a[k] = (ak.flat[:1] if np.all(ak == ak.flat[:1])
+                    else np.ascontiguousarray(ak))
+    rows = min(_block_rows(p_grid.size, len(eps_list)), len(mesh))
+    acc, term = np.empty((2, rows, p_grid.size), dtype=complex)
 
     def symbol_at(a, F):
-        # term by term from 0 + 0j in axis order, as principal_symbol sums,
-        # so |A| matches it bit for bit; a constant a_k gives a (rows, 1) column
-        return sum((ak * F[:, k, None] for k, ak in enumerate(a)), 0.0 + 0.0j)
+        # in axis order, as principal_symbol sums from 0 + 0j (0 + t_0 is
+        # t_0 up to the sign of a zero); a one-value a_k gives a (rows, 1)
+        # column, a wide term goes to acc, or to term once acc holds the
+        # sum, and a column sum joins the first wide term (+ commutes)
+        A = None
+        for k, ak in enumerate(a):
+            if np.size(ak) == 1:
+                t = ak * F[:, k, None]
+            else:
+                into = acc if A is None or A.shape[-1] == 1 else term
+                t = np.multiply(ak, F[:, k, None], out=into[:len(F)])
+            if A is None:
+                A = t
+            elif A.shape[-1] >= t.shape[-1]:
+                A += t
+            else:
+                t += A
+                A = t
+        return A
 
     return _scan_measures(symbol_at, per_x, factors, eps_list,
                           float(p_grid[1] - p_grid[0]), p_grid.size)

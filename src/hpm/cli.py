@@ -167,6 +167,22 @@ def _count(value, where: str, elements) -> int:
     return count
 
 
+def _check_scan_size(x_count: int, d: int, resolution: int, eps_list: list,
+                     where: str) -> None:
+    """ConfigError naming `where` (the scan's list keys) when the
+    (x samples, mesh points, eps) array of scan measures, one CSV row per
+    measure, would exceed the bound the grid enforces; checked before the
+    scan allocates anything.  A d-dimensional mesh of the given resolution
+    has resolution^(d-1) points, 2 in 1-d."""
+    mesh_points = max(2, resolution ** (d - 1))
+    size = x_count * mesh_points * len(eps_list)
+    if size > spectral._MAX_SAMPLES:
+        raise ConfigError(
+            f"{where}: {x_count} x samples times {mesh_points} mesh points "
+            f"times {len(eps_list)} eps would exceed {spectral._MAX_SAMPLES} "
+            f"measures")
+
+
 def _midpoints(interval, where: str, points, points_where: str, elements):
     """The midpoints of `points` (a count, see _count, of at least 2) equal
     cells of the interval (lo, hi), which needs lo < hi and a finite width."""
@@ -488,6 +504,8 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
         lambda n: n * profile.d)
     eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
                         "params.eps_list")
+    _check_scan_size(len(x_samples), profile.d, resolution, eps_list,
+                     "params.x_samples and params.eps_list")
     report = averaging.nondegeneracy_scan(
         coeffs, x_samples, profile, resolution, p_grid, eps_list)
     _write_json(out / "nondegeneracy.json", report.to_json_dict())
@@ -524,10 +542,14 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
                      "params.lambda.points", lambda n: n * flux.d ** 2)
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
-    # the lambda range [-M, M] of the identity, 2 M wide
+    _check_scan_size(1, flux.d, resolution, eps_list, "params.eps_list")
+    # the lambda range [-M, M] of the identity, 2 M wide; the field is
+    # scaled to the peak 0.9 M, whose rounding M 2^-53 must be a normal
+    # float, or the identity is read on an underflowed field
     M = _param(params, "M", 1.0)
-    if not (M > 0 and math.isfinite(2 * M)):
-        raise ConfigError(f"params.M must be positive with 2 M finite, got {M}")
+    if not (M >= 2.0 ** -969 and math.isfinite(2 * M)):
+        raise ConfigError(f"params.M must be at least 2**-969 with 2 M finite, "
+                          f"got {M}")
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list, resolution=resolution)
     u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0))

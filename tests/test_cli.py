@@ -724,6 +724,18 @@ class TestMalformedParams:
         # a lambda range [-M, M] that is empty, reversed or 2 M wide beyond
         # the float range
         *[("kinetic", {"M": v}, "params.M") for v in (0, -1, 1e308)],
+        # an M whose field, scaled to the peak 0.9 M, rounds below the
+        # normal floor (M 2^-53 < 2^-1022)
+        *[("kinetic", {"M": v}, "params.M")
+          for v in (5e-324, 1e-300, 2.0 ** -970)],
+        # scans whose (x samples, mesh points, eps) measures would exceed
+        # the bound: 2^26 mesh points of P, or of the manifold, times 5 eps
+        # or 5 x samples
+        *[(command, {"resolution": 2 ** 26, key: value}, f"params.{key}")
+          for command, key, value in (
+              ("nondegeneracy", "eps_list", [0.1, 0.2, 0.3, 0.4, 0.5]),
+              ("nondegeneracy", "x_samples", [[0.0, 0.0]] * 5),
+              ("kinetic", "eps_list", [0.1, 0.2, 0.3, 0.4, 0.5]))],
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
@@ -731,6 +743,17 @@ class TestMalformedParams:
                "multiplier-check-12": self.MULTIPLIER_CHECK_12,
                "kinetic-3d": self.KINETIC_3D}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
+
+    @pytest.mark.parametrize("M", [2.0 ** -969, 1e-10])
+    def test_smallest_M_runs(self, tmp_path, capsys, M):
+        cfg = dict(self.CONFIGS["kinetic"],
+                   params=dict(self.CONFIGS["kinetic"]["params"], M=M))
+        out = tmp_path / "out"
+        assert run_cli("kinetic", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        gap = json.loads((out / "kinetic.json").read_text())[
+            "lambda_identity_max_error"]
+        assert float(gap) <= 4 * M * 2.0 ** -53
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
         # 178 shells keep the alpha (1, 2) scan in the float range

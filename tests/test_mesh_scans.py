@@ -4,6 +4,8 @@ one-point-at-a-time loops they replaced, kept here as oracles.
 The counts of {p : |A| <= eps} are compared exactly, with eps placed on
 values of |A| itself: a last-bit change in |A| would flip such a count."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,11 @@ def per_point_symbols(coeffs, x_samples, profile, resolution, p_grid):
         for xi in mesh] for x in x_samples])
 
 
-def small_blocks(monkeypatch, rows, n_cells):
-    monkeypatch.setattr(averaging, "_BLOCK_BYTES", 16 * n_cells * rows)
+def small_blocks(monkeypatch, rows, n_cells, n_eps=1):
+    """A block budget that gives scan blocks of `rows` mesh rows for
+    n_eps thresholds."""
+    monkeypatch.setattr(averaging, "_BLOCK_BYTES", max(16, n_eps) * n_cells * rows)
+    assert averaging._block_rows(n_cells, n_eps) == rows
 
 
 def coefficient_cases():
@@ -69,7 +74,23 @@ def coefficient_cases():
         # p-independent coefficients: a scalar symbol over the whole grid
         (2, [1.0, 1.0]),
         (3, [2.0, 0.5, -1.0]),
+        # p-independent arrays, kept as one value: a column before, between
+        # and after the terms that vary with p, and a symbol of columns only
+        (2, [lambda x, p: np.full_like(p, 0.75), lambda x, p: p]),
+        (3, [lambda x, p: p, lambda x, p: (1.0 + x[0]) * np.ones_like(p),
+             lambda x, p: p * p]),
+        (3, [lambda x, p: p * p, lambda x, p: p,
+             lambda x, p: np.full_like(p, -0.5)]),
+        (2, [lambda x, p: (1.0 + x[0]) * np.ones_like(p),
+             lambda x, p: np.full_like(p, 0.75)]),
+        # nearly p-independent: one step of 1e-12 must not be taken as one value
+        (2, [lambda x, p: 0.75 + 1e-12 * (p > 0.5), lambda x, p: p]),
     ]
+
+
+def p_independent_arrays(x, p):
+    return np.stack([np.full_like(p, 0.75), p, (1.0 + x[0]) * np.ones_like(p)],
+                    axis=-1)
 
 
 class TestBlockedNondegeneracyScan:
@@ -81,7 +102,7 @@ class TestBlockedNondegeneracyScan:
         absA = per_point_symbols(coeffs, x_samples, profile, 8, p_grid)
         eps = tie_eps(absA)
         # 7 rows a block: no mesh size here is a multiple of it
-        small_blocks(monkeypatch, 7, p_grid.size)
+        small_blocks(monkeypatch, 7, p_grid.size, len(eps))
         rep = nondegeneracy_scan(coeffs, x_samples, profile, 8, p_grid, eps)
         assert len(mesh_P(profile, 8)[0]) % 7 != 0
         cell = float(p_grid[1] - p_grid[0])
@@ -100,6 +121,20 @@ class TestBlockedNondegeneracyScan:
         monkeypatch.undo()
         want = nondegeneracy_scan(coeffs, [np.zeros(3)], profile, 16, p_grid,
                                   (0.01, 0.1, 0.5, 1.0))
+        assert np.array_equal(rep.measures, want.measures)
+
+    @pytest.mark.parametrize("rows", [1, 5, 64, 10 ** 6])
+    def test_block_size_with_p_independent_arrays(self, monkeypatch, rows):
+        profile = PROFILES[3]
+        p_grid = midpoints(64)
+        x_samples = [np.zeros(3), np.full(3, 0.25)]
+        eps = (0.01, 0.1, 0.5, 1.0)
+        small_blocks(monkeypatch, rows, p_grid.size, len(eps))
+        rep = nondegeneracy_scan(p_independent_arrays, x_samples, profile, 16,
+                                 p_grid, eps)
+        monkeypatch.undo()
+        want = nondegeneracy_scan(p_independent_arrays, x_samples, profile, 16,
+                                  p_grid, eps)
         assert np.array_equal(rep.measures, want.measures)
 
     def test_scalar_symbol_counts_the_whole_grid(self):
@@ -143,6 +178,31 @@ class TestScanMeasuresBlocks:
                              (1.0,), 1.0, 3)
         assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
         assert np.all(rep.measures == 3.0)
+
+    def test_many_thresholds_keep_the_block_budget(self, monkeypatch):
+        # 4,096 thresholds on the values of |A| at 7 rows a block: every
+        # count is exact, and the comparisons of a block stay in its budget
+        r = np.random.default_rng(9)
+        table = r.standard_normal((50, 40)) + 1j * r.standard_normal((50, 40))
+        absA = np.abs(table)
+        vals = np.unique(absA)
+        assert vals.size == 2000
+        eps = tuple(np.linspace(0.25, 0.5, 2096) * vals[0]) + tuple(vals)
+        small_blocks(monkeypatch, 7, 40, len(eps))
+
+        def symbol_at(x, rows):
+            return table[rows[:, 0].astype(int)]
+
+        tracemalloc.start()
+        try:
+            rep = _scan_measures(symbol_at, [0.0], np.arange(50.0)[:, None], eps,
+                                 1.0, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for ip in range(50):
+            assert np.array_equal(rep.measures[0, ip], sorted_counts(absA[ip], eps))
+        assert peak <= rep.measures.nbytes + 2 * averaging._BLOCK_BYTES
 
 
 def shell_samples_one_at_a_time(profile, j, count):
@@ -224,7 +284,7 @@ class TestUpScan:
         absA = np.array([np.abs(up_symbol(None, xi, lam, flux))
                          for xi in manifold.mesh(16)])
         eps = tie_eps(absA)
-        small_blocks(monkeypatch, 5, lam.size)
+        small_blocks(monkeypatch, 5, lam.size, len(eps))
         rep = up_nondegeneracy_scan(flux, [None], manifold, lam, eps,
                                     resolution=16)
         assert np.array_equal(rep.measures,
