@@ -403,9 +403,11 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"params.n_list must be increasing with at least 3 "
                           f"entries, got {n_list}")
-    # the largest arrays: the (C, S) row stack of the cell forms, with C =
-    # x_cells^d cells and S lattice points, the (p_cells, S) P-masks and
-    # the (C len(n_list), p_cells) forms
+    # the bounds: C S, a stack of the rows of all C = x_cells^d cells on S
+    # lattice points, the (p_cells, S) P-masks and the (C len(n_list),
+    # p_cells) forms.  The row stack of the cell forms holds about 2 p_cells
+    # rows, and at most C once C >= len(n_list), so the bounds stay
+    # stricter than what is allocated, never looser
     S = math.prod(grid.n_per_axis)
     x_cells = _count(params.get("x_cells", 4), "params.x_cells",
                      lambda x: x ** grid.d * S)

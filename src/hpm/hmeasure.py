@@ -266,11 +266,16 @@ def _angular_masks(proj: np.ndarray, p_cells: int) -> np.ndarray:
     return masks
 
 
+_SCRATCH_BYTES = 1 << 18  # the budget of the P-mask builder's scratch block
+
+
 def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
                      p_cells: int) -> np.ndarray:
     """(B, S) normalized Gaussian weights around p_cells random directions
-    projected onto P; the squared distances are summed one axis at a time,
-    in place in one (B, S) array with one more (B, S) array as scratch."""
+    projected onto P.  The squared distances are summed one axis at a
+    time into the (B, S) masks themselves, a block of rows at a time,
+    with one (rows, S) scratch of at most _SCRATCH_BYTES (one row if a
+    row is larger)."""
     d = proj.shape[-1]
     rng = np.random.Generator(np.random.Philox(key=11))
     dirs = rng.standard_normal((p_cells, d))
@@ -279,11 +284,15 @@ def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
     sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
     pts = proj.reshape(-1, d)
     g = np.empty((p_cells, pts.shape[0]))
-    scratch = np.empty_like(g)
-    np.square(np.subtract(pts[:, 0], p_centers[:, 0, None], out=g), out=g)
-    for k in range(1, d):
-        g += np.square(np.subtract(pts[:, k], p_centers[:, k, None], out=scratch),
-                       out=scratch)
+    rows = min(p_cells, max(1, _SCRATCH_BYTES // g[0].nbytes))
+    scratch = np.empty((rows, pts.shape[0]))
+    for b in range(0, p_cells, rows):
+        block, centers = g[b:b + rows], p_centers[b:b + rows]
+        tmp = scratch[:len(block)]
+        np.square(np.subtract(pts[:, 0], centers[:, 0, None], out=block), out=block)
+        for k in range(1, d):
+            block += np.square(np.subtract(pts[:, k], centers[:, k, None], out=tmp),
+                               out=tmp)
     np.divide(np.negative(g, out=g), 2 * sigma ** 2, out=g)
     g /= np.sum(np.exp(g, out=g), axis=0, keepdims=True)
     return g
@@ -391,11 +400,13 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     imag, their imaginary parts into im (R, S); otherwise im is None and
     the forms are exactly real.
 
-    The masks are real.  The rows of k = max(1, C // R) cells are stacked
-    into a real (k R, S) array that meets the (S, B) transposed masks in
-    one GEMM; the imaginary parts get a second stack and GEMM.  A stack of
-    about C rows is the size of the dense (C, S) hat stack that the
-    separable hats never build."""
+    The masks are real.  The rows of k = max(1, min(C // R, ceil(2B / R)))
+    cells are stacked into a real (k R, S) array that meets the (S, B)
+    transposed masks in one GEMM; the imaginary parts get a second stack
+    and GEMM.  Every GEMM packs the whole mask operand, and about 2B rows
+    a call amortise that packing, so a stack holds at most about
+    max(2B, R) rows, however many cells there are.  Every call, the last
+    one too, holds whole cells, at least R rows."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())
@@ -403,7 +414,7 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     V = np.zeros((C, R, B), dtype=complex)
     vol = grid.freq_cell_volume
     masks_t = basis.p_masks.reshape(B, -1).T
-    k = max(1, C // R)
+    k = max(1, min(C // R, math.ceil(2 * B / R)))
     re = np.empty((k, R, S))
     im = np.empty((k, R, S)) if imag else None
     for q, cell in enumerate(cells):
@@ -465,7 +476,7 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
                    for f, L in zip(basis.x_factors, grid.length_per_axis)]
     transform = _hat_passes(basis, grid, np.asarray(seq.physical.values))
     power = np.empty(grid.n_per_axis) if 0 in means else None
-    G = np.empty(grid.n_per_axis, dtype=complex)
+    G = np.empty(grid.n_per_axis, dtype=complex) if any(means) else None
 
     def rows(cell, re, im):
         Fhv = transform(cell)

@@ -1,15 +1,24 @@
 """The cell discretization against the dense formulas it replaced: cell
 forms batched over chunks of cells, separable x-hats, and P-masks
-evaluated only where they can be nonzero."""
+evaluated only where they can be nonzero, or built in blocks; and the
+traced working memory of the assembly."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hpm import cli, hmeasure
 from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P
 from hpm.hmeasure import (
+    OscillationSequence,
     _periodic_hat,
+    _snapshot_products,
+    _stacked_forms,
     cosine_velocity_basis,
     make_cell_basis,
+    scalar_hmeasure,
 )
 from hpm.spectral import SpectralGrid, band_limited_field
 from test_cell_forms import einsum_forms, snapshot_forms
@@ -87,8 +96,10 @@ def matrix_case(N, x_cells):
     return grid.spatial_only(), basis, comps
 
 
-# C cells in chunks of k = max(1, C // N^2): one chunk of all cells (scalar),
-# chunks of 2 with a last chunk of 1 (N = 2, C = 9), one cell per chunk
+# C cells of R = N^2 rows in stacks of k = max(1, min(C // R, ceil(2B / R)))
+# cells, B = 8 P-cells: one stack of all cells (scalar-2d-C9), stacks of 16
+# and 11 cells (scalar-3d-C27, where 2B = 16 < C), stacks of 2 with a last
+# one of 1 (matrix-N2-C9), one cell per stack (matrix-N2-C4)
 CASES = {"scalar-2d-C9": lambda: scalar_case(2, 3),
          "scalar-3d-C27": lambda: scalar_case(3, 3),
          "matrix-N2-C9": lambda: matrix_case(2, 3),
@@ -102,6 +113,25 @@ def test_batched_forms_match_einsum_reference(case):
     ref = einsum_forms(grid, basis, comps)
     assert V.shape == ref.shape
     assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case, k", [("scalar-2d-C9", 9), ("scalar-3d-C27", 16),
+                                     ("matrix-N2-C9", 2), ("matrix-N2-C4", 1)])
+def test_stack_holds_k_cells(case, k):
+    """The row writer is handed k distinct stack slots, one per cell of a
+    stack."""
+    grid, basis, comps = CASES[case]()
+    N = len(comps)
+    inner = _snapshot_products(basis, grid, np.stack(comps)[None])
+    slots = []
+
+    def rows(cell, re, im):
+        slots.append(re.__array_interface__["data"][0])
+        inner(cell, re, im)
+
+    _stacked_forms(basis, grid, rows, N * N, N > 1)
+    assert len(slots) == len(list(basis.cell_indices()))
+    assert len(set(slots)) == k
 
 
 @pytest.mark.parametrize("case", ["scalar-2d-C9", "scalar-3d-C27"])
@@ -139,3 +169,49 @@ def test_masks_bitwise_equal_to_dense_formulas(n, alpha, p_cells):
     profile = AnisotropyProfile(alpha)
     cb = make_cell_basis(grid, profile, 2, p_cells)
     assert np.array_equal(cb.p_masks, dense_masks(grid, profile, p_cells))
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 8 * 16 ** 3, 1 << 30])
+def test_mask_blocks_bitwise_equal_to_dense_formulas(monkeypatch, budget):
+    """Blocks of one row, of 3 rows with a last block of 2 (20 P-cells), and
+    one block of all rows give the same bits."""
+    monkeypatch.setattr(hmeasure, "_SCRATCH_BYTES", budget)
+    grid = SpectralGrid((16, 16, 16), (1.0, 1.0, 1.0))
+    profile = AnisotropyProfile((1.0, 1.0, 2.0))
+    cb = make_cell_basis(grid, profile, 2, 20)
+    assert np.array_equal(cb.p_masks, dense_masks(grid, profile, 20))
+
+
+# --- working memory -----------------------------------------------------------
+
+MiB = 1 << 20
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_working_memory():
+    """On the 3-d benchmark config (32^3, alpha = (1, 1, 2), 4^3 x-cells, 24
+    P-cells, n_list [4, 6, 8], the CLI's envelope at Philox key 7), the
+    basis holds one (B, S) array, the masks, and the measure adds about
+    one stack of the cell forms: ceil(2B / R) = 16 cells of R = 3 rows."""
+    grid = SpectralGrid((32, 32, 32), (1.0, 1.0, 1.0))
+    profile = AnisotropyProfile((1.0, 1.0, 2.0))
+    seq = OscillationSequence(profile, (1.0, 0.0, 0.5),
+                              cli._envelope_spectrum(grid, rng(7), 0.15, 1.0))
+    S, B, C, R = 32 ** 3, 24, 4 ** 3, 3
+    masks = B * S * 8
+    basis, peak = traced_peak(lambda: make_cell_basis(grid, profile, 4, B))
+    assert basis.p_masks.nbytes == masks
+    assert peak <= masks + 2 * MiB
+    stack = min(C // R, math.ceil(2 * B / R)) * R * S * 8
+    est, peak = traced_peak(lambda: scalar_hmeasure(seq, profile, grid, [4, 6, 8], 4, B))
+    assert est.cells.shape == (C, B)
+    assert peak <= masks + 2 * MiB + stack + 4 * MiB
