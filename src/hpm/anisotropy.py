@@ -74,15 +74,28 @@ def quasi_norm(xi, profile: AnisotropyProfile):
     return s ** (1.0 / profile.l)
 
 
+def _finite_sum(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
+    """The constraint sum of xi for a projection to P, which a sum that is
+    not finite (one past the float range, or of a non-finite xi) does not
+    have: a DomainError, with no overflow warning."""
+    with np.errstate(over="ignore"):
+        s = constraint_sum(xi, profile)
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"constraint sum {float(np.max(s))!r} is not finite: "
+                          f"projection to P needs a finite sum")
+    return s
+
+
 def project_to_P(xi, profile: AnisotropyProfile) -> np.ndarray:
     """Project nonzero xi to P along its fibre.
 
     Component k is xi_k / S^(1/(l alpha_k)) with S the constraint sum; the
     denominator is positive, so each component keeps the sign of xi_k.  A
     subnormal S has lost the digits that put the projection on P: it is a
-    DomainError, and S = 0 a SingularPointError."""
+    DomainError, as is an S that is not finite (_finite_sum), and S = 0 a
+    SingularPointError."""
     xi = np.asarray(xi, dtype=float)
-    s = constraint_sum(xi, profile)
+    s = _finite_sum(xi, profile)
     if np.any(s == 0):
         raise SingularPointError("projection to P is undefined at the origin")
     if np.any(s < sys.float_info.min):
@@ -96,7 +109,7 @@ def project_lattice(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
     """Like project_to_P but maps zero vectors to zero instead of raising;
     used on frequency lattices that contain the origin."""
     xi = np.asarray(xi, dtype=float)
-    s = constraint_sum(xi, profile)
+    s = _finite_sum(xi, profile)
     safe = np.where(s == 0, 1.0, s)
     ex = np.asarray(profile.exponents)
     out = xi / safe[..., None] ** (1.0 / ex)

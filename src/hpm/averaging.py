@@ -37,12 +37,6 @@ from .spectral import SpectralBand, SpectralField, SpectralGrid, forward_dft, in
 
 # --- principal symbol ---------------------------------------------------------
 
-def _eval_coeff(coeff, x, p):
-    if callable(coeff):
-        return np.asarray(coeff(x, p), dtype=complex)
-    return np.asarray(coeff, dtype=complex)
-
-
 def principal_symbol(x, xi, p, coeffs, profile: AnisotropyProfile):
     """A(x, xi, p) = sum_k a_k(x, p) (2 pi i xi_k)^(alpha_k), summed from
     0 + 0j in axis order.
@@ -63,7 +57,7 @@ def _axis_coeffs(coeffs, x, p, d: int) -> list:
         return [a[..., k] for k in range(d)]
     if len(coeffs) != d:
         raise DomainError("need one coefficient per spatial axis")
-    return [_eval_coeff(c, x, p) for c in coeffs]
+    return [np.asarray(c(x, p) if callable(c) else c, dtype=complex) for c in coeffs]
 
 
 # --- non-degeneracy scan ------------------------------------------------------
@@ -232,10 +226,6 @@ def transport_evolve(u0: SpectralField | SpectralBand, a, t: float) -> SpectralF
 
 # --- velocity averaging -------------------------------------------------------
 
-def _rho_on_grid(rho, grid: SpectralGrid) -> np.ndarray:
-    return np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
-
-
 def _rho_at_ends(rho, rho_vals: np.ndarray, grid: SpectralGrid, i: int) -> np.ndarray:
     """The weight at both ends of p-axis i: on the faces p_i = -P_i/2 and
     P_i/2 of the closed box (the other axes at their midpoints) for a
@@ -259,7 +249,7 @@ def velocity_average(u: SpectralField | SpectralBand, rho) -> SpectralField | Sp
     grid = u.grid
     if grid.m == 0:
         raise DomainError("field has no velocity axes to average over")
-    rho_vals = _rho_on_grid(rho, grid)
+    rho_vals = np.broadcast_to(grid.sample_velocity(rho), grid.n_velocity)
     bad = rho_vals.size - int(np.count_nonzero(np.isfinite(rho_vals)))
     if bad:
         raise IntegrityError(f"non-finite velocity weight rho(p): {bad} of "

@@ -261,8 +261,6 @@ def _check_constraint_sum(profile: AnisotropyProfile, at) -> None:
 def _fmt(v) -> str:
     """Fixed formatting of a published number; non-finite values are
     integrity failures, never results."""
-    if isinstance(v, complex):
-        return f"{_fmt(v.real)},{_fmt(v.imag)}"
     v = float(v)
     if not math.isfinite(v):
         raise IntegrityError(f"non-finite result {v!r}")
@@ -403,23 +401,24 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"params.n_list must be increasing with at least 3 "
                           f"entries, got {n_list}")
-    # the bounds: C S, a stack of the rows of all C = x_cells^d cells on S
-    # lattice points, the (p_cells, S) P-masks and the (C len(n_list),
-    # p_cells) forms.  The row stack of the cell forms holds about 2 p_cells
-    # rows, and at most C once C >= len(n_list), so the bounds stay
-    # stricter than what is allocated, never looser
-    S = math.prod(grid.n_per_axis)
-    x_cells = _count(params.get("x_cells", 4), "params.x_cells",
-                     lambda x: x ** grid.d * S)
-    p_cells = _count(params.get("p_cells", 16), "params.p_cells",
-                     lambda b: b * max(S, max(x_cells, 0) ** grid.d * len(n_list)))
+    # the assembly's largest arrays for C = x_cells^d cells, B = p_cells and
+    # R = len(n_list) rows a cell on S lattice points: the (B, S) P-masks, a
+    # row stack of at most max(C, R) rows and the (C, R, B) forms
+    x_cells = _param(params, "x_cells", 4, integer=True)
+    p_cells = _param(params, "p_cells", 16, integer=True)
+    counts = {"x_cells": max(x_cells, 0) ** grid.d, "p_cells": max(p_cells, 0),
+              "n_list": len(n_list)}
+    C, B, R = counts.values()
+    if max(max(C, B, R) * math.prod(grid.n_per_axis), C * R * B) > spectral._MAX_SAMPLES:
+        raise ConfigError(f"params.{max(counts, key=counts.get)} is too large: {C} "
+                          f"x-cells, {B} P-cells and {R} n_list entries would "
+                          f"exceed {spectral._MAX_SAMPLES} elements in one array")
     _check_constraint_sum(profile, grid)  # the P-masks project the lattice
     # the envelope: band 0.15, kept away from zero by its mean 1
     seq = hmeasure.OscillationSequence(profile, c,
                                        _envelope_spectrum(grid, rng, 0.15, 1.0))
     est = hmeasure.scalar_hmeasure(seq, profile, grid, n_list,
                                    x_cells=x_cells, p_cells=p_cells)
-    C, B = est.cells.shape
     _write_csv(out / "cells.csv", ["x_cell", "P_cell", "mass", "err"],
                [np.arange(C).repeat(B), np.tile(np.arange(B), C),
                 est.cells.ravel(), est.cell_errors.ravel()])
@@ -521,7 +520,7 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
 
 def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"flux", "velocity", "lambda", "eps_list",
-                         "resolution", "M"}, "params")
+                         "resolution"}, "params")
     velocity = params.get("velocity")
     if velocity is not None:
         velocity = _numbers(velocity, "params.velocity", grid.d)
@@ -545,22 +544,15 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     manifold = kinetic.UPManifold(flux.d, flux.l_split)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
     _check_scan_size(1, flux.d, resolution, eps_list, "params.eps_list")
-    # the lambda range [-M, M] of the identity, 2 M wide; the field is
-    # scaled to the peak 0.9 M, whose rounding M 2^-53 must be a normal
-    # float, or the identity is read on an underflowed field
-    M = _param(params, "M", 1.0)
-    if not (M >= 2.0 ** -969 and math.isfinite(2 * M)):
-        raise ConfigError(f"params.M must be at least 2**-969 with 2 M finite, "
-                          f"got {M}")
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list, resolution=resolution)
     u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0))
     vals = np.asarray(u.values).real
     peak = float(np.max(np.abs(vals)))
-    if peak > 0:
-        vals = vals * (0.9 * M / peak)
+    if peak > 0:  # the field fills most of the lambda range [-1, 1]
+        vals = vals * (0.9 / peak)
     identity_gap = float(np.max(np.abs(
-        kinetic.exact_lambda_integral(vals, M) - 2 * vals)))
+        kinetic.exact_lambda_integral(vals, 1.0) - 2 * vals)))
     _write_json(out / "kinetic.json", {
         "scan": report.to_json_dict(),
         "lambda_identity_max_error": _fmt(identity_gap),

@@ -463,8 +463,9 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
     passes of _hat_passes.  Where m_n = 0 the row of (c, n) is
     |roll(F(hat_c v), s(n))|^2 = roll(|F(hat_c v)|^2, s(n)): the cell's
     power spectrum, formed once, copied into the row in at most 2^d
-    blocks.  Otherwise the shifted spectrum is written into one reused
-    buffer, block by block, and its power into the row."""
+    blocks.  Otherwise -m_n F(hat_c) is written into one reused buffer
+    as one outer product over the grid, the blocks of the rolled
+    F(hat_c v) are added to it, and its power goes into the row."""
     grid = seq.physical.grid
     shifts = [_lattice_shift(seq.profile, seq.c, n, grid) for n in n_list]
     area = math.prod(grid.length_per_axis)
@@ -489,12 +490,11 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
                 for dst, src in run_blocks:
                     row[dst] = power[src]
                 continue
-            # G = -m F(hat_c) + roll(F(hat_c v), s(n)) block by block; the
-            # outer product -m F(hat_c) is written into G itself
+            # G = -m F(hat_c) + roll(F(hat_c v), s(n)): the outer product
+            # is written into G itself, the roll added block by block
+            np.multiply.outer(functools.reduce(np.multiply.outer, h[:-1], -mean),
+                              h[-1], out=G)
             for dst, src in run_blocks:
-                f = [hk[dk] for hk, dk in zip(h, dst)]
-                np.multiply.outer(functools.reduce(np.multiply.outer, f[:-1], -mean),
-                                  f[-1], out=G[dst])
                 G[dst] += Fhv[src]
             _write_products(G.reshape(1, -1), flat.reshape(1, 1, -1), None)
 

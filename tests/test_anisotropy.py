@@ -105,6 +105,13 @@ class TestProjection:
                          prof)
         assert abs(constraint_sum(q, prof) - 1.0) <= 1e-12
 
+    def test_overflowing_constraint_sum_raises(self):
+        # a sum past the float range would divide every component to 0
+        with pytest.raises(DomainError, match="not finite"):
+            project_to_P([1e120, 1.0], ISO2)
+        with pytest.raises(DomainError, match="not finite"):
+            project_lattice(np.array([[0.0, 0.0], [1e308, 1.0]]), ISO2)
+
     def test_lattice_variant_maps_origin_to_zero(self):
         out = project_lattice(np.array([[0.0, 0.0], [1.0, 1.0]]), ISO2)
         assert np.all(out[0] == 0)

@@ -334,7 +334,6 @@ class TestHelpers:
 
     def test_fmt_roundtrips(self):
         assert cli._fmt(0.1) == repr(0.1)
-        assert cli._fmt(2.0 + 3.0j) == f"{repr(2.0)},{repr(3.0)}"
 
     def test_json_rejects_non_finite(self, tmp_path):
         with pytest.raises(IntegrityError):
@@ -432,7 +431,7 @@ class TestParamsLeafContract:
         "kinetic": base_config("kinetic", params={
             "flux": "linear-transport", "velocity": [1.0, 0.5],
             "lambda": {"min": -1.0, "max": 1.0, "points": 8},
-            "eps_list": [0.05, 0.2], "resolution": 8, "M": 1.0}),
+            "eps_list": [0.05, 0.2], "resolution": 8}),
         "projected": base_config("multiplier-apply", params={
             "operation": "projected", "symbol": "coordinate:0",
             "band_fraction": 0.5}),
@@ -721,13 +720,8 @@ class TestMalformedParams:
         ("multiplier-apply", {"operation": "smoothing"}, "['symbol']"),
         ("multiplier-apply", {"operation": []}, "unknown operation []"),
         ("multiplier-apply", {"operation": {"a": 1}}, "unknown operation"),
-        # a lambda range [-M, M] that is empty, reversed or 2 M wide beyond
-        # the float range
-        *[("kinetic", {"M": v}, "params.M") for v in (0, -1, 1e308)],
-        # an M whose field, scaled to the peak 0.9 M, rounds below the
-        # normal floor (M 2^-53 < 2^-1022)
-        *[("kinetic", {"M": v}, "params.M")
-          for v in (5e-324, 1e-300, 2.0 ** -970)],
+        # the identity's lambda range is [-1, 1]: M is no key
+        ("kinetic", {"M": 1.0}, "['M']"),
         # scans whose (x samples, mesh points, eps) measures would exceed
         # the bound: 2^26 mesh points of P, or of the manifold, times 5 eps
         # or 5 x samples
@@ -744,16 +738,30 @@ class TestMalformedParams:
                "kinetic-3d": self.KINETIC_3D}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
 
-    @pytest.mark.parametrize("M", [2.0 ** -969, 1e-10])
-    def test_smallest_M_runs(self, tmp_path, capsys, M):
-        cfg = dict(self.CONFIGS["kinetic"],
-                   params=dict(self.CONFIGS["kinetic"]["params"], M=M))
+    def test_lambda_identity_runs_within_rounding(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run_cli("kinetic", write_config(tmp_path, cfg), out) == 0
+        assert run_cli("kinetic", write_config(tmp_path, self.CONFIGS["kinetic"]),
+                       out) == 0
         assert capsys.readouterr().err == ""
         gap = json.loads((out / "kinetic.json").read_text())[
             "lambda_identity_max_error"]
-        assert float(gap) <= 4 * M * 2.0 ** -53
+        assert float(gap) <= 4 * 2.0 ** -53
+
+    def test_n_list_past_the_row_bound_exits_2_before_the_draw(
+            self, tmp_path, monkeypatch, capsys):
+        # one x-cell and one P-cell, but 1,025 rows on 512^2 lattice points:
+        # a 1025 x 262144 row stack, past the 2^28 bound; skipping 512 and
+        # 1024 keeps every kappa(n) off the zero mode
+        def never(*args, **kwargs):
+            raise AssertionError("the run drew its envelope")
+
+        monkeypatch.setattr(cli.spectral, "band_limited_spectrum", never)
+        n_list = [n for n in range(1, 1028) if n not in (512, 1024)]
+        assert len(n_list) == 1025
+        cfg = base_config("hmeasure", grid={"n": [512, 512], "L": [1.0, 1.0]},
+                          params={"generator": {"kind": "oscillation", "c": [1.0, 0.0]},
+                                  "x_cells": 1, "p_cells": 1})
+        self._exits_2(tmp_path, capsys, cfg, "params.n_list", n_list=n_list)
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
         # 178 shells keep the alpha (1, 2) scan in the float range

@@ -1,12 +1,14 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hpm
+from hpm import cli
 
 MODULES = sorted(p for p in Path(hpm.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -119,3 +121,59 @@ def test_every_definition_is_referenced():
                if node.name not in traced
                and total[node.name] == _references(node)[node.name]]
     assert not orphans, orphans
+
+
+def _strings(node: ast.AST, assigns: dict) -> set:
+    """The string constants of an expression: of a dict its values only,
+    of a name the value that assigns binds it to."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.Dict):
+        return set().union(*(_strings(v, assigns) for v in node.values))
+    if isinstance(node, ast.Name):
+        return _strings(assigns[node.id], assigns) if node.id in assigns else set()
+    return set().union(*(_strings(n, assigns) for n in ast.iter_child_nodes(node)))
+
+
+def _accepted_keys(fn: ast.FunctionDef, assigns: dict) -> set:
+    """The params keys a command function accepts: the key set of each of
+    its _check_keys(obj, keys, where) calls on params or on an object in
+    it, a key in an object dotted ("lambda.points") in place of the
+    object's own key."""
+    local = {**assigns, **{t.id: n.value for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                           for t in n.targets if isinstance(t, ast.Name)}}
+    keys, objects = set(), set()
+    for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+        if getattr(call.func, "id", None) != "_check_keys":
+            continue
+        where = call.args[2].value
+        if where.startswith("params."):
+            objects.add(where[len("params."):])
+            keys |= {f"{where[len('params.'):]}.{k}" for k in _strings(call.args[1], local)}
+        elif where == "params":
+            keys |= _strings(call.args[1], local)
+    return keys - objects
+
+
+def test_every_params_key_is_in_the_readme_table():
+    """Each command's row of the README's params table names, as `key`:,
+    exactly the keys its function in cli._RUNNERS accepts (see
+    _accepted_keys): no key goes undocumented, and no documented key is
+    one the command rejects."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assigns = {t.id: n.value for n in tree.body if isinstance(n, ast.Assign)
+               for t in n.targets if isinstance(t, ast.Name)}
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    runners = {k.value: functions[v.id] for k, v in
+               zip(assigns["_RUNNERS"].keys, assigns["_RUNNERS"].values)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme, re.M))
+    assert set(rows) >= set(runners), sorted(set(runners) - set(rows))
+    wrong = {}
+    for command, fn in runners.items():
+        accepted = _accepted_keys(fn, assigns)
+        documented = set(re.findall(r"`([\w.]+)`:", rows[command]))
+        if accepted != documented:
+            wrong[command] = {"undocumented": sorted(accepted - documented),
+                              "not accepted": sorted(documented - accepted)}
+    assert not wrong, wrong
