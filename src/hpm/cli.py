@@ -155,55 +155,42 @@ def _param(params: dict, key: str, default, integer: bool = False):
     return _number(params.get(key, default), f"params.{key}", integer)
 
 
-def _count(value, where: str, elements) -> int:
-    """A count from the config (a JSON integer, see _number), rejected
-    before anything is allocated when the largest array it sizes, of
-    elements(count) elements, would exceed the bound the grid enforces.
-    Counts below 1 pass here, for the checks that name their own floor."""
-    count = _number(value, where, integer=True)
-    if count > 0 and elements(count) > spectral._MAX_SAMPLES:
-        raise ConfigError(f"{where} = {count} is too large: its largest array "
-                          f"would exceed {spectral._MAX_SAMPLES} elements")
-    return count
+def _check_size(counts: dict, elements: int) -> None:
+    """ConfigError, before anything is allocated, when a command's largest
+    array, of `elements` elements, would exceed the bound the grid
+    enforces.  `counts` holds each params key that sizes it with the value
+    the config gave; the message names them all, a list by its length.
+    The caller clamps negative counts at 0, so a count below its floor
+    passes here to the check that names that floor."""
+    if elements > spectral._MAX_SAMPLES:
+        given = ", ".join(f"len(params.{key}) = {len(v)}" if isinstance(v, list)
+                          else f"params.{key} = {v}" for key, v in counts.items())
+        raise ConfigError(f"{given}: the largest array would exceed "
+                          f"{spectral._MAX_SAMPLES} elements")
 
 
-def _check_scan_size(x_count: int, d: int, resolution: int, eps_list: list,
-                     where: str) -> None:
-    """ConfigError naming `where` (the scan's list keys) when the
-    (x samples, mesh points, eps) array of scan measures, one CSV row per
-    measure, would exceed the bound the grid enforces; checked before the
-    scan allocates anything.  A d-dimensional mesh of the given resolution
-    has resolution^(d-1) points, 2 in 1-d."""
-    mesh_points = max(2, resolution ** (d - 1))
-    size = x_count * mesh_points * len(eps_list)
-    if size > spectral._MAX_SAMPLES:
-        raise ConfigError(
-            f"{where}: {x_count} x samples times {mesh_points} mesh points "
-            f"times {len(eps_list)} eps would exceed {spectral._MAX_SAMPLES} "
-            f"measures")
-
-
-def _midpoints(interval, where: str, points, points_where: str, elements):
-    """The midpoints of `points` (a count, see _count, of at least 2) equal
-    cells of the interval (lo, hi), which needs lo < hi and a finite width."""
+def _midpoints(interval, where: str, count: int, count_where: str):
+    """The midpoints of `count` (at least 2) equal cells of the interval
+    (lo, hi), which needs lo < hi and a finite width."""
     lo, hi = interval
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ConfigError(f"{where} needs lo < hi of finite width, got {lo} and {hi}")
-    count = _count(points, points_where, elements)
     if count < 2:
-        raise ConfigError(f"{points_where} must be at least 2, got {count}")
+        raise ConfigError(f"{count_where} must be at least 2, got {count}")
     return lo + (np.arange(count) + 0.5) * (hi - lo) / count
 
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past 4300 digits, deep nesting
+        raise ConfigError(f"invalid config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -369,10 +356,11 @@ def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     if not multiplier.shells_in_float_range(profile, shells):
         raise ConfigError(f"params.shells = {shells} is too large: its dyadic "
                           f"shells leave the float range for alpha {profile.alpha}")
+    samples = _param(params, "samples_per_shell", 24, integer=True)
     # the refined scan stacks (2 samples_per_shell, d) samples on each of
     # its 2 shells + 4 shells
-    samples = _count(params.get("samples_per_shell", 24), "params.samples_per_shell",
-                     lambda s: 2 * s * profile.d * (2 * shells + 4))
+    _check_size({"samples_per_shell": samples, "shells": shells},
+                2 * max(samples, 0) * profile.d * (2 * max(shells, 0) + 4))
     report = multiplier.marcinkiewicz_certify(
         psi, profile, shells=shells, samples_per_shell=samples)
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
@@ -401,18 +389,14 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"params.n_list must be increasing with at least 3 "
                           f"entries, got {n_list}")
+    x_cells = _param(params, "x_cells", 4, integer=True)
+    p_cells = _param(params, "p_cells", 16, integer=True)
     # the assembly's largest arrays for C = x_cells^d cells, B = p_cells and
     # R = len(n_list) rows a cell on S lattice points: the (B, S) P-masks, a
     # row stack of at most max(C, R) rows and the (C, R, B) forms
-    x_cells = _param(params, "x_cells", 4, integer=True)
-    p_cells = _param(params, "p_cells", 16, integer=True)
-    counts = {"x_cells": max(x_cells, 0) ** grid.d, "p_cells": max(p_cells, 0),
-              "n_list": len(n_list)}
-    C, B, R = counts.values()
-    if max(max(C, B, R) * math.prod(grid.n_per_axis), C * R * B) > spectral._MAX_SAMPLES:
-        raise ConfigError(f"params.{max(counts, key=counts.get)} is too large: {C} "
-                          f"x-cells, {B} P-cells and {R} n_list entries would "
-                          f"exceed {spectral._MAX_SAMPLES} elements in one array")
+    C, B, R = max(x_cells, 0) ** grid.d, max(p_cells, 0), len(n_list)
+    _check_size({"x_cells": x_cells, "p_cells": p_cells, "n_list": n_list},
+                max(max(C, B, R) * math.prod(grid.n_per_axis), C * R * B))
     _check_constraint_sum(profile, grid)  # the P-masks project the lattice
     # the envelope: band 0.15, kept away from zero by its mean 1
     seq = hmeasure.OscillationSequence(profile, c,
@@ -495,18 +479,20 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
     def coeffs(x, p):
         return stack(p, *x)
 
-    # the (N, d) mesh of P, N = resolution^(d-1), and the coefficients on
-    # the p grid, (p_points, d)
-    resolution = _count(params.get("resolution", 32), "params.resolution",
-                        lambda r: r ** (profile.d - 1) * profile.d)
-    p_grid = _midpoints(
-        _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2),
-        "params.p_interval", params.get("p_points", 256), "params.p_points",
-        lambda n: n * profile.d)
+    resolution = _param(params, "resolution", 32, integer=True)
+    p_points = _param(params, "p_points", 256, integer=True)
     eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
                         "params.eps_list")
-    _check_scan_size(len(x_samples), profile.d, resolution, eps_list,
-                     "params.x_samples and params.eps_list")
+    # the (N, d) mesh of P, N = resolution^(d-1) (2 in 1-d), the (p_points, d)
+    # coefficients of each x sample and the (x samples, N, eps) measures
+    X, d = len(x_samples), profile.d
+    N, P = max(2, max(resolution, 0) ** (d - 1)), max(p_points, 0)
+    _check_size({"x_samples": x_samples, "resolution": resolution,
+                 "p_points": p_points, "eps_list": eps_list},
+                max(N * d, max(X, 1) * P * d, X * N * len(eps_list)))
+    p_grid = _midpoints(
+        _numbers(params.get("p_interval", [-1.0, 1.0]), "params.p_interval", 2),
+        "params.p_interval", p_points, "params.p_points")
     report = averaging.nondegeneracy_scan(
         coeffs, x_samples, profile, resolution, p_grid, eps_list)
     _write_json(out / "nondegeneracy.json", report.to_json_dict())
@@ -535,15 +521,17 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     _check_keys(lspec, {"min", "max", "points"}, "params.lambda")
     lo = _number(lspec.get("min", -1.0), "params.lambda.min")
     hi = _number(lspec.get("max", 1.0), "params.lambda.max")
-    # the (N, d) mesh of the manifold, N = resolution^(d-1), and the flux
-    # derivatives at every lambda, (points, d, d)
-    resolution = _count(params.get("resolution", 64), "params.resolution",
-                        lambda r: r ** (flux.d - 1) * flux.d)
-    lam = _midpoints((lo, hi), "params.lambda", lspec.get("points", 256),
-                     "params.lambda.points", lambda n: n * flux.d ** 2)
-    manifold = kinetic.UPManifold(flux.d, flux.l_split)
+    points = _number(lspec.get("points", 256), "params.lambda.points", integer=True)
+    resolution = _param(params, "resolution", 64, integer=True)
     eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
-    _check_scan_size(1, flux.d, resolution, eps_list, "params.eps_list")
+    # the (N, d) mesh of the manifold, N = resolution^(d-1) (2 in 1-d), the
+    # (points, d, d) flux derivatives and the (N, eps) measures
+    d, N = flux.d, max(2, max(resolution, 0) ** (flux.d - 1))
+    _check_size({"resolution": resolution, "lambda.points": points,
+                 "eps_list": eps_list},
+                max(N * d, max(points, 0) * d * d, N * len(eps_list)))
+    lam = _midpoints((lo, hi), "params.lambda", points, "params.lambda.points")
+    manifold = kinetic.UPManifold(flux.d, flux.l_split)
     report = kinetic.up_nondegeneracy_scan(
         flux, [None], manifold, lam, eps_list, resolution=resolution)
     u = spectral.inverse_dft(_envelope_spectrum(grid, rng, 0.2, 0.0))

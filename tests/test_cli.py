@@ -191,6 +191,21 @@ class TestErrorHandling:
         assert run_cli("project", str(tmp_path / "nope.json"),
                        tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",
+        b"[" * 100000,
+        b'{"command": "project", "grid": {"n": [16, 16], "L": [1.0, 1.0]}, '
+        b'"profile": {"alpha": [1.0, 1.0]}, "seed": ' + b"1" * 5000 + b"}",
+    ], ids=["not-utf8", "nested-past-the-recursion-limit", "seed-past-4300-digits"])
+    def test_unparsable_config_file_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert run_cli("project", str(path), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unsafe_expression_rejected(self, tmp_path, capsys):
         cfg = base_config(
             "nondegeneracy",
@@ -762,6 +777,26 @@ class TestMalformedParams:
                           params={"generator": {"kind": "oscillation", "c": [1.0, 0.0]},
                                   "x_cells": 1, "p_cells": 1})
         self._exits_2(tmp_path, capsys, cfg, "params.n_list", n_list=n_list)
+
+    def test_coefficients_past_the_bound_exit_2_before_the_scan(
+            self, tmp_path, monkeypatch, capsys):
+        # 16,384 x samples of (65,536, 1) complex coefficients each: 2^30
+        # elements (16 GiB), past the 2^28 bound, while the (x samples, mesh
+        # points, eps) measures are only 16,384 x 2 x 4
+        def never(*args, **kwargs):
+            raise AssertionError("the run started the scan")
+
+        monkeypatch.setattr(cli.averaging, "nondegeneracy_scan", never)
+        cfg = base_config("nondegeneracy", grid={"n": [16], "L": [1.0]},
+                          profile={"alpha": [1.0]},
+                          params={"a": ["p"], "x_samples": [[0.0]] * 16384,
+                                  "p_points": 65536})
+        out = tmp_path / "out"
+        assert run_cli("nondegeneracy", write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: ") and err.count("\n") == 1
+        assert "params.x_samples" in err and "params.p_points" in err
+        assert not out.exists()
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
         # 178 shells keep the alpha (1, 2) scan in the float range

@@ -177,3 +177,15 @@ def test_every_params_key_is_in_the_readme_table():
             wrong[command] = {"undocumented": sorted(accepted - documented),
                               "not accepted": sorted(documented - accepted)}
     assert not wrong, wrong
+
+
+def test_the_sample_bound_has_one_home_in_the_cli():
+    """Every `_MAX_SAMPLES` attribute in cli.py sits inside `_check_size`:
+    one rule bounds each array a command sizes from its config."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    home = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name == "_check_size" for n in ast.walk(fn)}
+    refs = [n for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "_MAX_SAMPLES"]
+    stray = [f"cli.py:{n.lineno}" for n in refs if id(n) not in home]
+    assert refs and not stray, stray
