@@ -15,14 +15,14 @@ axis), and each cell reuses the passes it shares with the previous one.
 The P-masks are real, so the cell forms come from real matrix products
 (GEMM): every measure is one pass over the cells, in which a row writer
 puts the R rows of each cell, the real parts of F(hat_c w_i)
-conj(F(hat_c w_j)), into a stack over cells that meets the transposed
-masks, plus a second GEMM for the imaginary parts of a matrix measure
-(the scalar ones vanish).  A sequence is any callable n -> u_n of
-zero-mean snapshots; its K = len(n_list) snapshots, or their N velocity
-projections w_i for a matrix measure, are stacked and transformed
-together, K N^2 rows per cell.  The snapshots of an OscillationSequence
-are one envelope v (given as a field or as a band) times
-exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the mean
+conj(F(hat_c w_j)), into a stack over cells that meets the masks in
+their (S, B) storage, plus a second GEMM for the imaginary parts of a
+matrix measure (the scalar ones vanish).  A sequence is any callable
+n -> u_n of zero-mean snapshots; its K = len(n_list) snapshots, or their
+N velocity projections w_i for a matrix measure, are stacked and
+transformed together, K N^2 rows per cell.  The snapshots of an
+OscillationSequence are one envelope v (given as a field or as a band)
+times exp(2 pi i kappa(n).x), kappa(n) on the lattice, minus the mean
 m_n = F(v)(-kappa(n)) / |T|, so their spectra follow by the shift rule
 
     F(hat_c u_n) = roll(F(hat_c v), kappa(n) L) - m_n F(hat_c):
@@ -232,10 +232,14 @@ class CellBasis:
     """Hat partitions discretizing x-space and P.
 
     The x-cell hats are separable: cell c, the row-major index of
-    (c_1, ..., c_d), has the hat prod_k x_factors[k][c_k] (along axis k)."""
+    (c_1, ..., c_d), has the hat prod_k x_factors[k][c_k] (along axis k).
+    The P-masks are stored as the C-contiguous (S, B) array that the
+    cell-form GEMMs read (S lattice points in FFT order, B P-cells);
+    p_masks is its transposed (B, *spatial) view, so
+    p_masks.reshape(B, -1).T is that storage itself."""
 
     x_factors: tuple[np.ndarray, ...]  # d arrays (x_cells, n_k), squares sum to one
-    p_masks: np.ndarray         # (B, *spatial lattice), partition of unity off xi=0
+    p_masks: np.ndarray         # (B, *spatial) view, partition of unity off xi=0
 
     def cell_indices(self):
         """The multi-indices (c_1, ..., c_d) of the x-cells in row-major order."""
@@ -247,55 +251,68 @@ class CellBasis:
             np.multiply.outer, [f[i] for f, i in zip(self.x_factors, cell)])
 
 
-def _angular_masks(proj: np.ndarray, p_cells: int) -> np.ndarray:
-    """(B, S) angular-sector hats of the projected 2-d lattice.  A point's
-    hat is nonzero only in the sectors next to its angle: the nearest
-    centre m and m +- 1 (sector m +- 2 lies 1.5 spacings away or more), so
-    the hat formula is evaluated there alone and the other masks stay 0."""
-    ang = np.arctan2(proj[..., 1], proj[..., 0]).ravel() % (2 * np.pi)
+_SCRATCH_BYTES = 1 << 18  # bytes of a P-mask builder's block of rows or scratch
+
+
+def _angular_masks(pts: np.ndarray, masks: np.ndarray) -> None:
+    """The angular-sector hats of the projected 2-d lattice points pts
+    (S', 2) into the zeroed rows masks (S', B), one row per point, in
+    blocks of rows of at most _SCRATCH_BYTES, each written while it is in
+    cache.  A point's hat is nonzero only in the sectors next to its
+    angle: the nearest centre m and m +- 1 (sector m +- 2 lies 1.5
+    spacings away or more), so the hat formula is evaluated there alone,
+    scattered into masks[point, b], and the other entries stay 0."""
+    p_cells = masks.shape[1]
     spacing = 2 * np.pi / p_cells
     cang = np.arange(p_cells) * spacing
-    nearest = np.rint(ang / spacing).astype(np.intp)
-    cols = np.arange(ang.size)
-    masks = np.zeros((p_cells, ang.size))
-    for offset in (-1, 0, 1):
-        b = (nearest + offset) % p_cells
-        dist = ang - cang[b]
-        dist = (dist + np.pi) % (2 * np.pi) - np.pi
-        masks[b, cols] = _periodic_hat(dist, spacing)
-    return masks
+    width = max(1, _SCRATCH_BYTES // (8 * p_cells))
+    for a in range(0, len(pts), width):
+        block, rows = pts[a:a + width], masks[a:a + width]
+        ang = np.arctan2(block[:, 1], block[:, 0]) % (2 * np.pi)
+        nearest = np.rint(ang / spacing).astype(np.intp)
+        cols = np.arange(ang.size)
+        for offset in (-1, 0, 1):
+            b = (nearest + offset) % p_cells
+            dist = ang - cang[b]
+            dist = (dist + np.pi) % (2 * np.pi) - np.pi
+            rows[cols, b] = _periodic_hat(dist, spacing)
 
 
-_SCRATCH_BYTES = 1 << 18  # the budget of the P-mask builder's scratch block
+def _direction_masks(pts: np.ndarray, profile: AnisotropyProfile,
+                     masks: np.ndarray) -> None:
+    """Normalized Gaussian weights around B random directions projected
+    onto P, at the projected lattice points pts (S', d), into the rows
+    masks (S', B), one row per point.
 
-
-def _direction_masks(proj: np.ndarray, profile: AnisotropyProfile,
-                     p_cells: int) -> np.ndarray:
-    """(B, S) normalized Gaussian weights around p_cells random directions
-    projected onto P.  The squared distances are summed one axis at a
-    time into the (B, S) masks themselves, a block of rows at a time,
-    with one (rows, S) scratch of at most _SCRATCH_BYTES (one row if a
-    row is larger)."""
-    d = proj.shape[-1]
+    The points are taken in blocks of one width, each in a (B, width)
+    scratch of at most _SCRATCH_BYTES (two points if a pair is larger):
+    the squared distances summed one axis at a time, through a second
+    scratch of the same size, then exp, the sum over the B weights and the
+    division; the scratch is then written transposed into the block's
+    rows.  The last block ends at the last point and may overlap the one
+    before it, so every block is at least 2 points wide: numpy sums the
+    (B, width) scratch over B in axis order, but a (B, 1) column
+    pairwise."""
+    n, d = pts.shape
+    p_cells = masks.shape[1]
     rng = np.random.Generator(np.random.Philox(key=11))
     dirs = rng.standard_normal((p_cells, d))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    p_centers = project_to_P(dirs, profile)
+    centers = project_to_P(dirs, profile)
     sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
-    pts = proj.reshape(-1, d)
-    g = np.empty((p_cells, pts.shape[0]))
-    rows = min(p_cells, max(1, _SCRATCH_BYTES // g[0].nbytes))
-    scratch = np.empty((rows, pts.shape[0]))
-    for b in range(0, p_cells, rows):
-        block, centers = g[b:b + rows], p_centers[b:b + rows]
-        tmp = scratch[:len(block)]
-        np.square(np.subtract(pts[:, 0], centers[:, 0, None], out=block), out=block)
+    width = min(n, max(2, _SCRATCH_BYTES // (8 * p_cells)))
+    g, tmp = np.empty((2, p_cells, width))
+    for a in range(0, n, width):
+        a = min(a, n - width)
+        block = pts[a:a + width]
+        np.square(np.subtract(block[:, 0], centers[:, 0, None], out=g), out=g)
         for k in range(1, d):
-            block += np.square(np.subtract(pts[:, k], centers[:, k, None], out=tmp),
-                               out=tmp)
-    np.divide(np.negative(g, out=g), 2 * sigma ** 2, out=g)
-    g /= np.sum(np.exp(g, out=g), axis=0, keepdims=True)
-    return g
+            g += np.square(np.subtract(block[:, k], centers[:, k, None], out=tmp),
+                           out=tmp)
+        np.divide(np.negative(g, out=g), 2 * sigma ** 2, out=g)
+        np.exp(g, out=g)
+        g /= np.sum(g, axis=0)
+        masks[a:a + width] = g.T
 
 
 def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
@@ -320,15 +337,15 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         h = _periodic_hat(dist, spacing)
         factors.append(h / np.sqrt(np.sum(h ** 2, axis=0)))
 
-    # P-cells on the frequency lattice
-    proj = project_lattice(grid.frequency_vectors(), profile)
+    # P-cells on the frequency lattice, one (S, B) row per lattice point;
+    # flat index 0 is the mode xi = 0 in FFT order, whose row stays 0
+    pts = project_lattice(grid.frequency_vectors(), profile).reshape(-1, d)
+    masks = np.zeros((len(pts), p_cells))
     if d == 2:
-        masks = _angular_masks(proj, p_cells)
+        _angular_masks(pts[1:], masks[1:])
     else:
-        masks = _direction_masks(proj, profile, p_cells)
-    masks[:, 0] = 0.0  # flat index 0 is the mode xi = 0 in FFT order
-    return CellBasis(tuple(factors),
-                     masks.reshape((p_cells,) + grid.n_per_axis))
+        _direction_masks(pts[1:], profile, masks[1:])
+    return CellBasis(tuple(factors), masks.T.reshape((p_cells,) + grid.n_per_axis))
 
 
 def _hat_passes(basis: CellBasis, grid: SpectralGrid, w: np.ndarray) -> Callable:
@@ -400,13 +417,13 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     imag, their imaginary parts into im (R, S); otherwise im is None and
     the forms are exactly real.
 
-    The masks are real.  The rows of k = max(1, min(C // R, ceil(2B / R)))
-    cells are stacked into a real (k R, S) array that meets the (S, B)
-    transposed masks in one GEMM; the imaginary parts get a second stack
-    and GEMM.  Every GEMM packs the whole mask operand, and about 2B rows
-    a call amortise that packing, so a stack holds at most about
-    max(2B, R) rows, however many cells there are.  Every call, the last
-    one too, holds whole cells, at least R rows."""
+    The masks are real.  The rows of k = max(1, min(C // R, B // (2 R)))
+    cells are stacked into a real (k R, S) array that meets the masks'
+    own C-contiguous (S, B) storage in one GEMM; the imaginary parts get
+    a second stack and GEMM.  A stack holds whole cells, at most B / 2
+    rows (half the masks' bytes) unless one cell has more, however many
+    cells there are: every call, the last one too, holds at least one
+    cell, R rows."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())
@@ -414,7 +431,7 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     V = np.zeros((C, R, B), dtype=complex)
     vol = grid.freq_cell_volume
     masks_t = basis.p_masks.reshape(B, -1).T
-    k = max(1, min(C // R, math.ceil(2 * B / R)))
+    k = max(1, min(C // R, B // (2 * R)))
     re = np.empty((k, R, S))
     im = np.empty((k, R, S)) if imag else None
     for q, cell in enumerate(cells):

@@ -969,6 +969,23 @@ class TestFloatRange:
             return run_cli(command, write_config(tmp_path, cfg), tmp_path / "out")
 
     @pytest.mark.filterwarnings("error")
+    def test_p_masks_underflowing_at_the_origin_run_clean(self, tmp_path, capsys):
+        """20,000 P-cells on 8^3: at xi = 0, which projects to the origin,
+        every Gaussian weight underflows to 0.  That mode's masks are 0
+        and never normalized, so the run exits 0 with finite cells."""
+        cfg = base_config(
+            "hmeasure", grid={"n": [8, 8, 8], "L": [1.0, 1.0, 1.0]},
+            profile={"alpha": [1.0, 1.0, 1.0]},
+            params={"generator": {"kind": "oscillation", "c": [1.0, 0.0, 0.5]},
+                    "n_list": [2, 3, 4], "x_cells": 1, "p_cells": 20000})
+        out = tmp_path / "out"
+        assert run_cli("hmeasure", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "cells.csv").read_text().splitlines()[1:]
+        masses = np.array([float(row.split(",")[2]) for row in rows])
+        assert masses.shape == (20000,) and np.all(np.isfinite(masses))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("symbol", [
         "bump:center=[0.5,0.5],width=1e200", "bump:center=[0.5,0.5],width=1e-200",
         "bump:center=[1e308,0.5],width=0.2"])
