@@ -332,6 +332,10 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError(f"params.band_fraction: {exc}") from None
     # the operator acts on the band's box only, the norms are the bands'
     # (Plancherel), and only the output band is inverted
+    input_l2 = band.norm_l2()
+    if input_l2 == 0:
+        raise IntegrityError(f"the input's L2 norm is 0: the squares of the drawn "
+                             f"band underflow at grid.L = {list(grid.length_per_axis)}")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
         _check_constraint_sum(profile, band)
@@ -345,7 +349,7 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         _check_constraint_sum(profile, band)
         out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
-    _write_json(out / "norms.json", {"input_l2": _fmt(band.norm_l2()),
+    _write_json(out / "norms.json", {"input_l2": _fmt(input_l2),
                                      "output_l2": _fmt(out_band.norm_l2())})
 
 

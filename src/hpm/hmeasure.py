@@ -251,7 +251,8 @@ class CellBasis:
             np.multiply.outer, [f[i] for f, i in zip(self.x_factors, cell)])
 
 
-_SCRATCH_BYTES = 1 << 18  # bytes of a P-mask builder's block of rows or scratch
+_SCRATCH_BYTES = 1 << 18  # bytes of a P-mask builder's block or a shift-rule slab
+_STACK_BYTES = 3 << 20  # bytes of the rows of one cell-form stack
 
 
 def _angular_masks(pts: np.ndarray, masks: np.ndarray) -> None:
@@ -417,13 +418,14 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     imag, their imaginary parts into im (R, S); otherwise im is None and
     the forms are exactly real.
 
-    The masks are real.  The rows of k = max(1, min(C // R, B // (2 R)))
-    cells are stacked into a real (k R, S) array that meets the masks'
-    own C-contiguous (S, B) storage in one GEMM; the imaginary parts get
-    a second stack and GEMM.  A stack holds whole cells, at most B / 2
-    rows (half the masks' bytes) unless one cell has more, however many
-    cells there are: every call, the last one too, holds at least one
-    cell, R rows."""
+    The masks are real.  The rows of k = max(1, min(C // R, B // (2 R),
+    _STACK_BYTES // (8 R S))) cells are stacked into a real (k R, S)
+    array that meets the masks' own C-contiguous (S, B) storage in one
+    GEMM; the imaginary parts get a second stack and GEMM.  A stack holds
+    whole cells, at most B / 2 rows (half the masks' bytes) and at most
+    _STACK_BYTES of rows unless one cell has more, however many cells
+    there are: every call, the last one too, holds at least one cell, R
+    rows."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())
@@ -431,7 +433,7 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     V = np.zeros((C, R, B), dtype=complex)
     vol = grid.freq_cell_volume
     masks_t = basis.p_masks.reshape(B, -1).T
-    k = max(1, min(C // R, B // (2 * R)))
+    k = max(1, min(C // R, B // (2 * R), _STACK_BYTES // (8 * R * S)))
     re = np.empty((k, R, S))
     im = np.empty((k, R, S)) if imag else None
     for q, cell in enumerate(cells):
@@ -445,13 +447,29 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     return V
 
 
-def _roll_blocks(shift: Sequence[int], n_per_axis: Sequence[int]) -> list:
+def _roll_blocks(shift: Sequence[int], n_per_axis: Sequence[int],
+                 width: int) -> list:
     """(destination, source) index pairs that copy np.roll(a, shift) in
-    at most 2^d blocks: out[dst] = a[src]."""
+    blocks: out[dst] = a[src].  Each of the at most 2^d blocks of the roll
+    is cut along axis 0 into slabs of at most `width` indices."""
     pieces = [[(slice(s, n), slice(0, n - s))]
               + ([(slice(0, s), slice(n - s, n))] if s else [])
               for s, n in zip(shift, n_per_axis)]
+    slabs = []
+    for dst, src in pieces[0]:
+        offset = src.start - dst.start
+        for a in range(dst.start, dst.stop, width):
+            b = min(a + width, dst.stop)
+            slabs.append((slice(a, b), slice(a + offset, b + offset)))
+    pieces[0] = slabs
     return [tuple(zip(*blocks)) for blocks in itertools.product(*pieces)]
+
+
+def _power(G: np.ndarray, out: np.ndarray) -> None:
+    """|G|^2 into out (any view of G's shape), as _write_products forms
+    it: G.real^2 + G.imag^2, each product rounded on its own."""
+    np.multiply(G.real, G.real, out=out)
+    out += G.imag * G.imag
 
 
 def _band_value(band: SpectralBand, mode: Sequence[int]) -> complex:
@@ -477,43 +495,60 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
     with the mean m_n = F(v)(-kappa(n)) / |T| read off seq.spectrum and
     F(hat_c) the outer product of the 1-d transforms of the separable hat
     factors.  Each cell costs one transform, F(hat_c v), by the per-axis
-    passes of _hat_passes.  Where m_n = 0 the row of (c, n) is
-    |roll(F(hat_c v), s(n))|^2 = roll(|F(hat_c v)|^2, s(n)): the cell's
-    power spectrum, formed once, copied into the row in at most 2^d
-    blocks.  Otherwise -m_n F(hat_c) is written into one reused buffer
-    as one outer product over the grid, the blocks of the rolled
-    F(hat_c v) are added to it, and its power goes into the row."""
+    passes of _hat_passes.  A roll is copied in at most 2^d blocks, each
+    cut along axis 0 into slabs of at most _SCRATCH_BYTES of complex
+    values (_roll_blocks), and each row is formed a slab at a time, with
+    the products, in their order, of the whole grid at once; no full-grid
+    buffer is kept.
+
+    Where m_n != 0 a slab of the row is the power of the slab of the
+    outer product -m_n F(hat_c) plus the slab of the rolled F(hat_c v).
+    Where m_n = 0 the row of (c, n) is |roll(F(hat_c v), s(n))|^2 =
+    roll(P, s(n)) for the cell's power spectrum P = |F(hat_c v)|^2,
+    formed once: a single such row takes P rolled; of several, the first
+    takes P unrolled, the others are copied from it, each rolled by its
+    shift, and then the first is copied from the second, rolled by the
+    difference of their shifts."""
     grid = seq.physical.grid
     shifts = [_lattice_shift(seq.profile, seq.c, n, grid) for n in n_list]
     area = math.prod(grid.length_per_axis)
     means = [_band_value(seq.spectrum,
                          [-s % nk for s, nk in zip(shift, grid.n_per_axis)]) / area
              for shift in shifts]
-    blocks = [_roll_blocks(shift, grid.n_per_axis) for shift in shifts]
+    # (row, row it is copied from or None, roll) in the order written
+    steps = [(j, None, shift) for j, shift in enumerate(shifts) if means[j] != 0]
+    zero = [j for j, mean in enumerate(means) if mean == 0]
+    if len(zero) == 1:
+        steps.append((zero[0], None, shifts[zero[0]]))
+    elif zero:
+        first, second = zero[:2]
+        steps.append((first, None, (0,) * grid.d))
+        steps += [(j, first, shifts[j]) for j in zero[1:]]
+        steps.append((first, second, tuple(
+            (a - b) % nk for a, b, nk in zip(shifts[first], shifts[second],
+                                             grid.n_per_axis))))
+    width = max(1, _SCRATCH_BYTES // (16 * math.prod(grid.n_per_axis[1:])))
+    steps = [(j, source, _roll_blocks(roll, grid.n_per_axis, width))
+             for j, source, roll in steps]
     hat_spectra = [dft_axis(f, 1, L)
                    for f, L in zip(basis.x_factors, grid.length_per_axis)]
     transform = _hat_passes(basis, grid, np.asarray(seq.physical.values))
-    power = np.empty(grid.n_per_axis) if 0 in means else None
-    G = np.empty(grid.n_per_axis, dtype=complex) if any(means) else None
 
     def rows(cell, re, im):
         Fhv = transform(cell)
-        if power is not None:
-            _write_products(Fhv.reshape(1, -1), power.reshape(1, 1, -1), None)
         h = [hk[i] for hk, i in zip(hat_spectra, cell)]
-        for flat, mean, run_blocks in zip(re, means, blocks):
-            row = flat.reshape(grid.n_per_axis)
-            if mean == 0:
-                for dst, src in run_blocks:
-                    row[dst] = power[src]
-                continue
-            # G = -m F(hat_c) + roll(F(hat_c v), s(n)): the outer product
-            # is written into G itself, the roll added block by block
-            np.multiply.outer(functools.reduce(np.multiply.outer, h[:-1], -mean),
-                              h[-1], out=G)
-            for dst, src in run_blocks:
-                G[dst] += Fhv[src]
-            _write_products(G.reshape(1, -1), flat.reshape(1, 1, -1), None)
+        out = re.reshape((-1,) + grid.n_per_axis)
+        for j, source, blocks in steps:
+            for dst, src in blocks:
+                if source is not None:
+                    out[j][dst] = out[source][src]
+                elif means[j] == 0:
+                    _power(Fhv[src], out[j][dst])
+                else:
+                    G = functools.reduce(np.multiply.outer,
+                                         [hk[i] for hk, i in zip(h, dst)], -means[j])
+                    G += Fhv[src]
+                    _power(G, out[j][dst])
 
     return rows
 

@@ -1,9 +1,11 @@
 """The cell discretization against the dense formulas it replaced: cell
 forms batched over chunks of cells, bit for bit one GEMM per cell,
-separable x-hats, and P-masks evaluated only where they can be nonzero,
-or built in blocks, stored as the GEMM's own (S, B) operand; and the
-traced working memory of the assembly."""
+shift-rule rows written slab by slab, separable x-hats, and P-masks
+evaluated only where they can be nonzero, or built in blocks, stored as
+the GEMM's own (S, B) operand; and the traced working memory of the
+assembly."""
 
+import functools
 import math
 import tracemalloc
 
@@ -22,7 +24,7 @@ from hpm.hmeasure import (
     make_cell_basis,
     scalar_hmeasure,
 )
-from hpm.spectral import SpectralGrid, band_limited_field
+from hpm.spectral import SpectralGrid, band_limited_field, dft_axis
 from test_cell_forms import einsum_forms, snapshot_forms
 
 
@@ -101,7 +103,8 @@ def matrix_case(N, x_cells, p_cells):
 # C cells of R = N^2 rows in stacks of k = max(1, min(C // R, B // (2R)))
 # cells, at most B / 2 = 4 rows for B = 8 P-cells: stacks of 4 cells with a
 # last one of 1 (scalar-2d-C9), of 4 with a last one of 3 (scalar-3d-C27),
-# one cell of 4 rows per stack, above B / 2 (matrix-N2-C9, matrix-N2-C4)
+# one cell of 4 rows per stack, above B / 2 (matrix-N2-C9, matrix-N2-C4);
+# the cap of _STACK_BYTES = 3 MiB of rows binds on none of these
 CASES = {"scalar-2d-C9": lambda: scalar_case(2, 3),
          "scalar-3d-C27": lambda: scalar_case(3, 3),
          "matrix-N2-C9": lambda: matrix_case(2, 3, 8),
@@ -165,6 +168,7 @@ def matrix_gemm_case():
 # with SkylakeX kernels sends a product of M N K <= 10^6 to small-matrix
 # kernels whose summation order differs from the blocked GEMM's; the
 # 128^2 case puts every call above that size, the others every call below.
+# The cap of _STACK_BYTES = 3 MiB of rows binds on none of these.
 GEMM_CASES = {
     "scalar-2d-32": lambda: shifted_case((32, 32), (1.0, 2.0), (1.0, 0.5), 5, 24),
     "scalar-3d-8": lambda: shifted_case((8, 8, 8), (1.0, 1.0, 2.0),
@@ -172,6 +176,85 @@ GEMM_CASES = {
     "scalar-2d-128": lambda: shifted_case((128, 128), (1.0, 1.0), (1.0, 0.0), 3, 24),
     "matrix-N2": matrix_gemm_case,
 }
+
+
+def shifts_and_means(seq, n_list):
+    """The shifts s(n) and the means m_n of the shift rule."""
+    grid = seq.physical.grid
+    shifts = [hmeasure._lattice_shift(seq.profile, seq.c, n, grid) for n in n_list]
+    means = [hmeasure._band_value(seq.spectrum, [-s % nk for s, nk in zip(
+        shift, grid.n_per_axis)]) / math.prod(grid.length_per_axis) for shift in shifts]
+    return shifts, means
+
+
+def full_grid_rows(seq, basis, n_list):
+    """The (C, R, S) shift-rule rows by the full-grid formulas the slab
+    writer replaced: the power |G|^2 = G.real^2 + G.imag^2 of G =
+    roll(F(hat_c v), s(n)), minus m_n F(hat_c) as one outer product over
+    the grid where m_n != 0."""
+    grid = seq.physical.grid
+    shifts, means = shifts_and_means(seq, n_list)
+    hat_spectra = [dft_axis(f, 1, L)
+                   for f, L in zip(basis.x_factors, grid.length_per_axis)]
+    transform = hmeasure._hat_passes(basis, grid, np.asarray(seq.physical.values))
+    out = []
+    for cell in basis.cell_indices():
+        Fhv = transform(cell)
+        h = [hk[i] for hk, i in zip(hat_spectra, cell)]
+        for shift, mean in zip(shifts, means):
+            G = np.roll(Fhv, shift, axis=tuple(range(grid.d)))
+            if mean != 0:
+                G = functools.reduce(np.multiply.outer, h, -mean) + G
+            out.append((G.real * G.real + G.imag * G.imag).ravel())
+    return np.reshape(out, (-1, len(n_list), math.prod(grid.n_per_axis)))
+
+
+# (n, alpha, c, band_fraction, n_list, which m_n are 0).  The envelope's box
+# reaches max(1, int(band_fraction n_k / 2)) lattice points from 0 on each
+# axis, and m_n = 0 exactly where -kappa(n) lies outside it.
+ROW_CASES = {
+    "2d-mixed-one-zero": ((32, 32), (1.0, 1.0), (1.0, 0.0), 0.15, (1, 2, 3),
+                          [False, False, True]),
+    "2d-mixed-several-zero": ((32, 32), (1.0, 1.0), (1.0, 0.0), 0.15, (2, 3, 5, 7),
+                              [False, True, True, True]),
+    "2d-all-zero": ((32, 32), (1.0, 1.0), (1.0, 0.0), 0.15, (3, 4, 5),
+                    [True, True, True]),
+    "2d-all-nonzero": ((32, 32), (1.0, 1.0), (1.0, 0.0), 0.5, (2, 3, 4),
+                       [False, False, False]),
+    # shifts on both axes of a non-square grid: 4 roll blocks a row
+    "2d-both-axes": ((32, 16), (1.0, 1.0), (1.0, 0.5), 0.25, (2, 4, 9, 12),
+                     [False, False, True, True]),
+    "3d-mixed": ((8, 16, 8), (1.0, 1.0, 2.0), (1.0, 0.0, 0.5), 0.5, (1, 2, 3, 4),
+                 [False, False, True, True]),
+    "3d-all-zero": ((8, 16, 8), (1.0, 1.0, 2.0), (1.0, 0.0, 0.5), 0.15, (2, 3, 4),
+                    [True, True, True]),
+}
+
+
+@pytest.mark.parametrize("slab_rows", [None, 3, 1])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_slab_rows_bitwise_equal_to_full_grid_formulas(monkeypatch, case, slab_rows):
+    """The rows of every cell, written slab by slab, are bit for bit
+    those of the full-grid formulas: with the default budget (every roll
+    block narrower than one slab), and with slabs of 3 rows and of 1 row
+    along axis 0 (blocks spanning several slabs, the last one partial)."""
+    n, alpha, c, band_fraction, n_list, zero = ROW_CASES[case]
+    grid = SpectralGrid(n, (1.0,) * len(n))
+    profile = AnisotropyProfile(alpha)
+    seq = OscillationSequence(
+        profile, c, cli._envelope_spectrum(grid, rng(7), band_fraction, 1.0))
+    basis = make_cell_basis(grid, profile, 2, 8)
+    if slab_rows is not None:
+        monkeypatch.setattr(hmeasure, "_SCRATCH_BYTES",
+                            slab_rows * 16 * math.prod(n[1:]))
+    assert [mean == 0 for mean in shifts_and_means(seq, n_list)[1]] == zero
+    ref = full_grid_rows(seq, basis, n_list)
+    rows = _shifted_products(seq, basis, n_list)
+    re = np.empty(ref.shape[1:])
+    for q, cell in enumerate(basis.cell_indices()):
+        re.fill(np.nan)
+        rows(cell, re, None)
+        assert np.array_equal(re, ref[q])
 
 
 @pytest.mark.parametrize("case", sorted(GEMM_CASES))
@@ -269,9 +352,13 @@ def test_assembly_working_memory():
     """On the two benchmark configs (256^2, alpha = (1, 1), 4^2 x-cells, 16
     P-cells, n_list [8, 16, 24, 32]; 32^3, alpha = (1, 1, 2), 4^3 x-cells,
     24 P-cells, n_list [4, 6, 8]; the CLI's envelope at Philox key 7), the
-    basis holds one (S, B) array, the masks, and the measure adds about
-    one stack of the cell forms: k = max(1, min(C // R, B // (2R))) cells
-    of R rows, at most B / 2 rows (8 on 256^2, 12 on 32^3)."""
+    basis holds one (S, B) array, the masks.  The measure adds one stack of
+    the cell forms, k = max(1, min(C // R, B // (2R), 3 MiB // (8 R S)))
+    cells of R rows (1 cell of 4 rows on 256^2, 4 cells of 3 rows on
+    32^3), and the shift-rule row writer's scratch: the d full-grid
+    complex passes of _hat_passes and one slab of at most _SCRATCH_BYTES
+    with the temporary of its power, at most 3 MiB; no full-grid product
+    buffer and no full-grid power spectrum.  1 MiB covers the rest."""
     for n, alpha, c, B, n_list in [
             ((256, 256), (1.0, 1.0), (1.0, 0.0), 16, [8, 16, 24, 32]),
             ((32, 32, 32), (1.0, 1.0, 2.0), (1.0, 0.0, 0.5), 24, [4, 6, 8])]:
@@ -284,7 +371,11 @@ def test_assembly_working_memory():
         basis, peak = traced_peak(lambda: make_cell_basis(grid, profile, 4, B))
         assert basis.p_masks.nbytes == masks
         assert peak <= masks + 2 * MiB
-        stack = max(1, min(C // R, B // (2 * R))) * R * S * 8
+        k = max(1, min(C // R, B // (2 * R), 3 * MiB // (8 * R * S)))
+        assert k == {2: 1, 3: 4}[len(n)]
+        stack = k * R * S * 8
+        scratch = len(n) * S * 16 + 2 * hmeasure._SCRATCH_BYTES
+        assert scratch <= 3 * MiB
         est, peak = traced_peak(lambda: scalar_hmeasure(seq, profile, grid, n_list, 4, B))
         assert est.cells.shape == (C, B)
-        assert peak <= masks + 2 * MiB + stack + 4 * MiB
+        assert peak <= masks + stack + scratch + 1 * MiB

@@ -233,6 +233,24 @@ class TestErrorHandling:
         assert err.startswith("hpm: integrity failure: ") and "n_min = 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [
+        {"operation": "projected", "symbol": "coordinate:0"},
+        {"operation": "fractional", "axis": 1, "order": 0.5},
+        {"operation": "smoothing", "cutoff_radius": 4.0},
+    ], ids=lambda p: p["operation"])
+    def test_zero_input_norm_exits_3(self, tmp_path, capsys, params):
+        # L = 1e150 per axis: the drawn band is about 1e-300 a mode, so its
+        # squares underflow and its L2 norm reads 0; norms of 0.0 would
+        # say nothing about the operator
+        cfg = base_config("multiplier-apply",
+                          grid={"n": [16, 16], "L": [1e150, 1e150]}, params=params)
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: the input's L2 norm is 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
     def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, tmp_path, scale):
         # the squares of the windowed averages would under- or overflow
