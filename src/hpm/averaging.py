@@ -33,7 +33,8 @@ import numpy as np
 from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SupportWarning
 from .multiplier import fractional_factor
-from .spectral import SpectralBand, SpectralField, SpectralGrid, forward_dft, inverse_dft
+from .spectral import (SpectralBand, SpectralField, SpectralGrid, forward_dft,
+                       inverse_dft, l2_norm)
 
 # --- principal symbol ---------------------------------------------------------
 
@@ -313,13 +314,8 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
         avg = velocity_average(seq(n), rho)
         if isinstance(avg, SpectralBand):
             avg = inverse_dft(avg)
-        values = np.abs(avg.values[window_mask(avg.grid, window)])
-        # scaled by the power of two 2^-e of their maximum, which rounds
-        # nothing, so that no square of a tiny or huge weight leaves the
-        # float range
-        e = np.frexp(np.max(values))[1]
-        norm = np.sqrt(np.sum(np.ldexp(values, -e) ** 2) * avg.grid.cell_volume)
-        norms.append(float(np.ldexp(norm, e)))
+        norms.append(l2_norm(avg.values[window_mask(avg.grid, window)],
+                             avg.grid.cell_volume))
     base = norms[0]
     if base == 0:
         raise IntegrityError(f"the windowed average at n_min = {n_list[0]} is 0: "

@@ -334,8 +334,8 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
     # (Plancherel), and only the output band is inverted
     input_l2 = band.norm_l2()
     if input_l2 == 0:
-        raise IntegrityError(f"the input's L2 norm is 0: the squares of the drawn "
-                             f"band underflow at grid.L = {list(grid.length_per_axis)}")
+        raise IntegrityError(f"the input's L2 norm is 0: the drawn band, or its norm, "
+                             f"underflows at grid.L = {list(grid.length_per_axis)}")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
         _check_constraint_sum(profile, band)
@@ -348,9 +348,13 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         cutoff_radius = _param(params, "cutoff_radius", 1.0)
         _check_constraint_sum(profile, band)
         out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
+    output_l2 = out_band.norm_l2()
+    if output_l2 == 0 and np.any(out_band.values):
+        raise IntegrityError(f"the output's L2 norm underflows to 0 at grid.L = "
+                             f"{list(grid.length_per_axis)}, but the output band is not 0")
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
     _write_json(out / "norms.json", {"input_l2": _fmt(input_l2),
-                                     "output_l2": _fmt(out_band.norm_l2())})
+                                     "output_l2": _fmt(output_l2)})
 
 
 def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
@@ -420,6 +424,9 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
                          "oscillation_axis"}, "params")
     if grid.m == 0:
         raise ConfigError("averaging needs velocity axes (grid.n_p)")
+    if any(a != 1 for a in profile.alpha):
+        raise ConfigError(f"averaging evolves first-order transport, so profile.alpha "
+                          f"must be all ones, got {list(profile.alpha)}")
     a_exprs = params.get("a")
     if not isinstance(a_exprs, list) or len(a_exprs) != grid.d:
         raise ConfigError("params.a needs one expression per spatial axis")
@@ -637,6 +644,10 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, DomainError, HpmError, OSError) as exc:
         print(f"hpm: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # run() has removed its staging directory
+        print(f"hpm: {args.command} ran out of memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
         return 2
 
 

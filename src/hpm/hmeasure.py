@@ -425,7 +425,8 @@ def _stacked_forms(basis: CellBasis, grid: SpectralGrid, rows: Callable,
     whole cells, at most B / 2 rows (half the masks' bytes) and at most
     _STACK_BYTES of rows unless one cell has more, however many cells
     there are: every call, the last one too, holds at least one cell, R
-    rows."""
+    rows.  With 4^d cells, a 256^2 measure of R = 4, B = 16 stacks 1
+    cell, a 32^3 one of R = 3, B = 24 stacks 4."""
     B = basis.p_masks.shape[0]
     S = math.prod(grid.n_per_axis)
     cells = list(basis.cell_indices())

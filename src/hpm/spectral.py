@@ -31,21 +31,14 @@ the transforms of fields it offers dft_axis, the transform of a raw
 array along one axis, for callers that build a transform pass by pass.
 
 inverse_dft inverts a band with numpy.fft.ifftn in place in its output
-array, and norm_l2 gives a band's L2 norm, which by Plancherel is its
-inverse DFT's.  band_limited_spectrum draws a random
-band-limited spectrum as a band (band_limited_field is its inverse DFT):
-it takes the normal stream of the full grid in chunks of at most
-_DRAW_CHUNK samples and keeps the box positions of each, so its memory
-follows the box (its time does not: it draws every normal of the grid);
-real_part_spectrum gives the spectrum of Re(inverse_dft(F)) plus a
-constant, as the Hermitian part (F(xi) + conj F(-xi)) / 2 with -xi taken
-mod n_k inside the symmetric box and the constant times prod_k L_k on
-the xi = 0 mode; and oscillated_spectrum gives the spectrum of the
-zero-mean part of f e^{2 pi i n x_k / L_k}, which is the box shifted by
-n lattice points along axis k (its indices mod n_k) with the xi = 0 mode
-cleared.  These two work on the box alone, so their cost follows the
-band, not the grid.  Fields are stored in the HPFLD1 format, which holds
-physical samples only (write_field, read_field).
+array.  Every L2 norm is l2_norm's, whose squares neither underflow nor
+overflow; a band's norm_l2 is by Plancherel its inverse DFT's.
+band_limited_spectrum draws a random spectrum as a band, its memory
+following the box (band_limited_field is its inverse DFT);
+real_part_spectrum and oscillated_spectrum give the spectra of a real
+part and of a zero-mean modulation on the box alone, so their cost
+follows the band, not the grid.  Fields are stored in the HPFLD1 format,
+which holds physical samples only (write_field, read_field).
 """
 
 from __future__ import annotations
@@ -220,6 +213,19 @@ class SpectralGrid:
         return SpectralGrid(self.n_per_axis, self.length_per_axis)
 
 
+def l2_norm(values: np.ndarray, volume: float) -> float:
+    """sqrt(sum |values|^2 * volume), the moduli scaled by 2^-e, the power
+    of two that bounds the largest, before they are squared, and the root
+    scaled back by 2^e.  That rounds nothing, so where no square under- or
+    overflows this is the unscaled formula bit for bit, and elsewhere no
+    square leaves the float range.  0.0 for an all-zero array or a norm
+    below the smallest subnormal."""
+    mod = np.abs(values)
+    e = np.frexp(np.max(mod, initial=0.0))[1]
+    np.square(np.ldexp(mod, -e, out=mod), out=mod)
+    return float(np.ldexp(np.sqrt(np.sum(mod) * volume), e))
+
+
 def require(x, kind: type) -> None:
     """SpaceTagError unless x is a kind: SpectralField (physical samples)
     or SpectralBand (a spectrum)."""
@@ -248,13 +254,10 @@ class SpectralField:
         object.__setattr__(self, "values", vals)
 
     def norm_l2(self) -> float:
-        """L2 norm with the cell measure of x and the midpoint measure of p."""
+        """L2 norm with the cell measure of x and the midpoint measure of p
+        (l2_norm)."""
         vol = self.grid.cell_volume * self.grid.velocity_cell_volume
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * vol))
-
-    def norm_lp(self, p: float) -> float:
-        vol = self.grid.cell_volume * self.grid.velocity_cell_volume
-        return float((np.sum(np.abs(self.values) ** p) * vol) ** (1.0 / p))
+        return l2_norm(self.values, vol)
 
     def with_values(self, values: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, values)
@@ -437,9 +440,9 @@ class SpectralBand:
 
     def norm_l2(self) -> float:
         """The spectrum's L2 norm (0 off the box), so by Plancherel that
-        of its inverse DFT."""
+        of its inverse DFT (l2_norm)."""
         vol = self.grid.freq_cell_volume * self.grid.velocity_cell_volume
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * vol))
+        return l2_norm(self.values, vol)
 
     def scatter(self) -> "SpectralBand":
         """The full-grid band of this spectrum, 0 outside the box."""

@@ -251,6 +251,37 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # the 16^2 fractional config at lengths where the norms are normal
+    # floats but the squares of the bands' values underflow
+    FRACTIONAL = {"operation": "fractional", "axis": 0, "order": 0.5}
+
+    @pytest.mark.parametrize("L, norms", [
+        (1e50, (5.975131359021667e-150, 1.72794652128688e-174)),
+        (1e60, (5.975131359021671e-180, 1.727946521286881e-209)),
+    ])
+    def test_extreme_length_publishes_both_norms(self, tmp_path, capsys, L, norms):
+        cfg = base_config("multiplier-apply", grid={"n": [16, 16], "L": [L, L]},
+                          params=self.FRACTIONAL)
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        published = json.loads((out / "norms.json").read_text())
+        for key, norm in zip(("input_l2", "output_l2"), norms, strict=True):
+            assert float(published[key]) == pytest.approx(norm, rel=1e-12, abs=0)
+
+    def test_underflowing_output_norm_exits_3(self, tmp_path, capsys):
+        # L = 1e100: the input's norm is a normal float, the output's lies
+        # below the subnormals while the output band is not 0
+        cfg = base_config("multiplier-apply",
+                          grid={"n": [16, 16], "L": [1e100, 1e100]},
+                          params=self.FRACTIONAL)
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: integrity failure: the output's L2 norm")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
     def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, tmp_path, scale):
         # the squares of the windowed averages would under- or overflow
@@ -654,6 +685,11 @@ class TestMalformedParams:
         profile={"alpha": [1.0, 1.0, 2.0]},
         params={"generator": {"kind": "oscillation", "c": [1.0, 0.0, 0.5]},
                 "n_list": [2, 3, 4], "x_cells": 2, "p_cells": 8})
+    # averaging evolves first-order transport: any other profile exits 2
+    AVERAGING_ALPHA = {
+        f"averaging-{alpha}": dict(TestDeterminism.CONFIGS["averaging"],
+                                   profile={"alpha": alpha})
+        for alpha in ([1.0, 2.0], [0.5, 3.0])}
     MULTIPLIER_CHECK_12 = base_config(
         "multiplier-check", profile={"alpha": [1.0, 2.0]},
         params={"symbol": "coordinate:1", "shells": 3, "samples_per_shell": 8})
@@ -763,10 +799,13 @@ class TestMalformedParams:
               ("nondegeneracy", "eps_list", [0.1, 0.2, 0.3, 0.4, 0.5]),
               ("nondegeneracy", "x_samples", [[0.0, 0.0]] * 5),
               ("kinetic", "eps_list", [0.1, 0.2, 0.3, 0.4, 0.5]))],
+        # an averaging profile other than all ones
+        ("averaging-[1.0, 2.0]", {}, "profile.alpha"),
+        ("averaging-[0.5, 3.0]", {}, "profile.alpha"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
-        cfg = {**self.CONFIGS, "hmeasure-3d": self.HMEASURE_3D,
+        cfg = {**self.CONFIGS, **self.AVERAGING_ALPHA, "hmeasure-3d": self.HMEASURE_3D,
                "multiplier-check-12": self.MULTIPLIER_CHECK_12,
                "kinetic-3d": self.KINETIC_3D}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
@@ -1193,3 +1232,32 @@ class TestWarningLines:
         assert proc.stderr.startswith("hpm: integrity failure: ")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestOutOfMemory:
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # an 8192^2 multiplier-apply run, within the grid's sample bound,
+        # needs a 1 GiB output array; under a 640 MiB address-space limit
+        # its allocation fails.  One BLAS thread, so the limit does not fall
+        # on BLAS thread stacks
+        resource = pytest.importorskip("resource")
+        limit = 640 << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        cfg = base_config("multiplier-apply", grid={"n": [8192, 8192], "L": [1.0, 1.0]},
+                          params={"operation": "fractional", "axis": 0, "order": 0.5})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpm.cli", "multiplier-apply", "--config",
+             write_config(tmp_path, cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300, preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("hpm: multiplier-apply ran out of memory")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -189,3 +189,22 @@ def test_the_sample_bound_has_one_home_in_the_cli():
             if isinstance(n, ast.Attribute) and n.attr == "_MAX_SAMPLES"]
     stray = [f"cli.py:{n.lineno}" for n in refs if id(n) not in home]
     assert refs and not stray, stray
+
+
+def test_the_power_of_two_scaling_has_one_home():
+    """`frexp` and `ldexp` occur in the package only inside
+    `spectral.l2_norm`: every L2 norm is that one scaled helper's."""
+    stray, home = [], 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and path.name == "spectral.py" and fn.name == "l2_norm"
+                  for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("frexp", "ldexp"):
+                if id(node) in inside:
+                    home += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}: {name}")
+    assert home and not stray, stray

@@ -16,9 +16,11 @@ from hpm.spectral import (
     SpectralField,
     SpectralGrid,
     band_limited_field,
+    band_limited_spectrum,
     dft_axis,
     forward_dft,
     inverse_dft,
+    l2_norm,
     oscillated_spectrum,
     read_field,
     real_part_spectrum,
@@ -321,6 +323,39 @@ class TestBandLimited:
         f2 = band_limited_field(g, rng(11))
         assert np.array_equal(f1.values, f2.values)
         assert abs(np.mean(f1.values)) <= 1e-13
+
+
+class TestL2Norm:
+    @staticmethod
+    def unscaled(values, vol):
+        return float(np.sqrt(np.sum(np.abs(values) ** 2) * vol))
+
+    @pytest.mark.parametrize("n, n_p", [((16, 16), ()), ((128, 64), ()),
+                                        ((8, 8, 8), ()), ((32,), (6, 5))])
+    @pytest.mark.parametrize("L", [1.0, 3.7, 1e-3, 1e20])
+    @pytest.mark.parametrize("key", [7, 41])
+    def test_norms_are_the_unscaled_formula_bit_for_bit(self, n, n_p, L, key):
+        # wherever no square under- or overflows, scaling by a power of two
+        # rounds nothing
+        g = SpectralGrid(n, (L,) * len(n), n_p, (2.0,) * len(n_p))
+        band = band_limited_spectrum(g, rng(key))
+        field = inverse_dft(band)
+        vx, vp = g.cell_volume, g.velocity_cell_volume
+        assert band.norm_l2() == self.unscaled(band.values, g.freq_cell_volume * vp)
+        assert field.norm_l2() == self.unscaled(field.values, vx * vp)
+        full = forward_dft(field)
+        assert full.norm_l2() == self.unscaled(full.values, g.freq_cell_volume * vp)
+
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_tiny_or_huge_values_scale_the_norm(self, power):
+        # the squares of 2^power leave the float range; the norm does not
+        values = random_field(SpectralGrid((16, 8), (1.0, 1.0)), 3).values
+        assert l2_norm(values * 2.0 ** power, 0.5) == l2_norm(values, 0.5) * 2.0 ** power
+
+    def test_zero_values_and_an_underflowing_norm_give_0(self):
+        assert l2_norm(np.zeros((4, 4), complex), 1.0) == 0.0
+        assert l2_norm(np.full(4, 1e-200), 1e-300) == 0.0
+        assert l2_norm(np.full(4, 1e-200), 1e-100) == pytest.approx(2e-250, rel=1e-15, abs=0)
 
 
 class TestOwnership:
