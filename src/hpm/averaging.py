@@ -33,8 +33,8 @@ import numpy as np
 from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SupportWarning
 from .multiplier import fractional_factor
-from .spectral import (SpectralBand, SpectralField, SpectralGrid, forward_dft,
-                       inverse_dft, l2_norm)
+from .spectral import (SpectralBand, SpectralField, SpectralGrid, block_rows,
+                       forward_dft, inverse_dft, l2_norm, normal_norm)
 
 # --- principal symbol ---------------------------------------------------------
 
@@ -83,31 +83,23 @@ class NonDegeneracyReport:
         }
 
 
-_BLOCK_BYTES = 1 << 18  # the budget of a scan block's symbol and of its comparisons
 _THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
-
-
-def _block_rows(n_cells: int, n_eps: int) -> int:
-    """Mesh rows of one scan block, at least one: its (rows, n_cells)
-    complex symbol and its (n_eps, rows, n_cells) bool comparisons each
-    fit in _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (max(16, n_eps) * n_cells))
 
 
 def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
                    cell_measure: float, n_cells: int) -> NonDegeneracyReport:
     """Measures of {|symbol_at(x, rows)| <= eps}, where NaN never counts,
-    with the (M, ...) mesh array cut into blocks of rows (_block_rows),
-    each symbol block of shape (rows, n_cells) or broadcastable to it.
-    A block is compared with every eps at once, into one reused
-    (eps, rows, n_cells) bool stack, which is summed once per block."""
+    with the (M, ...) mesh array cut into blocks of rows whose complex
+    symbol, of shape (rows, n_cells) or broadcastable to it, and whose
+    comparisons with every eps at once, one reused (eps, rows, n_cells)
+    bool stack summed once per block, each fit in one block_rows block."""
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_list must be non-empty, positive and increasing")
     if len(x_samples) == 0:
         raise DomainError("x_samples must not be empty")
-    rows = _block_rows(n_cells, len(eps_list))
+    rows = block_rows(max(16, len(eps_list)) * n_cells)
     thresholds = np.array(eps_list)[:, None, None]
     below = np.empty((len(eps_list), min(rows, len(mesh)), n_cells), dtype=bool)
     count = np.min_scalar_type(n_cells)  # an integer that holds any count
@@ -157,7 +149,7 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
             # of a zero, which reaches |A| nowhere), else contiguous along p
             a[k] = (ak.flat[:1] if np.all(ak == ak.flat[:1])
                     else np.ascontiguousarray(ak))
-    rows = min(_block_rows(p_grid.size, len(eps_list)), len(mesh))
+    rows = min(block_rows(max(16, len(eps_list)) * p_grid.size), len(mesh))
     acc, term = np.empty((2, rows, p_grid.size), dtype=complex)
 
     def symbol_at(a, F):
@@ -303,7 +295,8 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
                        window, n_list: Sequence[int]) -> DecayTable:
     """L2 norm of the velocity average over a window, per n.  Strong decay
     of the ratios is the observable footprint of velocity averaging; a
-    zero norm at n_min leaves them undefined, an IntegrityError.  The
+    zero norm at n_min leaves them undefined, an IntegrityError, as is a
+    norm below the normal floats of a nonzero average (normal_norm).  The
     snapshots may be fields or bands; the average of a band is
     transformed back before the window is applied."""
     n_list = tuple(n_list)
@@ -314,8 +307,9 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
         avg = velocity_average(seq(n), rho)
         if isinstance(avg, SpectralBand):
             avg = inverse_dft(avg)
-        norms.append(l2_norm(avg.values[window_mask(avg.grid, window)],
-                             avg.grid.cell_volume))
+        windowed = avg.values[window_mask(avg.grid, window)]
+        norms.append(normal_norm(l2_norm(windowed, avg.grid.cell_volume), windowed,
+                                 f"the windowed average's L2 norm at n = {n}"))
     base = norms[0]
     if base == 0:
         raise IntegrityError(f"the windowed average at n_min = {n_list[0]} is 0: "

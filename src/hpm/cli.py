@@ -332,10 +332,10 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError(f"params.band_fraction: {exc}") from None
     # the operator acts on the band's box only, the norms are the bands'
     # (Plancherel), and only the output band is inverted
-    input_l2 = band.norm_l2()
+    input_l2 = spectral.normal_norm(band.norm_l2(), band.values, "the input's L2 norm")
     if input_l2 == 0:
-        raise IntegrityError(f"the input's L2 norm is 0: the drawn band, or its norm, "
-                             f"underflows at grid.L = {list(grid.length_per_axis)}")
+        raise IntegrityError(f"the input's L2 norm is 0: the drawn band underflows "
+                             f"at grid.L = {list(grid.length_per_axis)}")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
         _check_constraint_sum(profile, band)
@@ -348,10 +348,8 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         cutoff_radius = _param(params, "cutoff_radius", 1.0)
         _check_constraint_sum(profile, band)
         out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
-    output_l2 = out_band.norm_l2()
-    if output_l2 == 0 and np.any(out_band.values):
-        raise IntegrityError(f"the output's L2 norm underflows to 0 at grid.L = "
-                             f"{list(grid.length_per_axis)}, but the output band is not 0")
+    output_l2 = spectral.normal_norm(out_band.norm_l2(), out_band.values,
+                                     "the output's L2 norm")
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")
     _write_json(out / "norms.json", {"input_l2": _fmt(input_l2),
                                      "output_l2": _fmt(output_l2)})

@@ -52,6 +52,7 @@ from .spectral import (
     SpectralBand,
     SpectralField,
     SpectralGrid,
+    block_rows,
     dft_axis,
     forward_dft,
     inverse_dft,
@@ -251,22 +252,21 @@ class CellBasis:
             np.multiply.outer, [f[i] for f, i in zip(self.x_factors, cell)])
 
 
-_SCRATCH_BYTES = 1 << 18  # bytes of a P-mask builder's block or a shift-rule slab
 _STACK_BYTES = 3 << 20  # bytes of the rows of one cell-form stack
 
 
 def _angular_masks(pts: np.ndarray, masks: np.ndarray) -> None:
     """The angular-sector hats of the projected 2-d lattice points pts
     (S', 2) into the zeroed rows masks (S', B), one row per point, in
-    blocks of rows of at most _SCRATCH_BYTES, each written while it is in
-    cache.  A point's hat is nonzero only in the sectors next to its
-    angle: the nearest centre m and m +- 1 (sector m +- 2 lies 1.5
-    spacings away or more), so the hat formula is evaluated there alone,
-    scattered into masks[point, b], and the other entries stay 0."""
+    blocks of block_rows(8 B) rows, each written while it is in cache.
+    A point's hat is nonzero only in the sectors next to its angle: the
+    nearest centre m and m +- 1 (sector m +- 2 lies 1.5 spacings away or
+    more), so the hat formula is evaluated there alone, scattered into
+    masks[point, b], and the other entries stay 0."""
     p_cells = masks.shape[1]
     spacing = 2 * np.pi / p_cells
     cang = np.arange(p_cells) * spacing
-    width = max(1, _SCRATCH_BYTES // (8 * p_cells))
+    width = block_rows(8 * p_cells)
     for a in range(0, len(pts), width):
         block, rows = pts[a:a + width], masks[a:a + width]
         ang = np.arctan2(block[:, 1], block[:, 0]) % (2 * np.pi)
@@ -285,15 +285,12 @@ def _direction_masks(pts: np.ndarray, profile: AnisotropyProfile,
     onto P, at the projected lattice points pts (S', d), into the rows
     masks (S', B), one row per point.
 
-    The points are taken in blocks of one width, each in a (B, width)
-    scratch of at most _SCRATCH_BYTES (two points if a pair is larger):
-    the squared distances summed one axis at a time, through a second
-    scratch of the same size, then exp, the sum over the B weights and the
-    division; the scratch is then written transposed into the block's
-    rows.  The last block ends at the last point and may overlap the one
-    before it, so every block is at least 2 points wide: numpy sums the
-    (B, width) scratch over B in axis order, but a (B, 1) column
-    pairwise."""
+    The points are taken in blocks of width = block_rows(8 B), each in a
+    (B, width) scratch: the squared distances summed one axis at a time,
+    through a second scratch of the same size, then exp, the sum over the
+    B weights in their order and the division; the scratch is then
+    written transposed into the block's rows.  The in-order sum gives
+    every point the same bits whatever its block's width."""
     n, d = pts.shape
     p_cells = masks.shape[1]
     rng = np.random.Generator(np.random.Philox(key=11))
@@ -301,18 +298,18 @@ def _direction_masks(pts: np.ndarray, profile: AnisotropyProfile,
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     centers = project_to_P(dirs, profile)
     sigma = 1.5 * (4.0 / p_cells) ** (1.0 / max(1, d - 1))
-    width = min(n, max(2, _SCRATCH_BYTES // (8 * p_cells)))
-    g, tmp = np.empty((2, p_cells, width))
+    width = block_rows(8 * p_cells)
+    scratch = np.empty((2, p_cells, min(n, width)))
     for a in range(0, n, width):
-        a = min(a, n - width)
         block = pts[a:a + width]
+        g, tmp = scratch[:, :, :len(block)]
         np.square(np.subtract(block[:, 0], centers[:, 0, None], out=g), out=g)
         for k in range(1, d):
             g += np.square(np.subtract(block[:, k], centers[:, k, None], out=tmp),
                            out=tmp)
         np.divide(np.negative(g, out=g), 2 * sigma ** 2, out=g)
         np.exp(g, out=g)
-        g /= np.sum(g, axis=0)
+        g /= functools.reduce(np.add, g)
         masks[a:a + width] = g.T
 
 
@@ -383,13 +380,20 @@ def _write_products(G: np.ndarray, re: np.ndarray, im) -> None:
     """The real parts of G_i conj(G_j) for the (..., N, S) spectra G into
     re (..., N, N, S), and their imaginary parts into im unless it is None,
     each product rounded on its own: the diagonal imaginary parts cancel
-    exactly."""
-    a, b = G[..., :, None, :], G[..., None, :, :]
-    np.multiply(a.real, b.real, out=re)
-    re += a.imag * b.imag
-    if im is not None:
-        np.multiply(a.imag, b.real, out=im)
-        im -= a.real * b.imag
+    exactly.  They are written a block of lattice points at a time
+    (block_rows, 8 bytes a row at each point), so a temporary product is
+    one block."""
+    width = block_rows(8 * math.prod(re.shape[:-1]))
+    for start in range(0, G.shape[-1], width):
+        cols = slice(start, start + width)
+        a, b = G[..., :, None, cols], G[..., None, :, cols]
+        out = re[..., cols]
+        np.multiply(a.real, b.real, out=out)
+        out += a.imag * b.imag
+        if im is not None:
+            out = im[..., cols]
+            np.multiply(a.imag, b.real, out=out)
+            out -= a.real * b.imag
 
 
 def _snapshot_products(basis: CellBasis, grid: SpectralGrid,
@@ -497,10 +501,10 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
     F(hat_c) the outer product of the 1-d transforms of the separable hat
     factors.  Each cell costs one transform, F(hat_c v), by the per-axis
     passes of _hat_passes.  A roll is copied in at most 2^d blocks, each
-    cut along axis 0 into slabs of at most _SCRATCH_BYTES of complex
-    values (_roll_blocks), and each row is formed a slab at a time, with
-    the products, in their order, of the whole grid at once; no full-grid
-    buffer is kept.
+    cut along axis 0 into slabs of one block of complex values
+    (block_rows, _roll_blocks), and each row is formed a slab at a time,
+    with the products, in their order, of the whole grid at once; no
+    full-grid buffer is kept.
 
     Where m_n != 0 a slab of the row is the power of the slab of the
     outer product -m_n F(hat_c) plus the slab of the rolled F(hat_c v).
@@ -528,7 +532,7 @@ def _shifted_products(seq: OscillationSequence, basis: CellBasis,
         steps.append((first, second, tuple(
             (a - b) % nk for a, b, nk in zip(shifts[first], shifts[second],
                                              grid.n_per_axis))))
-    width = max(1, _SCRATCH_BYTES // (16 * math.prod(grid.n_per_axis[1:])))
+    width = block_rows(16 * math.prod(grid.n_per_axis[1:]))
     steps = [(j, source, _roll_blocks(roll, grid.n_per_axis, width))
              for j, source, roll in steps]
     hat_spectra = [dft_axis(f, 1, L)

@@ -32,13 +32,17 @@ array along one axis, for callers that build a transform pass by pass.
 
 inverse_dft inverts a band with numpy.fft.ifftn in place in its output
 array.  Every L2 norm is l2_norm's, whose squares neither underflow nor
-overflow; a band's norm_l2 is by Plancherel its inverse DFT's.
+overflow; a band's norm_l2 is by Plancherel its inverse DFT's, and a norm
+is published only if it is a normal float or the norm of zeros
+(normal_norm).
 band_limited_spectrum draws a random spectrum as a band, its memory
 following the box (band_limited_field is its inverse DFT);
 real_part_spectrum and oscillated_spectrum give the spectra of a real
 part and of a zero-mean modulation on the box alone, so their cost
 follows the band, not the grid.  Fields are stored in the HPFLD1 format,
-which holds physical samples only (write_field, read_field).
+which holds physical samples only (write_field, read_field).  Every
+blocked pass of the package, here and in averaging and hmeasure, takes
+its block width from block_rows: at most _BLOCK_BYTES (256 KiB) a block.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +59,18 @@ from .errors import (
     DomainError,
     FieldCorruptionError,
     FieldFormatError,
+    IntegrityError,
     SpaceTagError,
 )
 
 _MAGIC = b"HPFLD1\n"
 _MAX_SAMPLES = 1 << 28  # constructor-checked addressable-memory bound
-_DRAW_CHUNK = 1 << 16  # samples per normal draw of band_limited_spectrum (0.5 MB)
+_BLOCK_BYTES = 1 << 18  # the budget of one block of every blocked pass
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each in one _BLOCK_BYTES block, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _is_pow2(n: int) -> bool:
@@ -224,6 +235,16 @@ def l2_norm(values: np.ndarray, volume: float) -> float:
     e = np.frexp(np.max(mod, initial=0.0))[1]
     np.square(np.ldexp(mod, -e, out=mod), out=mod)
     return float(np.ldexp(np.sqrt(np.sum(mod) * volume), e))
+
+
+def normal_norm(norm: float, values: np.ndarray, what: str) -> float:
+    """norm, the L2 norm of values, as a result to publish: IntegrityError
+    if it is below sys.float_info.min while the values are not all 0, since
+    a subnormal norm has lost digits and one of 0 has lost them all."""
+    if norm < sys.float_info.min and np.any(values):
+        raise IntegrityError(f"{what} is {norm!r}, below the smallest normal float "
+                             f"{sys.float_info.min!r}, but its values are not all 0")
+    return norm
 
 
 def require(x, kind: type) -> None:
@@ -467,8 +488,8 @@ def band_limited_spectrum(grid: SpectralGrid, rng: np.random.Generator,
     within max(1, band_fraction * n_k / 2) lattice points of 0 on each
     spatial axis (white along the velocity axes), for 0 < band_fraction
     <= 1.  The draw is the stream of the full grid in C order, its real
-    parts and then its imaginary parts, taken in chunks of at most
-    _DRAW_CHUNK samples of which only the box positions are kept.
+    parts and then its imaginary parts, taken in chunks of block_rows(8)
+    samples of which only the box positions are kept.
     Chunked draws give the values and the generator state of one draw of
     the grid, so memory follows the box and the chunk, not the grid."""
     if not 0 < band_fraction <= 1:  # NaN fails too
@@ -485,9 +506,10 @@ def band_limited_spectrum(grid: SpectralGrid, rng: np.random.Generator,
     spec = np.empty(pos.shape, complex)
     parts = spec.view(float).reshape(-1, 2)  # columns: real, imaginary
     total = math.prod(grid.shape)
-    buf = np.empty(min(_DRAW_CHUNK, total))
+    chunk = block_rows(8)
+    buf = np.empty(min(chunk, total))
     for column in (0, 1):
-        for start in range(0, total, _DRAW_CHUNK):
+        for start in range(0, total, chunk):
             draw = rng.standard_normal(out=buf[:total - start])
             lo, hi = np.searchsorted(flat, (start, start + draw.size))
             parts[lo:hi, column] = draw[flat[lo:hi] - start]

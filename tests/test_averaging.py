@@ -240,6 +240,21 @@ class TestCompactness:
         with pytest.raises(IntegrityError, match=r"n_min = 2 is 0"):
             compactness_metric(seq, np.zeros(8), ((0.0, 1.0), (0.0, 1.0)), (2, 4))
 
+    def test_subnormal_norm_is_an_integrity_failure(self):
+        # the snapshot at n = 4 is 1e-310 times an oscillation of modulus
+        # 1: its windowed norm is subnormal, so it has lost digits
+        g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
+                         velocity_length=(1.0,))
+        seq0 = self._oscillating_seq(g)
+
+        def seq(n):
+            u = seq0(n)
+            return u if n == 2 else u.with_values(1e-310 * u.values)
+
+        window = ((0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(IntegrityError, match=r"norm at n = 4 is \S+e-31\d, below"):
+            compactness_metric(seq, compact_bump, window, (2, 4))
+
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, scale):
         # the squares of the windowed values would leave the float range;

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpm import cli, hmeasure
+from hpm import cli, hmeasure, spectral
 from hpm.anisotropy import AnisotropyProfile, project_lattice, project_to_P
 from hpm.hmeasure import (
     OscillationSequence,
@@ -20,6 +20,7 @@ from hpm.hmeasure import (
     _shifted_products,
     _snapshot_products,
     _stacked_forms,
+    _write_products,
     cosine_velocity_basis,
     make_cell_basis,
     scalar_hmeasure,
@@ -245,7 +246,7 @@ def test_slab_rows_bitwise_equal_to_full_grid_formulas(monkeypatch, case, slab_r
         profile, c, cli._envelope_spectrum(grid, rng(7), band_fraction, 1.0))
     basis = make_cell_basis(grid, profile, 2, 8)
     if slab_rows is not None:
-        monkeypatch.setattr(hmeasure, "_SCRATCH_BYTES",
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES",
                             slab_rows * 16 * math.prod(n[1:]))
     assert [mean == 0 for mean in shifts_and_means(seq, n_list)[1]] == zero
     ref = full_grid_rows(seq, basis, n_list)
@@ -322,11 +323,10 @@ def test_masks_bitwise_equal_to_dense_formulas(n, alpha, p_cells):
 
 @pytest.mark.parametrize("budget", [1, 3 * 8 * 16 ** 3, 1 << 30])
 def test_mask_blocks_bitwise_equal_to_dense_formulas(monkeypatch, budget):
-    """Blocks of 2 lattice points (the least width) overlapping at the end,
-    of 614 points with a last one overlapping the one before it (20
+    """Blocks of 1 lattice point, of 614 points with a short last one (20
     P-cells, 4,095 points off xi = 0), and one block of all points give
     the same bits."""
-    monkeypatch.setattr(hmeasure, "_SCRATCH_BYTES", budget)
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", budget)
     grid = SpectralGrid((16, 16, 16), (1.0, 1.0, 1.0))
     profile = AnisotropyProfile((1.0, 1.0, 2.0))
     cb = make_cell_basis(grid, profile, 2, 20)
@@ -356,7 +356,7 @@ def test_assembly_working_memory():
     the cell forms, k = max(1, min(C // R, B // (2R), 3 MiB // (8 R S)))
     cells of R rows (1 cell of 4 rows on 256^2, 4 cells of 3 rows on
     32^3), and the shift-rule row writer's scratch: the d full-grid
-    complex passes of _hat_passes and one slab of at most _SCRATCH_BYTES
+    complex passes of _hat_passes and one slab of at most _BLOCK_BYTES
     with the temporary of its power, at most 3 MiB; no full-grid product
     buffer and no full-grid power spectrum.  1 MiB covers the rest."""
     for n, alpha, c, B, n_list in [
@@ -374,8 +374,27 @@ def test_assembly_working_memory():
         k = max(1, min(C // R, B // (2 * R), 3 * MiB // (8 * R * S)))
         assert k == {2: 1, 3: 4}[len(n)]
         stack = k * R * S * 8
-        scratch = len(n) * S * 16 + 2 * hmeasure._SCRATCH_BYTES
+        scratch = len(n) * S * 16 + 2 * spectral._BLOCK_BYTES
         assert scratch <= 3 * MiB
         est, peak = traced_peak(lambda: scalar_hmeasure(seq, profile, grid, n_list, 4, B))
         assert est.cells.shape == (C, B)
         assert peak <= masks + stack + scratch + 1 * MiB
+
+
+def test_product_temporaries_stay_within_one_block():
+    """The rows of a cell of a 128^2 matrix measure of K = 3 snapshots and
+    N = 2 components, K N^2 = 12 rows of 1.5 MiB in all, are written a
+    block of lattice points at a time: each temporary product of
+    _write_products is at most one block, _BLOCK_BYTES, and every product
+    is rounded on its own, as over whole rows.  The traced peak also holds
+    numpy's ufunc buffers, at most np.getbufsize() values for each of the
+    three operands of an operation."""
+    K, N, S = 3, 2, 128 * 128
+    r = rng(3)
+    G = r.standard_normal((K, N, S)) + 1j * r.standard_normal((K, N, S))
+    re, im = np.empty((2, K, N, N, S))
+    _, peak = traced_peak(lambda: _write_products(G, re, im))
+    assert peak <= spectral._BLOCK_BYTES + 3 * 8 * np.getbufsize()
+    a, b = G[:, :, None], G[:, None]
+    assert np.array_equal(re, a.real * b.real + a.imag * b.imag)
+    assert np.array_equal(im, a.imag * b.real - a.real * b.imag)

@@ -252,12 +252,14 @@ class TestErrorHandling:
         assert not out.exists()
 
     # the 16^2 fractional config at lengths where the norms are normal
-    # floats but the squares of the bands' values underflow
+    # floats but the squares of the bands' values underflow; 1e88 is the
+    # largest of these lengths whose output norm is still a normal float
     FRACTIONAL = {"operation": "fractional", "axis": 0, "order": 0.5}
 
     @pytest.mark.parametrize("L, norms", [
         (1e50, (5.975131359021667e-150, 1.72794652128688e-174)),
         (1e60, (5.975131359021671e-180, 1.727946521286881e-209)),
+        (1e88, (5.975131359021671e-264, 1.7279465212868812e-307)),
     ])
     def test_extreme_length_publishes_both_norms(self, tmp_path, capsys, L, norms):
         cfg = base_config("multiplier-apply", grid={"n": [16, 16], "L": [L, L]},
@@ -282,6 +284,20 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("L, norm", [(1e89, "5.464246682231e-311"),
+                                         (1e90, "1.7279465213e-314")])
+    def test_subnormal_output_norm_exits_3(self, tmp_path, capsys, L, norm):
+        # the input's norm is a normal float, the output's is subnormal: it
+        # has lost digits, so it is not published
+        cfg = base_config("multiplier-apply", grid={"n": [16, 16], "L": [L, L]},
+                          params=self.FRACTIONAL)
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"hpm: integrity failure: the output's L2 norm is {norm}, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
     def test_tiny_or_huge_weight_gives_the_unit_weight_ratios(self, tmp_path, scale):
         # the squares of the windowed averages would under- or overflow
@@ -296,6 +312,26 @@ class TestErrorHandling:
             ratios[name] = [float(row.split(",")[2]) for row in rows]
         for r, r1 in zip(ratios["scaled"], ratios["unit"], strict=True):
             assert abs(r - r1) <= 2 * np.spacing(r1)
+
+    @pytest.mark.parametrize("scale, status", [("1e-307", 0), ("1e-308", 3)])
+    def test_subnormal_windowed_norm_exits_3(self, tmp_path, capsys, scale, status):
+        # the unit weight's windowed norms are 0.28 to 0.41: scaled by 1e-307
+        # they stay normal floats, by 1e-308 the first is subnormal
+        cfg = TestDeterminism.CONFIGS["averaging"]
+        rho = f"{scale}*{cfg['params']['rho']}"
+        cfg = dict(cfg, params=dict(cfg["params"], rho=rho))
+        out = tmp_path / "out"
+        assert run_cli("averaging", write_config(tmp_path, cfg), out) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err.startswith("hpm: integrity failure: the windowed average's "
+                                  "L2 norm at n = 2 is 2.759")
+            assert err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+            rows = (out / "decay.csv").read_text().splitlines()[1:]
+            assert min(float(row.split(",")[1]) for row in rows) >= sys.float_info.min
 
     # the commands that project every frequency of the 32^2 lattice (the
     # P-masks) or of the drawn band's box onto P

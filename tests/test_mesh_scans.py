@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpm import averaging
+from hpm import spectral
 from hpm.anisotropy import (
     AnisotropyProfile,
     fibre_point,
@@ -58,8 +58,8 @@ def per_point_symbols(coeffs, x_samples, profile, resolution, p_grid):
 def small_blocks(monkeypatch, rows, n_cells, n_eps=1):
     """A block budget that gives scan blocks of `rows` mesh rows for
     n_eps thresholds."""
-    monkeypatch.setattr(averaging, "_BLOCK_BYTES", max(16, n_eps) * n_cells * rows)
-    assert averaging._block_rows(n_cells, n_eps) == rows
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", max(16, n_eps) * n_cells * rows)
+    assert spectral.block_rows(max(16, n_eps) * n_cells) == rows
 
 
 def coefficient_cases():
@@ -202,7 +202,7 @@ class TestScanMeasuresBlocks:
             tracemalloc.stop()
         for ip in range(50):
             assert np.array_equal(rep.measures[0, ip], sorted_counts(absA[ip], eps))
-        assert peak <= rep.measures.nbytes + 2 * averaging._BLOCK_BYTES
+        assert peak <= rep.measures.nbytes + 2 * spectral._BLOCK_BYTES
 
 
 def shell_samples_one_at_a_time(profile, j, count):

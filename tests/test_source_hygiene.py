@@ -208,3 +208,69 @@ def test_the_power_of_two_scaling_has_one_home():
                 else:
                     stray.append(f"{path.name}:{node.lineno}: {name}")
     assert home and not stray, stray
+
+
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of fn's body outside the functions nested in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [n for n in ast.iter_child_nodes(node)
+                 if not isinstance(n, (ast.FunctionDef, ast.Lambda))]
+
+
+def _calls_block_rows(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and "block_rows" in
+               (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+
+
+def _bound_by_block_rows(name: str, fn: ast.FunctionDef) -> bool:
+    """fn assigns name from an expression that calls block_rows."""
+    return any(isinstance(n, ast.Assign) and _calls_block_rows(n.value)
+               and any(getattr(t, "id", None) == name for t in n.targets)
+               for n in _own_nodes(fn))
+
+
+def test_every_blocked_pass_takes_the_one_block_rule():
+    """No module but spectral defines a module-level block constant, a
+    `*_BYTES` or `*_CHUNK` name, apart from hmeasure's `_STACK_BYTES`
+    (how many cells one cell-form GEMM takes, not a block).  Every blocked
+    loop, a `for` over `range(start, stop, width)`, gets its width from
+    `spectral.block_rows`: its function binds width from a call of it, or
+    width is a parameter that every call of the function passes as a
+    name its caller so binds."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    constants = [f"{path.name}: {t.id}" for path, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets
+                 if isinstance(t, ast.Name) and re.fullmatch(r"\w+_(BYTES|CHUNK)", t.id)
+                 and path.name != "spectral.py"]
+    assert constants == ["hmeasure.py: _STACK_BYTES"], constants
+    functions = [fn for tree in trees.values() for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)]
+    calls = [(caller, call) for caller in functions for call in _own_nodes(caller)
+             if isinstance(call, ast.Call)]
+    loops, stray = 0, []
+    for fn in functions:
+        params = [a.arg for a in fn.args.args]
+        for loop in _own_nodes(fn):
+            if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "id", None) == "range"
+                    and len(loop.iter.args) == 3):
+                continue
+            loops += 1
+            width = loop.iter.args[2]
+            if not isinstance(width, ast.Name):
+                stray.append(f"{fn.name}:{loop.lineno}")
+            elif not _bound_by_block_rows(width.id, fn):
+                pos = params.index(width.id) if width.id in params else None
+                passed = [(caller, call.args[pos]) for caller, call in calls
+                          if getattr(call.func, "id", None) == fn.name
+                          and pos is not None and len(call.args) > pos]
+                if not passed or not all(
+                        isinstance(arg, ast.Name) and _bound_by_block_rows(arg.id, caller)
+                        for caller, arg in passed):
+                    stray.append(f"{fn.name}:{loop.lineno}")
+    assert loops >= 6 and not stray, (loops, stray)

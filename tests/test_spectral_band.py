@@ -190,7 +190,7 @@ DRAW_GRIDS = {
 
 class TestStreamedDraw:
     """band_limited_spectrum draws the stream of the full grid in chunks of
-    at most _DRAW_CHUNK samples and keeps the box positions of each."""
+    of block_rows(8) samples and keeps the box positions of each."""
 
     # TestAgainstTheFullGrid.test_draw covers the grids with velocity axes
     @pytest.mark.parametrize("dm", [(1, 0), (2, 0), (3, 0)], ids=lambda dm: f"d{dm[0]}-m0")
@@ -210,7 +210,7 @@ class TestStreamedDraw:
     def test_chunk_edges_inside_the_box(self, monkeypatch, chunk, dm):
         grid = DRAW_GRIDS[dm]
         assert math.prod(grid.shape) % chunk or chunk == 1
-        monkeypatch.setattr(spectral, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * chunk)
         for band_fraction in FRACTIONS:
             r_band, r_full = rng(2), rng(2)
             band = band_limited_spectrum(grid, r_band, band_fraction)
