@@ -85,14 +85,77 @@ class NonDegeneracyReport:
 
 _THRESHOLD_FRACTION = 0.01  # share of the p-domain above which a scan is degenerate
 
+# the certified screen of _scan_measures and nondegeneracy_scan: the unit
+# roundoff, the relative slack kappa of the squared thresholds and the
+# floor below which a threshold is left to the exact path
+_U = 2.0 ** -53
+_KAPPA = 32
+_FLOOR = 2.0 ** -500
+
+
+def _cell_width(grid: np.ndarray, name: str) -> float:
+    """The cell measure grid[1] - grid[0] of a 1-d grid of at least 2
+    uniform midpoints, strictly increasing, whose steps differ from the
+    first by at most rounding: 64 ulps of the grid's largest magnitude,
+    which covers the few roundings of lo + (k + 1/2) (hi - lo) / n, the
+    midpoints cli._midpoints builds.  DomainError otherwise."""
+    if grid.ndim != 1 or grid.size < 2:
+        raise DomainError(f"{name} must be a 1-d array of at least 2 midpoints")
+    steps = np.diff(grid)
+    if not (np.all(np.isfinite(grid)) and np.all(steps > 0)):
+        raise DomainError(f"{name} must be finite and strictly increasing")
+    if np.max(np.abs(steps - steps[0])) > 64 * np.spacing(
+            max(abs(grid[0]), abs(grid[-1]))):
+        raise DomainError(f"{name} must be uniform: its steps run from "
+                          f"{steps.min()!r} to {steps.max()!r}")
+    return float(steps[0])
+
+
+def _screen_thresholds(eps_list, margins: np.ndarray):
+    """Per block, the (eps, 1, 1) squared thresholds at or below which an
+    estimate's m^2 counts for certain, and above which it cannot count,
+    for the blocks' margins delta, see _scan_measures."""
+    eps = np.array(eps_list)
+    delta = margins[:, None]
+    low = eps - delta
+    certain = np.where(low >= _FLOOR, low * low * (1 - _KAPPA * _U), -np.inf)
+    possible = np.maximum((eps + delta) ** 2 * (1 + _KAPPA * _U), 2 * _FLOOR ** 2)
+    return certain[..., None, None], possible[..., None, None]
+
 
 def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
-                   cell_measure: float, n_cells: int) -> NonDegeneracyReport:
+                   cell_measure: float, n_cells: int,
+                   screen=None) -> NonDegeneracyReport:
     """Measures of {|symbol_at(x, rows)| <= eps}, where NaN never counts,
     with the (M, ...) mesh array cut into blocks of rows whose complex
     symbol, of shape (rows, n_cells) or broadcastable to it, and whose
     comparisons with every eps at once, one reused (eps, rows, n_cells)
-    bool stack summed once per block, each fit in one block_rows block."""
+    bool stack summed once per block, each fit in one block_rows block.
+
+    screen(x, rows), if given, returns None or, for the blocks of `rows`
+    mesh rows, a pair (squares, margins): margins[b] is a margin delta of
+    block b, and squares(i, n) the (n, n_cells) values
+    m^2 = fl(fl(e_re^2) + fl(e_im^2)) of an estimate e of the symbol of
+    the n rows from i on, such that | |e| - |A| | <= delta / (1 + 8u)
+    for the symbol A that symbol_at rounds (u = 2^-53), and |e| < 2^501
+    where delta is finite.  A block whose margin is inf is not screened.
+    Its counts are then bracketed, for each eps, by
+
+        m^2 <= ((eps - delta)_+)^2 (1 - kappa u)   counts for certain,
+        m^2 <= (eps + delta)^2 (1 + kappa u)       may count,
+
+    each threshold a few roundings off.  The first implies |A| <= eps
+    and the second follows from it, where |A| is np.abs of the symbol:
+    hypot within 8u of the modulus, the two squares and their sum within
+    3u, the thresholds' four roundings within 4u each way; so kappa >= 23
+    suffices and _KAPPA = 32.  For eps - delta below 2^-500 nothing
+    counts for certain (eps <= delta among them), and the second
+    threshold is at least 2^-999, so the underflow of a square or of a
+    subnormal estimate, off by at most 2^-1073, stays inside the slack.
+    Where the two counts agree on every row and eps they are the exact
+    counts; elsewhere the block is counted from symbol_at.  The screen
+    runs under np.errstate(all="ignore"), the exact path under the
+    caller's."""
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or any(e <= 0 for e in eps_list) or any(
             b <= a for a, b in zip(eps_list, eps_list[1:])):
@@ -103,14 +166,33 @@ def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
     thresholds = np.array(eps_list)[:, None, None]
     below = np.empty((len(eps_list), min(rows, len(mesh)), n_cells), dtype=bool)
     count = np.min_scalar_type(n_cells)  # an integer that holds any count
+
+    def compare(values, limits):
+        return np.less_equal(values, limits, out=below[:, :len(values)])
+
+    def tally(hit):
+        return hit.view(np.uint8).sum(axis=2, dtype=count).T
+
     meas = np.empty((len(x_samples), len(mesh), len(eps_list)))
-    for ix, x in enumerate(x_samples):
-        for i in range(0, len(mesh), rows):
-            out = meas[ix, i:i + rows]
-            hit = below[:, :len(out)]
-            np.less_equal(np.abs(symbol_at(x, mesh[i:i + rows])), thresholds,
-                          out=hit)
-            out[:] = hit.view(np.uint8).sum(axis=2, dtype=count).T
+    caller = np.geterr()
+    with np.errstate(all="ignore"):
+        for ix, x in enumerate(x_samples):
+            estimate = screen(x, rows) if screen else None
+            if estimate:
+                squares, margins = estimate
+                certain, possible = _screen_thresholds(eps_list, margins)
+            for i in range(0, len(mesh), rows):
+                out, b = meas[ix, i:i + rows], i // rows
+                if estimate and margins[b] < np.inf:
+                    m2 = squares(i, len(out))
+                    sure = tally(compare(m2, certain[b]))
+                    # every sure hit may count: the counts agree if the totals do
+                    if np.count_nonzero(compare(m2, possible[b])) == sure.sum():
+                        out[:] = sure
+                        continue
+                with np.errstate(**caller):
+                    out[:] = tally(compare(np.abs(symbol_at(x, mesh[i:i + rows])),
+                                           thresholds))
     meas *= cell_measure
     sup = meas.max(axis=(0, 1))
     domain = cell_measure * n_cells
@@ -124,15 +206,32 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     """Midpoint-quadrature measure of {p : |A(x, xi, p)| <= eps} for every
     x sample and every mesh point xi on P.
 
-    p_grid is a 1-d array of at least 2 uniform midpoints.  The
-    coefficients are evaluated once per x sample; a value that is not
-    finite raises IntegrityError.  A coefficient whose values are all
-    equal along p is kept as one value.  Each block of mesh rows is summed
-    into one reused (rows, p) buffer, term by term in axis order as
-    principal_symbol sums, so every |A| matches it bit for bit."""
+    p_grid is a 1-d array of at least 2 uniform, increasing midpoints
+    (_cell_width).  The coefficients are evaluated once per x sample; a
+    value that is not finite raises IntegrityError.  A coefficient whose
+    values are all equal along p is kept as one value.  The counts are
+    those of the |A| that principal_symbol gives, bit for bit: the exact
+    path sums each block of mesh rows into one reused (rows, p) buffer,
+    term by term in axis order as principal_symbol sums.
+
+    When every a_k(x, p) of an x sample is real, a screen counts first
+    (_scan_measures): two real GEMMs e = (Re F @ a, Im F @ a) of the
+    block's (rows, d) factors F_k = (2 pi i xi_k)^(alpha_k) and the (d, p)
+    coefficients, with the margin delta = c (u T + 2^-1074), c = 4 (d + 1),
+    T = sum_k max|F_k| max|a_k| over the block and p.  Each plane of e
+    and of the exact path is a sum of the same d products a_k Re F_k (or
+    a_k Im F_k; a real a_k times F_k rounds each part alone) in some
+    order, so each is within gamma_d = d u / (1 - d u) of the exact sum,
+    relative to sum_k |a_k| |F_k| <= T, and within d 2^-1075 more where
+    products underflow.  Hence | |e| - |A| | <= 2 gamma_d T + 3 d 2^-1075,
+    and c = 2 (d + 1) already bounds that times 1 + 8u with the roundings
+    of T and of np.abs(F) inside; c takes twice it.  A plane of F within
+    2^-40 |F| at every mesh point, as one is when every alpha_k is an
+    integer, is left out of e, and the margin grows by 2^-39 T, twice the
+    most it can hold of |A|.  A block with T >= 2^500, where e might
+    overflow, is not screened."""
     p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.ndim != 1 or p_grid.size < 2:
-        raise DomainError("p_grid must be a 1-d array of at least 2 midpoints")
+    cell = _cell_width(p_grid, "p_grid")
     mesh, _ = mesh_P(profile, P_resolution)
     # the scan walks rows of the per-axis factors (2 pi i xi_k)^(alpha_k)
     factors = np.stack([fractional_factor(mesh[:, k], a)
@@ -173,8 +272,38 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
                 A = t
         return A
 
-    return _scan_measures(symbol_at, per_x, factors, eps_list,
-                          float(p_grid[1] - p_grid[0]), p_grid.size)
+    # the screen's (rows, d) planes of F, without one within 2^-40 |F|
+    moduli = np.abs(factors)
+    parts = [np.ascontiguousarray(z) for z in (factors.real, factors.imag)]
+    small = [bool(np.all(np.abs(z) <= 2.0 ** -40 * moduli)) for z in parts]
+    if not all(small):
+        parts = [z for z, s in zip(parts, small) if not s]
+    scale = 4 * (profile.d + 1) * _U + (2.0 ** -39 if len(parts) == 1 else 0.0)
+
+    def screen(a, rows):
+        if any(np.any(ak.imag) for ak in a):
+            return None
+        coef = np.array([np.broadcast_to(ak.real, p_grid.shape) for ak in a])
+        top = (np.maximum.reduceat(moduli, np.arange(0, len(mesh), rows), axis=0)
+               @ np.abs(coef).max(axis=1))
+        margins = np.where(top < 2.0 ** 500,
+                           scale * top + 4 * (profile.d + 1) * 2.0 ** -1074, np.inf)
+        est = np.empty((len(parts), min(rows, len(mesh)), p_grid.size))
+
+        def squares(i, n):
+            # e^2 of the first plane, plus that of the second if kept
+            m2 = np.matmul(parts[0][i:i + n], coef, out=est[0, :n])
+            np.square(m2, out=m2)
+            for z, t in zip(parts[1:], est[1:]):
+                t = np.matmul(z[i:i + n], coef, out=t[:n])
+                np.square(t, out=t)
+                m2 += t
+            return m2
+
+        return squares, margins
+
+    return _scan_measures(symbol_at, per_x, factors, eps_list, cell, p_grid.size,
+                          screen=screen)
 
 
 # --- transport evolution ------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .anisotropy import _sphere_mesh
-from .averaging import NonDegeneracyReport, _scan_measures
+from .averaging import NonDegeneracyReport, _cell_width, _scan_measures
 from .errors import DomainError, IntegrityError
 from .spectral import SpectralField, SpectralGrid, require
 
@@ -225,11 +225,10 @@ def up_nondegeneracy_scan(flux: FluxPair, x_samples, manifold: UPManifold,
                           resolution: int = 64) -> NonDegeneracyReport:
     """Measure of {lambda : |up_symbol(x, xi, lambda)| <= eps} for every
     x sample and mesh point xi on the manifold, a block of mesh rows at a
-    time."""
+    time.  lambda_grid is a 1-d array of at least 2 uniform, increasing
+    midpoints (averaging._cell_width)."""
     lam = np.asarray(lambda_grid, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise DomainError("lambda_grid must be a 1-d array of midpoints")
-    dlam = float(lam[1] - lam[0])
+    dlam = _cell_width(lam, "lambda_grid")
 
     def symbol_at(x, xi):
         return up_symbol(x, xi[:, None], lam, flux)

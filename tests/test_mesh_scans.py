@@ -4,19 +4,30 @@ one-point-at-a-time loops they replaced, kept here as oracles.
 The counts of {p : |A| <= eps} are compared exactly, with eps placed on
 values of |A| itself: a last-bit change in |A| would flip such a count."""
 
+import importlib.util
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hpm import spectral
+from hpm import averaging, cli, spectral
 from hpm.anisotropy import (
     AnisotropyProfile,
     fibre_point,
     mesh_P,
     project_to_P,
 )
-from hpm.averaging import _scan_measures, nondegeneracy_scan, principal_symbol
+from hpm.averaging import (
+    _cell_width,
+    _scan_measures,
+    nondegeneracy_scan,
+    principal_symbol,
+)
+from hpm.errors import DomainError
 from hpm.kinetic import (
     FluxPair,
     UPManifold,
@@ -203,6 +214,211 @@ class TestScanMeasuresBlocks:
         for ip in range(50):
             assert np.array_equal(rep.measures[0, ip], sorted_counts(absA[ip], eps))
         assert peak <= rep.measures.nbytes + 2 * spectral._BLOCK_BYTES
+
+
+def spy_scan(monkeypatch, screened=True):
+    """The mesh rows of every block whose exact symbol nondegeneracy_scan
+    evaluates, as a list that grows; screened=False drops the screen, so
+    every block takes the exact path, the reference."""
+    rows_evaluated = []
+    inner = averaging._scan_measures
+
+    def scan(symbol_at, *args, screen=None):
+        def counted(x, rows):
+            rows_evaluated.append(len(rows))
+            return symbol_at(x, rows)
+        return inner(counted, *args, screen=screen if screened else None)
+
+    monkeypatch.setattr(averaging, "_scan_measures", scan)
+    return rows_evaluated
+
+
+def screened_and_exact(monkeypatch, rows, *args):
+    """nondegeneracy_scan(*args) with its screen and without it, at
+    `rows` mesh rows a block; returns both reports and the number of mesh
+    rows the screened scan counted from the exact symbol."""
+    n_cells, eps = np.size(args[4]), args[5]
+    small_blocks(monkeypatch, rows, n_cells, len(eps))
+    evaluated = spy_scan(monkeypatch)
+    got = nondegeneracy_scan(*args)
+    monkeypatch.undo()
+    small_blocks(monkeypatch, rows, n_cells, len(eps))
+    spy_scan(monkeypatch, screened=False)
+    want = nondegeneracy_scan(*args)
+    monkeypatch.undo()
+    return got, want, sum(evaluated)
+
+
+def assert_same_report(got, want):
+    assert np.array_equal(got.measures, want.measures)
+    assert np.array_equal(got.sup_measure, want.sup_measure)
+    assert got.degenerate_flag == want.degenerate_flag
+    assert got.p_domain_measure == want.p_domain_measure
+
+
+def random_real_case(seed, d):
+    """A profile of mixed orders and coefficients a_k(x, p), quadratic in p
+    with coefficients affine in x, from a seed."""
+    r = np.random.default_rng(seed)
+    profile = AnisotropyProfile(tuple(r.choice([0.5, 1.0, 1.5, 2.0, 3.0], d)))
+    c = r.standard_normal((d, 3, d + 1))
+
+    def coeffs(x, p):
+        xs = np.concatenate([[1.0], x])
+        return np.stack([sum((c[k, j] @ xs) * p ** j for j in range(3))
+                         for k in range(d)], axis=-1)
+
+    x_samples = list(r.uniform(-1.0, 1.0, (3, d)))
+    eps = tuple(np.sort(r.uniform(0.01, 4.0, 5)))
+    return profile, coeffs, x_samples, eps
+
+
+def catalog_nondegeneracy_config():
+    """The nondegeneracy config of the benchmark's catalog workload."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return dict(workloads.configs("catalog", 7))["nondegeneracy"]
+
+
+def run_config(tmp_path, cfg, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([cfg["command"], "--config", str(path),
+                     "--out", str(tmp_path / name)])
+    return code, {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+
+
+class TestCertifiedScreen:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_real_coefficients_give_the_exact_counts(self, monkeypatch,
+                                                            d, seed):
+        profile, coeffs, x_samples, eps = random_real_case(seed, d)
+        p_grid = midpoints(101, -1.5, 2.0)
+        mesh_rows = len(mesh_P(profile, 12)[0])
+        got, want, evaluated = screened_and_exact(
+            monkeypatch, 7, coeffs, x_samples, profile, 12, p_grid, eps)
+        assert_same_report(got, want)
+        assert evaluated < len(x_samples) * mesh_rows  # the screen decided blocks
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_eps_on_values_of_abs_A_fall_back(self, monkeypatch, d, seed):
+        profile, coeffs, x_samples, _ = random_real_case(seed, d)
+        p_grid = midpoints(64)
+        absA = per_point_symbols(coeffs, x_samples, profile, 8, p_grid)
+        eps = tie_eps(absA, 16)
+        got, want, evaluated = screened_and_exact(
+            monkeypatch, 5, coeffs, x_samples, profile, 8, p_grid, eps)
+        assert_same_report(got, want)
+        cell = float(p_grid[1] - p_grid[0])
+        assert np.array_equal(got.measures, cell * np.array(
+            [[sorted_counts(a, eps) for a in per_x] for per_x in absA]))
+        assert evaluated > 0
+
+    def test_eps_below_the_margin_falls_back(self, monkeypatch):
+        # A = p (2 pi i xi_1 - 2 (2 pi xi_2)^2) is 0 at the midpoint p = 0
+        # only: for eps below the margin the screen can be sure of nothing,
+        # so only the exact path counts that one cell
+        p_grid = midpoints(33)
+        assert 0.0 in p_grid
+        coeffs = [lambda x, p: p, lambda x, p: -p]
+        eps = (1e-300, 1e-200, 1e-20)
+        mesh_rows = len(mesh_P(PROFILES[2], 16)[0])
+        got, want, evaluated = screened_and_exact(
+            monkeypatch, 4, coeffs, [np.zeros(2)], PROFILES[2], 16, p_grid, eps)
+        assert_same_report(got, want)
+        assert np.all(got.measures == p_grid[1] - p_grid[0])
+        assert evaluated == mesh_rows
+
+    def test_complex_coefficients_take_the_exact_path(self, monkeypatch):
+        profile, p_grid, eps = PROFILES[3], midpoints(64), (0.01, 0.1, 0.5, 1.0)
+        mesh_rows = len(mesh_P(profile, 16)[0])
+        evaluated = spy_scan(monkeypatch)
+        nondegeneracy_scan([1.0, lambda x, p: p + 0.5j, lambda x, p: p * p],
+                           [np.zeros(3)], profile, 16, p_grid, eps)
+        assert sum(evaluated) == mesh_rows
+        # real values held as complex numbers are screened
+        evaluated.clear()
+        nondegeneracy_scan([1.0 + 0j, lambda x, p: p + 0j, lambda x, p: p * p],
+                           [np.zeros(3)], profile, 16, p_grid, eps)
+        assert evaluated == []
+
+    def test_catalog_config_never_evaluates_the_exact_symbol(self, monkeypatch,
+                                                             tmp_path):
+        evaluated = spy_scan(monkeypatch)
+        code, _ = run_config(tmp_path, catalog_nondegeneracy_config(), "catalog")
+        assert code == 0
+        assert evaluated == []
+
+    @pytest.mark.parametrize("a, eps", [
+        (["1e160", "p", "p*p"], [1e150, 1e159, 1e161]),
+        (["1e160*p", "1e160", "p*p"], [1e150, 1e159, 1e161]),
+        # thresholds whose squares overflow
+        (["1.0", "p", "p*p"], [0.5, 1e200, 1e300]),
+    ])
+    def test_huge_values_publish_the_exact_path_bytes(self, monkeypatch, tmp_path,
+                                                      capsys, a, eps):
+        cfg = catalog_nondegeneracy_config()
+        cfg["params"].update(a=a, eps_list=eps, p_points=128, resolution=16)
+        screened = run_config(tmp_path, cfg, "screened")
+        spy_scan(monkeypatch, screened=False)
+        assert screened == run_config(tmp_path, cfg, "exact")
+        assert screened[0] == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("grid", [
+        midpoints(64)[::-1],                        # descending
+        np.r_[midpoints(8)[:4], midpoints(8)[4:] + 1e-6],  # one step longer
+        np.geomspace(1.0, 2.0, 16),                 # not uniform
+        np.array([0.0, 0.5, 0.5, 1.0]),             # a repeated point
+        np.array([0.0, 0.5, np.inf]),
+        np.array([np.nan, 0.5, 1.0]),
+        np.zeros((2, 2)),
+        np.array([0.5]),
+    ])
+    def test_scans_reject_grids_that_are_not_uniform_midpoints(self, grid):
+        with pytest.raises(DomainError, match="p_grid"):
+            nondegeneracy_scan([1.0, lambda x, p: p], [np.zeros(2)], PROFILES[2],
+                               8, grid, (0.1, 1.0))
+        flux = flux_from_name("burgers-heat")
+        with pytest.raises(DomainError, match="lambda_grid"):
+            up_nondegeneracy_scan(flux, [None], UPManifold(flux.d, flux.l_split),
+                                  grid, (0.1, 1.0), resolution=8)
+
+    def test_descending_grid_published_a_negative_measure(self):
+        # what the unchecked cell measure grid[1] - grid[0] gave before
+        with pytest.raises(DomainError, match="strictly increasing"):
+            nondegeneracy_scan([1.0, lambda x, p: p], [np.zeros(2)], PROFILES[2],
+                               16, midpoints(64)[::-1], (0.1, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           width=st.floats(min_value=5e-324, allow_infinity=False),
+           count=st.sampled_from([2, 3, 7, 64, 256, 1001, 4096]))
+    def test_every_grid_of_distinct_midpoints_passes(self, lo, width, count):
+        hi = lo + width
+        if not (lo < hi and np.isfinite(hi - lo)):
+            return
+        with np.errstate(all="ignore"):
+            grid = cli._midpoints((lo, hi), "params.p_interval", count,
+                                  "params.p_points")
+        if np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0):
+            assert _cell_width(grid, "p_grid") == grid[1] - grid[0]
+
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (-1e300, 1e300),
+                                          (1e-300, 3e-300), (0.0, 1e-310),
+                                          (-2.0 ** 1000, -2.0 ** 999),
+                                          (1e15, 1e15 + 1e5)])
+    def test_extreme_intervals_pass(self, interval):
+        for count in (2, 3, 64, 1024):
+            grid = cli._midpoints(interval, "params.p_interval", count,
+                                  "params.p_points")
+            assert _cell_width(grid, "p_grid") == grid[1] - grid[0]
 
 
 def shell_samples_one_at_a_time(profile, j, count):
