@@ -209,10 +209,13 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     p_grid is a 1-d array of at least 2 uniform, increasing midpoints
     (_cell_width).  The coefficients are evaluated once per x sample; a
     value that is not finite raises IntegrityError.  A coefficient whose
-    values are all equal along p is kept as one value.  The counts are
-    those of the |A| that principal_symbol gives, bit for bit: the exact
-    path sums each block of mesh rows into one reused (rows, p) buffer,
-    term by term in axis order as principal_symbol sums.
+    values are all equal along p is kept as one value, which broadcasts
+    into its product.  The counts are those of the |A| that
+    principal_symbol gives, bit for bit: the exact path is one left fold
+    over each block of mesh rows in two reused (rows, p) buffers, acc and
+    term: A = a_1 F_1 is written into acc, then A += a_k F_k for k = 2..d
+    in axis order, each product formed in term (in its first column for a
+    one-value a_k, which the write or the sum broadcasts).
 
     When every a_k(x, p) of an x sample is real, a screen counts first
     (_scan_measures): two real GEMMs e = (Re F @ a, Im F @ a) of the
@@ -252,24 +255,13 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     acc, term = np.empty((2, rows, p_grid.size), dtype=complex)
 
     def symbol_at(a, F):
-        # in axis order, as principal_symbol sums from 0 + 0j (0 + t_0 is
-        # t_0 up to the sign of a zero); a one-value a_k gives a (rows, 1)
-        # column, a wide term goes to acc, or to term once acc holds the
-        # sum, and a column sum joins the first wide term (+ commutes)
-        A = None
-        for k, ak in enumerate(a):
-            if np.size(ak) == 1:
-                t = ak * F[:, k, None]
-            else:
-                into = acc if A is None or A.shape[-1] == 1 else term
-                t = np.multiply(ak, F[:, k, None], out=into[:len(F)])
-            if A is None:
-                A = t
-            elif A.shape[-1] >= t.shape[-1]:
-                A += t
-            else:
-                t += A
-                A = t
+        # A = a_1 F_1, then A += a_k F_k in axis order, as principal_symbol
+        # sums from 0 + 0j (0 + t_1 is t_1 up to the sign of a zero); each
+        # product is formed in term, a (rows, 1) column for a one-value a_k
+        A, n = acc[:len(F)], len(F)
+        A[...] = np.multiply(a[0], F[:, 0, None], out=term[:n, :a[0].size])
+        for k in range(1, len(a)):
+            A += np.multiply(a[k], F[:, k, None], out=term[:n, :a[k].size])
         return A
 
     # the screen's (rows, d) planes of F, without one within 2^-40 |F|

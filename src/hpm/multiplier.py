@@ -60,8 +60,10 @@ def smooth_ramp(s: np.ndarray) -> np.ndarray:
 
 # --- built-in symbol registry -------------------------------------------------
 
-def _parse_kv(spec: str) -> dict:
-    """Split "k1=v1,k2=v2" on commas that are not inside brackets."""
+def _parse_kv(spec: str, name: str, keys: set) -> dict:
+    """Split "k1=v1,k2=v2" on commas that are not inside brackets; a key
+    outside `keys`, or one given twice, raises DomainError naming the
+    symbol `name`."""
     out = {}
     parts, depth, cur = [], 0, []
     for ch in spec:
@@ -77,8 +79,26 @@ def _parse_kv(spec: str) -> dict:
         if not part:
             continue
         key, _, val = part.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in keys or key in out:
+            raise DomainError(f"symbol {name!r} takes each of the keys "
+                              f"{sorted(keys)} at most once, got {key!r}")
+        out[key] = val.strip()
     return out
+
+
+def _center(text: str, name: str, d: int) -> np.ndarray:
+    """The center of the bump `name`: one JSON number or a list of d, as
+    floats; DomainError otherwise."""
+    try:
+        value = json.loads(text)
+        numbers = value if isinstance(value, list) and len(value) == d else [value]
+        if all(type(v) in (int, float) for v in numbers):
+            return np.array(value, dtype=float)
+    except (ValueError, OverflowError, RecursionError):  # an integer past floats
+        pass
+    raise DomainError(f"symbol {name!r} needs a center of one number or a "
+                      f"list of {d}")
 
 
 def _axis_index(text: str, name: str, d: int) -> int:
@@ -95,8 +115,9 @@ def _axis_index(text: str, name: str, d: int) -> int:
 def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
     """Resolve a registry name: "one", "coordinate:k",
     "bump:center=[...],width=w", "sector:axis=k,sign=+|-".  A malformed
-    name, a center or width that is not finite, a width <= 0 and a sign
-    other than + or - raise DomainError."""
+    name, a key the kind does not take or one given twice, a center other
+    than one number or d, a center or width that is not finite, a width
+    <= 0 and a sign other than + or - raise DomainError."""
     if not isinstance(name, str):
         raise DomainError(f"symbol name must be a string, got {name!r}")
     if name == "one":
@@ -107,14 +128,13 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
         k = _axis_index(rest, name, profile.d)
         return SymbolOnP(lambda xi: xi[..., k].astype(complex), name=name)
     if kind == "bump":
-        kv = _parse_kv(rest)
+        kv = _parse_kv(rest, name, {"center", "width"})
         try:
-            center = np.asarray(json.loads(kv["center"]), dtype=float)
-            np.broadcast_shapes(center.shape, (profile.d,))
-            width = float(kv["width"])
-        except (KeyError, TypeError, ValueError) as exc:
+            text, width = kv["center"], float(kv["width"])
+        except (KeyError, ValueError) as exc:
             raise DomainError(f"symbol {name!r} needs center=[...] and "
                               f"width=w: {exc!r}") from None
+        center = _center(text, name, profile.d)
         if not (np.all(np.isfinite(center)) and np.isfinite(width) and width > 0):
             raise DomainError(f"symbol {name!r} needs a finite center and a "
                               f"finite width > 0")
@@ -132,7 +152,7 @@ def symbol_from_name(name: str, profile: AnisotropyProfile) -> SymbolOnP:
 
         return SymbolOnP(_bump, name=name)
     if kind == "sector":
-        kv = _parse_kv(rest)
+        kv = _parse_kv(rest, name, {"axis", "sign"})
         k = _axis_index(kv.get("axis", ""), name, profile.d)
         sign = {"+": 1.0, "-": -1.0}.get(kv.get("sign", "+"))
         if sign is None:
@@ -258,6 +278,9 @@ def _central_difference(fn, xi: np.ndarray, beta: tuple[int, ...],
     return fn(xi)
 
 
+_AXIS_FLOOR = 0.05  # least |v_k| of a shell sample's unit direction v
+
+
 def _shell_samples(profile: AnisotropyProfile, j: int, count: int) -> np.ndarray:
     """Deterministic sample points with quasi-norm in [2^j, 2^(j+1)], kept
     away from the coordinate hyperplanes (finite differences would straddle
@@ -270,7 +293,7 @@ def _shell_samples(profile: AnisotropyProfile, j: int, count: int) -> np.ndarray
     while len(dirs) < count:
         v = rng.standard_normal((count, profile.d))
         v /= np.sqrt(np.vecdot(v, v))[:, None]
-        dirs = np.concatenate([dirs, v[np.min(np.abs(v), axis=1) >= 0.05]])
+        dirs = np.concatenate([dirs, v[np.min(np.abs(v), axis=1) >= _AXIS_FLOOR]])
     # Python float powers: numpy's vectorised power can differ in the last bit
     l = profile.l
     t = np.array([(2.0 ** (j + (i + 0.5) / count)) ** l for i in range(count)])
@@ -282,20 +305,55 @@ _STEP = 1e-3  # difference step of the certifier, relative to max(|xi_k|, 2^j)
 
 def shells_in_float_range(profile: AnisotropyProfile, shells: int) -> bool:
     """Whether the certifier's refined scan, shells j in [-(shells + 2),
-    shells + 2), stays in the float range.  Its fibre parameters lie in
-    [2^(-(shells + 2) l), 2^((shells + 2) l)]: the upper end must be
-    finite (the lower end is then positive).  The differences on the top
-    shell reach |xi_k| + d h_k, with |xi_k| <= 2^((shells + 2) / alpha_k)
-    and step h_k = _STEP max(|xi_k|, 2^(shells + 1)), and the constraint
-    sum there must be finite too."""
-    top = shells + 2
+    shells + 2), stays in the float range: the constraint sum of every
+    point it projects, a sample or a point of a difference stencil, must
+    be finite and normal.
+
+    A sample xi of shell j has |xi_k| <= hi_k = 2^((j + 1) / alpha_k), as
+    no component exceeds 1 on P, and |xi_k| >= lo_k = _AXIS_FLOOR
+    2^(j / alpha_k): its unit direction's components are at least
+    _AXIS_FLOOR, and projecting it to P shrinks none of them (l alpha_k >
+    d puts the direction's constraint sum at most 1).  Its largest term
+    |xi_s|^(l alpha_s) is at least 2^(j l) / d, so for some axis s also
+    |xi_s| >= 2^(j / alpha_s) d^(-1 / (l alpha_s)).  The stencil of d^beta
+    moves xi_k to xi_k + c h_k, c in {-beta_k, -beta_k + 2, ..., beta_k},
+    with step h_k = _STEP max(|xi_k|, 2^j).  The moved coordinate is at
+    most hi_k + d h_k, and at least the least |x - |c| h_k| over x in
+    [lo_k, hi_k] less its d roundings: so c = 0 may round a tiny xi_k to 0
+    (xi_k + h_k - h_k).  A step that can carry xi_k across 0 leaves at
+    least the float spacing at |c| h_k, 2^-53 |c| h_k: only an xi_k within
+    roundings of |c| h_k, a coincidence, comes nearer.  The sum of the
+    upper bounds^(l alpha_k) must be finite, and for every beta and every
+    s that of the lower bounds^(l alpha_k) normal, with 2^-40 to spare."""
+    top = max(shells + 2, 0)  # no shells to scan for a negative count
     if top * profile.l >= 1024:
         return False
-    ex = np.asarray(profile.exponents)
-    xi = 2.0 ** (top * profile.l / ex)
-    reach = xi + profile.d * _STEP * np.maximum(xi, 2.0 ** (top - 1))
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.sum(reach ** ex)))
+    d, ex = profile.d, np.asarray(profile.exponents)
+    j = np.arange(-top, top)[:, None]  # one row a shell
+    floor, inv = 2.0 ** j, 1 / np.asarray(profile.alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        hi = 2.0 ** ((j + 1) * inv)
+        reach = hi + d * _STEP * np.maximum(hi, floor)
+        if not np.all(np.isfinite(np.sum(reach ** ex, axis=1))):
+            return False
+        # one (shells, d) plane of lower bounds per axis s of the largest term
+        lo = 2.0 ** (j * inv) * np.where(np.eye(d, dtype=bool)[:, None, :],
+                                         np.maximum(_AXIS_FLOOR, d ** (-1 / ex)),
+                                         _AXIS_FLOOR)
+        # the least moved |xi_k + c h_k|, by |c|: at least 0 for c = 0
+        moved = [np.maximum(np.maximum(lo - c * _STEP * np.maximum(lo, floor),
+                                       c * _STEP * np.maximum(hi, floor) - hi)
+                            - d * 2.0 ** -52 * reach, c * 2.0 ** -53 * _STEP * floor)
+                 for c in range(d + 1)]
+        for beta in itertools.product(range(d + 1), repeat=d):
+            if sum(beta) > d:
+                continue
+            least = np.stack([lo[..., k] if b == 0 else
+                              np.min(moved[b % 2:b + 1:2], axis=0)[..., k]
+                              for k, b in enumerate(beta)], axis=-1)
+            if np.any(np.sum(least ** ex, axis=-1) < 2.0 ** -1022 * (1 + 2.0 ** -40)):
+                return False
+    return True
 
 
 def _scan_level(psi: SymbolOnP, profile: AnisotropyProfile,

@@ -838,6 +838,17 @@ class TestMalformedParams:
         # an averaging profile other than all ones
         ("averaging-[1.0, 2.0]", {}, "profile.alpha"),
         ("averaging-[0.5, 3.0]", {}, "profile.alpha"),
+        # bump centers other than one number or d, and keys a symbol kind
+        # does not take or gets twice
+        *[(command, {"symbol": name}, name)
+          for command in ("multiplier-apply", "multiplier-check")
+          for name in ("bump:center=[[0.5,0.5],[0.1,0.1]],width=0.3",
+                       "bump:center=[[[0.5,0.5]]],width=0.3",
+                       "bump:center=[0.5],width=0.3",
+                       "bump:center=[true,0.5],width=0.3",
+                       'bump:center="0.5",width=0.3',
+                       "bump:center=[0.5,0.5],width=0.3,extra=1",
+                       "sector:axis=0,sign=-,axis=1")],
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
@@ -890,6 +901,23 @@ class TestMalformedParams:
         assert err.startswith("hpm: ") and err.count("\n") == 1
         assert "params.x_samples" in err and "params.p_points" in err
         assert not out.exists()
+
+    def test_shells_whose_bottom_sums_underflow_exit_2(self, tmp_path, capsys):
+        # alpha (0.01, 1) has l = 201: on the bottom shell a difference
+        # step rounds the small first coordinate to 0, and the second one's
+        # term underflows, so the projection has no normal sum to divide by
+        cfg = base_config("multiplier-check", profile={"alpha": [0.01, 1.0]},
+                          params={"symbol": "coordinate:0", "shells": 3})
+        self._exits_2(tmp_path, capsys, cfg, "params.shells = 3 is too large")
+
+    def test_small_order_within_the_bottom_bound_runs(self, tmp_path, capsys):
+        cfg = base_config("multiplier-check", profile={"alpha": [0.05, 1.0]},
+                          params={"symbol": "coordinate:0", "shells": 6})
+        out = tmp_path / "out"
+        assert run_cli("multiplier-check", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "marcinkiewicz.json").read_text())
+        assert report["constant"] == pytest.approx(109.43, abs=0.005)
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
         # 178 shells keep the alpha (1, 2) scan in the float range

@@ -105,8 +105,10 @@ def p_independent_arrays(x, p):
 
 
 class TestBlockedNondegeneracyScan:
-    @pytest.mark.parametrize("d, coeffs", coefficient_cases())
-    def test_bitwise_per_point_reference(self, monkeypatch, d, coeffs):
+    @staticmethod
+    def check_per_point_reference(monkeypatch, d, coeffs):
+        """The scan's measures against the per-point counts, at eps on the
+        values of |A|; returns the per-point |A|, (x samples, mesh, p)."""
         profile = PROFILES[d]
         p_grid = midpoints(96)
         x_samples = [np.zeros(d), np.full(d, 0.25)]
@@ -120,6 +122,23 @@ class TestBlockedNondegeneracyScan:
         want = cell * np.array([[sorted_counts(a, eps) for a in per_x]
                                 for per_x in absA])
         assert np.array_equal(rep.measures, want)
+        return absA
+
+    @pytest.mark.parametrize("d, coeffs", coefficient_cases())
+    def test_bitwise_per_point_reference(self, monkeypatch, d, coeffs):
+        self.check_per_point_reference(monkeypatch, d, coeffs)
+
+    @pytest.mark.parametrize("d, coeffs", coefficient_cases())
+    def test_exact_path_is_principal_symbol_bit_for_bit(self, monkeypatch, d,
+                                                        coeffs):
+        # without the screen every block takes the exact path, whose |A| is
+        # principal_symbol's at each of its mesh points
+        blocks = []
+        spy_scan(monkeypatch, screened=False, blocks=blocks)
+        absA = self.check_per_point_reference(monkeypatch, d, coeffs)
+        n_cells = absA.shape[-1]
+        got = np.concatenate([np.broadcast_to(b, (len(b), n_cells)) for b in blocks])
+        assert np.array_equal(got, absA.reshape(got.shape))
 
     @pytest.mark.parametrize("rows", [1, 5, 64, 10 ** 6])
     def test_block_size_does_not_change_measures(self, monkeypatch, rows):
@@ -216,17 +235,21 @@ class TestScanMeasuresBlocks:
         assert peak <= rep.measures.nbytes + 2 * spectral._BLOCK_BYTES
 
 
-def spy_scan(monkeypatch, screened=True):
+def spy_scan(monkeypatch, screened=True, blocks=None):
     """The mesh rows of every block whose exact symbol nondegeneracy_scan
     evaluates, as a list that grows; screened=False drops the screen, so
-    every block takes the exact path, the reference."""
+    every block takes the exact path, the reference.  A list `blocks`
+    receives the |A| of each of those blocks."""
     rows_evaluated = []
     inner = averaging._scan_measures
 
     def scan(symbol_at, *args, screen=None):
         def counted(x, rows):
             rows_evaluated.append(len(rows))
-            return symbol_at(x, rows)
+            A = symbol_at(x, rows)
+            if blocks is not None:
+                blocks.append(np.abs(A))
+            return A
         return inner(counted, *args, screen=screen if screened else None)
 
     monkeypatch.setattr(averaging, "_scan_measures", scan)
@@ -345,6 +368,26 @@ class TestCertifiedScreen:
         nondegeneracy_scan([1.0 + 0j, lambda x, p: p + 0j, lambda x, p: p * p],
                            [np.zeros(3)], profile, 16, p_grid, eps)
         assert evaluated == []
+
+    def test_exact_path_allocates_no_term_temporaries(self, monkeypatch):
+        # complex coefficients take the exact path: it holds its two reused
+        # (rows, p) complex buffers, one |A| block and the (eps, rows, p)
+        # bool stack, and besides them only arrays of the mesh, of p and of
+        # the measures, a quarter of one complex term at most
+        profile, p_grid, eps = PROFILES[3], midpoints(4096), (0.01, 0.1, 0.5, 1.0)
+        rows = 64
+        small_blocks(monkeypatch, rows, p_grid.size, len(eps))
+        evaluated = spy_scan(monkeypatch)
+        tracemalloc.start()
+        try:
+            nondegeneracy_scan([1.0, lambda x, p: p + 0.5j, lambda x, p: p * p],
+                               [np.zeros(3)], profile, 16, p_grid, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(evaluated) == len(mesh_P(profile, 16)[0]) > rows
+        block = rows * p_grid.size
+        assert peak <= (2 * 16 + 8 + len(eps)) * block + 4 * block
 
     def test_catalog_config_never_evaluates_the_exact_symbol(self, monkeypatch,
                                                              tmp_path):

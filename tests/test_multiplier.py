@@ -252,6 +252,23 @@ class TestMarcinkiewicz:
             marcinkiewicz_certify(symbol_from_name("one", profile), profile,
                                   largest + 1, 8)
 
+    def test_every_admitted_shell_count_certifies(self):
+        # tiny orders put the bottom shells' constraint sums near the least
+        # normal float, where a difference step may round a coordinate to
+        # 0 (xi_k + h_k - h_k): the check must admit only counts whose every
+        # stencil point has a normal sum, at any sample count
+        admitted = 0
+        for a0, a1 in itertools.product((0.01, 0.012, 0.015, 0.02, 0.03),
+                                        (0.5, 1.0, 2.0)):
+            profile = AnisotropyProfile((a0, a1))
+            psi = symbol_from_name("coordinate:0", profile)
+            for shells in (3, 4, 5, 6, 8):
+                if shells_in_float_range(profile, shells):
+                    admitted += 1
+                    for samples in (8, 24):
+                        marcinkiewicz_certify(psi, profile, shells, samples)
+        assert admitted > 0
+
     def test_report_json_shape(self):
         rep = marcinkiewicz_certify(symbol_from_name("one", ISO2), ISO2, 3, 8)
         d = rep.to_json_dict()
@@ -271,6 +288,17 @@ class TestRegistry:
         assert abs(bv[0] - 1.0) <= 1e-12 and abs(bv[1]) <= 1e-12
         sv = sec.eval(pts)
         assert abs(sv[0] - 1.0) <= 1e-12 and abs(sv[1]) <= 1e-12
+
+    def test_bump_center_is_one_number_or_d(self):
+        scalar = symbol_from_name("bump:center=0.5,width=0.3", ISO2)
+        vector = symbol_from_name("bump:center=[0.5,0.5],width=0.3", ISO2)
+        pts = np.array([[0.5, 0.5], [0.6, 0.45]])
+        assert np.array_equal(scalar.eval(pts), vector.eval(pts))
+        # an integer past the float range is no center either
+        for center in ("[0.5]", "[0.5,0.5,0.5]", "[[0.5,0.5]]", "null",
+                       str(10 ** 400)):
+            with pytest.raises(DomainError, match="center of one number"):
+                symbol_from_name(f"bump:center={center},width=0.3", ISO2)
 
 
 class TestProjectedSymbolLattice:
