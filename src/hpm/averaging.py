@@ -414,15 +414,18 @@ def window_mask(grid: SpectralGrid, window) -> np.ndarray:
 
 def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
                        window, n_list: Sequence[int]) -> DecayTable:
-    """L2 norm of the velocity average over a window, per n.  Strong decay
-    of the ratios is the observable footprint of velocity averaging; a
-    zero norm at n_min leaves them undefined, an IntegrityError, as is a
-    norm below the normal floats of a nonzero average (normal_norm).  The
-    snapshots may be fields or bands; the average of a band is
-    transformed back before the window is applied."""
+    """L2 norm of the velocity average over a window, per n of n_list, at
+    least 2 strictly increasing indices (a DomainError otherwise), so its
+    first entry is n_min.  Strong decay of the ratios is the observable
+    footprint of velocity averaging; a zero norm at n_min leaves them
+    undefined, an IntegrityError, as is a norm below the normal floats of
+    a nonzero average (normal_norm).  The snapshots may be fields or
+    bands; the average of a band is transformed back before the window is
+    applied."""
     n_list = tuple(n_list)
-    if len(n_list) < 2:
-        raise DomainError("need at least 2 sequence indices")
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise DomainError(f"need at least 2 strictly increasing sequence "
+                          f"indices, got {list(n_list)}")
     norms = []
     for n in n_list:
         avg = velocity_average(seq(n), rho)

@@ -155,6 +155,16 @@ def _param(params: dict, key: str, default, integer: bool = False):
     return _number(params.get(key, default), f"params.{key}", integer)
 
 
+def _n_list(params: dict, default: list, least: int) -> list:
+    """params.n_list (or the default): at least `least` strictly
+    increasing integers."""
+    n_list = _numbers(params.get("n_list", default), "params.n_list", integer=True)
+    if len(n_list) < least or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"params.n_list must be increasing with at least "
+                          f"{least} entries, got {n_list}")
+    return n_list
+
+
 def _check_size(counts: dict, elements: int) -> None:
     """ConfigError, before anything is allocated, when a command's largest
     array, of `elements` elements, would exceed the bound the grid
@@ -359,16 +369,20 @@ def _cmd_multiplier_check(grid, profile, params, rng, out: Path) -> None:
     _check_keys(params, {"symbol", "shells", "samples_per_shell"}, "params")
     psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
     shells = _param(params, "shells", 4, integer=True)
-    if not multiplier.shells_in_float_range(profile, shells):
-        raise ConfigError(f"params.shells = {shells} is too large: its dyadic "
-                          f"shells leave the float range for alpha {profile.alpha}")
+    if shells < 3:
+        raise ConfigError(f"params.shells must be at least 3, got {shells}")
     samples = _param(params, "samples_per_shell", 24, integer=True)
+    if samples < 1:
+        raise ConfigError(f"params.samples_per_shell must be positive, got {samples}")
     # the refined scan stacks (2 samples_per_shell, d) samples on each of
     # its 2 shells + 4 shells
     _check_size({"samples_per_shell": samples, "shells": shells},
-                2 * max(samples, 0) * profile.d * (2 * max(shells, 0) + 4))
-    report = multiplier.marcinkiewicz_certify(
-        psi, profile, shells=shells, samples_per_shell=samples)
+                2 * samples * profile.d * (2 * shells + 4))
+    try:
+        report = multiplier.marcinkiewicz_certify(
+            psi, profile, shells=shells, samples_per_shell=samples)
+    except DomainError as exc:  # the counts are valid: the float-range error
+        raise ConfigError(f"params.shells = {shells} is too large: {exc}") from None
     _write_json(out / "marcinkiewicz.json", report.to_json_dict())
 
 
@@ -388,13 +402,9 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if genspec.get("kind", "oscillation") != "oscillation":
         raise ConfigError("only the oscillation generator is wired to the CLI")
     c = _numbers(genspec.get("c"), "params.generator.c", profile.d)
-    n_list = _numbers(params.get("n_list", [8, 16, 24, 32]), "params.n_list",
-                      integer=True)
-    if any(n < 1 for n in n_list):
+    n_list = _n_list(params, [8, 16, 24, 32], 3)
+    if n_list[0] < 1:
         raise ConfigError(f"params.n_list entries must be positive, got {n_list}")
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError(f"params.n_list must be increasing with at least 3 "
-                          f"entries, got {n_list}")
     x_cells = _param(params, "x_cells", 4, integer=True)
     p_cells = _param(params, "p_cells", 16, integer=True)
     # the assembly's largest arrays for C = x_cells^d cells, B = p_cells and
@@ -459,11 +469,7 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
         averaging.window_mask(grid.spatial_only(), window)
     except DomainError as exc:
         raise ConfigError(f"params.window: {exc}") from None
-    n_list = _numbers(params.get("n_list", [4, 8, 16, 32, 64]), "params.n_list",
-                      integer=True)
-    if len(n_list) < 2:
-        raise ConfigError(f"params.n_list needs at least 2 sequence indices, "
-                          f"got {n_list}")
+    n_list = _n_list(params, [4, 8, 16, 32, 64], 2)
     table = averaging.compactness_metric(seq, rho, window, n_list)
     columns = [np.array(table.n_list, dtype=object), np.array(table.norms),
                np.array(table.ratios)]

@@ -303,69 +303,20 @@ def _shell_samples(profile: AnisotropyProfile, j: int, count: int) -> np.ndarray
 _STEP = 1e-3  # difference step of the certifier, relative to max(|xi_k|, 2^j)
 
 
-def shells_in_float_range(profile: AnisotropyProfile, shells: int) -> bool:
-    """Whether the certifier's refined scan, shells j in [-(shells + 2),
-    shells + 2), stays in the float range: the constraint sum of every
-    point it projects, a sample or a point of a difference stencil, must
-    be finite and normal.
-
-    A sample xi of shell j has |xi_k| <= hi_k = 2^((j + 1) / alpha_k), as
-    no component exceeds 1 on P, and |xi_k| >= lo_k = _AXIS_FLOOR
-    2^(j / alpha_k): its unit direction's components are at least
-    _AXIS_FLOOR, and projecting it to P shrinks none of them (l alpha_k >
-    d puts the direction's constraint sum at most 1).  Its largest term
-    |xi_s|^(l alpha_s) is at least 2^(j l) / d, so for some axis s also
-    |xi_s| >= 2^(j / alpha_s) d^(-1 / (l alpha_s)).  The stencil of d^beta
-    moves xi_k to xi_k + c h_k, c in {-beta_k, -beta_k + 2, ..., beta_k},
-    with step h_k = _STEP max(|xi_k|, 2^j).  The moved coordinate is at
-    most hi_k + d h_k, and at least the least |x - |c| h_k| over x in
-    [lo_k, hi_k] less its d roundings: so c = 0 may round a tiny xi_k to 0
-    (xi_k + h_k - h_k).  A step that can carry xi_k across 0 leaves at
-    least the float spacing at |c| h_k, 2^-53 |c| h_k: only an xi_k within
-    roundings of |c| h_k, a coincidence, comes nearer.  The sum of the
-    upper bounds^(l alpha_k) must be finite, and for every beta and every
-    s that of the lower bounds^(l alpha_k) normal, with 2^-40 to spare."""
-    top = max(shells + 2, 0)  # no shells to scan for a negative count
-    if top * profile.l >= 1024:
-        return False
-    d, ex = profile.d, np.asarray(profile.exponents)
-    j = np.arange(-top, top)[:, None]  # one row a shell
-    floor, inv = 2.0 ** j, 1 / np.asarray(profile.alpha)
-    with np.errstate(over="ignore", under="ignore"):
-        hi = 2.0 ** ((j + 1) * inv)
-        reach = hi + d * _STEP * np.maximum(hi, floor)
-        if not np.all(np.isfinite(np.sum(reach ** ex, axis=1))):
-            return False
-        # one (shells, d) plane of lower bounds per axis s of the largest term
-        lo = 2.0 ** (j * inv) * np.where(np.eye(d, dtype=bool)[:, None, :],
-                                         np.maximum(_AXIS_FLOOR, d ** (-1 / ex)),
-                                         _AXIS_FLOOR)
-        # the least moved |xi_k + c h_k|, by |c|: at least 0 for c = 0
-        moved = [np.maximum(np.maximum(lo - c * _STEP * np.maximum(lo, floor),
-                                       c * _STEP * np.maximum(hi, floor) - hi)
-                            - d * 2.0 ** -52 * reach, c * 2.0 ** -53 * _STEP * floor)
-                 for c in range(d + 1)]
-        for beta in itertools.product(range(d + 1), repeat=d):
-            if sum(beta) > d:
-                continue
-            least = np.stack([lo[..., k] if b == 0 else
-                              np.min(moved[b % 2:b + 1:2], axis=0)[..., k]
-                              for k, b in enumerate(beta)], axis=-1)
-            if np.any(np.sum(least ** ex, axis=-1) < 2.0 ** -1022 * (1 + 2.0 ** -40)):
-                return False
-    return True
-
-
 def _scan_level(psi: SymbolOnP, profile: AnisotropyProfile,
                 j_range, samples_per_shell: int) -> dict[tuple[int, ...], float]:
     """sup over the shells of j_range of |xi^beta d^beta (psi o pi_P)|, per
     |beta| <= d: the shells' samples differenced in one batch, each row with
-    its shell's step floor 2^j; a sample that is not finite is an error."""
+    its shell's step floor 2^j.  Every point the differences evaluate, a
+    sample or a stencil point, is projected to P, also for a symbol that is
+    not projected: a constraint sum that is not finite and normal is
+    project_to_P's DomainError (a SingularPointError at 0).  A sample that
+    is not finite is an IntegrityError."""
     d = profile.d
 
     def psi_P(xi):
-        arg = project_to_P(xi, profile) if psi.projected else xi
-        return np.asarray(psi.eval(arg), dtype=complex)
+        on_P = project_to_P(xi, profile)
+        return np.asarray(psi.eval(on_P if psi.projected else xi), dtype=complex)
 
     xi = np.concatenate([_shell_samples(profile, j, samples_per_shell) for j in j_range])
     floors = np.repeat([2.0 ** j for j in j_range], samples_per_shell)
@@ -387,18 +338,29 @@ def marcinkiewicz_certify(psi: SymbolOnP, profile: AnisotropyProfile,
     """Estimate the Marcinkiewicz constant sup_beta sup_xi
     |xi^beta d^beta (psi o pi_P)(xi)| by finite differences on dyadic
     shells.  Divergence (sup growing more than tenfold when the scan is
-    refined toward the origin) is reported as data, not an error."""
+    refined toward the origin) is reported as data, not an error.
+
+    A shell count is admitted when every point its scans project has a
+    finite, normal constraint sum (_scan_level); any other count is one
+    DomainError naming the float range and the projection's message.  The
+    one check ahead of the scans is the top shell's fibre parameter
+    2^((shells + 2) l), a Python float power that would raise
+    OverflowError past the float range."""
     if shells < 3:
         raise DomainError("need at least 3 dyadic shells")
     if samples_per_shell < 1:
         raise DomainError(f"samples_per_shell must be positive, got "
                           f"{samples_per_shell}")
-    if not shells_in_float_range(profile, shells):
-        raise DomainError(f"{shells} dyadic shells leave the float range "
-                          f"for alpha {profile.alpha}")
-    coarse = _scan_level(psi, profile, range(-shells, shells), samples_per_shell)
-    fine = _scan_level(psi, profile, range(-(shells + 2), shells + 2),
-                       2 * samples_per_shell)
+    leave = f"{shells} dyadic shells leave the float range for alpha {profile.alpha}"
+    if (shells + 2) * profile.l >= 1024:
+        raise DomainError(f"{leave}: the fibre parameter "
+                          f"2^{(shells + 2) * profile.l} is not finite")
+    try:
+        coarse = _scan_level(psi, profile, range(-shells, shells), samples_per_shell)
+        fine = _scan_level(psi, profile, range(-(shells + 2), shells + 2),
+                           2 * samples_per_shell)
+    except DomainError as exc:  # project_to_P's, SingularPointError included
+        raise DomainError(f"{leave}: {exc}") from None
     c_fine = max(fine.values())
     return MarcinkiewiczReport(c_fine, fine,
                                diverged=c_fine > 10.0 * max(coarse.values()))

@@ -286,6 +286,15 @@ class TestCompactness:
         with pytest.raises(DomainError, match="holds no grid sample"):
             compactness_metric(seq, compact_bump, ((0.01, 0.02), (0.0, 1.0)), (2, 4))
 
+    @pytest.mark.parametrize("n_list", [(4, 2), (2, 2), (2, 8, 4)])
+    def test_n_list_must_increase(self, n_list):
+        # the ratios' base is the first entry, which must be n_min
+        g = SpectralGrid((8, 8), (1.0, 1.0), n_velocity=(8,),
+                         velocity_length=(1.0,))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            compactness_metric(self._oscillating_seq(g), compact_bump,
+                               ((0.0, 1.0), (0.0, 1.0)), n_list)
+
 
 class TestPrincipalIsDiagonalMixed:
     def test_callable_evaluated_once_and_matches_mixed(self):

@@ -785,8 +785,7 @@ class TestMalformedParams:
         ("averaging", {"rho": [1]}, "params.rho must be"),
         ("averaging", {"a": ["1.0", [1]]}, "params.a[1] must be"),
         # dyadic shells beyond the float range for alpha (1, 2): the scan's
-        # constraint sums overflow from 179, its fibre parameters from 340
-        # and underflow to 0 from 359
+        # constraint sums overflow from 179, its top fibre parameter from 340
         *[("multiplier-check-12", {"shells": s}, "params.shells")
           for s in (179, 340, 359, 10 ** 12)],
         # a band fraction outside (0, 1]
@@ -849,6 +848,15 @@ class TestMalformedParams:
                        'bump:center="0.5",width=0.3',
                        "bump:center=[0.5,0.5],width=0.3,extra=1",
                        "sector:axis=0,sign=-,axis=1")],
+        # shell and sample counts below their floors name their key
+        ("multiplier-check", {"shells": 2}, "params.shells"),
+        ("multiplier-check", {"shells": -5}, "params.shells"),
+        ("multiplier-check", {"samples_per_shell": -3}, "params.samples_per_shell"),
+        # sequence indices that do not increase: the ratios' base would
+        # not be n_min
+        ("averaging", {"n_list": [8, 2]}, "params.n_list"),
+        ("averaging", {"n_list": [8, 2], "rho": "0*p1"}, "params.n_list"),
+        ("averaging", {"n_list": [2, 2]}, "params.n_list"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
@@ -918,6 +926,30 @@ class TestMalformedParams:
         assert capsys.readouterr().err == ""
         report = json.loads((out / "marcinkiewicz.json").read_text())
         assert report["constant"] == pytest.approx(109.43, abs=0.005)
+
+    @pytest.mark.parametrize("alpha, shells, constant", [
+        ([0.05, 5.0], 3, 2647.95), ([0.1, 1.0], 43, 27.12)])
+    def test_counts_whose_points_stay_normal_run(self, tmp_path, capsys,
+                                                 alpha, shells, constant):
+        # every point these scans project has a normal constraint sum, so
+        # the counts certify
+        cfg = base_config("multiplier-check", profile={"alpha": alpha},
+                          params={"symbol": "coordinate:0", "shells": shells})
+        out = tmp_path / "out"
+        assert run_cli("multiplier-check", write_config(tmp_path, cfg), out) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "marcinkiewicz.json").read_text())
+        assert report["constant"] == pytest.approx(constant, abs=0.005)
+
+    @pytest.mark.parametrize("alpha, shells", [([0.01, 1.0], 3), ([1.0, 2.0], 179)])
+    def test_unprojected_symbol_past_the_float_range_exits_2(
+            self, tmp_path, capsys, alpha, shells):
+        # sin(1 / quasi_norm) is evaluated at the points themselves, but
+        # each is projected all the same: a sum past the float range is
+        # the shell count's error, not a floating-point failure
+        cfg = base_config("multiplier-check", profile={"alpha": alpha},
+                          params={"symbol": "sin-inverse-quasinorm", "shells": shells})
+        self._exits_2(tmp_path, capsys, cfg, f"params.shells = {shells} is too large")
 
     def test_largest_shell_count_runs_clean(self, tmp_path, capsys):
         # 178 shells keep the alpha (1, 2) scan in the float range
@@ -1246,12 +1278,12 @@ class TestReadmeAveragingExample:
     @pytest.mark.filterwarnings("error")
     def test_n_list_entry_beyond_int64_runs_clean(self, tmp_path, capsys):
         cfg = self._readme_config()
-        cfg["params"]["n_list"] = [4, 10 ** 23, 2 ** 63]
+        cfg["params"]["n_list"] = [4, 2 ** 63, 10 ** 23]
         out = tmp_path / "out"
         assert run_cli("averaging", write_config(tmp_path, cfg), out) == 0
         assert capsys.readouterr().err == ""
         rows = (out / "decay.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["4", str(10 ** 23), str(2 ** 63)]
+        assert [r.split(",")[0] for r in rows] == ["4", str(2 ** 63), str(10 ** 23)]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [{"t": 1.7e308}, {"a": ["1e308", "p1"]}])

@@ -16,7 +16,6 @@ from hpm.multiplier import (
     fractional_factor,
     marcinkiewicz_certify,
     projected_symbol_lattice,
-    shells_in_float_range,
     smooth_ramp,
     smoothing_inverse,
     smoothing_symbol_lattice,
@@ -243,31 +242,36 @@ class TestMarcinkiewicz:
                                                 ((1.0, 1.0, 2.0), 135)])
     def test_shells_within_the_float_range(self, alpha, largest):
         # one shell more and the constraint sum at the points the
-        # differences reach on the top shell overflows
+        # differences reach on the top shell overflows; at 10^12 shells the
+        # top fibre parameter does, before any shell is drawn
         profile = AnisotropyProfile(alpha)
-        assert shells_in_float_range(profile, largest)
-        assert not shells_in_float_range(profile, largest + 1)
-        assert not shells_in_float_range(profile, 10 ** 12)
-        with pytest.raises(DomainError, match="float range"):
-            marcinkiewicz_certify(symbol_from_name("one", profile), profile,
-                                  largest + 1, 8)
+        psi = symbol_from_name("one", profile)
+        marcinkiewicz_certify(psi, profile, largest, 8)
+        for shells in (largest + 1, 10 ** 12):
+            with pytest.raises(DomainError, match=f"^{shells} dyadic shells "
+                                                  f"leave the float range"):
+                marcinkiewicz_certify(psi, profile, shells, 8)
 
     def test_every_admitted_shell_count_certifies(self):
         # tiny orders put the bottom shells' constraint sums near the least
         # normal float, where a difference step may round a coordinate to
-        # 0 (xi_k + h_k - h_k): the check must admit only counts whose every
-        # stencil point has a normal sum, at any sample count
-        admitted = 0
+        # 0 (xi_k + h_k - h_k): a count certifies, or the projection of a
+        # point its scans reach refuses it as past the float range, at any
+        # sample count, and nothing else happens
+        outcomes = set()
         for a0, a1 in itertools.product((0.01, 0.012, 0.015, 0.02, 0.03),
                                         (0.5, 1.0, 2.0)):
             profile = AnisotropyProfile((a0, a1))
             psi = symbol_from_name("coordinate:0", profile)
-            for shells in (3, 4, 5, 6, 8):
-                if shells_in_float_range(profile, shells):
-                    admitted += 1
-                    for samples in (8, 24):
-                        marcinkiewicz_certify(psi, profile, shells, samples)
-        assert admitted > 0
+            for shells, samples in itertools.product((3, 4, 5, 6, 8), (8, 24)):
+                try:
+                    marcinkiewicz_certify(psi, profile, shells, samples)
+                    outcomes.add("certified")
+                except DomainError as exc:
+                    assert str(exc).startswith(f"{shells} dyadic shells leave "
+                                               f"the float range")
+                    outcomes.add("refused")
+        assert outcomes == {"certified", "refused"}
 
     def test_report_json_shape(self):
         rep = marcinkiewicz_certify(symbol_from_name("one", ISO2), ISO2, 3, 8)
