@@ -74,15 +74,24 @@ def quasi_norm(xi, profile: AnisotropyProfile):
     return s ** (1.0 / profile.l)
 
 
-def _finite_sum(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
-    """The constraint sum of xi for a projection to P, which a sum that is
-    not finite (one past the float range, or of a non-finite xi) does not
-    have: a DomainError, with no overflow warning."""
+def projection_sum(xi, profile: AnisotropyProfile) -> np.ndarray:
+    """The constraint sum S of xi for a projection to P: a DomainError,
+    with no overflow warning, unless S is finite and, at every nonzero xi,
+    at least the least normal float (a subnormal S has lost the digits
+    that put the projection on P, and one that underflows to 0 would send
+    xi to the origin), so S is 0 only at xi = 0."""
+    xi = np.asarray(xi, dtype=float)
     with np.errstate(over="ignore"):
         s = constraint_sum(xi, profile)
     if not np.all(np.isfinite(s)):
         raise DomainError(f"constraint sum {float(np.max(s))!r} is not finite: "
                           f"projection to P needs a finite sum")
+    tiny = s < sys.float_info.min
+    if np.any(xi[tiny]):  # a nonzero xi, whose sum is the largest tiny one
+        low = float(np.max(s[tiny]))
+        raise DomainError(f"constraint sum {low!r} of a nonzero xi "
+                          f"{'is subnormal' if low else 'underflows to 0'}: "
+                          f"projection to P needs at least {sys.float_info.min!r}")
     return s
 
 
@@ -90,17 +99,13 @@ def project_to_P(xi, profile: AnisotropyProfile) -> np.ndarray:
     """Project nonzero xi to P along its fibre.
 
     Component k is xi_k / S^(1/(l alpha_k)) with S the constraint sum; the
-    denominator is positive, so each component keeps the sign of xi_k.  A
-    subnormal S has lost the digits that put the projection on P: it is a
-    DomainError, as is an S that is not finite (_finite_sum), and S = 0 a
+    denominator is positive, so each component keeps the sign of xi_k.  An
+    S out of range is projection_sum's DomainError, and xi = 0 a
     SingularPointError."""
     xi = np.asarray(xi, dtype=float)
-    s = _finite_sum(xi, profile)
+    s = projection_sum(xi, profile)
     if np.any(s == 0):
         raise SingularPointError("projection to P is undefined at the origin")
-    if np.any(s < sys.float_info.min):
-        raise DomainError(f"constraint sum {float(np.min(s))!r} is subnormal: "
-                          f"projection to P needs at least {sys.float_info.min!r}")
     ex = np.asarray(profile.exponents)
     return xi / s[..., None] ** (1.0 / ex)
 
@@ -109,12 +114,10 @@ def project_lattice(xi: np.ndarray, profile: AnisotropyProfile) -> np.ndarray:
     """Like project_to_P but maps zero vectors to zero instead of raising;
     used on frequency lattices that contain the origin."""
     xi = np.asarray(xi, dtype=float)
-    s = _finite_sum(xi, profile)
-    safe = np.where(s == 0, 1.0, s)
+    s = projection_sum(xi, profile)
     ex = np.asarray(profile.exponents)
-    out = xi / safe[..., None] ** (1.0 / ex)
-    out[s == 0] = 0.0
-    return out
+    # S is 0 only at xi = 0, which a divisor of 1 keeps at 0
+    return xi / np.where(s == 0, 1.0, s)[..., None] ** (1.0 / ex)
 
 
 def fibre_point(xi_P, t, profile: AnisotropyProfile) -> np.ndarray:

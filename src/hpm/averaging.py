@@ -34,7 +34,7 @@ from .anisotropy import AnisotropyProfile, mesh_P
 from .errors import DomainError, IntegrityError, SupportWarning
 from .multiplier import fractional_factor
 from .spectral import (SpectralBand, SpectralField, SpectralGrid, block_rows,
-                       forward_dft, inverse_dft, l2_norm, normal_norm)
+                       forward_dft, increasing, inverse_dft, l2_norm, normal_norm)
 
 # --- principal symbol ---------------------------------------------------------
 
@@ -156,10 +156,9 @@ def _scan_measures(symbol_at, x_samples, mesh: np.ndarray, eps_list,
     counts; elsewhere the block is counted from symbol_at.  The screen
     runs under np.errstate(all="ignore"), the exact path under the
     caller's."""
-    eps_list = tuple(float(e) for e in eps_list)
-    if not eps_list or any(e <= 0 for e in eps_list) or any(
-            b <= a for a, b in zip(eps_list, eps_list[1:])):
-        raise DomainError("eps_list must be non-empty, positive and increasing")
+    eps_list = increasing((float(e) for e in eps_list), 1, "eps_list")
+    if any(e <= 0 for e in eps_list):
+        raise DomainError(f"eps_list must be positive, got {list(eps_list)}")
     if len(x_samples) == 0:
         raise DomainError("x_samples must not be empty")
     rows = block_rows(max(16, len(eps_list)) * n_cells)
@@ -422,10 +421,7 @@ def compactness_metric(seq: Callable[[int], SpectralField | SpectralBand], rho,
     a nonzero average (normal_norm).  The snapshots may be fields or
     bands; the average of a band is transformed back before the window is
     applied."""
-    n_list = tuple(n_list)
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError(f"need at least 2 strictly increasing sequence "
-                          f"indices, got {list(n_list)}")
+    n_list = increasing(n_list, 2, "n_list")
     norms = []
     for n in n_list:
         avg = velocity_average(seq(n), rho)

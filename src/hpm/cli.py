@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, hmeasure, kinetic, multiplier, spectral
-from .anisotropy import AnisotropyProfile, constraint_sum, project_to_P
+from .anisotropy import AnisotropyProfile, project_to_P, projection_sum
 from .errors import ConfigError, DomainError, HpmError, IntegrityError, SupportWarning
 
 COMMANDS = ("project", "multiplier-apply", "multiplier-check", "hmeasure",
@@ -155,14 +155,20 @@ def _param(params: dict, key: str, default, integer: bool = False):
     return _number(params.get(key, default), f"params.{key}", integer)
 
 
-def _n_list(params: dict, default: list, least: int) -> list:
-    """params.n_list (or the default): at least `least` strictly
-    increasing integers."""
-    n_list = _numbers(params.get("n_list", default), "params.n_list", integer=True)
-    if len(n_list) < least or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError(f"params.n_list must be increasing with at least "
-                          f"{least} entries, got {n_list}")
-    return n_list
+def _increasing(params: dict, key: str, default: list, least: int,
+                integer: bool = False, positive: bool = False) -> list:
+    """params[key] (or the default): at least `least` strictly increasing
+    numbers (spectral.increasing), positive if `positive`; a ConfigError
+    naming the key otherwise."""
+    where = f"params.{key}"
+    values = _numbers(params.get(key, default), where, integer=integer)
+    try:
+        spectral.increasing(values, least, where)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    if positive and values[0] <= 0:
+        raise ConfigError(f"{where} entries must be positive, got {values}")
+    return values
 
 
 def _check_size(counts: dict, elements: int) -> None:
@@ -240,19 +246,24 @@ def _build_profile(spec: dict) -> AnisotropyProfile:
     return AnisotropyProfile(tuple(alpha))
 
 
-def _check_constraint_sum(profile: AnisotropyProfile, at) -> None:
-    """ConfigError naming profile.alpha when the constraint sum
-    sum_k |xi_k|^(l alpha_k) overflows on the frequencies of `at`, a
-    grid's lattice or a band's box, which the command projects onto P.
-    The sum grows in every |xi_k|, so it is largest at the corner of the
-    largest |xi_k| of each axis."""
-    corner = [float(np.max(np.abs(f))) for f in at.frequencies()]
-    with np.errstate(over="ignore"):
-        total = float(constraint_sum(np.array(corner), profile))
-    if not math.isfinite(total):
-        raise ConfigError(
-            f"profile.alpha = {list(profile.alpha)}: the constraint sum "
-            f"sum_k |xi_k|^(l alpha_k) overflows at the frequency {corner}")
+def _check_constraint_sum(profile: AnisotropyProfile, grid, box=None) -> None:
+    """ConfigError naming profile.alpha and grid.L unless projection_sum
+    admits the frequencies the command projects onto P.  The sum grows in
+    every |xi_k|: it is largest at the corner of the largest |xi_k| of
+    each axis of `box`, a grid's lattice or a band's box, and least off
+    the origin at an axis's least frequency 1/L_k, checked without a box."""
+    if box is None:
+        points = [[0.0] * k + [1 / L] + [0.0] * (grid.d - k - 1)
+                  for k, L in enumerate(grid.length_per_axis)]
+    else:
+        points = [[float(np.max(np.abs(f))) for f in box.frequencies()]]
+    for xi in points:
+        try:
+            projection_sum(xi, profile)
+        except DomainError as exc:
+            raise ConfigError(
+                f"profile.alpha = {list(profile.alpha)}: at the frequency {xi} of "
+                f"grid.L = {list(grid.length_per_axis)}, {exc}") from None
 
 
 def _fmt(v) -> str:
@@ -304,20 +315,18 @@ def _cmd_project(grid, profile, params, rng, out: Path) -> None:
         raise ConfigError("params.points must be a list of d-vectors")
     pts = np.asarray([_numbers(q, f"params.points[{i}]", profile.d)
                       for i, q in enumerate(pts)])
-    # a sum past the float range, or below its normal floor (a subnormal
-    # sum has lost the digits that put the projection on P), has no
-    # projection to publish
-    with np.errstate(over="ignore"):
-        sums = constraint_sum(pts, profile).tolist()
-    for i, total in enumerate(sums):
-        if not sys.float_info.min <= total < math.inf:
-            raise ConfigError(
-                f"params.points[{i}] has constraint sum {total!r}: projection "
-                f"to P needs a finite sum of at least {sys.float_info.min!r}")
+    try:
+        proj = project_to_P(pts, profile)
+    except DomainError:  # name the first point that has no projection
+        for i, xi in enumerate(pts):
+            try:
+                project_to_P(xi, profile)
+            except DomainError as exc:
+                raise ConfigError(f"params.points[{i}]: {exc}") from None
+        raise
     header = [f"xi_{k}" for k in range(profile.d)] + \
              [f"proj_{k}" for k in range(profile.d)]
-    _write_csv(out / "projections.csv", header,
-               [*pts.T, *project_to_P(pts, profile).T])
+    _write_csv(out / "projections.csv", header, [*pts.T, *proj.T])
 
 
 # the params keys of each multiplier-apply operation, besides the shared
@@ -348,7 +357,8 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
                              f"at grid.L = {list(grid.length_per_axis)}")
     if op == "projected":
         psi = multiplier.symbol_from_name(params.get("symbol", "one"), profile)
-        _check_constraint_sum(profile, band)
+        _check_constraint_sum(profile, grid, band)
+        _check_constraint_sum(profile, grid)
         out_band = multiplier.apply_projected_symbol(band, psi, profile)
     elif op == "fractional":
         out_band = multiplier.fractional_derivative(
@@ -356,7 +366,7 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
             _param(params, "order", 1.0))
     else:
         cutoff_radius = _param(params, "cutoff_radius", 1.0)
-        _check_constraint_sum(profile, band)
+        _check_constraint_sum(profile, grid, band)
         out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
     output_l2 = spectral.normal_norm(out_band.norm_l2(), out_band.values,
                                      "the output's L2 norm")
@@ -402,9 +412,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     if genspec.get("kind", "oscillation") != "oscillation":
         raise ConfigError("only the oscillation generator is wired to the CLI")
     c = _numbers(genspec.get("c"), "params.generator.c", profile.d)
-    n_list = _n_list(params, [8, 16, 24, 32], 3)
-    if n_list[0] < 1:
-        raise ConfigError(f"params.n_list entries must be positive, got {n_list}")
+    n_list = _increasing(params, "n_list", [8, 16, 24, 32], 3, integer=True,
+                         positive=True)
     x_cells = _param(params, "x_cells", 4, integer=True)
     p_cells = _param(params, "p_cells", 16, integer=True)
     # the assembly's largest arrays for C = x_cells^d cells, B = p_cells and
@@ -413,7 +422,8 @@ def _cmd_hmeasure(grid, profile, params, rng, out: Path) -> None:
     C, B, R = max(x_cells, 0) ** grid.d, max(p_cells, 0), len(n_list)
     _check_size({"x_cells": x_cells, "p_cells": p_cells, "n_list": n_list},
                 max(max(C, B, R) * math.prod(grid.n_per_axis), C * R * B))
-    _check_constraint_sum(profile, grid)  # the P-masks project the lattice
+    _check_constraint_sum(profile, grid, grid)  # the P-masks project the lattice
+    _check_constraint_sum(profile, grid)
     # the envelope: band 0.15, kept away from zero by its mean 1
     seq = hmeasure.OscillationSequence(profile, c,
                                        _envelope_spectrum(grid, rng, 0.15, 1.0))
@@ -469,7 +479,7 @@ def _cmd_averaging(grid, profile, params, rng, out: Path) -> None:
         averaging.window_mask(grid.spatial_only(), window)
     except DomainError as exc:
         raise ConfigError(f"params.window: {exc}") from None
-    n_list = _n_list(params, [4, 8, 16, 32, 64], 2)
+    n_list = _increasing(params, "n_list", [4, 8, 16, 32, 64], 2, integer=True)
     table = averaging.compactness_metric(seq, rho, window, n_list)
     columns = [np.array(table.n_list, dtype=object), np.array(table.norms),
                np.array(table.ratios)]
@@ -496,8 +506,8 @@ def _cmd_nondegeneracy(grid, profile, params, rng, out: Path) -> None:
 
     resolution = _param(params, "resolution", 32, integer=True)
     p_points = _param(params, "p_points", 256, integer=True)
-    eps_list = _numbers(params.get("eps_list", [0.01, 0.1, 0.5, 1.0]),
-                        "params.eps_list")
+    eps_list = _increasing(params, "eps_list", [0.01, 0.1, 0.5, 1.0], 1,
+                           positive=True)
     # the (N, d) mesh of P, N = resolution^(d-1) (2 in 1-d), the (p_points, d)
     # coefficients of each x sample and the (x samples, N, eps) measures
     X, d = len(x_samples), profile.d
@@ -538,7 +548,7 @@ def _cmd_kinetic(grid, profile, params, rng, out: Path) -> None:
     hi = _number(lspec.get("max", 1.0), "params.lambda.max")
     points = _number(lspec.get("points", 256), "params.lambda.points", integer=True)
     resolution = _param(params, "resolution", 64, integer=True)
-    eps_list = _numbers(params.get("eps_list", [0.05, 0.2, 1.0]), "params.eps_list")
+    eps_list = _increasing(params, "eps_list", [0.05, 0.2, 1.0], 1, positive=True)
     # the (N, d) mesh of the manifold, N = resolution^(d-1) (2 in 1-d), the
     # (points, d, d) flux derivatives and the (N, eps) measures
     d, N = flux.d, max(2, max(resolution, 0) ** (flux.d - 1))

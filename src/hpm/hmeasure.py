@@ -55,6 +55,7 @@ from .spectral import (
     block_rows,
     dft_axis,
     forward_dft,
+    increasing,
     inverse_dft,
     require,
     subtract_spatial_mean,
@@ -74,13 +75,6 @@ def estimate_limit(values) -> tuple:
     tail = vals[-math.ceil(vals.shape[0] / 2):]
     avg = np.mean(tail, axis=0)
     return avg, np.max(np.abs(tail - avg), axis=0)
-
-
-def _check_n_list(n_list) -> tuple[int, ...]:
-    n_list = tuple(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be increasing with at least 3 entries")
-    return n_list
 
 
 # --- bilinear form ------------------------------------------------------------
@@ -103,13 +97,11 @@ def _check_support(phi: np.ndarray, grid: SpectralGrid, label: str) -> None:
 
 
 def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
-                  profile: AnisotropyProfile, via: str = "frequency") -> complex:
+                  profile: AnisotropyProfile) -> complex:
     """The H_P-measure generating form for a single snapshot u.
 
     phi1, phi2 are cut-off functions given as grid arrays or callables of
-    the spatial coordinates.  With via="physical" the equivalent form
-    int A_{psi o pi_P}(phi1 u) conj(phi2 u) dx is evaluated instead
-    (it needs only F(phi1 u)); the two agree to Plancherel accuracy."""
+    the spatial coordinates."""
     require(u, SpectralField)
     grid = u.grid
     phi1 = grid.sample(phi1)
@@ -118,15 +110,8 @@ def bilinear_form(u: SpectralField, phi1, phi2, psi: SymbolOnP,
     _check_support(phi2, grid, "phi2")
     sym = projected_symbol_lattice(psi, grid, profile)
     F1 = forward_dft(u.with_values(phi1 * u.values)).values
-    if via == "frequency":
-        conj_F2 = np.conj(forward_dft(u.with_values(phi2 * u.values)).values)
-        total = np.sum(sym * F1 * conj_F2) * grid.freq_cell_volume
-    elif via == "physical":
-        Au = inverse_dft(SpectralBand.full(grid, sym * F1)).values
-        total = np.sum(Au * np.conj(phi2 * u.values)) * grid.cell_volume
-    else:
-        raise DomainError(f"unknown evaluation route {via!r}")
-    return complex(total)
+    conj_F2 = np.conj(forward_dft(u.with_values(phi2 * u.values)).values)
+    return complex(np.sum(sym * F1 * conj_F2) * grid.freq_cell_volume)
 
 
 # --- sequences ----------------------------------------------------------------
@@ -576,7 +561,7 @@ def scalar_hmeasure(seq: Callable[[int], SpectralField],
     """Estimate the scalar H_P-measure of a sequence n -> u_n of x-only
     fields, each of zero spatial mean (u_n tends weakly to 0; the
     snapshots are used as given, not centred)."""
-    n_list = _check_n_list(n_list)
+    n_list = increasing(n_list, 3, "n_list")
     if grid.m > 0:
         raise DomainError("scalar H-measures take no velocity axes")
     basis = make_cell_basis(grid, profile, x_cells, p_cells)
@@ -636,7 +621,7 @@ def matrix_hmeasure(seq: Callable[[int], SpectralField], basis: np.ndarray,
     """Assemble the matrix measure of a velocity-dependent sequence n -> u_n,
     each of zero spatial mean (used as given), against the first N
     functions of an orthonormal velocity basis."""
-    n_list = _check_n_list(n_list)
+    n_list = increasing(n_list, 3, "n_list")
     basis = np.asarray(basis, dtype=complex)
     N = basis.shape[0]
     snapshots = [seq(n) for n in n_list]

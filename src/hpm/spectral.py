@@ -254,6 +254,16 @@ def require(x, kind: type) -> None:
         raise SpaceTagError(f"expected a {kind.__name__}, got {type(x).__name__}")
 
 
+def increasing(values, least: int, name: str) -> tuple:
+    """values as a tuple of at least `least` strictly increasing entries,
+    or a DomainError naming the list `name`."""
+    values = tuple(values)
+    if len(values) < least or any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError(f"{name} must be a strictly increasing list of length "
+                          f"at least {least}, got {list(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Complex physical samples on a grid.

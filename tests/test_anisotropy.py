@@ -112,6 +112,17 @@ class TestProjection:
         with pytest.raises(DomainError, match="not finite"):
             project_lattice(np.array([[0.0, 0.0], [1e308, 1.0]]), ISO2)
 
+    @pytest.mark.parametrize("xi, needle", [
+        ([1e-107, 0.0], "is subnormal"), ([0.0, 1e-200], "underflows to 0")])
+    def test_lattice_variant_refuses_a_nonzero_xi_below_the_normal_floats(
+            self, xi, needle):
+        # the sum of a nonzero xi that underflowed to 0 sent it to the origin
+        with pytest.raises(DomainError, match=needle) as info:
+            project_lattice(np.array([[0.0, 0.0], [3.0, 4.0], xi]), ISO2)
+        assert not isinstance(info.value, SingularPointError)
+        with pytest.raises(DomainError, match=needle):
+            project_to_P(xi, ISO2)
+
     def test_lattice_variant_maps_origin_to_zero(self):
         out = project_lattice(np.array([[0.0, 0.0], [1.0, 1.0]]), ISO2)
         assert np.all(out[0] == 0)

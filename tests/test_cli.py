@@ -356,6 +356,55 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # alpha (1, 2) has l = 3, so the constraint sum of the smallest nonzero
+    # frequency on axis 1, (0, 1/L), is L^-6: subnormal at L = 1e52 and 0
+    # at 1e60, where the lattice projection sent those modes to the origin
+    UNDERFLOWING = {
+        "hmeasure": base_config(
+            "hmeasure", grid={"n": [32, 32]}, profile={"alpha": [1.0, 2.0]},
+            params={"n_list": [4, 6, 8], "x_cells": 2, "p_cells": 8}),
+        "projected": base_config(
+            "multiplier-apply", grid={"n": [16, 16]}, profile={"alpha": [1.0, 2.0]},
+            params={"operation": "projected", "symbol": "coordinate:1",
+                    "band_fraction": 1.0}),
+    }
+
+    def _at_length(self, config, L):
+        """The UNDERFLOWING config on a grid of length L per axis, the
+        oscillation at kappa(n) = (0, n / L)."""
+        cfg = dict(self.UNDERFLOWING[config])
+        cfg["grid"] = dict(cfg["grid"], L=[L, L])
+        if config == "hmeasure":
+            cfg["params"] = dict(cfg["params"], generator={"kind": "oscillation",
+                                                           "c": [0.0, 1 / L]})
+        return cfg
+
+    @pytest.mark.parametrize("L", [1e52, 1e60])
+    @pytest.mark.parametrize("config", sorted(UNDERFLOWING))
+    def test_underflowing_lattice_exits_2(self, tmp_path, capsys, config, L):
+        cfg = self._at_length(config, L)
+        out = tmp_path / "out"
+        assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hpm: profile.alpha = [1.0, 2.0]: ")
+        assert f"grid.L = {[L, L]}" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_lattice_within_the_normal_range_runs(self, tmp_path, capsys):
+        # at L = 1e50 the smallest sum, 1e-300, is a normal float: both
+        # commands publish what they published before the lattice check
+        cfg = self._at_length("projected", 1e50)
+        out = tmp_path / "apply"
+        assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 0
+        assert json.loads((out / "norms.json").read_text()) == {
+            "input_l2": "2.1755769470973903e-149", "output_l2": "5.470034080607372e-150"}
+        cfg = self._at_length("hmeasure", 1e50)
+        out = tmp_path / "hmeasure"
+        assert run_cli(cfg["command"], write_config(tmp_path, cfg), out) == 0
+        mass = json.loads((out / "hmeasure.json").read_text())["total_mass"]
+        assert float(mass) == pytest.approx(9.979204993060606e+99, rel=1e-12)
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("alpha", [[1.0, 400.0], [1e-20, 1.0]])
     def test_fractional_derivative_ignores_the_profile(self, tmp_path, alpha):
         cfg = base_config("multiplier-apply", grid=self.LATTICE_32,
@@ -857,6 +906,13 @@ class TestMalformedParams:
         ("averaging", {"n_list": [8, 2]}, "params.n_list"),
         ("averaging", {"n_list": [8, 2], "rho": "0*p1"}, "params.n_list"),
         ("averaging", {"n_list": [2, 2]}, "params.n_list"),
+        # eps lists that are empty, not increasing or not positive name
+        # their key
+        *[(command, {"eps_list": eps}, "params.eps_list")
+          for command in ("nondegeneracy", "kinetic")
+          for eps in ([], [0.5, 0.1], [0.1, 0.1], [-0.1, 0.1], [0.0, 1.0])],
+        # the origin has no projection either
+        ("project", {"points": [[3.0, 4.0], [0.0, 0.0]]}, "params.points[1]"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):

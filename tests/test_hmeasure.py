@@ -14,11 +14,14 @@ from hpm.hmeasure import (
     oscillation_sequence,
     scalar_hmeasure,
 )
-from hpm.multiplier import symbol_from_name
+from hpm.multiplier import projected_symbol_lattice, symbol_from_name
 from hpm.spectral import (
+    SpectralBand,
     SpectralField,
     SpectralGrid,
     band_limited_field,
+    forward_dft,
+    inverse_dft,
     subtract_spatial_mean,
 )
 
@@ -84,12 +87,17 @@ class TestBilinearForm:
         assert abs(a - np.conj(b)) <= 1e-12 * max(1e-30, abs(a))
 
     def test_frequency_physical_equivalence(self):
+        # Plancherel: the form equals int A_{psi o pi_P}(phi u) conj(phi u) dx,
+        # which needs only F(phi u)
         g = SpectralGrid((32, 32), (1.0, 1.0))
         u = band_limited_field(g, rng(3))
         phi = bump2(g)
         psi = symbol_from_name("coordinate:1", ISO2)
-        a = bilinear_form(u, phi, phi, psi, ISO2, via="frequency")
-        b = bilinear_form(u, phi, phi, psi, ISO2, via="physical")
+        a = bilinear_form(u, phi, phi, psi, ISO2)
+        sym = projected_symbol_lattice(psi, g, ISO2)
+        F = forward_dft(u.with_values(phi * u.values)).values
+        Au = inverse_dft(SpectralBand.full(g, sym * F)).values
+        b = np.sum(Au * np.conj(phi * u.values)) * g.cell_volume
         assert abs(a - b) <= 1e-10 * max(1e-30, abs(a))
 
     def test_diagonal_nonnegative(self):
@@ -124,13 +132,6 @@ class TestBilinearForm:
         ones = np.ones(g.shape)
         with pytest.warns(SupportWarning):
             bilinear_form(u, ones, ones, symbol_from_name("one", ISO2), ISO2)
-
-    def test_unknown_route(self):
-        g = SpectralGrid((8, 8), (1.0, 1.0))
-        u = band_limited_field(g, rng(5))
-        with pytest.raises(DomainError):
-            bilinear_form(u, bump2(g), bump2(g), symbol_from_name("one", ISO2),
-                          ISO2, via="nope")
 
 
 class TestOscillationSequence:

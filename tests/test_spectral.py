@@ -19,6 +19,7 @@ from hpm.spectral import (
     band_limited_spectrum,
     dft_axis,
     forward_dft,
+    increasing,
     inverse_dft,
     l2_norm,
     oscillated_spectrum,
@@ -40,6 +41,19 @@ def random_field(grid, key=0):
     r = rng(key)
     vals = r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape)
     return SpectralField(grid, vals)
+
+
+class TestIncreasing:
+    def test_returns_the_entries_as_a_tuple(self):
+        assert increasing([1, 2, 5], 3, "n_list") == (1, 2, 5)
+        assert increasing(iter([0.1]), 1, "eps_list") == (0.1,)
+
+    @pytest.mark.parametrize("values, least", [
+        ([], 1), ([4, 8], 3), ([8, 4, 16], 2), ([2, 2, 4], 2)])
+    def test_short_or_unordered_lists_name_the_list(self, values, least):
+        with pytest.raises(DomainError, match=r"^params\.n_list must be a strictly "
+                                              rf"increasing list of length at least {least},"):
+            increasing(values, least, "params.n_list")
 
 
 class TestGrid:
