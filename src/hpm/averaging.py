@@ -55,7 +55,7 @@ def _axis_coeffs(coeffs, x, p, d: int) -> list:
     """The d per-axis coefficient values a_k(x, p), see principal_symbol."""
     if callable(coeffs):
         a = np.asarray(coeffs(x, p), dtype=complex)
-        return [a[..., k] for k in range(d)]
+        coeffs = [a[..., k] for k in range(a.shape[-1] if a.ndim else 0)]
     if len(coeffs) != d:
         raise DomainError("need one coefficient per spatial axis")
     return [np.asarray(c(x, p) if callable(c) else c, dtype=complex) for c in coeffs]
@@ -207,14 +207,8 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
 
     p_grid is a 1-d array of at least 2 uniform, increasing midpoints
     (_cell_width).  The coefficients are evaluated once per x sample; a
-    value that is not finite raises IntegrityError.  A coefficient whose
-    values are all equal along p is kept as one value, which broadcasts
-    into its product.  The counts are those of the |A| that
-    principal_symbol gives, bit for bit: the exact path is one left fold
-    over each block of mesh rows in two reused (rows, p) buffers, acc and
-    term: A = a_1 F_1 is written into acc, then A += a_k F_k for k = 2..d
-    in axis order, each product formed in term (in its first column for a
-    one-value a_k, which the write or the sum broadcasts).
+    value that is not finite raises IntegrityError.  A block of mesh rows
+    that the screen below leaves undecided is counted by principal_symbol.
 
     When every a_k(x, p) of an x sample is real, a screen counts first
     (_scan_measures): two real GEMMs e = (Re F @ a, Im F @ a) of the
@@ -235,7 +229,7 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     p_grid = np.asarray(p_grid, dtype=float)
     cell = _cell_width(p_grid, "p_grid")
     mesh, _ = mesh_P(profile, P_resolution)
-    # the scan walks rows of the per-axis factors (2 pi i xi_k)^(alpha_k)
+    # the screen's rows of the per-axis factors (2 pi i xi_k)^(alpha_k)
     factors = np.stack([fractional_factor(mesh[:, k], a)
                         for k, a in enumerate(profile.alpha)], axis=-1)
     per_x = [_axis_coeffs(coeffs, x, p_grid, profile.d) for x in x_samples]
@@ -246,22 +240,9 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
                 raise IntegrityError(
                     f"coefficient a_{k + 1}(x, p) is not finite at x sample "
                     f"{ix}: {bad} of {np.size(ak)} values")
-            # one value when all are equal (they differ at most in the sign
-            # of a zero, which reaches |A| nowhere), else contiguous along p
-            a[k] = (ak.flat[:1] if np.all(ak == ak.flat[:1])
-                    else np.ascontiguousarray(ak))
-    rows = min(block_rows(max(16, len(eps_list)) * p_grid.size), len(mesh))
-    acc, term = np.empty((2, rows, p_grid.size), dtype=complex)
 
-    def symbol_at(a, F):
-        # A = a_1 F_1, then A += a_k F_k in axis order, as principal_symbol
-        # sums from 0 + 0j (0 + t_1 is t_1 up to the sign of a zero); each
-        # product is formed in term, a (rows, 1) column for a one-value a_k
-        A, n = acc[:len(F)], len(F)
-        A[...] = np.multiply(a[0], F[:, 0, None], out=term[:n, :a[0].size])
-        for k in range(1, len(a)):
-            A += np.multiply(a[k], F[:, k, None], out=term[:n, :a[k].size])
-        return A
+    def symbol_at(a, rows):
+        return principal_symbol(None, rows[:, None], p_grid, a, profile)
 
     # the screen's (rows, d) planes of F, without one within 2^-40 |F|
     moduli = np.abs(factors)
@@ -274,6 +255,7 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     def screen(a, rows):
         if any(np.any(ak.imag) for ak in a):
             return None
+        # a constant of the sequence form is one 0-d value
         coef = np.array([np.broadcast_to(ak.real, p_grid.shape) for ak in a])
         top = (np.maximum.reduceat(moduli, np.arange(0, len(mesh), rows), axis=0)
                @ np.abs(coef).max(axis=1))
@@ -293,7 +275,7 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
 
         return squares, margins
 
-    return _scan_measures(symbol_at, per_x, factors, eps_list, cell, p_grid.size,
+    return _scan_measures(symbol_at, per_x, mesh, eps_list, cell, p_grid.size,
                           screen=screen)
 
 

@@ -69,6 +69,18 @@ class TestPrincipalSymbol:
         with pytest.raises(DomainError):
             principal_symbol(0.0, np.array([1.0, 1.0]), 0.0, [1.0], ISO2)
 
+    @pytest.mark.parametrize("a", [
+        lambda x, q: np.stack([q, q, q], axis=-1),  # one column too many
+        lambda x, q: q[..., None],                  # one column too few
+        lambda x, q: 1.0,                           # no axis of columns
+    ], ids=["three-columns", "one-column", "scalar"])
+    def test_callable_with_wrong_column_count(self, a):
+        p = midpoints(8)
+        with pytest.raises(DomainError, match="one coefficient per spatial axis"):
+            principal_symbol(0.0, np.array([1.0, 1.0]), p, a, ISO2)
+        with pytest.raises(DomainError, match="one coefficient per spatial axis"):
+            nondegeneracy_scan(a, [0.0], ISO2, 16, p, (0.1,))
+
 
 class TestNonDegeneracyScan:
     def test_linear_transport_closed_form(self):

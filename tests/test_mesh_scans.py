@@ -85,8 +85,8 @@ def coefficient_cases():
         # p-independent coefficients: a scalar symbol over the whole grid
         (2, [1.0, 1.0]),
         (3, [2.0, 0.5, -1.0]),
-        # p-independent arrays, kept as one value: a column before, between
-        # and after the terms that vary with p, and a symbol of columns only
+        # p-independent arrays: a constant array before, between and after
+        # the terms that vary with p, and a symbol of constant arrays only
         (2, [lambda x, p: np.full_like(p, 0.75), lambda x, p: p]),
         (3, [lambda x, p: p, lambda x, p: (1.0 + x[0]) * np.ones_like(p),
              lambda x, p: p * p]),
@@ -94,7 +94,7 @@ def coefficient_cases():
              lambda x, p: np.full_like(p, -0.5)]),
         (2, [lambda x, p: (1.0 + x[0]) * np.ones_like(p),
              lambda x, p: np.full_like(p, 0.75)]),
-        # nearly p-independent: one step of 1e-12 must not be taken as one value
+        # nearly p-independent: one step of 1e-12 must reach the counts
         (2, [lambda x, p: 0.75 + 1e-12 * (p > 0.5), lambda x, p: p]),
     ]
 
@@ -256,6 +256,20 @@ def spy_scan(monkeypatch, screened=True, blocks=None):
     return rows_evaluated
 
 
+def spy_principal_symbol(monkeypatch):
+    """The (x, shape of xi) of every principal_symbol call that
+    nondegeneracy_scan makes, as a list that grows."""
+    calls = []
+    inner = averaging.principal_symbol
+
+    def spy(x, xi, *args):
+        calls.append((x, np.shape(xi)))
+        return inner(x, xi, *args)
+
+    monkeypatch.setattr(averaging, "principal_symbol", spy)
+    return calls
+
+
 def screened_and_exact(monkeypatch, rows, *args):
     """nondegeneracy_scan(*args) with its screen and without it, at
     `rows` mesh rows a block; returns both reports and the number of mesh
@@ -296,13 +310,13 @@ def random_real_case(seed, d):
     return profile, coeffs, x_samples, eps
 
 
-def catalog_nondegeneracy_config():
+def catalog_nondegeneracy_config(tiny=False):
     """The nondegeneracy config of the benchmark's catalog workload."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return dict(workloads.configs("catalog", 7))["nondegeneracy"]
+    return dict(workloads.configs("catalog", 7, tiny=tiny))["nondegeneracy"]
 
 
 def run_config(tmp_path, cfg, name):
@@ -369,11 +383,12 @@ class TestCertifiedScreen:
                            [np.zeros(3)], profile, 16, p_grid, eps)
         assert evaluated == []
 
-    def test_exact_path_allocates_no_term_temporaries(self, monkeypatch):
-        # complex coefficients take the exact path: it holds its two reused
-        # (rows, p) complex buffers, one |A| block and the (eps, rows, p)
-        # bool stack, and besides them only arrays of the mesh, of p and of
-        # the measures, a quarter of one complex term at most
+    def test_exact_path_holds_one_sum_and_one_term(self, monkeypatch):
+        # complex coefficients take the exact path, principal_symbol of each
+        # block: at most two (rows, p) complex arrays live at once, the sum
+        # so far and one term, besides the (eps, rows, p) bool stack and
+        # arrays of the mesh, of p and of the measures, a quarter of one
+        # complex term at most
         profile, p_grid, eps = PROFILES[3], midpoints(4096), (0.01, 0.1, 0.5, 1.0)
         rows = 64
         small_blocks(monkeypatch, rows, p_grid.size, len(eps))
@@ -387,7 +402,7 @@ class TestCertifiedScreen:
             tracemalloc.stop()
         assert sum(evaluated) == len(mesh_P(profile, 16)[0]) > rows
         block = rows * p_grid.size
-        assert peak <= (2 * 16 + 8 + len(eps)) * block + 4 * block
+        assert peak <= (2 * 16 + len(eps)) * block + 4 * block
 
     def test_catalog_config_never_evaluates_the_exact_symbol(self, monkeypatch,
                                                              tmp_path):
@@ -395,6 +410,49 @@ class TestCertifiedScreen:
         code, _ = run_config(tmp_path, catalog_nondegeneracy_config(), "catalog")
         assert code == 0
         assert evaluated == []
+
+    def test_exact_path_calls_principal_symbol_once_per_block(self, monkeypatch):
+        # complex coefficients: every block of every x sample is counted
+        # from one principal_symbol call on its mesh rows
+        profile, p_grid, eps = PROFILES[3], midpoints(64), (0.01, 0.1, 0.5, 1.0)
+        mesh_rows = len(mesh_P(profile, 16)[0])
+        small_blocks(monkeypatch, 7, p_grid.size, len(eps))
+        calls = spy_principal_symbol(monkeypatch)
+        x_samples = [np.zeros(3), np.full(3, 0.25)]
+        nondegeneracy_scan([1.0, lambda x, p: p + 0.5j, lambda x, p: p * p],
+                           x_samples, profile, 16, p_grid, eps)
+        blocks = [min(7, mesh_rows - i) for i in range(0, mesh_rows, 7)]
+        assert mesh_rows % 7 != 0
+        assert calls == [(None, (n, 1, 3)) for _ in x_samples for n in blocks]
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+    def test_catalog_config_never_calls_principal_symbol(self, monkeypatch,
+                                                         tmp_path, tiny):
+        calls = spy_principal_symbol(monkeypatch)
+        code, _ = run_config(tmp_path, catalog_nondegeneracy_config(tiny), "catalog")
+        assert code == 0
+        assert calls == []
+
+    def test_cli_threshold_below_the_margin_reaches_principal_symbol(
+            self, monkeypatch, tmp_path, capsys):
+        # a CLI route into the exact path with real coefficients: A is 0 at
+        # the midpoint p = 0 of 129, where eps = 1e-300, below the screen's
+        # margin, is neither sure nor ruled out, so every block falls back
+        cfg = catalog_nondegeneracy_config()
+        cfg["params"].update(a=["p", "p*p", "p*p*p"], eps_list=[1e-300, 0.01, 0.5],
+                             p_points=129, resolution=16)
+        calls = spy_principal_symbol(monkeypatch)
+        screened = run_config(tmp_path, cfg, "screened")
+        assert screened[0] == 0
+        mesh_rows = len(mesh_P(AnisotropyProfile((1.0, 1.0, 1.0)), 16)[0])
+        assert sum(shape[0] for _, shape in calls) == mesh_rows
+        monkeypatch.undo()
+        spy_scan(monkeypatch, screened=False)
+        assert screened == run_config(tmp_path, cfg, "exact")
+        # one cell, p = 0, at every mesh point
+        sup = json.loads(screened[1]["nondegeneracy.json"])["sup_measure"]
+        assert sup[0] == pytest.approx(2 / 129, rel=1e-12)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("a, eps", [
         (["1e160", "p", "p*p"], [1e150, 1e159, 1e161]),
