@@ -221,11 +221,10 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     relative to sum_k |a_k| |F_k| <= T, and within d 2^-1075 more where
     products underflow.  Hence | |e| - |A| | <= 2 gamma_d T + 3 d 2^-1075,
     and c = 2 (d + 1) already bounds that times 1 + 8u with the roundings
-    of T and of np.abs(F) inside; c takes twice it.  A plane of F within
-    2^-40 |F| at every mesh point, as one is when every alpha_k is an
-    integer, is left out of e, and the margin grows by 2^-39 T, twice the
-    most it can hold of |A|.  A block with T >= 2^500, where e might
-    overflow, is not screened."""
+    of T and of np.abs(F) inside; c takes twice it.  A plane of F that is
+    0 at every mesh point, as one is when the alpha_k are all odd or all
+    even integers below 100, is left out of e: its plane of A is then 0.
+    A block with T >= 2^500, where e might overflow, is not screened."""
     p_grid = np.asarray(p_grid, dtype=float)
     cell = _cell_width(p_grid, "p_grid")
     mesh, _ = mesh_P(profile, P_resolution)
@@ -244,13 +243,10 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
     def symbol_at(a, rows):
         return principal_symbol(None, rows[:, None], p_grid, a, profile)
 
-    # the screen's (rows, d) planes of F, without one within 2^-40 |F|
+    # the screen's (rows, d) planes of F that are nonzero somewhere
     moduli = np.abs(factors)
-    parts = [np.ascontiguousarray(z) for z in (factors.real, factors.imag)]
-    small = [bool(np.all(np.abs(z) <= 2.0 ** -40 * moduli)) for z in parts]
-    if not all(small):
-        parts = [z for z, s in zip(parts, small) if not s]
-    scale = 4 * (profile.d + 1) * _U + (2.0 ** -39 if len(parts) == 1 else 0.0)
+    parts = [np.ascontiguousarray(z) for z in (factors.real, factors.imag)
+             if np.any(z)]
 
     def screen(a, rows):
         if any(np.any(ak.imag) for ak in a):
@@ -260,7 +256,7 @@ def nondegeneracy_scan(coeffs, x_samples, profile: AnisotropyProfile,
         top = (np.maximum.reduceat(moduli, np.arange(0, len(mesh), rows), axis=0)
                @ np.abs(coef).max(axis=1))
         margins = np.where(top < 2.0 ** 500,
-                           scale * top + 4 * (profile.d + 1) * 2.0 ** -1074, np.inf)
+                           4 * (profile.d + 1) * (_U * top + 2.0 ** -1074), np.inf)
         est = np.empty((len(parts), min(rows, len(mesh)), p_grid.size))
 
         def squares(i, n):

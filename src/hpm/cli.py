@@ -361,13 +361,18 @@ def _cmd_multiplier_apply(grid, profile, params, rng, out: Path) -> None:
         _check_constraint_sum(profile, grid)
         out_band = multiplier.apply_projected_symbol(band, psi, profile)
     elif op == "fractional":
+        order = _param(params, "order", 1.0)
+        if order <= 0:  # named here: fractional_derivative checks the axis too
+            raise ConfigError(f"params.order must be positive, got {order!r}")
         out_band = multiplier.fractional_derivative(
-            band, _param(params, "axis", 0, integer=True),
-            _param(params, "order", 1.0))
+            band, _param(params, "axis", 0, integer=True), order)
     else:
         cutoff_radius = _param(params, "cutoff_radius", 1.0)
         _check_constraint_sum(profile, grid, band)
-        out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
+        try:
+            out_band = multiplier.smoothing_inverse(band, profile, cutoff_radius)
+        except DomainError as exc:  # the cutoff radius's, the only one it raises
+            raise ConfigError(f"params.cutoff_radius: {exc}") from None
     output_l2 = spectral.normal_norm(out_band.norm_l2(), out_band.values,
                                      "the output's L2 norm")
     spectral.write_field(spectral.inverse_dft(out_band), out / "output.fld")

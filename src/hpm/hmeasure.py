@@ -321,10 +321,13 @@ def make_cell_basis(grid: SpectralGrid, profile: AnisotropyProfile,
         factors.append(h / np.sqrt(np.sum(h ** 2, axis=0)))
 
     # P-cells on the frequency lattice, one (S, B) row per lattice point;
-    # flat index 0 is the mode xi = 0 in FFT order, whose row stays 0
+    # flat index 0 is the mode xi = 0 in FFT order, whose row stays 0.  One
+    # P-cell is all of P (in 2-d its sectors m - 1, m and m + 1 coincide)
     pts = project_lattice(grid.frequency_vectors(), profile).reshape(-1, d)
     masks = np.zeros((len(pts), p_cells))
-    if d == 2:
+    if p_cells == 1:
+        masks[1:] = 1.0
+    elif d == 2:
         _angular_masks(pts[1:], masks[1:])
     else:
         _direction_masks(pts[1:], profile, masks[1:])

@@ -6,7 +6,8 @@ for the Marcinkiewicz derivative bounds.
 Branch convention for fractional powers: i^a = exp(i a pi / 2), so the
 symbol of the order-a derivative along axis k is
 |2 pi xi_k|^a * exp(i a (pi/2) sgn(xi_k)), with the xi_k = 0 modes
-annihilated.  fractional_factor is the one place that evaluates it.
+annihilated, and exactly real or imaginary for an integer order below
+100.  fractional_factor is the one place that evaluates it.
 """
 
 from __future__ import annotations
@@ -187,17 +188,17 @@ def _apply_spatial_multiplier(f, symbol):
 
 def fractional_factor(xi, order: float):
     """(2 pi i xi)^order with the branch i^a = exp(i a pi / 2):
-    |2 pi xi|^a exp(i a (pi/2) sgn(xi)), elementwise."""
+    |2 pi xi|^a i^(a sgn(xi)), elementwise; numpy forms an integer power
+    of i below 100 by products, so i^1 = 1j and i^2 = -1 exactly."""
     xi = np.asarray(xi, dtype=float)
-    return (np.abs(2 * np.pi * xi) ** order
-            * np.exp(1j * order * (np.pi / 2) * np.sign(xi)))
+    return np.abs(2 * np.pi * xi) ** order * np.power(1j, order * np.sign(xi))
 
 
 def fractional_derivative(f, axis: int, order: float):
     """Fractional derivative along one spatial axis of a band or a field
     (see _apply_spatial_multiplier)."""
     if order <= 0:
-        raise DomainError("derivative order must be positive")
+        raise DomainError(f"derivative order must be positive, got {order!r}")
     if not 0 <= axis < f.grid.d:
         raise DomainError(f"axis {axis} out of range for a {f.grid.d}-d grid")
     return _apply_spatial_multiplier(f, lambda B: fractional_factor(B.frequencies()[axis], order))
@@ -229,7 +230,7 @@ def smoothing_symbol_lattice(at, profile: AnisotropyProfile,
     a grid, or on the box of a band, with theta == 1 for quasi_norm <= R/2
     and theta == 0 for quasi_norm >= R."""
     if cutoff_radius <= 0:
-        raise DomainError("cutoff radius must be positive")
+        raise DomainError(f"cutoff radius must be positive, got {cutoff_radius!r}")
     qn = quasi_norm(at.frequency_vectors(), profile)
     one_minus_theta = smooth_ramp(2 * qn / cutoff_radius - 1)
     sym = np.where(qn > 0, one_minus_theta / np.where(qn > 0, qn, 1.0), 0.0)

@@ -58,7 +58,9 @@ def dense_masks(grid, profile, p_cells):
     xi = grid.frequency_vectors()
     nonzero = ~np.all(xi == 0, axis=-1)
     proj = project_lattice(xi, profile)
-    if d == 2:
+    if p_cells == 1:  # all of P
+        masks = np.ones((1,) + nonzero.shape)
+    elif d == 2:
         ang = np.arctan2(proj[..., 1], proj[..., 0]) % (2 * np.pi)
         spacing = 2 * np.pi / p_cells
         cang = np.arange(p_cells) * spacing

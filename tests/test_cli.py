@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from hpm import cli
 from hpm.errors import ConfigError, IntegrityError, SupportWarning
-from hpm.spectral import SpectralGrid, band_limited_field, read_field
+from hpm.spectral import (SpectralGrid, band_limited_field, band_limited_spectrum,
+                          inverse_dft, read_field)
 
 # fuzzed velocity weights may touch the boundary of the velocity box, which
 # only warns
@@ -142,6 +143,18 @@ class TestMultiplierApply:
         written = read_field(out / "output.fld")
         assert norms["output_l2"] == pytest.approx(written.norm_l2(), rel=1e-13)
 
+    def test_integer_order_is_the_derivative_symbol(self, tmp_path):
+        # order 1 multiplies the drawn band by 2 pi i xi_1 itself
+        cfg = base_config("multiplier-apply", grid={"n": [16, 8], "L": [1.0, 2.0]},
+                          params={"operation": "fractional", "axis": 1, "order": 1.0})
+        out = tmp_path / "out"
+        assert run_cli("multiplier-apply", write_config(tmp_path, cfg), out) == 0
+        grid = SpectralGrid((16, 8), (1.0, 2.0))
+        band = band_limited_spectrum(grid, np.random.Generator(np.random.Philox(key=7)))
+        want = inverse_dft(band.with_values(
+            band.values * grid.lift(2j * np.pi * band.frequencies()[1])))
+        assert np.array_equal(read_field(out / "output.fld").values, want.values)
+
     def test_peak_below_one_and_a_half_full_grid_arrays(self, tmp_path):
         # the catalog benchmark's config: a 512^2 grid whose drawn band is
         # 129^2; only the output band is inverted, in place in the output
@@ -157,6 +170,22 @@ class TestMultiplierApply:
             tracemalloc.stop()
         assert code == 0
         assert peak < 1.5 * 16 * 512 ** 2
+
+
+class TestHmeasureCells:
+    @pytest.mark.parametrize("c", [[1.0, 0.0], [-1.0, 0.0]])
+    def test_one_p_cell_holds_the_total_mass(self, tmp_path, c):
+        # one P-cell is all of P, so its mass is that of every partition
+        base = TestDeterminism.CONFIGS["hmeasure"]
+        masses = []
+        for p_cells in (1, 4):
+            cfg = dict(base, params=dict(base["params"], p_cells=p_cells,
+                                         generator={"kind": "oscillation", "c": c}))
+            out = tmp_path / f"p_cells-{p_cells}"
+            assert run_cli("hmeasure", write_config(tmp_path, cfg), out) == 0
+            masses.append(float(json.loads(
+                (out / "hmeasure.json").read_text())["total_mass"]))
+        assert masses[0] == pytest.approx(masses[1], rel=1e-12)
 
 
 class TestErrorHandling:
@@ -783,6 +812,10 @@ class TestMalformedParams:
         profile={"alpha": [1.0, 1.0, 1.0]},
         params={"flux": "linear-transport", "lambda": {"points": 16},
                 "resolution": 8})
+    MULTIPLIER_APPLY_OPS = {
+        f"multiplier-apply-{op}": base_config("multiplier-apply",
+                                              params={"operation": op})
+        for op in ("fractional", "smoothing")}
 
     def test_flux_of_the_grid_dimension_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -913,12 +946,17 @@ class TestMalformedParams:
           for eps in ([], [0.5, 0.1], [0.1, 0.1], [-0.1, 0.1], [0.0, 1.0])],
         # the origin has no projection either
         ("project", {"points": [[3.0, 4.0], [0.0, 0.0]]}, "params.points[1]"),
+        # a derivative order or a cutoff radius that is not positive
+        *[("multiplier-apply-fractional", {"order": v},
+           f"params.order must be positive, got {float(v)}") for v in (0, -1.5)],
+        ("multiplier-apply-smoothing", {"cutoff_radius": 0},
+         "params.cutoff_radius: cutoff radius must be positive, got 0.0"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, params,
                                      needle):
         cfg = {**self.CONFIGS, **self.AVERAGING_ALPHA, "hmeasure-3d": self.HMEASURE_3D,
                "multiplier-check-12": self.MULTIPLIER_CHECK_12,
-               "kinetic-3d": self.KINETIC_3D}[command]
+               "kinetic-3d": self.KINETIC_3D, **self.MULTIPLIER_APPLY_OPS}[command]
         self._exits_2(tmp_path, capsys, cfg, needle, **params)
 
     def test_lambda_identity_runs_within_rounding(self, tmp_path, capsys):

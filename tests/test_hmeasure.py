@@ -177,12 +177,14 @@ class TestCellBasis:
         assert np.max(np.abs(sq - 1.0)) <= 1e-12
 
     def test_p_masks_partition_off_origin(self):
-        g = SpectralGrid((16, 16), (1.0, 1.0))
-        cb = make_cell_basis(g, ISO2, x_cells=2, p_cells=8)
-        tot = np.sum(cb.p_masks, axis=0)
-        nz = tot[tot > 0]
-        assert np.max(np.abs(nz - 1.0)) <= 1e-12
-        assert tot.ravel()[0] == 0.0  # origin excluded
+        # one P-cell, in 2-d as in 3-d, is all of P
+        for n, alpha, p_cells in [((16, 16), (1.0, 1.0), 8), ((16, 16), (1.0, 1.0), 1),
+                                  ((8, 8, 8), (1.0, 1.0, 2.0), 1)]:
+            g = SpectralGrid(n, (1.0,) * len(n))
+            cb = make_cell_basis(g, AnisotropyProfile(alpha), x_cells=2, p_cells=p_cells)
+            tot = np.sum(cb.p_masks, axis=0)
+            assert np.max(np.abs(tot.ravel()[1:] - 1.0)) <= 1e-12
+            assert tot.ravel()[0] == 0.0  # origin excluded
 
 
 class TestScalarMeasure:

@@ -404,6 +404,33 @@ class TestCertifiedScreen:
         block = rows * p_grid.size
         assert peak <= (2 * 16 + len(eps)) * block + 4 * block
 
+    @pytest.mark.parametrize("alpha, planes", [
+        ((1.0, 1.0, 1.0), 1), ((2.0, 2.0, 2.0), 1),
+        ((1.0, 2.0), 2), ((0.5, 1.5), 2)])
+    def test_a_factor_plane_is_left_out_when_it_is_zero(self, monkeypatch, alpha,
+                                                        planes):
+        # all-odd integer orders give imaginary factors F_k, all-even ones
+        # real F_k: one GEMM a block; mixed or fractional orders take two
+        profile = AnisotropyProfile(alpha)
+        d = profile.d
+        p_grid, eps = midpoints(64), (0.01, 0.1, 0.5)
+        coeffs = [1.0] + [lambda x, p: p] * (d - 1)
+        gemms = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            gemms.append(np.shape(args[0]))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(averaging.np, "matmul", spy)
+        got, want, _ = screened_and_exact(monkeypatch, 7, coeffs, [np.zeros(d)],
+                                          profile, 16, p_grid, eps)
+        assert_same_report(got, want)
+        mesh_rows = len(mesh_P(profile, 16)[0])
+        assert mesh_rows % 7 != 0
+        assert len(gemms) == planes * -(-mesh_rows // 7)
+        assert all(shape[1] == d for shape in gemms)
+
     def test_catalog_config_never_evaluates_the_exact_symbol(self, monkeypatch,
                                                              tmp_path):
         evaluated = spy_scan(monkeypatch)

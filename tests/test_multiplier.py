@@ -57,6 +57,27 @@ class TestSmoothRamp:
         assert np.max(np.abs(v + smooth_ramp(1 - t) - 1.0)) <= 1e-12
 
 
+class TestFractionalFactor:
+    XI = np.array([-3.5, -1.0, -0.25, 0.0, 0.25, 1.0, 3.5])
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_integer_orders_are_exact_powers_of_i(self, order):
+        got = fractional_factor(self.XI, float(order))
+        # (2 pi i xi)^n is (-1)^(n // 2) (2 pi xi)^n, times i for an odd n
+        zero, part = (got.real, got.imag) if order % 2 else (got.imag, got.real)
+        assert np.all(zero == 0.0)
+        assert np.array_equal(part, (-1) ** (order // 2) * np.sign(self.XI) ** order
+                              * np.abs(2 * np.pi * self.XI) ** float(order))
+
+    @pytest.mark.parametrize("order", [0.05, 1 / 3, 0.5, 0.75, 1.5, 2.5])
+    def test_other_orders_keep_the_exponential_turn(self, order):
+        got = fractional_factor(self.XI, order)
+        want = (np.abs(2 * np.pi * self.XI) ** order
+                * np.exp(1j * order * (np.pi / 2) * np.sign(self.XI)))
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+
 class TestFractionalDerivative:
     def test_order_one_single_mode(self):
         g = SpectralGrid((16, 16), (1.0, 1.0))
